@@ -21,8 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .counts import block_pair_tables, tally_edges, tally_marginals
 from .dataset import FeatureSet, NodeDataset, validate
 from .errors import ValidationError
+from .plr import width_blocks
 
 KINDS = ("type1", "type2", "type3")
 
@@ -129,9 +131,9 @@ def fit(spec: ClassifierSpec, dataset: NodeDataset,
 
     # link tables over ordered pairs with both endpoints in the mask
     both = mask[dataset._src0] & mask[dataset._dst0]
-    ys = dataset._y0[dataset._src0[both]]
-    yt = dataset._y0[dataset._dst0[both]]
-    e0 = np.bincount(ys * r + yt, minlength=r * r).reshape(r, r)
+    src0, dst0 = dataset._src0[both], dataset._dst0[both]
+    e0 = np.bincount(dataset._y0[src0] * r + dataset._y0[dst0],
+                     minlength=r * r).reshape(r, r)
     n_y_int = np.bincount(y0, minlength=r)
     p0 = np.outer(n_y_int, n_y_int) - np.diag(n_y_int)
     pi0 = (e0 + alpha) / (p0 + 2 * alpha)
@@ -140,20 +142,15 @@ def fit(spec: ClassifierSpec, dataset: NodeDataset,
     if spec.kind == "type2":
         return clf
 
-    for col in cols_a:
-        k = widths[col]
-        x0 = dataset.column(col).astype(np.int64) - 1
-        code = ((ys * r + yt) * k + x0[dataset._src0[both]]) * k \
-            + x0[dataset._dst0[both]]
-        ej = np.bincount(code, minlength=r * r * k * k).reshape(r, r, k, k)
-        n_yj_int = np.bincount(y0 * k + x0[mask], minlength=r * k).reshape(r, k)
-        pj = np.einsum("rk,sl->rskl", n_yj_int, n_yj_int)
-        rr = np.repeat(np.arange(r), k)
-        kk = np.tile(np.arange(k), r)
-        pj[rr, rr, kk, kk] -= n_yj_int[rr, kk]
-        pij = (ej + alpha) / (pj + 2 * alpha)
-        clf.dlog_edge[col] = np.log(pij) - clf.log_pi0[:, :, None, None]
-        clf.dlog_gap[col] = np.log1p(-pij) - clf.log_gap0[:, :, None, None]
+    cols = np.asarray(cols_a, dtype=np.int64)
+    for k, part in width_blocks(dataset.k_levels[cols - 1], r):
+        xb0 = dataset.x[:, cols[part] - 1].astype(np.int64) - 1
+        edges = tally_edges(dataset._y0, src0, dst0, xb0, r, k)
+        pairs = block_pair_tables(tally_marginals(y0, xb0[mask], r, k))
+        for col, ej, pj in zip(cols[part].tolist(), edges, pairs):
+            pij = (ej + alpha) / (pj + 2 * alpha)
+            clf.dlog_edge[col] = np.log(pij) - clf.log_pi0[:, :, None, None]
+            clf.dlog_gap[col] = np.log1p(-pij) - clf.log_gap0[:, :, None, None]
     return clf
 
 

@@ -101,11 +101,8 @@ class NodeDataset:
         self.composite_pairs = dict(composite_pairs or {})
         self._validated = False
 
-    # Populated by validate():
-    #   _y0, _x0   0-based level codes
-    #   _src0/_dst0 0-based edge endpoints
-    #   _out_indptr/_in_indptr CSR-style offsets, _in_order edge permutation
-    #     sorted by (dst, src)
+    # Populated by validate(): _y0, the 0-based responses, and _src0/_dst0,
+    # the 0-based edge endpoints, with edges sorted by (src, dst).
 
     @property
     def n(self) -> int:
@@ -209,16 +206,10 @@ def validate(dataset: NodeDataset) -> NodeDataset:
     out = NodeDataset(y, x, edges, names, r_levels, k_levels,
                       dict(dataset.composite_pairs))
     out._y0 = (y - 1).astype(np.int64)
-    out._x0 = x  # levels stay 1-based; tallies subtract on use
     out._src0 = edges[:, 0] - 1
     out._dst0 = edges[:, 1] - 1
-    out._out_indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(out._src0, minlength=n), out=out._out_indptr[1:])
-    out._in_order = np.lexsort((out._src0, out._dst0))
-    out._in_indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(out._dst0, minlength=n), out=out._in_indptr[1:])
     for arr in (out.y, out.x, out.edges, out._y0, out._src0, out._dst0,
-                out._out_indptr, out._in_order, out._in_indptr, out.k_levels):
+                out.k_levels):
         arr.flags.writeable = False
     out._validated = True
     return out

@@ -21,7 +21,7 @@ from . import __version__
 from .classify import ClassifierSpec, evaluate, fit, screening_metrics
 from .dataset import FeatureSet
 from .errors import ValidationError
-from .plr import plr_statistic
+from .plr import degrees_of_freedom, plr_statistic
 from .screening import interaction_expand, pc_sis, plr_sis
 from .simulate import SimulationConfig, example_config, generate
 
@@ -253,7 +253,7 @@ def null_calibration(n: int = 500, reps: int = 2000, seed: int = 0, *,
     reference, their means sit at the degrees of freedom.
     """
     config = SimulationConfig(
-        name="null", model="nnb", n=n, p=1,
+        name="null", model="nnb", n=n, p=1, r_levels=r_levels,
         columns={1: {"kind": "bern", "p": level2_prob}},
         phi=(), gamma=gamma)
     self_samples = np.empty(reps)
@@ -263,8 +263,7 @@ def null_calibration(n: int = 500, reps: int = 2000, seed: int = 0, *,
         stat = plr_statistic(dataset, 1)
         self_samples[rep] = 2.0 * n * stat.lam_self
         net_samples[rep] = 2.0 * n * stat.lam_network
-    df_self = (r_levels - 1) * (2 - 1)
-    df_net = r_levels ** 2 * (2 ** 2 - 1)
+    df_self, df_net = degrees_of_freedom(r_levels, 2)
     return {
         "n": n, "reps": reps, "seed": seed,
         "df_self": df_self, "df_network": df_net,

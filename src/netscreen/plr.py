@@ -193,6 +193,22 @@ def _block_size(r: int, k: int) -> int:
     return max(1, min(64, BLOCK_TARGET_CELLS // max(1, r * r * k * k)))
 
 
+def width_blocks(widths, r: int):
+    """Yield (k, positions) over blocks of equal-width columns.
+
+    widths: level count of each column. Positions index into widths; blocks
+    come width by width, in column order within a width, each small enough
+    for the tally size cap.
+    """
+    widths = np.asarray(widths)
+    for k in np.unique(widths):
+        k = int(k)
+        sel = np.flatnonzero(widths == k)
+        step = _block_size(r, k)
+        for lo in range(0, sel.size, step):
+            yield k, sel[lo:lo + step]
+
+
 def batch_statistics(dataset: NodeDataset, columns=None):
     """Normalized (lam, lam_self, lam_network) arrays over the given columns.
 
@@ -209,17 +225,11 @@ def batch_statistics(dataset: NodeDataset, columns=None):
         raise IndexError(f"column index outside 1..{dataset.p}")
     lam_self = np.zeros(cols0.size)
     lam_net = np.zeros(cols0.size)
-    widths = dataset.k_levels[cols0]
-    for k in np.unique(widths):
-        k = int(k)
-        sel = np.flatnonzero(widths == k)
-        step = _block_size(dataset.r_levels, k)
-        for lo in range(0, sel.size, step):
-            part = sel[lo:lo + step]
-            xb0 = dataset.x[:, cols0[part]].astype(np.int64) - 1
-            s_tot, n_tot = _block_lambdas(dataset, xb0, k, shared)
-            lam_self[part] = s_tot / dataset.n
-            lam_net[part] = n_tot / dataset.n
+    for k, part in width_blocks(dataset.k_levels[cols0], dataset.r_levels):
+        xb0 = dataset.x[:, cols0[part]].astype(np.int64) - 1
+        s_tot, n_tot = _block_lambdas(dataset, xb0, k, shared)
+        lam_self[part] = s_tot / dataset.n
+        lam_net[part] = n_tot / dataset.n
     return lam_self + lam_net, lam_self, lam_net
 
 

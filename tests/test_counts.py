@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from netscreen import NodeDataset, validate
 from netscreen.counts import (
@@ -72,7 +73,7 @@ def test_response_pair_tables():
 
 
 def test_blocked_tallies_equal_per_column_counts():
-    """The batch tally of a column block matches column-at-a-time counts."""
+    """The batch tally of a column block matches the oracle column by column."""
     rng = np.random.default_rng(11)
     n, p, r, k = 30, 7, 3, 3
     y = np.concatenate([np.arange(1, r + 1), rng.integers(1, r + 1, n - r)])
@@ -85,11 +86,42 @@ def test_blocked_tallies_equal_per_column_counts():
     edge = tally_edges(ds._y0, ds._src0, ds._dst0, xb0, r, k)
     assert marg.shape == (p, r, k)
     assert edge.shape == (p, r, r, k, k)
+    assert edge.dtype == np.int64
     for j in range(1, p + 1):
-        _, _, n_yj = marginal_counts(ds, j)
-        assert np.array_equal(marg[j - 1], n_yj)
-        _, e_yj = edge_counts(ds, j)
-        assert np.array_equal(edge[j - 1], e_yj)
+        want = oracle_counts(y, x[:, j - 1], edges, r, k)
+        assert np.array_equal(marg[j - 1], want["n_yj"])
+        assert np.array_equal(edge[j - 1], want["n_edges_yj"])
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_tally_edges_matches_oracle_across_shapes(r, k):
+    """Edge tallies equal the oracle for every width, alone and in a block.
+
+    The block mixes a column over all k levels, one that never shows its top
+    level, and one stuck at level k; the graphs are edgeless, or leave the
+    first three nodes isolated.
+    """
+    rng = np.random.default_rng(10 * r + k)
+    n = 14
+    y = np.concatenate([np.arange(1, r + 1), rng.integers(1, r + 1, n - r)])
+    x = np.column_stack([
+        rng.integers(1, k + 1, n),
+        rng.integers(1, max(k - 1, 1) + 1, n),
+        np.full(n, k),
+    ])
+    xb0 = x.astype(np.int64) - 1
+    for density in (0.0, 0.4):
+        edges = [(s + 1, t + 1) for s in range(3, n) for t in range(3, n)
+                 if s != t and rng.uniform() < density]
+        ds = as_dataset(y, x, edges, r, k)
+        block = tally_edges(ds._y0, ds._src0, ds._dst0, xb0, r, k)
+        assert block.shape == (3, r, r, k, k)
+        for c in range(3):
+            want = oracle_counts(y, x[:, c], edges, r, k)["n_edges_yj"]
+            alone = tally_edges(ds._y0, ds._src0, ds._dst0, xb0[:, [c]], r, k)
+            assert np.array_equal(block[c], want)
+            assert np.array_equal(alone[0], want)
 
 
 def test_counts_ignore_declared_but_unseen_levels():

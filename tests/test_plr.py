@@ -8,6 +8,7 @@ from netscreen.plr import (
     permutation_pvalue, plr_statistic, pmle_probs,
 )
 from netscreen.counts import counts_bundle
+from netscreen.experiment import null_calibration
 
 from oracles import oracle_plr, random_instance
 
@@ -149,6 +150,22 @@ def test_batch_agrees_with_per_column():
         batch_statistics(ds, columns=[0])
 
 
+def test_batch_statistics_independent_of_block_size(monkeypatch):
+    rng = np.random.default_rng(26)
+    n, r = 40, 3
+    y = np.concatenate([np.arange(1, r + 1), rng.integers(1, r + 1, n - r)])
+    x = np.column_stack([rng.integers(1, 3, (n, 5)), rng.integers(1, 5, (n, 4))])
+    edges = [(s + 1, t + 1) for s in range(n) for t in range(n)
+             if s != t and rng.uniform() < 0.15]
+    ds = validate(NodeDataset(y=y, x=x, edges=np.asarray(edges), r_levels=r,
+                              k_levels=[2] * 5 + [4] * 4))
+    default = batch_statistics(ds)
+    monkeypatch.setattr(plr, "BLOCK_TARGET_CELLS", 1)  # one column per block
+    single = batch_statistics(ds)
+    for a, b in zip(default, single):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_pmle_probs_are_cell_frequencies():
     ds = four_node_dataset()
     probs = pmle_probs(counts_bundle(ds, 1))
@@ -209,3 +226,12 @@ def test_column_index_bounds():
         plr_statistic(ds, 2)
     with pytest.raises(ValueError):
         permutation_pvalue(ds, 1, 0)
+
+
+def test_null_calibration_at_three_response_levels():
+    # the doubled parts of a noise column sit at their R = 3 references
+    cal = null_calibration(n=200, reps=300, seed=0, r_levels=3)
+    assert (cal["df_self"], cal["df_network"]) == (2, 27)
+    for part, df in (("self", 2), ("network", 27)):
+        tol = 4.0 * np.sqrt(2.0 * df / cal["reps"])  # 4 Monte Carlo SEs
+        assert abs(cal[f"mean_{part}"] - df) < tol
