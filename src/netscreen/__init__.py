@@ -12,16 +12,14 @@ __version__ = "0.1.0"
 from .classify import (ClassifierSpec, MetricsReport, NetworkClassifier,
                        evaluate, fit, predict, predict_scores,
                        screening_metrics)
-from .counts import (CountsBundle, counts_bundle, edge_counts,
-                     marginal_counts, pair_counts)
+from .counts import edge_counts, marginal_counts, pair_counts
 from .dataset import FeatureSet, NodeDataset, degree_filter, validate
 from .errors import DegeneracyError, ValidationError
 from .experiment import (ExperimentReport, experiment, null_calibration,
                          run_replication)
 from .io import read_dataset, read_json, write_dataset, write_json
-from .plr import (PlrStat, PmleProbs, batch_statistics, chi2_tail,
-                  degrees_of_freedom, log_l0, log_lj, permutation_pvalue,
-                  plr_statistic, pmle_probs)
+from .plr import (PlrStat, batch_statistics, chi2_tail, degrees_of_freedom,
+                  permutation_pvalue, plr_statistic)
 from .screening import (ScreeningResult, discretize, hard_cutoff,
                         interaction_expand, max_ratio_cutoff, pc_sis,
                         plr_sis)
@@ -30,17 +28,16 @@ from .simulate import (SimulationConfig, example_config, gen_network,
                        perturb_network)
 
 __all__ = [
-    "ClassifierSpec", "CountsBundle", "DegeneracyError", "ExperimentReport",
-    "FeatureSet", "MetricsReport", "NetworkClassifier", "NodeDataset",
-    "PlrStat", "PmleProbs", "ScreeningResult", "SimulationConfig",
-    "ValidationError", "batch_statistics", "chi2_tail", "counts_bundle",
-    "degree_filter", "degrees_of_freedom", "discretize", "edge_counts",
-    "evaluate", "example_config", "experiment", "fit", "gen_network",
-    "gen_nlr", "gen_nnb", "generate", "hard_cutoff", "interaction_expand",
-    "log_l0", "log_lj", "marginal_counts", "max_ratio_cutoff",
+    "ClassifierSpec", "DegeneracyError", "ExperimentReport", "FeatureSet",
+    "MetricsReport", "NetworkClassifier", "NodeDataset", "PlrStat",
+    "ScreeningResult", "SimulationConfig", "ValidationError",
+    "batch_statistics", "chi2_tail", "degree_filter", "degrees_of_freedom",
+    "discretize", "edge_counts", "evaluate", "example_config", "experiment",
+    "fit", "gen_network", "gen_nlr", "gen_nnb", "generate", "hard_cutoff",
+    "interaction_expand", "marginal_counts", "max_ratio_cutoff",
     "noise_rates", "null_calibration", "pair_counts", "pc_sis",
     "permutation_pvalue", "perturb_network", "plr_sis", "plr_statistic",
-    "pmle_probs", "predict", "predict_scores", "read_dataset", "read_json",
+    "predict", "predict_scores", "read_dataset", "read_json",
     "run_replication", "screening_metrics", "validate", "write_dataset",
     "write_json",
 ]

@@ -112,15 +112,15 @@ def fit(spec: ClassifierSpec, dataset: NodeDataset,
     n_y = np.bincount(y0, minlength=r).astype(np.float64)
     log_prior = np.log((n_y + alpha) / (n_fit + alpha * r))
 
-    log_cond = {}
-    widths = {}
-    for col in dict.fromkeys(cols_y + cols_a):
-        k = int(dataset.k_levels[col - 1])
-        widths[col] = k
-        x0 = dataset.column(col)[mask].astype(np.int64) - 1
-        n_yj = np.bincount(y0 * k + x0, minlength=r * k).reshape(r, k)
-        log_cond[col] = np.log(
-            (n_yj + alpha) / (n_y[:, None] + alpha * k))
+    # joint (response, level) tallies of the fitting nodes, one per feature
+    feats = np.asarray(list(dict.fromkeys(cols_y + cols_a)), dtype=np.int64)
+    n_yj = {}
+    for k, part in width_blocks(dataset.k_levels[feats - 1], r):
+        xb0 = dataset.x[np.ix_(mask, feats[part] - 1)].astype(np.int64) - 1
+        n_yj.update(zip(feats[part].tolist(), tally_marginals(y0, xb0, r, k)))
+    widths = {col: int(dataset.k_levels[col - 1]) for col in feats.tolist()}
+    log_cond = {col: np.log((n_yj[col] + alpha) / (n_y[:, None] + alpha * k))
+                for col, k in widths.items()}
 
     clf = NetworkClassifier(
         spec=spec, r_levels=r, n_fit=n_fit, train_mask=mask,
@@ -144,10 +144,11 @@ def fit(spec: ClassifierSpec, dataset: NodeDataset,
 
     cols = np.asarray(cols_a, dtype=np.int64)
     for k, part in width_blocks(dataset.k_levels[cols - 1], r):
+        block = cols[part].tolist()
         xb0 = dataset.x[:, cols[part] - 1].astype(np.int64) - 1
         edges = tally_edges(dataset._y0, src0, dst0, xb0, r, k)
-        pairs = block_pair_tables(tally_marginals(y0, xb0[mask], r, k))
-        for col, ej, pj in zip(cols[part].tolist(), edges, pairs):
+        pairs = block_pair_tables(np.stack([n_yj[col] for col in block]))
+        for col, ej, pj in zip(block, edges, pairs):
             pij = (ej + alpha) / (pj + 2 * alpha)
             clf.dlog_edge[col] = np.log(pij) - clf.log_pi0[:, :, None, None]
             clf.dlog_gap[col] = np.log1p(-pij) - clf.log_gap0[:, :, None, None]

@@ -33,16 +33,24 @@ def _default_threads() -> int:
 
 
 def _parse_cutoff(text: str):
-    """'maxratio' | 'hard[:d]' | 'pvalue[:alpha]' -> (name, d, alpha)."""
+    """'maxratio' | 'hard[:d]' | 'pvalue[:alpha]' -> (name, d, alpha).
+
+    d is a count or "n_minus_1"; a malformed argument is a ValidationError.
+    """
     if text == "maxratio":
         return "max_ratio", None, 0.05
     name, _, arg = text.partition(":")
-    if name == "hard":
-        return "hard", (int(arg) if arg else None), 0.05
-    if name == "pvalue":
-        return "pvalue", None, (float(arg) if arg else 0.05)
+    try:
+        if name == "hard":
+            d = arg if arg == "n_minus_1" else (int(arg) if arg else None)
+            return "hard", d, 0.05
+        if name == "pvalue":
+            return "pvalue", None, (float(arg) if arg else 0.05)
+    except ValueError:
+        pass
     raise ValidationError(
-        f"unknown cutoff {text!r}; use maxratio, hard:<d>, or pvalue:<alpha>")
+        f"unknown cutoff {text!r}; use maxratio, hard:<d>, hard:n_minus_1, "
+        "or pvalue:<alpha>")
 
 
 def _parse_features(text: str) -> FeatureSet:
@@ -214,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     scr.add_argument("--metadata")
     scr.add_argument("--method", choices=["plr", "pc"], default="plr")
     scr.add_argument("--cutoff", default="maxratio",
-                     help="maxratio | hard:<d> | pvalue:<alpha>")
+                     help="maxratio | hard:<d> | hard:n_minus_1 | "
+                     "pvalue:<alpha>")
     scr.add_argument("--perms", type=int, default=0)
     scr.add_argument("--interactions", choices=["none", "top", "all"],
                      default="none")
@@ -227,8 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
                      default="normal_quantile",
                      choices=["normal_quantile", "empirical_quantile"])
     scr.add_argument("--seed", type=int, default=0)
-    scr.add_argument("--threads", type=int, default=_default_threads(),
-                     help="reserved for replication-level parallelism")
     scr.add_argument("--out")
     scr.set_defaults(func=cmd_screen)
 

@@ -13,32 +13,10 @@ the tally of response level r with feature level k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import sparse
 
 from .dataset import NodeDataset, validate
-
-
-@dataclass(frozen=True)
-class CountsBundle:
-    """All tallies needed for one feature's statistic.
-
-    n_y[r]: nodes at response level r+1; n_j[k]: nodes at feature level k+1;
-    n_yj[r, k]: joint node tally; n_pairs_y / n_pairs_yj: ordered node pairs
-    stratified by response (and feature) levels of both endpoints;
-    n_edges_y / n_edges_yj: linked ordered pairs, same stratification.
-    """
-
-    n: int
-    n_y: np.ndarray
-    n_j: np.ndarray
-    n_yj: np.ndarray
-    n_pairs_y: np.ndarray
-    n_pairs_yj: np.ndarray
-    n_edges_y: np.ndarray
-    n_edges_yj: np.ndarray
 
 
 def _column_codes(dataset: NodeDataset, j: int) -> np.ndarray:
@@ -77,15 +55,6 @@ def edge_counts(dataset: NodeDataset, j: int):
     n_edges_yj = tally_edges(dataset._y0, dataset._src0, dataset._dst0, xb0,
                              dataset.r_levels, k)[0]
     return n_edges_yj.sum(axis=(2, 3)), n_edges_yj
-
-
-def counts_bundle(dataset: NodeDataset, j: int) -> CountsBundle:
-    """All tables of one feature in a single object."""
-    n_y, n_j, n_yj = marginal_counts(dataset, j)
-    n_pairs_y, n_pairs_yj = pair_counts(n_yj)
-    n_edges_y, n_edges_yj = edge_counts(dataset, j)
-    return CountsBundle(dataset.n, n_y, n_j, n_yj, n_pairs_y, n_pairs_yj,
-                        n_edges_y, n_edges_yj)
 
 
 # ---- blocked tallies over groups of same-width columns ----

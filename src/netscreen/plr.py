@@ -8,13 +8,16 @@ two endpoints only; the alternative for feature j refines the node term by
 conditioning the response on the feature level, and refines every link term
 by the feature levels of both endpoints. All probabilities are plugged in as
 maximum-likelihood cell frequencies, so the fitted refinement can never score
-below the null and the per-node statistic
+below the null and the per-node statistic, the gap between the fitted
+refined and null log pseudo-likelihoods,
 
-    lam_j = (log_lj - log_l0) / n = lam_self + lam_network
+    lam_j = (log PL_j - log PL_0) / n = lam_self + lam_network
 
-is nonnegative and exactly zero for a constant column. Every logarithm that
-enters with a positive coefficient has a positive argument, so no smoothing
-is needed and the value is always finite.
+is nonnegative and exactly zero for a constant column. Both fits are
+evaluated in closed form from the count tables of a block of columns at once
+(see :func:`batch_statistics`). Every logarithm that enters with a positive
+coefficient has a positive argument, so no smoothing is needed and the value
+is always finite.
 
 Under a null with independent uniform responses, 2 n lam_self is
 asymptotically chi-square with (R-1)(K-1) degrees of freedom and
@@ -28,28 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc, xlogy
 
-from .counts import (CountsBundle, block_pair_tables, response_pair_tables,
-                     tally_edges, tally_marginals)
+from .counts import (block_pair_tables, response_pair_tables, tally_edges,
+                     tally_marginals)
 from .dataset import NodeDataset, validate
 from .errors import DegeneracyError
 
 BLOCK_TARGET_CELLS = 5_000_000  # soft cap on B * R^2 * K^2 per tally block
-
-
-@dataclass(frozen=True)
-class PmleProbs:
-    """Plug-in cell frequencies for one feature.
-
-    pi_y[r]: marginal response frequencies; pi_y_given_j[r, k]: response
-    frequency within feature level k+1; pi_pairs_y[r1, r2]: link frequency
-    among ordered pairs stratified by endpoint responses; pi_pairs_yj adds
-    the endpoint feature levels. Cells whose denominator is zero are NaN.
-    """
-
-    pi_y: np.ndarray
-    pi_y_given_j: np.ndarray
-    pi_pairs_y: np.ndarray
-    pi_pairs_yj: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -79,69 +66,6 @@ def chi2_tail(stat: float, df: int) -> float:
     if df == 0:
         return 1.0 if stat <= 1e-12 else 0.0
     return float(chdtrc(df, max(float(stat), 0.0)))
-
-
-def pmle_probs(counts: CountsBundle) -> PmleProbs:
-    """Plug-in frequencies from a feature's count tables, NaN where undefined."""
-    def _ratio(num, den):
-        num = np.asarray(num, dtype=np.float64)
-        den = np.asarray(den, dtype=np.float64)
-        out = np.full(np.broadcast_shapes(num.shape, den.shape), np.nan)
-        np.divide(num, den, out=out, where=den > 0)
-        return out
-
-    return PmleProbs(
-        pi_y=_ratio(counts.n_y, counts.n),
-        pi_y_given_j=_ratio(counts.n_yj, counts.n_j[None, :]),
-        pi_pairs_y=_ratio(counts.n_edges_y, counts.n_pairs_y),
-        pi_pairs_yj=_ratio(counts.n_edges_yj, counts.n_pairs_yj),
-    )
-
-
-def _tilt(counts, probs):
-    # xlogy with NaN probabilities masked out wherever the coefficient is 0
-    counts = np.asarray(counts, dtype=np.float64)
-    safe = np.where(counts > 0, probs, 1.0)
-    return float(xlogy(counts, safe).sum())
-
-
-def log_l0(dataset: NodeDataset, probs: PmleProbs | None = None) -> float:
-    """Null log pseudo-likelihood: response marginals plus response-level links.
-
-    With probs omitted the plug-in frequencies of the dataset itself are used,
-    which is the fitted null. Each ordered node pair contributes one Bernoulli
-    term.
-    """
-    dataset = validate(dataset)
-    n_y, n_pairs_y, n_edges_y = response_pair_tables(dataset)
-    if probs is None:
-        pi_y = n_y / dataset.n
-        pi_pairs = np.full(n_pairs_y.shape, np.nan)
-        np.divide(n_edges_y, n_pairs_y, out=pi_pairs, where=n_pairs_y > 0)
-    else:
-        pi_y, pi_pairs = probs.pi_y, probs.pi_pairs_y
-    return (_tilt(n_y, pi_y)
-            + _tilt(n_edges_y, pi_pairs)
-            + _tilt(n_pairs_y - n_edges_y, 1.0 - pi_pairs))
-
-
-def log_lj(dataset: NodeDataset, j: int, probs: PmleProbs | None = None) -> float:
-    """Refined log pseudo-likelihood for column j (1-based).
-
-    The node term conditions the response on the feature level; each ordered
-    pair's Bernoulli term is stratified by the feature levels of both
-    endpoints on top of their response levels.
-    """
-    from .counts import counts_bundle
-
-    dataset = validate(dataset)
-    counts = counts_bundle(dataset, j)
-    if probs is None:
-        probs = pmle_probs(counts)
-    return (_tilt(counts.n_yj, probs.pi_y_given_j)
-            + _tilt(counts.n_edges_yj, probs.pi_pairs_yj)
-            + _tilt(counts.n_pairs_yj - counts.n_edges_yj,
-                    1.0 - probs.pi_pairs_yj))
 
 
 class _SharedTables:

@@ -1,4 +1,10 @@
-"""Feature screening: rank columns by the network statistic and cut the list.
+"""Feature screening: rank columns by a statistic and cut the list.
+
+One driver runs the pipeline for both screens: optional interaction
+expansion (stage 1 ranks the mains and pairs up the leaders), scoring,
+ranking and the cutoff. plr_sis and pc_sis differ only in the statistic they
+hand it: the network pseudo-likelihood ratio, or the Pearson chi-square of
+response against feature, which ignores the adjacency.
 
 Ranking scale. When every screened column has the same level count the raw
 statistic values are compared directly. With mixed level counts the raw
@@ -10,8 +16,8 @@ available for small column sets via perms > 0.
 
 Cutoffs. "max_ratio" walks the sorted scores and keeps the prefix in front
 of the largest consecutive ratio; "hard" keeps a fixed count, by default
-floor(n / log n); "pvalue" keeps features whose tail probability is at most
-alpha.
+floor(n / log n), or n - 1 with d="n_minus_1"; "pvalue" keeps features whose
+tail probability is at most alpha.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from scipy.special import chdtrc, ndtri
 from .counts import tally_marginals
 from .dataset import FeatureSet, NodeDataset, validate
 from .errors import ValidationError
-from .plr import batch_statistics, degrees_of_freedom, permutation_pvalue
+from .plr import (batch_statistics, degrees_of_freedom, permutation_pvalue,
+                  width_blocks)
 
 DEGENERATE_TOL = 1e-8   # top score below this means nothing separates
 RATIO_EPS = 1e-12       # relative floor for max-ratio denominators
@@ -42,7 +49,7 @@ class ScreeningResult:
     "j&k" key of each screened column). ranking holds screened column ids,
     best first; selected is the leading d_hat of them as a FeatureSet.
     c_star_hat sits between the last kept and the first dropped score when
-    those differ.
+    those differ. stage1 counts the candidate pairs of an interaction screen.
     """
 
     method: str
@@ -198,28 +205,6 @@ def feature_key(dataset: NodeDataset, j: int) -> str:
     return str(j)
 
 
-def _pearson_batch(dataset: NodeDataset, cols0: np.ndarray) -> np.ndarray:
-    """Pearson chi-square of response against each column, network ignored."""
-    r = dataset.r_levels
-    n_y = np.bincount(dataset._y0, minlength=r).astype(np.float64)
-    out = np.zeros(cols0.size)
-    widths = dataset.k_levels[cols0]
-    for k in np.unique(widths):
-        k = int(k)
-        sel = np.flatnonzero(widths == k)
-        for lo in range(0, sel.size, 64):
-            part = sel[lo:lo + 64]
-            xb0 = dataset.x[:, cols0[part]].astype(np.int64) - 1
-            nyj = tally_marginals(dataset._y0, xb0, r, k).astype(np.float64)
-            nj = nyj.sum(axis=1)
-            expected = n_y[None, :, None] * nj[:, None, :] / dataset.n
-            dev = np.zeros(nyj.shape)
-            np.divide((nyj - expected) ** 2, expected, out=dev,
-                      where=expected > 0)
-            out[part] = dev.sum(axis=(1, 2))
-    return out
-
-
 def _ranking(scores, lam):
     # primary: score desc; then raw statistic desc; then column position asc
     idx = np.arange(scores.size)
@@ -244,7 +229,12 @@ def _apply_cutoff(sorted_scores, p_sorted, cutoff, d, alpha, search_cap, n):
         return (max_ratio_cutoff(sorted_scores, search_cap), False,
                 "max_ratio")
     if cutoff == "hard":
-        want = hard_cutoff(n) if d is None else int(d)
+        if d is None:
+            want = hard_cutoff(n)
+        elif isinstance(d, str):
+            want = hard_cutoff(n, d)
+        else:
+            want = int(d)
         if want < 1:
             raise ValidationError("hard cutoff must keep at least 1 feature")
         return min(want, sorted_scores.size), False, f"hard:{want}"
@@ -255,80 +245,124 @@ def _apply_cutoff(sorted_scores, p_sorted, cutoff, d, alpha, search_cap, n):
     raise ValidationError(f"unknown cutoff {cutoff!r}")
 
 
-def _screen_plr(dataset, cols, cutoff, d, alpha, perms, seed, search_cap):
-    cols = np.asarray(cols, dtype=np.int64)
-    lam, lam_self, lam_net = batch_statistics(dataset, cols)
-    widths = dataset.k_levels[cols - 1]
-    df_pairs = [degrees_of_freedom(dataset.r_levels, int(k)) for k in widths]
-    df_self = np.asarray([a for a, _ in df_pairs], dtype=np.int64)
-    df_net = np.asarray([b for _, b in df_pairs], dtype=np.int64)
-    with np.errstate(invalid="ignore"):
-        p_asym = chdtrc(df_self + df_net,
-                        np.maximum(2.0 * dataset.n * lam, 0.0))
-    p_asym = np.where(df_self + df_net == 0, 1.0, p_asym)
 
-    p_perm = None
+
+# ---- statistics ----
+# Each maps (dataset, cols) -- cols 1-based, int64 -- to (raw, chi2, df,
+# rank_by, fields): the per-column statistic, its chi-square reference value
+# and degrees of freedom, the ranking label used when all widths agree, and
+# the ScreeningResult fields it fills.
+
+def _plr_batch(dataset: NodeDataset, cols: np.ndarray):
+    """Network pseudo-likelihood ratio statistic of each column."""
+    lam, lam_self, lam_net = batch_statistics(dataset, cols)
+    df_self, df_net = degrees_of_freedom(dataset.r_levels,
+                                         dataset.k_levels[cols - 1])
+    return (lam, np.maximum(2.0 * dataset.n * lam, 0.0), df_self + df_net,
+            "lambda", dict(lam=lam, lam_self=lam_self, lam_network=lam_net,
+                           df_self=df_self, df_network=df_net))
+
+
+def _pearson_batch(dataset: NodeDataset, cols: np.ndarray):
+    """Pearson chi-square of response against each column, network ignored."""
+    r = dataset.r_levels
+    n_y = np.bincount(dataset._y0, minlength=r).astype(np.float64)
+    widths = dataset.k_levels[cols - 1]
+    chi = np.zeros(cols.size)
+    for k, part in width_blocks(widths, r):
+        xb0 = dataset.x[:, cols[part] - 1].astype(np.int64) - 1
+        nyj = tally_marginals(dataset._y0, xb0, r, k).astype(np.float64)
+        nj = nyj.sum(axis=1)
+        expected = n_y[None, :, None] * nj[:, None, :] / dataset.n
+        dev = np.zeros(nyj.shape)
+        np.divide((nyj - expected) ** 2, expected, out=dev,
+                  where=expected > 0)
+        chi[part] = dev.sum(axis=(1, 2))
+    df = (r - 1) * (widths - 1)
+    return chi, chi, df, "chi2", dict(lam=chi, df_self=df)
+
+
+def _asymptotic(dataset, statistic, cols):
+    """(raw, tail probability, ranking scores, rank_by, fields) of cols.
+
+    Equal widths rank by the raw statistic; mixed widths by -log10 of the
+    chi-square tail.
+    """
+    raw, chi2, df, rank_by, fields = statistic(dataset, cols)
+    with np.errstate(invalid="ignore"):
+        p_asym = chdtrc(df, chi2)
+    p_asym = np.where(df == 0, 1.0, p_asym)
+    if np.unique(dataset.k_levels[cols - 1]).size <= 1:
+        return raw, p_asym, raw, rank_by, fields
+    scores = -np.log10(np.maximum(p_asym, P_FLOOR))
+    return raw, p_asym, scores, "pvalue", fields
+
+
+def _screen(method, statistic, dataset, *, cutoff, d, alpha, seed,
+            interactions, top_m, search_cap, columns, perms=0):
+    """Expand, score, rank and cut: the pipeline shared by every statistic."""
+    dataset = validate(dataset)
+    if interactions not in ("none", "top", "all"):
+        raise ValidationError(f"unknown interactions mode {interactions!r}")
+    stage1 = None
+    if interactions != "none":
+        if columns is not None:
+            raise ValidationError(
+                "interaction expansion screens every column; drop columns=")
+        if interactions == "all":
+            pairs = list(combinations(range(1, dataset.p + 1), 2))
+        else:
+            # stage 1: rank main effects, pair up the leaders
+            if top_m is not None and top_m < 0:
+                raise ValidationError("top_m must be nonnegative")
+            raw, _, scores, _, _ = _asymptotic(
+                dataset, statistic, np.arange(1, dataset.p + 1))
+            order = _ranking(scores, raw)
+            m = min(top_m if top_m is not None else hard_cutoff(dataset.n),
+                    dataset.p)
+            leaders = sorted(int(j) + 1 for j in order[:m])
+            pairs = list(combinations(leaders, 2))
+        stage1 = {"pairs_screened": len(pairs)}
+        dataset = interaction_expand(dataset, pairs)
+
+    if columns is None:
+        columns = range(1, dataset.p + 1)
+    cols = np.asarray(list(columns), dtype=np.int64)
+    if cols.size == 0:
+        raise ValidationError("no columns to screen")
+    if cols.min() < 1 or cols.max() > dataset.p:
+        raise IndexError(f"column index outside 1..{dataset.p}")
+    raw, p_asym, scores, rank_by, fields = _asymptotic(dataset, statistic,
+                                                       cols)
+    p_used, p_perm = p_asym, None
     if perms > 0:
-        p_perm = np.empty(cols.size)
-        for i, j in enumerate(cols):
-            p_perm[i], _ = permutation_pvalue(dataset, int(j), perms, seed)
+        p_perm = np.asarray(
+            [permutation_pvalue(dataset, int(j), perms, seed)[0] for j in cols])
         scores = -np.log10(np.maximum(p_perm, P_FLOOR))
         rank_by, p_used = "permutation", p_perm
-    elif np.unique(widths).size <= 1:
-        scores, rank_by, p_used = lam, "lambda", p_asym
-    else:
-        scores = -np.log10(np.maximum(p_asym, P_FLOOR))
-        rank_by, p_used = "pvalue", p_asym
 
-    order = _ranking(scores, lam)
+    order = _ranking(scores, raw)
     sorted_scores = scores[order]
     d_hat, degenerate, cut_desc = _apply_cutoff(
         sorted_scores, p_used[order], cutoff, d, alpha, search_cap, dataset.n)
-    kept = cols[order[:d_hat]]
-    selected = FeatureSet.from_keys(
-        [feature_key(dataset, int(j)) for j in kept])
+    keys = [feature_key(dataset, int(j)) for j in cols]
     return ScreeningResult(
-        method="plr",
-        feature_keys=tuple(feature_key(dataset, int(j)) for j in cols),
+        method=method,
+        feature_keys=tuple(keys),
         scores=scores,
         ranking=cols[order],
         d_hat=int(d_hat),
         c_star_hat=_c_star(sorted_scores, d_hat),
-        selected=selected,
+        selected=FeatureSet.from_keys([keys[i] for i in order[:d_hat]]),
         rank_by=rank_by,
         cutoff=cut_desc,
         degenerate=degenerate,
         seed=seed,
-        lam=lam, lam_self=lam_self, lam_network=lam_net,
-        df_self=df_self, df_network=df_net,
-        p_value=p_asym, p_perm=p_perm)
-
-
-def _candidate_pairs(dataset, interactions, top_m, columns):
-    if columns is not None:
-        raise ValidationError(
-            "interaction expansion screens every column; drop columns=")
-    if interactions == "all":
-        return list(combinations(range(1, dataset.p + 1), 2))
-    # stage 1: rank main effects, pair up the leaders
-    lam, _, _ = batch_statistics(dataset)
-    widths = dataset.k_levels
-    if np.unique(widths).size <= 1:
-        scores = lam
-    else:
-        df = np.asarray([sum(degrees_of_freedom(dataset.r_levels, int(k)))
-                         for k in widths])
-        with np.errstate(invalid="ignore"):
-            p_asym = chdtrc(df, np.maximum(2.0 * dataset.n * lam, 0.0))
-        scores = -np.log10(np.maximum(np.where(df == 0, 1.0, p_asym), P_FLOOR))
-    order = _ranking(scores, lam)
-    m = min(top_m if top_m is not None else hard_cutoff(dataset.n), dataset.p)
-    leaders = sorted(int(j) + 1 for j in order[:m])
-    return list(combinations(leaders, 2))
+        p_value=p_asym, p_perm=p_perm, stage1=stage1, **fields)
 
 
 def plr_sis(dataset: NodeDataset, *, cutoff: str = "max_ratio",
-            d: int | None = None, alpha: float = 0.05, perms: int = 0,
+            d: int | str | None = None, alpha: float = 0.05, perms: int = 0,
             seed: int = 0, interactions: str = "none",
             top_m: int | None = None, search_cap: int | None = None,
             columns=None) -> ScreeningResult:
@@ -341,25 +375,14 @@ def plr_sis(dataset: NodeDataset, *, cutoff: str = "max_ratio",
     (costly; meant for small column sets). columns restricts the screen to a
     subset of 1-based column ids.
     """
-    dataset = validate(dataset)
-    if interactions not in ("none", "top", "all"):
-        raise ValidationError(f"unknown interactions mode {interactions!r}")
-    stage1 = None
-    if interactions != "none":
-        pairs = _candidate_pairs(dataset, interactions, top_m, columns)
-        stage1 = {"pairs_screened": len(pairs)}
-        dataset = interaction_expand(dataset, pairs)
-    if columns is None:
-        columns = range(1, dataset.p + 1)
-    result = _screen_plr(dataset, columns, cutoff, d, alpha, perms, seed,
-                         search_cap)
-    if stage1 is not None:
-        object.__setattr__(result, "stage1", stage1)
-    return result
+    return _screen("plr", _plr_batch, dataset, cutoff=cutoff, d=d,
+                   alpha=alpha, seed=seed, interactions=interactions,
+                   top_m=top_m, search_cap=search_cap, columns=columns,
+                   perms=perms)
 
 
 def pc_sis(dataset: NodeDataset, *, cutoff: str = "max_ratio",
-           d: int | None = None, alpha: float = 0.05, seed: int = 0,
+           d: int | str | None = None, alpha: float = 0.05, seed: int = 0,
            interactions: str = "none", top_m: int | None = None,
            search_cap: int | None = None, columns=None) -> ScreeningResult:
     """Baseline screen: Pearson chi-square of response against each column.
@@ -367,66 +390,6 @@ def pc_sis(dataset: NodeDataset, *, cutoff: str = "max_ratio",
     Ignores the adjacency entirely. Options mirror plr_sis minus the
     permutation ranking.
     """
-    dataset = validate(dataset)
-    if interactions not in ("none", "top", "all"):
-        raise ValidationError(f"unknown interactions mode {interactions!r}")
-    if interactions != "none":
-        if columns is not None:
-            raise ValidationError(
-                "interaction expansion screens every column; drop columns=")
-        if interactions == "all":
-            pairs = list(combinations(range(1, dataset.p + 1), 2))
-        else:
-            chi = _pearson_batch(dataset,
-                                 np.arange(dataset.p, dtype=np.int64))
-            widths = dataset.k_levels
-            if np.unique(widths).size <= 1:
-                scores = chi
-            else:
-                df = (dataset.r_levels - 1) * (widths - 1)
-                with np.errstate(invalid="ignore"):
-                    p_asym = chdtrc(df, chi)
-                scores = -np.log10(
-                    np.maximum(np.where(df == 0, 1.0, p_asym), P_FLOOR))
-            order = _ranking(scores, chi)
-            m = min(top_m if top_m is not None else hard_cutoff(dataset.n),
-                    dataset.p)
-            leaders = sorted(int(j) + 1 for j in order[:m])
-            pairs = list(combinations(leaders, 2))
-        dataset = interaction_expand(dataset, pairs)
-
-    if columns is None:
-        columns = range(1, dataset.p + 1)
-    cols = np.asarray(list(columns), dtype=np.int64)
-    if cols.size and (cols.min() < 1 or cols.max() > dataset.p):
-        raise IndexError(f"column index outside 1..{dataset.p}")
-    chi = _pearson_batch(dataset, cols - 1)
-    widths = dataset.k_levels[cols - 1]
-    df = (dataset.r_levels - 1) * (widths - 1)
-    with np.errstate(invalid="ignore"):
-        p_asym = chdtrc(df, chi)
-    p_asym = np.where(df == 0, 1.0, p_asym)
-    if np.unique(widths).size <= 1:
-        scores, rank_by = chi, "chi2"
-    else:
-        scores, rank_by = -np.log10(np.maximum(p_asym, P_FLOOR)), "pvalue"
-    order = _ranking(scores, chi)
-    sorted_scores = scores[order]
-    d_hat, degenerate, cut_desc = _apply_cutoff(
-        sorted_scores, p_asym[order], cutoff, d, alpha, search_cap, dataset.n)
-    kept = cols[order[:d_hat]]
-    return ScreeningResult(
-        method="pc",
-        feature_keys=tuple(feature_key(dataset, int(j)) for j in cols),
-        scores=scores,
-        ranking=cols[order],
-        d_hat=int(d_hat),
-        c_star_hat=_c_star(sorted_scores, d_hat),
-        selected=FeatureSet.from_keys(
-            [feature_key(dataset, int(j)) for j in kept]),
-        rank_by=rank_by,
-        cutoff=cut_desc,
-        degenerate=degenerate,
-        seed=seed,
-        lam=chi,
-        df_self=df.astype(np.int64), p_value=p_asym)
+    return _screen("pc", _pearson_batch, dataset, cutoff=cutoff, d=d,
+                   alpha=alpha, seed=seed, interactions=interactions,
+                   top_m=top_m, search_cap=search_cap, columns=columns)

@@ -98,6 +98,24 @@ def test_validation_errors_exit_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cutoff_arguments(tmp_path, capsys):
+    d = simulate_dir(tmp_path)
+    data = ["--nodes", str(d / "nodes.csv"), "--edges", str(d / "edges.csv"),
+            "--metadata", str(d / "metadata.json")]
+    out = tmp_path / "s.json"
+    for method in ("plr", "pc"):
+        assert main(["screen", *data, "--method", method,
+                     "--cutoff", "hard:n_minus_1", "--out", str(out)]) == 0
+        res = read_json(out)
+        assert res["cutoff"] == "hard:59" and res["d_hat"] == 8
+    for bad in ("hard:x", "hard:2.5", "pvalue:abc", "hard:n_over_2"):
+        assert main(["screen", *data, "--cutoff", bad]) == 3
+    assert main(["experiment", "--example", "1", "--n", "40", "--p", "5",
+                 "--reps", "1", "--cutoff", "pvalue:abc",
+                 "--out", str(tmp_path / "e")]) == 3
+    capsys.readouterr()
+
+
 def test_degenerate_data_exits_4(tmp_path, capsys):
     # a declared response level with no nodes kills the reference fit
     y = np.array([1, 2, 1, 2, 1, 2])

@@ -3,8 +3,8 @@ import pytest
 
 from netscreen import NodeDataset, validate
 from netscreen.counts import (
-    counts_bundle, edge_counts, marginal_counts, pair_counts,
-    response_pair_tables, tally_edges, tally_marginals,
+    edge_counts, marginal_counts, pair_counts, response_pair_tables,
+    tally_edges, tally_marginals,
 )
 
 from oracles import oracle_counts, random_instance
@@ -29,6 +29,12 @@ def test_marginal_and_edge_counts_match_oracle():
         e_y, e_yj = edge_counts(ds, 1)
         assert np.array_equal(e_y, want["n_edges_y"])
         assert np.array_equal(e_yj, want["n_edges_yj"])
+        # every refined table collapses back to its coarse counterpart
+        pairs_y, pairs_yj = pair_counts(n_yj)
+        assert np.array_equal(pairs_yj.sum(axis=(2, 3)), pairs_y)
+        assert np.array_equal(e_yj.sum(axis=(2, 3)), e_y)
+        assert pairs_y.sum() == len(y) * (len(y) - 1)
+        assert e_y.sum() == len(edges)
 
 
 def test_pair_counts_product_identity():
@@ -42,23 +48,6 @@ def test_pair_counts_product_identity():
         n_pairs_y, n_pairs_yj = pair_counts(n_yj)
         assert np.array_equal(n_pairs_y, want["n_pairs_y"])
         assert np.array_equal(n_pairs_yj, want["n_pairs_yj"])
-
-
-def test_counts_bundle_is_complete_and_consistent():
-    rng = np.random.default_rng(9)
-    y, x, edges, r, k = random_instance(rng, n_max=10)
-    ds = as_dataset(y, x, edges, r, k)
-    b = counts_bundle(ds, 1)
-    want = oracle_counts(y, x[:, 0], edges, r, k)
-    assert b.n == want["n"]
-    for name in ("n_y", "n_j", "n_yj", "n_pairs_y", "n_edges_y",
-                 "n_pairs_yj", "n_edges_yj"):
-        assert np.array_equal(getattr(b, name), want[name]), name
-    # every refined table collapses back to its coarse counterpart
-    assert np.array_equal(b.n_pairs_yj.sum(axis=(2, 3)), b.n_pairs_y)
-    assert np.array_equal(b.n_edges_yj.sum(axis=(2, 3)), b.n_edges_y)
-    assert b.n_pairs_y.sum() == b.n * (b.n - 1)
-    assert b.n_edges_y.sum() == len(edges)
 
 
 def test_response_pair_tables():

@@ -4,10 +4,9 @@ import pytest
 import netscreen.plr as plr
 from netscreen import DegeneracyError, NodeDataset, validate
 from netscreen.plr import (
-    batch_statistics, chi2_tail, degrees_of_freedom, log_l0, log_lj,
-    permutation_pvalue, plr_statistic, pmle_probs,
+    batch_statistics, chi2_tail, degrees_of_freedom, permutation_pvalue,
+    plr_statistic,
 )
-from netscreen.counts import counts_bundle
 from netscreen.experiment import null_calibration
 
 from oracles import oracle_plr, random_instance
@@ -28,22 +27,20 @@ def four_node_dataset():
     return as_dataset(y, x, edges, 2, 2)
 
 
-def test_log_l0_frozen_values():
-    """Null fit against values computed by hand from the cell tallies."""
-    # two isolated nodes: 2*ln(1/2) from the node term, empty pair cells
+def test_statistic_frozen_values():
+    """Statistic parts against values derived by hand from the cell tallies."""
+    # two isolated nodes and a constant column: nothing to refine
     ds = as_dataset(np.array([1, 2]), np.array([[1], [1]]), [], 2, 1)
-    assert log_l0(ds) == pytest.approx(-1.3862943611198906, abs=1e-12)
+    assert plr_statistic(ds, 1).lam == 0.0
 
-    # 8*ln(.5) + ln(.25) + 3*ln(.75)
-    ds = four_node_dataset()
-    assert log_l0(ds) == pytest.approx(-7.7945180229547956, abs=1e-12)
-
-
-def test_statistic_is_normalized_loglik_gap():
-    ds = four_node_dataset()
-    stat = plr_statistic(ds, 1)
-    gap = (log_lj(ds, 1) - log_l0(ds)) / ds.n
-    assert stat.lam == pytest.approx(gap, rel=1e-12, abs=1e-14)
+    # every response level splits evenly over the feature levels, so the
+    # node term gains nothing. Each refined pair cell holds one pair and is
+    # fitted exactly, so the network part recovers the null's whole link
+    # term: 4 ln 2 from cell (1,2) and ln 4 + 3 ln(4/3) from cell (2,1).
+    stat = plr_statistic(four_node_dataset(), 1)
+    assert stat.lam_self == 0.0
+    want = (6 * np.log(2) + 3 * np.log(4 / 3)) / 4
+    assert stat.lam_network == pytest.approx(want, rel=1e-12)  # 1.25548...
 
 
 def test_statistic_matches_loop_oracle():
@@ -101,14 +98,6 @@ def test_degrees_of_freedom():
     assert degrees_of_freedom(2, 3) == (2, 32)
 
 
-def test_refinement_never_scores_below_null():
-    rng = np.random.default_rng(23)
-    for _ in range(40):
-        y, x, edges, r, k = random_instance(rng)
-        ds = as_dataset(y, x, edges, r, k)
-        assert log_lj(ds, 1) >= log_l0(ds) - 1e-12
-
-
 def test_level_relabeling_does_not_move_the_statistic():
     """Permuting level codes of the column or the response is a no-op."""
     rng = np.random.default_rng(24)
@@ -164,15 +153,6 @@ def test_batch_statistics_independent_of_block_size(monkeypatch):
     single = batch_statistics(ds)
     for a, b in zip(default, single):
         assert a.tobytes() == b.tobytes()
-
-
-def test_pmle_probs_are_cell_frequencies():
-    ds = four_node_dataset()
-    probs = pmle_probs(counts_bundle(ds, 1))
-    assert probs.pi_y.sum() == pytest.approx(1.0)
-    np.testing.assert_allclose(probs.pi_y_given_j.sum(axis=0), 1.0)
-    assert probs.pi_pairs_y[0, 1] == pytest.approx(0.5)
-    assert probs.pi_pairs_y[1, 0] == pytest.approx(0.25)
 
 
 def test_permutation_pvalue_is_deterministic():

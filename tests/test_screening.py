@@ -1,8 +1,11 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from netscreen import NodeDataset, ValidationError, validate
 from netscreen.counts import marginal_counts
+from netscreen.plr import chi2_tail
 from netscreen.screening import (
     discretize, feature_key, hard_cutoff, interaction_expand,
     max_ratio_cutoff, pc_sis, plr_sis,
@@ -140,6 +143,8 @@ def test_pearson_statistic_values():
     ds = as_dataset(y, x, [(1, 11)], 2, 2)
     res = pc_sis(ds, cutoff="hard", d=1)
     assert res.lam[0] == pytest.approx(20.0, abs=1e-12)
+    assert res.df_self.tolist() == [1]
+    assert res.p_value[0] == pytest.approx(chi2_tail(20.0, 1), rel=1e-12)
     # proportional rows: exactly zero
     y = np.repeat([1, 2], 4)
     x = np.array([1, 1, 2, 2, 1, 1, 2, 2])[:, None]
@@ -219,6 +224,24 @@ def test_hard_cutoff_modes_in_screen():
     assert res.d_hat == 6
 
 
+@pytest.mark.parametrize("screen", [plr_sis, pc_sis])
+def test_hard_cutoff_n_minus_1_in_screen(screen):
+    rng = np.random.default_rng(36)
+    ds = random_wide(rng, n=60, p=6)
+    res = screen(ds, cutoff="hard", d="n_minus_1")
+    assert res.cutoff == "hard:59" and res.d_hat == 6
+    with pytest.raises(ValidationError):
+        screen(ds, cutoff="hard", d="n_plus_1")
+
+
+@pytest.mark.parametrize("screen", [plr_sis, pc_sis])
+def test_empty_column_list_is_rejected(screen):
+    rng = np.random.default_rng(40)
+    ds = random_wide(rng, n=30, p=3)
+    with pytest.raises(ValidationError, match="no columns to screen"):
+        screen(ds, columns=[])
+
+
 def test_permutation_ranking_path():
     rng = np.random.default_rng(37)
     ds = random_wide(rng, n=30, p=3)
@@ -265,7 +288,37 @@ def test_interaction_modes_route_candidate_pairs():
     assert len(res.feature_keys) == 15
     res = plr_sis(ds, interactions="top", top_m=3, cutoff="hard", d=3)
     assert res.stage1 == {"pairs_screened": 3}
-    with pytest.raises(ValidationError):
-        plr_sis(ds, interactions="both")
-    with pytest.raises(ValidationError):
-        plr_sis(ds, interactions="all", columns=[1, 2])
+    assert plr_sis(ds, cutoff="hard", d=3).stage1 is None
+    for screen in (plr_sis, pc_sis):
+        with pytest.raises(ValidationError):
+            screen(ds, interactions="both")
+        with pytest.raises(ValidationError):
+            screen(ds, interactions="all", columns=[1, 2])
+        with pytest.raises(ValidationError):
+            screen(ds, interactions="top", top_m=-1)
+    res = pc_sis(ds, interactions="all", cutoff="hard", d=3)
+    assert res.stage1 == {"pairs_screened": 10}
+    assert len(res.feature_keys) == 15
+    res = pc_sis(ds, interactions="top", top_m=3, cutoff="hard", d=3)
+    assert res.stage1 == {"pairs_screened": 3}
+    assert len(res.feature_keys) == 8
+    # stage 1 pairs up the leaders of each screen's own main-effect ranking
+    for screen in (plr_sis, pc_sis):
+        leaders = sorted(screen(ds, cutoff="hard", d=3).ranking[:3].tolist())
+        res = screen(ds, interactions="top", top_m=3, cutoff="hard", d=3)
+        assert res.feature_keys[5:] == tuple(
+            f"{a}&{b}" for a, b in combinations(leaders, 2))
+
+
+@pytest.mark.parametrize("screen", [plr_sis, pc_sis])
+def test_single_level_column_has_tail_one(screen):
+    rng = np.random.default_rng(41)
+    n = 40
+    y = np.concatenate([[1, 2], rng.integers(1, 3, n - 2)])
+    x = np.column_stack([np.ones(n, dtype=np.int64), rng.integers(1, 3, n)])
+    edges = [(s + 1, t + 1) for s in range(n) for t in range(n)
+             if s != t and rng.uniform() < 0.1]
+    ds = validate(NodeDataset(y=y, x=x, edges=np.asarray(edges),
+                              k_levels=[1, 2]))
+    res = screen(ds)
+    assert res.p_value[0] == 1.0 and res.scores[0] == 0.0
