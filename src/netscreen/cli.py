@@ -85,7 +85,12 @@ def cmd_screen(args) -> int:
     if args.search_cap == "auto":
         search_cap = 2 * hard_cutoff(dataset.n)
     elif args.search_cap is not None:
-        search_cap = int(args.search_cap)
+        try:
+            search_cap = int(args.search_cap)
+        except ValueError as err:
+            raise ValidationError(
+                f"--search-cap takes an integer or 'auto', not "
+                f"{args.search_cap!r}") from err
     common = dict(cutoff=cutoff, d=d, alpha=alpha, seed=args.seed,
                   interactions=args.interactions, top_m=args.top_m,
                   search_cap=search_cap)

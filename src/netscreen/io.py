@@ -7,11 +7,18 @@ metadata.json   level counts, names, composite column map, generator echo
 
 All files are UTF-8 and written deterministically: same content in, same
 bytes out.
+
+The reader parses a CSV whose data rows are all header-wide integers with
+one int64 np.loadtxt call. Any other file (label or float cells, quoted
+cells, ragged or blank lines, lone carriage returns) goes to the csv-module
+parser, which maps labels, keeps floats for binning and names the first
+malformed row.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -20,6 +27,8 @@ import numpy as np
 from .dataset import NodeDataset, validate
 from .errors import ValidationError
 from .screening import discretize
+
+WRITE_BLOCK_CELLS = 1 << 16  # cells formatted per write call
 
 
 def write_json(path, obj) -> None:
@@ -42,14 +51,12 @@ def write_dataset(out_dir, dataset: NodeDataset, extras: dict | None = None,
              "metadata": out / "metadata.json"}
 
     header = "node_id,y," + ",".join(f"x{j}" for j in range(1, dataset.p + 1))
-    table = np.column_stack([
-        np.arange(1, dataset.n + 1, dtype=np.int64),
-        dataset.y.astype(np.int64),
-        dataset.x.astype(np.int64)])
-    np.savetxt(paths["nodes"], table, fmt="%d", delimiter=",",
-               header=header, comments="")
-    np.savetxt(paths["edges"], dataset.edges, fmt="%d", delimiter=",",
-               header="src,dst", comments="")
+    table = np.empty((dataset.n, dataset.p + 2), dtype=np.int64)
+    table[:, 0] = np.arange(1, dataset.n + 1)
+    table[:, 1] = dataset.y
+    table[:, 2:] = dataset.x
+    _write_csv(paths["nodes"], header, table, ["%d"] * table.shape[1])
+    _write_csv(paths["edges"], "src,dst", dataset.edges, ["%d", "%d"])
 
     meta = {
         "format": 1,
@@ -71,22 +78,65 @@ def write_dataset(out_dir, dataset: NodeDataset, extras: dict | None = None,
         mat = np.column_stack(
             [np.arange(1, dataset.n + 1, dtype=np.float64)]
             + [np.asarray(raw[j], dtype=np.float64) for j in cols])
-        np.savetxt(out / "continuous.csv", mat,
-                   fmt=["%d"] + ["%.17g"] * len(cols), delimiter=",",
-                   header="node_id," + ",".join(f"x{j}" for j in cols),
-                   comments="")
+        _write_csv(out / "continuous.csv",
+                   "node_id," + ",".join(f"x{j}" for j in cols), mat,
+                   ["%d"] + ["%.17g"] * len(cols))
         paths["continuous"] = out / "continuous.csv"
     return paths
 
 
+def _write_csv(path, header: str, table: np.ndarray, fmt: list) -> None:
+    """Header line, then one line per row of table: its cells formatted by
+    the per-column printf formats fmt, comma-separated."""
+    row_fmt = ",".join(fmt) + "\n"
+    step = max(1, WRITE_BLOCK_CELLS // table.shape[1])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, table.shape[0], step):
+            block = table[lo:lo + step]
+            fh.write((row_fmt * block.shape[0])
+                     % tuple(block.ravel().tolist()))
+
+
+def _read_table(path):
+    """(header, data) of a headered CSV; header is None for an empty file.
+
+    data is the int64 (rows, width) matrix when every data row is
+    header-wide integers; otherwise it is the csv-module rows after the
+    header, as lists of strings.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        text = fh.read()
+    head, _, body = text.partition("\n")
+    # the first line is the csv header row unless a quote or a lone "\r"
+    # makes the header span or split lines
+    if (body and not body.isspace() and '"' not in head
+            and "\r" not in head[:-1]):
+        header = next(csv.reader([head]))
+        n_rows = body.count("\n") + (not body.endswith("\n"))
+        try:
+            data = np.loadtxt(io.StringIO(body), dtype=np.int64,
+                              delimiter=",", comments=None, ndmin=2)
+        except ValueError:  # a non-integer cell or a ragged row
+            data = None
+        # loadtxt skips blank lines and takes the width from the first row;
+        # it rejects a lone "\r", so rows end where csv rows end
+        if data is not None and data.shape == (n_rows, len(header)):
+            return header, data
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    return (rows[0], rows[1:]) if rows else (None, [])
+
+
 def _read_csv_columns(path):
     """(header, columns) where each column is int64, float64, or a mapped
-    string column. Returns (header, list of arrays, level_maps dict)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or len(rows) < 2:
+    string column. Returns (header, columns, level_maps dict); columns is
+    the transposed int64 matrix when every cell is an integer, else a list
+    of arrays."""
+    header, data = _read_table(path)
+    if isinstance(data, np.ndarray):
+        return header, data.T, {}
+    if header is None or not data:
         raise ValidationError(f"{path}: need a header row and data rows")
-    header, data = rows[0], rows[1:]
     width = len(header)
     for i, row in enumerate(data):
         if len(row) != width:
@@ -143,12 +193,27 @@ def read_dataset(nodes_path, edges_path, metadata_path=None,
                 col = discretize(col, bins, bin_scheme).astype(np.int64)
                 info["binned_columns"].append(header[c])
         x_cols.append(col)
-    x = (np.column_stack(x_cols) if x_cols
-         else np.empty((y.size, 0), dtype=np.int64))
+    if isinstance(columns, np.ndarray):  # every cell an integer
+        x = columns[2:].T
+    else:
+        x = (np.column_stack(x_cols) if x_cols
+             else np.empty((y.size, 0), dtype=np.int64))
 
-    eheader, ecols, _ = _read_edges(edges_path)
-    edges = (np.column_stack(ecols) if ecols[0].size
-             else np.empty((0, 2), dtype=np.int64))
+    eheader, rows = _read_table(edges_path)
+    if eheader is None:
+        raise ValidationError(
+            f"{edges_path}: empty edge file; a header is required")
+    if len(eheader) < 2:
+        raise ValidationError(f"{edges_path}: header must name src,dst")
+    if isinstance(rows, np.ndarray):
+        edges = rows[:, :2]
+    else:
+        try:
+            edges = np.asarray([(int(r[0]), int(r[1])) for r in rows],
+                               np.int64).reshape(-1, 2)
+        except (ValueError, IndexError) as err:
+            raise ValidationError(
+                f"{edges_path}: edge rows must be integer pairs") from err
 
     r_levels = k_levels = names = None
     composite = {}
@@ -163,23 +228,6 @@ def read_dataset(nodes_path, edges_path, metadata_path=None,
     dataset = validate(NodeDataset(y, x, edges, names, r_levels, k_levels,
                                    composite))
     return dataset, info
-
-
-def _read_edges(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValidationError(f"{path}: empty edge file; a header is required")
-    header, data = rows[0], rows[1:]
-    if len(header) < 2:
-        raise ValidationError(f"{path}: header must name src,dst")
-    try:
-        src = np.asarray([int(r[0]) for r in data], np.int64)
-        dst = np.asarray([int(r[1]) for r in data], np.int64)
-    except (ValueError, IndexError) as err:
-        raise ValidationError(f"{path}: edge rows must be integer pairs") \
-            from err
-    return header, [src, dst], None
 
 
 def experiment_long_csv(report) -> str:

@@ -327,11 +327,16 @@ def _screen(method, statistic, dataset, *, cutoff, d, alpha, seed,
 
     if columns is None:
         columns = range(1, dataset.p + 1)
-    cols = np.asarray(list(columns), dtype=np.int64)
+    cols = np.asarray(list(columns))
     if cols.size == 0:
         raise ValidationError("no columns to screen")
+    if cols.dtype.kind not in "iu":
+        raise ValidationError("column ids must be integers")
+    cols = cols.astype(np.int64)
     if cols.min() < 1 or cols.max() > dataset.p:
-        raise IndexError(f"column index outside 1..{dataset.p}")
+        raise ValidationError(f"column index outside 1..{dataset.p}")
+    if np.unique(cols).size != cols.size:
+        raise ValidationError("duplicate column ids")
     raw, p_asym, scores, rank_by, fields = _asymptotic(dataset, statistic,
                                                        cols)
     p_used, p_perm = p_asym, None

@@ -48,6 +48,9 @@ _STREAM_COLUMN = 2
 _STREAM_NETWORK = 3
 _STREAM_NOISE = 4
 
+BLOCK_TARGET_PAIRS = 250_000  # soft cap on ordered pairs per network block
+MAX_PHI_TERMS = 20  # the link table has 2^(terms + 1) entries
+
 
 @dataclass(frozen=True, eq=False)
 class SimulationConfig:
@@ -225,6 +228,8 @@ def check_config(config: SimulationConfig) -> None:
                         f"response term column {c} must be 2-level")
     elif config.response.get("kind") != "uniform":
         raise ValidationError("the nnb model needs a uniform response")
+    if len(config.phi) > MAX_PHI_TERMS:
+        raise ValidationError(f"at most {MAX_PHI_TERMS} phi terms")
     for key, _ in config.phi:
         cols = key if isinstance(key, tuple) else (key,)
         for c in cols:
@@ -329,29 +334,56 @@ def gen_nlr(config: SimulationConfig, seed=None):
 
 
 def gen_network(y, x, config: SimulationConfig, seed=None) -> np.ndarray:
-    """Directed edges (E, 2), 1-based, one Bernoulli draw per ordered pair."""
+    """Directed edges (E, 2), 1-based, one Bernoulli draw per ordered pair.
+
+    Pairs are drawn in source-row order, in blocks of rows. Each pair gets an
+    agreement code (bit 0: same response, bit i: phi term i agrees) that
+    indexes a table of link probabilities, and the blocks' uniform draws
+    concatenate to one draw over all n(n-1) pairs, so the block size never
+    changes the edges.
+    """
     entropy = _entropy(config.seed if seed is None else seed)
     rng = _stream(entropy, _STREAM_NETWORK)
     y = np.asarray(y)
     n = y.shape[0]
-    idx = np.arange(n, dtype=np.int64)
-    src = np.repeat(idx, n)
-    dst = np.tile(idx, n)
-    off = src != dst
-    src, dst = src[off], dst[off]
     decay = config.gamma * math.log(n)
     w_same = math.log(config.base_odds_same) - decay
     w_diff = math.log(config.base_odds_diff) - decay
-    logit = np.where(y[src] == y[dst], w_same, w_diff)
-    for key, coef in config.phi:
-        cols = key if isinstance(key, tuple) else (key,)
-        agree = np.ones(src.shape[0], dtype=bool)
-        for c in cols:
-            col = x[:, int(c) - 1]
-            agree &= col[src] == col[dst]
-        logit = logit + float(coef) * agree
-    link = rng.random(src.shape[0]) < expit(logit)
-    return np.column_stack([src[link] + 1, dst[link] + 1])
+    terms = [[x[:, int(c) - 1] for c in (key if isinstance(key, tuple)
+                                         else (key,))]
+             for key, _ in config.phi]
+    table_codes = np.arange(2 << len(terms))
+    # sum each code's logit term by term, in the order of the pairwise
+    # formula, so every table entry is the float that formula gives
+    logit = np.where((table_codes & 1) == 1, w_same, w_diff)
+    for i, (_, coef) in enumerate(config.phi):
+        bit = ((table_codes >> (i + 1)) & 1).astype(bool)
+        logit = logit + float(coef) * bit
+    prob = expit(logit)
+    code_type = np.min_scalar_type(table_codes[-1])
+
+    rows = max(1, BLOCK_TARGET_PAIRS // n)
+    blocks = []
+    for lo in range(0, n, rows):
+        hi = min(n, lo + rows)
+        code = (y[lo:hi, None] == y).astype(code_type)
+        for i, cols in enumerate(terms):
+            agree = np.ones((hi - lo, n), dtype=bool)
+            for col in cols:
+                agree &= col[lo:hi, None] == col
+            code |= agree.astype(code_type) << (i + 1)
+        code = code[np.arange(lo, hi)[:, None] != np.arange(n)]
+        link = np.flatnonzero(rng.random(code.size) < prob[code])
+        blocks.append(_pair_edges(lo * (n - 1) + link, n))
+    return np.concatenate(blocks)
+
+
+def _pair_edges(codes: np.ndarray, n: int) -> np.ndarray:
+    """1-based (src, dst) rows of ordered-pair codes s * (n - 1) + t - (t > s),
+    which number the n(n-1) loop-free pairs 0, 1, ... in source-row order."""
+    s0 = codes // (n - 1)
+    rem = codes % (n - 1)
+    return np.column_stack([s0 + 1, rem + (rem >= s0) + 1])
 
 
 def noise_rates(n: int, s: float) -> tuple[float, float]:
@@ -369,17 +401,17 @@ def perturb_network(edges, n: int, keep_prob: float, add_prob: float,
     kept = edges[rng.random(edges.shape[0]) < keep_prob]
 
     src0, dst0 = edges[:, 0] - 1, edges[:, 1] - 1
-    codes = src0 * (n - 1) + dst0 - (dst0 > src0)
-    present = np.zeros(n * (n - 1), dtype=bool)
-    present[codes] = True
-    absent = np.flatnonzero(~present)
-    m = rng.binomial(absent.size, add_prob)
-    picked = rng.choice(absent, size=m, replace=False)
-    s0 = picked // (n - 1)
-    rem = picked % (n - 1)
-    t0 = rem + (rem >= s0)
-    added = np.column_stack([s0 + 1, t0 + 1])
-    return np.concatenate([kept, added], axis=0)
+    codes = np.sort(src0 * (n - 1) + dst0 - (dst0 > src0))
+    first = np.ones(codes.size, dtype=bool)
+    first[1:] = codes[1:] != codes[:-1]
+    codes = codes[first]
+    n_absent = n * (n - 1) - codes.size
+    m = rng.binomial(n_absent, add_prob)
+    k = rng.choice(n_absent, size=m, replace=False)
+    # the k-th absent code skips every present code at or below it
+    picked = k + np.searchsorted(codes - np.arange(codes.size), k,
+                                 side="right")
+    return np.concatenate([kept, _pair_edges(picked, n)], axis=0)
 
 
 def generate(config: SimulationConfig, seed=None):

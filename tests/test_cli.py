@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netscreen import NodeDataset, validate
+from netscreen import NodeDataset, ValidationError, validate
 from netscreen.cli import main
 from netscreen.experiment import ExperimentReport, experiment
 from netscreen.io import read_dataset, read_json, write_dataset, write_json
@@ -110,6 +110,11 @@ def test_cutoff_arguments(tmp_path, capsys):
         assert res["cutoff"] == "hard:59" and res["d_hat"] == 8
     for bad in ("hard:x", "hard:2.5", "pvalue:abc", "hard:n_over_2"):
         assert main(["screen", *data, "--cutoff", bad]) == 3
+    assert main(["screen", *data, "--search-cap", "abc"]) == 3
+    assert "--search-cap takes an integer" in capsys.readouterr().err
+    for cap in ("auto", "3"):
+        assert main(["screen", *data, "--search-cap", cap,
+                     "--out", str(out)]) == 0
     assert main(["experiment", "--example", "1", "--n", "40", "--p", "5",
                  "--reps", "1", "--cutoff", "pvalue:abc",
                  "--out", str(tmp_path / "e")]) == 3
@@ -207,6 +212,28 @@ def test_dataset_round_trip_with_composites_and_raw(tmp_path):
     assert info["metadata"]["n"] == 50
 
 
+def test_int64_parse_matches_csv_parser(tmp_path, monkeypatch):
+    """An all-integer file reads the same through the csv-module parser."""
+    ds, _ = generate(example_config(6, n=70, p=5), seed=3)
+    wide = interaction_expand(ds, [(1, 2), (3, 4)])
+    paths = write_dataset(tmp_path / "rt", wide)
+    fast, fast_info = read_dataset(paths["nodes"], paths["edges"],
+                                   paths["metadata"])
+
+    def no_loadtxt(*args, **kwargs):
+        raise ValueError("int64 parse disabled")
+
+    monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+    slow, slow_info = read_dataset(paths["nodes"], paths["edges"],
+                                   paths["metadata"])
+    for field in ("y", "x", "edges", "k_levels"):
+        a, b = getattr(fast, field), getattr(slow, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert fast.composite_pairs == slow.composite_pairs == {6: (1, 2),
+                                                             7: (3, 4)}
+    assert fast_info == slow_info
+
+
 def test_read_dataset_bins_continuous_columns(tmp_path):
     nodes = tmp_path / "nodes.csv"
     nodes.write_text(
@@ -241,3 +268,87 @@ def test_report_json_round_trip():
     assert back.to_json() == rep.to_json()
     assert back.metrics == rep.metrics
     assert back.timing is None  # wall time never serializes
+
+
+# ------------------------------------------------- malformed and odd CSVs
+
+NODES_HEADER = "node_id,y,x1\n"
+EDGE_OK = "src,dst\n1,2\n"
+
+
+def read_texts(tmp_path, nodes, edges=EDGE_OK):
+    (tmp_path / "nodes.csv").write_text(nodes, encoding="utf-8")
+    (tmp_path / "edges.csv").write_text(edges, encoding="utf-8")
+    return read_dataset(tmp_path / "nodes.csv", tmp_path / "edges.csv")
+
+
+H = NODES_HEADER
+
+
+@pytest.mark.parametrize("text, message", [
+    (H + "1,1,2\n2,2\n3,1,1\n", "row 3 has 2 fields, header has 3"),
+    (H + "1,1,2\n2,2,1,5\n3,1,1\n", "row 3 has 4 fields, header has 3"),
+    (H + "1,1,2,9\n2,2,1,5\n3,1,1,4\n", "row 2 has 4 fields, header has 3"),
+    (H + "1,1,2\n\n2,2,1\n", "row 3 has 0 fields, header has 3"),
+    (H + "1,1,2\n2,2,1\n\n", "row 4 has 0 fields, header has 3"),
+    (H + "1,1,2\n\n2,2,1", "row 3 has 0 fields, header has 3"),
+    (H + "\n", "row 2 has 0 fields, header has 3"),
+    (H + "1,1,2\n# note\n3,1,1\n", "row 3 has 1 fields, header has 3"),
+    (H, "need a header row and data rows"),
+    ("", "need a header row and data rows"),
+    ('"node_id\n1\n2\n', "need a header row and data rows"),
+    (H + "1,1.0,2\n2,2,1\n", "response column must be integer or labeled"),
+], ids=["short", "wide", "all-wide", "blank", "trailing-blank",
+        "blank-no-final-eol", "blank-only", "comment", "header-only", "empty",
+        "open-quote", "float-y"])
+@pytest.mark.filterwarnings("error")
+def test_read_dataset_rejects_malformed_nodes(tmp_path, text, message):
+    with pytest.raises(ValidationError) as err:
+        read_texts(tmp_path, text)
+    assert str(err.value).endswith(message)
+
+
+@pytest.mark.parametrize("text, x, level_maps", [
+    (H + '1,"1",2\n2,2,"1"\n', [[2], [1]], {}),
+    (H + " 1 , 1,2 \n2,2 ,\t1\n", [[2], [1]], {}),
+    (H + "1,1,1_0\n2,2,1\n", [[10], [1]], {}),
+    (H + "1,1,2.0\n2,2,1\n", [[2], [1]], {}),
+    (H + "1,1,2\n2,2,1", [[2], [1]], {}),
+    (H + "1,1,2\n#2,2,1\n", [[2], [1]], {"node_id": {"#2": 1, "1": 2}}),
+    ("node_id,y,x1\r\n1,1,2\r\n2,2,1\r\n", [[2], [1]], {}),
+    ("node_id,y,x1\r1,1,2\n2,2,1\n", [[2], [1]], {}),
+    ('"node_id","y","x1"\n1,1,2\n2,2,1\n', [[2], [1]], {}),
+], ids=["quoted", "padded", "underscore", "integral-float", "no-final-eol",
+        "hash-id", "crlf", "cr", "quoted-header"])
+def test_read_dataset_accepts_odd_node_cells(tmp_path, text, x, level_maps):
+    ds, info = read_texts(tmp_path, text)
+    assert ds.y.tolist() == [1, 2]
+    assert ds.x.tolist() == x
+    assert info["level_maps"] == level_maps
+
+
+@pytest.mark.parametrize("edges, want", [
+    ("src,dst\n1,2\n2,a\n", "edge rows must be integer pairs"),
+    ("src,dst\n1,2\n3\n", "edge rows must be integer pairs"),
+    ("src,dst\n1,2\n\n2,3\n", "edge rows must be integer pairs"),
+    ("src,dst\n1.0,2\n", "edge rows must be integer pairs"),
+    ("", "empty edge file; a header is required"),
+    ("src\n1\n", "header must name src,dst"),
+    ("src,dst\n", []),
+    ("src,dst\n1,2,3\n", [[1, 2]]),
+    ('src,dst\n"1", 2\n', [[1, 2]]),
+    ("src,dst,w\n1,2,0.5\n2,3,1.5\n", [[1, 2], [2, 3]]),
+    ("src,dst,w\n1,2,5\n2,3,1\n", [[1, 2], [2, 3]]),
+    ("src,dst\r\n1,2\r\n2,3\r\n", [[1, 2], [2, 3]]),
+], ids=["non-integer", "short", "blank", "float", "empty", "one-column",
+        "header-only", "wide-row", "quoted", "weighted", "int-weighted",
+        "crlf"])
+def test_read_dataset_edge_files(tmp_path, edges, want):
+    nodes = NODES_HEADER + "1,1,2\n2,2,1\n3,1,1\n"
+    if isinstance(want, str):
+        with pytest.raises(ValidationError) as err:
+            read_texts(tmp_path, nodes, edges)
+        assert str(err.value).endswith(want)
+    else:
+        ds, _ = read_texts(tmp_path, nodes, edges)
+        assert ds.edges.tolist() == want

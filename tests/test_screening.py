@@ -242,6 +242,23 @@ def test_empty_column_list_is_rejected(screen):
         screen(ds, columns=[])
 
 
+@pytest.mark.parametrize("screen", [plr_sis, pc_sis])
+@pytest.mark.parametrize("columns, message", [
+    ([1, 1], "duplicate column ids"),
+    ([2.7], "column ids must be integers"),
+    ([0], "column index outside 1..3"),
+    ([2, 4], "column index outside 1..3"),
+], ids=["duplicate", "non-integer", "zero", "past-p"])
+def test_malformed_column_ids_are_rejected(screen, columns, message):
+    rng = np.random.default_rng(40)
+    ds = random_wide(rng, n=30, p=3)
+    with pytest.raises(ValidationError, match=message):
+        screen(ds, columns=columns)
+    # numpy integer ids in any order are fine
+    res = screen(ds, columns=np.array([3, 1], dtype=np.uint8))
+    assert res.feature_keys == ("3", "1")
+
+
 def test_permutation_ranking_path():
     rng = np.random.default_rng(37)
     ds = random_wide(rng, n=30, p=3)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from netscreen import FeatureSet, ValidationError
+from netscreen import FeatureSet, ValidationError, simulate
+from netscreen.io import write_dataset
 from netscreen.screening import discretize
 from netscreen.simulate import (
     SimulationConfig, check_config, example_config, gen_network, gen_nlr,
@@ -116,6 +118,70 @@ def test_feature_agreement_raises_link_rate():
     assert agree > len(edges) - agree  # bonus makes agreeing links dominate
 
 
+# sha256 of the int64 edge bytes of generate(example_config(ex, n=150, p=6,
+# seed=3)), recorded from the pairwise generator that held all n(n-1) pairs
+FROZEN_EDGES = (
+    (1, 1863, "f948c51755765cd99bf8c47752721b8193796209d3e8e7a617974f33622a27e5"),
+    (3, 1644, "57a49c069afbcc2a1462df18a583d287232be57cf495bba8fec6185b3c2165a6"),
+    (5, 1850, "80bc41dac4c3ece6cd4a779271a5389da14ea998ccc7fbc7c6b0d5f8dc119bb8"),
+    (7, 1559, "a3344db05a262b4dba7883bb405e376b57fb7d68573b816d2023ec4f9d7cbb3b"),
+    (9, 1902, "7948f0fbdd936dbfa3266020366ec6d5232fa1cc11bbd5ee6cd98ea1de4cabb4"),
+)
+
+
+@pytest.mark.parametrize("block_pairs", [None, 997])
+@pytest.mark.parametrize("example, n_edges, digest", FROZEN_EDGES,
+                         ids=[f"ex{e[0]}" for e in FROZEN_EDGES])
+def test_generated_edges_frozen(monkeypatch, block_pairs, example, n_edges,
+                                digest):
+    if block_pairs is not None:
+        monkeypatch.setattr(simulate, "BLOCK_TARGET_PAIRS", block_pairs)
+    ds, _ = generate(example_config(example, n=150, p=6, seed=3))
+    assert ds.edges.shape == (n_edges, 2)
+    got = np.ascontiguousarray(ds.edges, dtype=np.int64).tobytes()
+    assert hashlib.sha256(got).hexdigest() == digest
+
+
+@pytest.mark.parametrize("example", [3, 7, 9])
+def test_network_blocks_do_not_change_edges(monkeypatch, example):
+    """One source row per block and all n rows in one block draw the same
+    uniforms in the same order, so they give the same edges."""
+    cfg = example_config(example, n=90, p=6, seed=8)
+    gen = gen_nlr if cfg.model == "nlr" else gen_nnb
+    y, x, _ = gen(cfg, (8,))
+    runs = []
+    for target in (1, 90 * 90):
+        monkeypatch.setattr(simulate, "BLOCK_TARGET_PAIRS", target)
+        runs.append(gen_network(y, x, cfg, (8,)))
+    assert runs[0].dtype == np.int64 and runs[0].shape[1] == 2
+    assert len(runs[0]) > 0
+    assert np.array_equal(runs[0], runs[1])
+
+
+# sha256 of each file write_dataset wrote for example_config(ex, n=50, p=6,
+# seed=2), recorded from the np.savetxt writer
+FROZEN_FILES = (
+    (1, "edges.csv", "6894a114ad078abc25a5cae38040fee40f1a1c324cb403f215fc532dc1afe309"),
+    (1, "metadata.json", "79e0386bc9084a78564a2dabfcfe9fec29e823ac0223b4e5836084a41d411eef"),
+    (1, "nodes.csv", "3fdbfa7d566f026972df6c4cb58bc53628991f37534d4633fd15373e8b954b4f"),
+    (8, "continuous.csv", "66ed7afde4784787e29983c99e2dfba0ca3ed9de9ae8950d56b0fb874b4fe0a4"),
+    (8, "edges.csv", "9f422f339849f7df5555b9f9a3477c598287b6759a14885d71f6b1959b164b45"),
+    (8, "metadata.json", "76bb8f87fbee7815ca4b7fa91bd05582b9cb7e84835254c15422e0bd1db9337d"),
+    (8, "nodes.csv", "56ce3a50bd377caf96749e8b66f7f9f3e45202f12d4d70e62f4139fcd6600a4a"),
+)
+
+
+@pytest.mark.parametrize("example", [1, 8])
+def test_written_files_frozen(tmp_path, example):
+    cfg = example_config(example, n=50, p=6, seed=2)
+    ds, extras = generate(cfg)
+    paths = write_dataset(tmp_path, ds, extras, generator=cfg.to_dict())
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in paths.values()}
+    assert got == {name: digest for ex, name, digest in FROZEN_FILES
+                   if ex == example}
+
+
 # ------------------------------------------------------------- noise pass
 
 def test_noise_rates_frozen():
@@ -146,6 +212,42 @@ def test_perturb_network_is_seeded():
     a = perturb_network(edges, 20, 0.5, 0.05, seed=3)
     b = perturb_network(edges, 20, 0.5, 0.05, seed=3)
     assert np.array_equal(a, b)
+
+
+def perturb_by_mask(edges, n, keep_prob, add_prob, seed):
+    """The noise pass written with an n(n-1) presence mask and the array of
+    every absent pair code: the reference for perturb_network."""
+    rng = simulate._stream(simulate._entropy(seed), simulate._STREAM_NOISE)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    kept = edges[rng.random(edges.shape[0]) < keep_prob]
+    src0, dst0 = edges[:, 0] - 1, edges[:, 1] - 1
+    present = np.zeros(n * (n - 1), dtype=bool)
+    present[src0 * (n - 1) + dst0 - (dst0 > src0)] = True
+    absent = np.flatnonzero(~present)
+    m = rng.binomial(absent.size, add_prob)
+    picked = rng.choice(absent, size=m, replace=False)
+    s0, rem = picked // (n - 1), picked % (n - 1)
+    added = np.column_stack([s0 + 1, rem + (rem >= s0) + 1])
+    return np.concatenate([kept, added], axis=0)
+
+
+@pytest.mark.parametrize("n", [2, 4, 9, 60, 400])
+@pytest.mark.parametrize("add_prob", [0.0, 0.01, 0.2, 1.0])
+def test_perturb_network_matches_mask_reference(n, add_prob):
+    rng = np.random.default_rng(n)
+    pairs = np.array([(s, t) for s in range(1, n + 1)
+                      for t in range(1, n + 1) if s != t])
+    for density in (0.0, 0.3, 1.0):
+        edges = pairs[rng.random(len(pairs)) < density]
+        for seed in (0, (5, 1)):
+            want = perturb_by_mask(edges, n, 0.7, add_prob, seed)
+            got = perturb_network(edges, n, 0.7, add_prob, seed)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+    # a repeated edge counts once as present
+    dup = np.array([[1, 2], [1, 2], [2, 1]])
+    assert np.array_equal(perturb_network(dup, n, 1.0, add_prob, 3),
+                          perturb_by_mask(dup, n, 1.0, add_prob, 3))
 
 
 def test_noisy_example_stays_valid():
@@ -237,6 +339,8 @@ def test_check_config_rejects_structural_problems():
         check_config(plain_config(noise={"s": 0.0}))
     with pytest.raises(ValidationError):
         check_config(plain_config(phi=((7, 0.4),)))
+    with pytest.raises(ValidationError, match="phi terms"):
+        check_config(plain_config(phi=((1, 0.1),) * 21))
 
 
 def test_continuous_columns_are_binned_and_raw_is_kept():
