@@ -13,6 +13,11 @@ All probabilities are additively smoothed cell frequencies, so every score
 is finite. Predictions condition on the responses of all labeled nodes
 except the node being predicted; parameter tables come from the fitted
 sample. Ties go to the smallest level.
+
+Link terms read each target's labeled neighbours, out of it and into it, by
+(response, level) from :func:`counts.neighbour_tallies`; absent links are
+the labeled census of each cell minus those. type2 reads a constant width-1
+column, type3 each link feature.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counts import block_pair_tables, tally_edges, tally_marginals
+from .counts import (block_pair_tables, class_adjacency, neighbour_tallies,
+                     response_pair_tables, tally_edges, tally_marginals)
 from .dataset import FeatureSet, NodeDataset, validate
 from .errors import ValidationError
 from .plr import width_blocks
@@ -132,10 +138,8 @@ def fit(spec: ClassifierSpec, dataset: NodeDataset,
     # link tables over ordered pairs with both endpoints in the mask
     both = mask[dataset._src0] & mask[dataset._dst0]
     src0, dst0 = dataset._src0[both], dataset._dst0[both]
-    e0 = np.bincount(dataset._y0[src0] * r + dataset._y0[dst0],
-                     minlength=r * r).reshape(r, r)
-    n_y_int = np.bincount(y0, minlength=r)
-    p0 = np.outer(n_y_int, n_y_int) - np.diag(n_y_int)
+    rank = np.cumsum(mask) - 1  # node ids among the fitting nodes
+    _, p0, e0 = response_pair_tables(y0, rank[src0], rank[dst0], r)
     pi0 = (e0 + alpha) / (p0 + 2 * alpha)
     clf.log_pi0 = np.log(pi0)
     clf.log_gap0 = np.log1p(-pi0)
@@ -155,42 +159,6 @@ def fit(spec: ClassifierSpec, dataset: NodeDataset,
     return clf
 
 
-def _known_tallies(clf, dataset, col=None):
-    """Per-node edge tallies against labeled nodes, optionally by feature level.
-
-    Returns (out_t, in_t, totals): out_t[i] counts edges i -> labeled nodes by
-    the neighbor's (response, level-of-col) cell, in_t the reverse direction,
-    totals the labeled-node census in those cells.
-    """
-    n, r = dataset.n, clf.r_levels
-    mask = clf.train_mask
-    src0, dst0, y0 = dataset._src0, dataset._dst0, dataset._y0
-    if col is None:
-        known_dst = mask[dst0]
-        out_t = np.bincount(
-            src0[known_dst] * r + y0[dst0[known_dst]], minlength=n * r
-        ).reshape(n, r)
-        known_src = mask[src0]
-        in_t = np.bincount(
-            dst0[known_src] * r + y0[src0[known_src]], minlength=n * r
-        ).reshape(n, r)
-        totals = np.bincount(y0[mask], minlength=r)
-        return out_t, in_t, totals
-    k = clf.k_widths[col]
-    x0 = dataset.column(col).astype(np.int64) - 1
-    cell = y0 * k + x0
-    known_dst = mask[dst0]
-    out_t = np.bincount(
-        src0[known_dst] * (r * k) + cell[dst0[known_dst]], minlength=n * r * k
-    ).reshape(n, r, k)
-    known_src = mask[src0]
-    in_t = np.bincount(
-        dst0[known_src] * (r * k) + cell[src0[known_src]], minlength=n * r * k
-    ).reshape(n, r, k)
-    totals = np.bincount(cell[mask], minlength=r * k).reshape(r, k)
-    return out_t, in_t, totals
-
-
 def predict_scores(clf: NetworkClassifier, dataset: NodeDataset,
                    targets=None) -> np.ndarray:
     """Score matrix (len(targets), R); targets are 1-based node ids."""
@@ -203,12 +171,10 @@ def predict_scores(clf: NetworkClassifier, dataset: NodeDataset,
     for col, k in clf.k_widths.items():
         if col > dataset.p or int(dataset.k_levels[col - 1]) != k:
             raise ValidationError(f"column {col} widths differ from the fit")
-    if targets is None:
-        t0 = np.arange(n, dtype=np.int64)
-    else:
-        t0 = np.asarray(targets, dtype=np.int64) - 1
-        if t0.size and (t0.min() < 0 or t0.max() >= n):
-            raise ValidationError(f"target node outside 1..{n}")
+    t0 = np.arange(n) if targets is None \
+        else np.asarray(targets, dtype=np.int64) - 1
+    if t0.size and (t0.min() < 0 or t0.max() >= n):
+        raise ValidationError(f"target node outside 1..{n}")
 
     scores = np.tile(clf.log_prior, (t0.size, 1))
     for col in clf.cols_y:
@@ -217,16 +183,31 @@ def predict_scores(clf: NetworkClassifier, dataset: NodeDataset,
     if clf.spec.kind == "type1":
         return scores
 
-    y0 = dataset._y0
+    # labeled-neighbour tallies: out of each node over the edges into labeled
+    # nodes, into it over the transposed edges from labeled nodes
+    y0, src0, dst0 = dataset._y0, dataset._src0, dataset._dst0
     mask = clf.train_mask
-    out_t, in_t, totals = _known_tallies(clf, dataset)
-    # drop each target from its own conditioning set
-    self_cell = np.zeros((t0.size, r))
+    to_known, from_known = mask[dst0], mask[src0]
+    out_adj = class_adjacency(src0[to_known], dst0[to_known],
+                              y0[dst0[to_known]], n, r)
+    in_adj = [(adj.T, adj.sum(axis=0)) for adj, _ in class_adjacency(
+        src0[from_known], dst0[from_known], y0[src0[from_known]], n, r)]
     known_t = mask[t0]
-    self_cell[np.arange(t0.size)[known_t], y0[t0[known_t]]] = 1.0
-    cnt = totals[None, :] - self_cell
-    out_e = out_t[t0]
-    in_e = in_t[t0]
+
+    def at_targets(x0, k):
+        """Labeled neighbours out of and into each target, and the labeled
+        census less the target, by (response, level of x0): (targets, R*k)."""
+        xb0 = x0[:, None]
+        self_cell = np.zeros((t0.size, r, k))
+        self_cell[np.arange(t0.size)[known_t], y0[t0[known_t]],
+                  x0[t0[known_t]]] = 1.0
+        cnt = tally_marginals(y0[mask], xb0[mask], r, k)[0] - self_cell
+        return (neighbour_tallies(out_adj, xb0, k)[t0].reshape(t0.size, -1),
+                neighbour_tallies(in_adj, xb0, k)[t0].reshape(t0.size, -1),
+                cnt.reshape(t0.size, -1))
+
+    # type2 reads a constant width-1 column
+    out_e, in_e, cnt = at_targets(np.zeros(n, dtype=np.int64), 1)
     scores += out_e @ clf.log_pi0.T + in_e @ clf.log_pi0
     scores += (cnt - out_e) @ clf.log_gap0.T + (cnt - in_e) @ clf.log_gap0
     if clf.spec.kind == "type2":
@@ -234,16 +215,9 @@ def predict_scores(clf: NetworkClassifier, dataset: NodeDataset,
 
     for col in clf.cols_a:
         k = clf.k_widths[col]
-        out_t, in_t, totals = _known_tallies(clf, dataset, col)
         x0 = dataset.column(col).astype(np.int64) - 1
-        self_cell = np.zeros((t0.size, r, k))
-        self_cell[np.arange(t0.size)[known_t], y0[t0[known_t]],
-                  x0[t0[known_t]]] = 1.0
-        cnt = totals[None, :, :] - self_cell
-        out_e = out_t[t0].reshape(t0.size, r * k)
-        out_g = (cnt - out_t[t0]).reshape(t0.size, r * k)
-        in_e = in_t[t0].reshape(t0.size, r * k)
-        in_g = (cnt - in_t[t0]).reshape(t0.size, r * k)
+        out_e, in_e, cnt = at_targets(x0, k)
+        out_g, in_g = cnt - out_e, cnt - in_e
         de, dg = clf.dlog_edge[col], clf.dlog_gap[col]
         for lev in range(k):
             sel = np.flatnonzero(x0[t0] == lev)
@@ -290,10 +264,10 @@ def evaluate(clf: NetworkClassifier, dataset: NodeDataset, targets=None,
     ties count half. It is NaN when the targets are single-class.
     """
     dataset = validate(dataset)
-    if targets is None:
-        t0 = np.arange(dataset.n, dtype=np.int64)
-    else:
-        t0 = np.asarray(targets, dtype=np.int64) - 1
+    t0 = np.arange(dataset.n) if targets is None \
+        else np.asarray(targets, dtype=np.int64) - 1
+    if not t0.size:
+        raise ValidationError("no targets to evaluate")
     scores = predict_scores(clf, dataset, t0 + 1)
     truth = dataset.y[t0]
     acc = float(np.mean((np.argmax(scores, axis=1) + 1) == truth))

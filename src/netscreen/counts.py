@@ -1,14 +1,14 @@
 """Count tables for response/feature/adjacency tallies.
 
-Every statistic in the package is a function of these tables. Every feature
-table comes from the blocked tallies below; the per-feature functions are
-one-column calls into them. Pair counts come from a closed-form product
-identity, never from iterating node pairs. Edge counts come from one sparse
-product per target response class (see :func:`tally_edges`), so a block of B
-columns of width K costs O(R |E| + (K-1) B |E| + R (K-1)^2 B n). All tables
-are 64-bit integers (ordered-pair totals reach n(n-1), which overflows 32
-bits beyond n of about 65k). Table axes are 0-based: entry [r-1, k-1] holds
-the tally of response level r with feature level k.
+Every statistic and classifier score in the package is a function of these
+tables. Feature tables come from the blocked tallies below; the per-feature
+functions are one-column calls into them. Pair counts come from a
+closed-form product identity, never from iterating node pairs. Edge tallies
+come only from the per-node neighbour tallies (see :func:`tally_edges`), so
+a block of B columns of width K costs O(R |E| + (K-1) B |E| + R K B n). All
+tables are 64-bit integers (ordered-pair totals reach n(n-1), which
+overflows 32 bits beyond n of about 65k). Table axes are 0-based: entry
+[r-1, k-1] holds the tally of response level r with feature level k.
 """
 
 from __future__ import annotations
@@ -62,21 +62,21 @@ def edge_counts(dataset: NodeDataset, j: int):
 # holds 0-based level codes, one column per feature in the block; y0 the
 # 0-based responses; src0/dst0 the 0-based edge endpoints.
 #
-# Edge tallies use the product identity, per column,
-#     E[r1, r2, l, m] = I_{r1,l}^T A_{r2} I_m,
-# where A_{r2} is the adjacency restricted to edges that end in response
-# class r2, I_m the indicator of the nodes at feature level m, and I_{r1,l}
-# that of the nodes of class r1 at level l. A_{r2} I_m is one sparse-dense
-# product for all B columns and all levels but the last; the cells with
-# neither level the last are then column-wise dot products over the nodes
-# of class r1. The remaining cells follow from the margins: a row sums to
-# the out-degrees into class r2, a column to the in-degrees from class r1,
-# and the whole (r1, r2) table to the class-pair edge total. The CSR
-# adjacency is read straight off the edge arrays, which requires them to be
-# sorted by source; validate() guarantees that, and any subset of its edges
-# keeps the order. The products run in float64 and are exact: every operand
-# and partial sum is an integer no larger than the edge count, far below
-# 2^53.
+# Edge tallies: class_adjacency splits an edge list by the response class
+# r2 of each edge's neighbour endpoint into sparse matrices A_{r2}, with
+# their row sums. neighbour_tallies counts each node's neighbours of class r2
+# at each level of each column, T[i, r2, l, c] = (A_{r2} I_{l,c})[i], where
+# I_{l,c} indicates the nodes at level l of column c: one sparse-dense
+# product per class covers all B columns and every level but the last, which
+# is the degree minus the others. tally_edges takes the neighbour to be the
+# destination and sums over the sources of class r1 at level l:
+#     E[r1, r2, l, m] = sum of T[i, r2, m, c] over i with y_i = r1, x_ic = l.
+# The classifier reads T per target, out of it and, through the transposed
+# adjacency, into it. The CSR adjacency is read straight off the edge arrays,
+# which requires them to be sorted by source; validate() guarantees that, and
+# any subset of its edges keeps the order. Products and sums run in float64
+# and are exact: every operand and partial sum is an integer no larger than
+# the edge count, far below 2^53.
 
 def tally_marginals(y0: np.ndarray, xb0: np.ndarray, r: int, k: int) -> np.ndarray:
     """Joint (response, level) tallies, shape (B, R, k), from 0-based codes."""
@@ -87,6 +87,35 @@ def tally_marginals(y0: np.ndarray, xb0: np.ndarray, r: int, k: int) -> np.ndarr
     return flat.reshape(b, r, k)
 
 
+def class_adjacency(src0: np.ndarray, dst0: np.ndarray, nbr_y0: np.ndarray,
+                    n: int, r: int) -> list:
+    """R pairs (adj, deg): CSR adjacency of the source-sorted edges whose
+    neighbour endpoint has class r2 (nbr_y0, per edge), and its row sums."""
+    split = []
+    for r2 in range(r):
+        keep = np.flatnonzero(nbr_y0 == r2)  # faster to gather than a mask
+        deg = np.bincount(src0[keep], minlength=n)
+        indptr = np.concatenate(([0], np.cumsum(deg)))
+        adj = sparse.csr_array(
+            (np.ones(indptr[-1]), dst0[keep], indptr), shape=(n, n))
+        split.append((adj, deg))
+    return split
+
+
+def neighbour_tallies(adjacency: list, xb0: np.ndarray, k: int) -> np.ndarray:
+    """Per-node tallies (n, R, k, B): [i, r2, l, c] counts the j with
+    adj[i, j] = 1 in class r2 at level l of column c, for the R pairs
+    (adj, deg) of :func:`class_adjacency` (or transposes with column sums)."""
+    n, b = xb0.shape
+    lev = (xb0[:, None, :] == np.arange(k - 1)[:, None]).astype(np.float64)
+    out = np.empty((n, len(adjacency), k, b))
+    for r2, (adj, deg) in enumerate(adjacency):
+        hit = (adj @ lev.reshape(n, -1)).reshape(n, k - 1, b)
+        out[:, r2, :-1] = hit
+        out[:, r2, -1] = deg.astype(np.float64)[:, None] - hit.sum(axis=1)
+    return out
+
+
 def tally_edges(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
                 xb0: np.ndarray, r: int, k: int) -> np.ndarray:
     """Linked-pair tallies, shape (B, R, R, k, k), from 0-based codes.
@@ -94,31 +123,15 @@ def tally_edges(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
     Edges must be sorted by source (see the identity above).
     """
     n, b = xb0.shape
-    # lev[i, l, c]: node i has level l in column c
-    lev = (xb0[:, None, :] == np.arange(k - 1)[:, None]).astype(np.float64)
-    rows = [np.flatnonzero(y0 == r1) for r1 in range(r)]
-    lev_rows = [lev[at] for at in rows]
-    y_dst = y0[dst0]
+    nbr = neighbour_tallies(
+        class_adjacency(src0, dst0, y0[dst0], n, r), xb0, k)
+    # add each source's tallies into its (column, response, level) cell
+    cells = (y0[:, None] * k + xb0 + np.arange(b) * (r * k)).ravel()
     out = np.empty((b, r, r, k, k), dtype=np.int64)
     for r2 in range(r):
-        into = y_dst == r2
-        deg = np.bincount(src0[into], minlength=n)  # out-degrees into r2
-        indptr = np.concatenate(([0], np.cumsum(deg)))
-        adj = sparse.csr_array(
-            (np.ones(indptr[-1]), dst0[into], indptr), shape=(n, n))
-        # nbr[i, l, c]: out-neighbours of i in class r2 with level l in column c
-        nbr = (adj @ lev.reshape(n, -1)).reshape(n, k - 1, b)
-        for r1, at in enumerate(rows):
-            hit = nbr[at]
-            inner = np.einsum("ilc,imc->clm", lev_rows[r1], hit)
-            row = np.einsum("ilc,i->cl", lev_rows[r1], deg[at])
-            col = hit.sum(axis=0).T
-            cell = out[:, r1, r2]
-            cell[:, :-1, :-1] = inner
-            cell[:, :-1, -1] = row - inner.sum(axis=2)
-            cell[:, -1, :-1] = col - inner.sum(axis=1)
-            cell[:, -1, -1] = (deg[at].sum() - row.sum(axis=1)
-                               - col.sum(axis=1) + inner.sum(axis=(1, 2)))
+        for m in range(k):
+            out[:, :, r2, :, m] = np.bincount(  # (x, weights, minlength)
+                cells, nbr[:, r2, m].ravel(), b * r * k).reshape(b, r, k)
     return out
 
 
@@ -132,12 +145,14 @@ def block_pair_tables(n_yj_block: np.ndarray) -> np.ndarray:
     return out
 
 
-def response_pair_tables(dataset: NodeDataset):
-    """(n_y, n_pairs_y, n_edges_y): the feature-free tables, computed once."""
-    r = dataset.r_levels
-    n_y = np.bincount(dataset._y0, minlength=r)
+def response_pair_tables(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
+                         r: int):
+    """(n_y, n_pairs_y, n_edges_y): the feature-free tables, from 0-based codes.
+
+    src0/dst0 index into y0, which holds every node the tables count.
+    """
+    n_y = np.bincount(y0, minlength=r)
     n_pairs_y = np.outer(n_y, n_y) - np.diag(n_y)
-    ys = dataset._y0[dataset._src0]
-    yt = dataset._y0[dataset._dst0]
-    n_edges_y = np.bincount(ys * r + yt, minlength=r * r).reshape(r, r)
+    n_edges_y = np.bincount(y0[src0] * r + y0[dst0],
+                            minlength=r * r).reshape(r, r)
     return n_y, n_pairs_y, n_edges_y

@@ -252,6 +252,8 @@ def null_calibration(n: int = 500, reps: int = 2000, seed: int = 0, *,
     and the network, and collects the doubled statistic totals. Under the
     reference, their means sit at the degrees of freedom.
     """
+    if reps < 2:
+        raise ValidationError("null calibration needs reps >= 2")
     config = SimulationConfig(
         name="null", model="nnb", n=n, p=1, r_levels=r_levels,
         columns={1: {"kind": "bern", "p": level2_prob}},

@@ -72,7 +72,8 @@ class _SharedTables:
     """Feature-independent pieces reused across all columns of one dataset."""
 
     def __init__(self, dataset: NodeDataset):
-        n_y, n_pairs_y, n_edges_y = response_pair_tables(dataset)
+        n_y, n_pairs_y, n_edges_y = response_pair_tables(
+            dataset._y0, dataset._src0, dataset._dst0, dataset.r_levels)
         if n_y.min() == 0:
             missing = int(np.argmin(n_y)) + 1
             raise DegeneracyError(

@@ -235,8 +235,15 @@ def check_config(config: SimulationConfig) -> None:
         for c in cols:
             if not 1 <= int(c) <= config.p:
                 raise ValidationError(f"phi column {c} out of range")
-    if config.noise is not None and not 0 < float(config.noise.get("s", 0)) < 2:
-        raise ValidationError("noise exponent s must be in (0, 2)")
+    if config.noise is not None:
+        s = float(config.noise.get("s", 0))
+        if not 0 < s < 2:
+            raise ValidationError("noise exponent s must be in (0, 2)")
+        keep, add = noise_rates(config.n, s)
+        if not (0 <= keep <= 1 and 0 <= add <= 1):
+            raise ValidationError(
+                f"noise s={s} at n={config.n} gives keep probability {keep:.4g}"
+                f" and add probability {add:.4g}; both must be in [0, 1]")
     if config.bins < 2:
         raise ValidationError("bins must be at least 2")
 

@@ -22,26 +22,56 @@ def mains(*cols):
     return FeatureSet(tuple(cols), ())
 
 
-def test_scores_match_loop_oracle():
-    """All three score types against literal per-neighbor loops."""
-    rng = np.random.default_rng(41)
+def oracle_cases(rng):
+    """(y, x, edges, r, widths, mask, s_y, s_a) inputs for the oracle test.
+
+    Random equal-width instances, fitted on every node or on a random part;
+    then R = 3 with link features whose widths (3, 2, 3) are out of width
+    order, on a graph, on an empty edge list, and with a train mask that
+    hides every neighbour of node 1.
+    """
     for trial in range(25):
         y, x, edges, r, k = random_instance(rng, p=3)
-        ds = as_dataset(y, x, edges, r, k)
         n = len(y)
         if trial % 2:
             mask = rng.uniform(size=n) < 0.7
             mask[rng.integers(n)] = True  # never an empty fit
         else:
             mask = np.ones(n, dtype=bool)
+        yield y, x, edges, r, (k, k, k), mask, (1, 2), (2, 3)
+    n, r, widths = 12, 3, (3, 2, 3)
+    y = np.r_[1, 2, 3, rng.integers(1, r + 1, n - r)].astype(np.int32)
+    x = np.column_stack([rng.integers(1, w + 1, n) for w in widths])
+    edges = [(s + 1, t + 1) for s in range(n) for t in range(n)
+             if s != t and rng.uniform() < 0.3]
+    edges += [(1, 2), (3, 1)]  # node 1 has neighbours both ways
+    edges = sorted(set(edges))
+    hidden = np.ones(n, dtype=bool)
+    for s, t in edges:
+        if 1 in (s, t):
+            hidden[s + t - 2] = False  # the other endpoint
+    for links in (edges, []):
+        for mask in (np.ones(n, dtype=bool), hidden):
+            yield y, x, links, r, widths, mask, (1, 3), (1, 2, 3)
+
+
+def test_scores_match_loop_oracle():
+    """All three score types against literal per-neighbor loops."""
+    rng = np.random.default_rng(41)
+    for y, x, edges, r, widths, mask, s_y, s_a in oracle_cases(rng):
+        ds = validate(NodeDataset(
+            y=y, x=x, edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+            r_levels=r, k_levels=widths))
+        n = len(y)
         targets = list(range(1, n + 1))
-        widths = {j: k for j in (1, 2, 3)}
+        k_widths = dict(enumerate(widths, start=1))
         for kind in KINDS:
-            spec = ClassifierSpec(kind, s_y=mains(1, 2), s_a=mains(2, 3))
+            spec = ClassifierSpec(kind, s_y=mains(*s_y), s_a=mains(*s_a))
             clf = fit(spec, ds, train_mask=mask)
             got = predict_scores(clf, ds, targets)
             want = oracle_classifier_scores(
-                kind, y, x, edges, [1, 2], [2, 3], widths, r, mask, targets)
+                kind, y, x, edges, list(s_y), list(s_a), k_widths, r, mask,
+                targets)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
@@ -142,6 +172,14 @@ def test_evaluate_returns_accuracy_and_auc():
     ones = [i + 1 for i in range(n) if y[i] == 1]
     _, auc_nan = evaluate(clf, ds, targets=ones, auc=True)
     assert np.isnan(auc_nan)
+
+
+def test_evaluate_rejects_empty_targets():
+    y = np.array([1, 2, 1, 2])
+    ds = as_dataset(y, np.ones((4, 1), dtype=np.int64), [(1, 2)], 2, 1)
+    clf = fit(ClassifierSpec("type2"), ds)
+    with pytest.raises(ValidationError, match="no targets to evaluate"):
+        evaluate(clf, ds, targets=[])
 
 
 def test_auc_requires_two_level_response():

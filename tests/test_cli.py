@@ -197,6 +197,23 @@ def test_experiment_null_path(tmp_path, capsys):
     assert "mean doubled node part" in (d / "table.txt").read_text()
 
 
+def test_experiment_null_needs_two_reps(tmp_path, capsys):
+    # one draw has no sample variance; zero draws have no mean either
+    for reps in ("1", "0"):
+        d = tmp_path / f"null{reps}"
+        assert main(["experiment", "--example", "null", "--n", "60",
+                     "--reps", reps, "--out", str(d)]) == 3
+        assert "reps >= 2" in capsys.readouterr().err
+        assert not (d / "null.json").exists()
+
+
+def test_simulate_rejects_noise_rates_outside_unit_interval(tmp_path, capsys):
+    code = main(["simulate", "--example", "5", "--n", "4", "--p", "5",
+                 "--out", str(tmp_path / "d")])
+    assert code == 3
+    assert "add probability" in capsys.readouterr().err
+
+
 def test_dataset_round_trip_with_composites_and_raw(tmp_path):
     ds, extras = generate(example_config(8, n=50, p=6), seed=5)
     wide = interaction_expand(ds, [(1, 2)])

@@ -3,8 +3,8 @@ import pytest
 
 from netscreen import NodeDataset, validate
 from netscreen.counts import (
-    edge_counts, marginal_counts, pair_counts, response_pair_tables,
-    tally_edges, tally_marginals,
+    class_adjacency, edge_counts, marginal_counts, neighbour_tallies,
+    pair_counts, response_pair_tables, tally_edges, tally_marginals,
 )
 
 from oracles import oracle_counts, random_instance
@@ -54,7 +54,8 @@ def test_response_pair_tables():
     rng = np.random.default_rng(10)
     y, x, edges, r, k = random_instance(rng)
     ds = as_dataset(y, x, edges, r, k)
-    n_y, n_pairs_y, n_edges_y = response_pair_tables(ds)
+    n_y, n_pairs_y, n_edges_y = response_pair_tables(
+        ds._y0, ds._src0, ds._dst0, r)
     want = oracle_counts(y, x[:, 0], edges, r, k)
     assert np.array_equal(n_y, want["n_y"])
     assert np.array_equal(n_pairs_y, want["n_pairs_y"])
@@ -111,6 +112,40 @@ def test_tally_edges_matches_oracle_across_shapes(r, k):
             alone = tally_edges(ds._y0, ds._src0, ds._dst0, xb0[:, [c]], r, k)
             assert np.array_equal(block[c], want)
             assert np.array_equal(alone[0], want)
+
+
+def test_neighbour_tallies_match_edge_loop():
+    """Per-node tallies of masked-in neighbours, out of and into each node,
+    equal a literal loop over the edges."""
+    rng = np.random.default_rng(12)
+    for trial in range(30):
+        y, x, edges, r, k = random_instance(rng, p=3)
+        ds = as_dataset(y, x, edges, r, k)
+        n = len(y)
+        xb0 = ds.x.astype(np.int64) - 1
+        y0, src0, dst0 = ds._y0, ds._src0, ds._dst0
+        mask = rng.uniform(size=n) < 0.6 if trial % 2 else np.ones(n, bool)
+        into = mask[dst0]
+        out_adj = class_adjacency(src0[into], dst0[into], y0[dst0[into]],
+                                  n, r)
+        known = mask[src0]
+        in_adj = [(adj.T, adj.sum(axis=0))
+                  for adj, _ in class_adjacency(src0[known], dst0[known],
+                                                y0[src0[known]], n, r)]
+        want_out = np.zeros((n, r, k, 3), dtype=np.int64)
+        want_in = np.zeros((n, r, k, 3), dtype=np.int64)
+        for s, t in edges:
+            s, t = s - 1, t - 1
+            for c in range(3):
+                if mask[t]:
+                    want_out[s, y[t] - 1, x[t, c] - 1, c] += 1
+                if mask[s]:
+                    want_in[t, y[s] - 1, x[s, c] - 1, c] += 1
+        got_out = neighbour_tallies(out_adj, xb0, k)
+        got_in = neighbour_tallies(in_adj, xb0, k)
+        assert got_out.shape == got_in.shape == (n, r, k, 3)
+        assert np.array_equal(got_out, want_out)
+        assert np.array_equal(got_in, want_in)
 
 
 def test_counts_ignore_declared_but_unseen_levels():

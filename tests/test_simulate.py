@@ -250,6 +250,16 @@ def test_perturb_network_matches_mask_reference(n, add_prob):
                           perturb_by_mask(dup, n, 1.0, add_prob, 3))
 
 
+def test_check_config_rejects_noise_rates_outside_unit_interval():
+    # s = 1.5 gives keep probability 1 - n^0.5 < 0: every link would drop
+    with pytest.raises(ValidationError, match="keep probability"):
+        check_config(plain_config(noise={"s": 1.5}))
+    # s = 0.4 at n = 4 gives add probability 10 * 4^-1.6 > 1
+    with pytest.raises(ValidationError, match="add probability"):
+        check_config(example_config(5, n=4, p=5))
+    check_config(example_config(5, n=5, p=5))  # 10 * 5^-1.6 < 1
+
+
 def test_noisy_example_stays_valid():
     cfg = example_config(5, n=60, p=5)
     assert cfg.noise == {"s": 0.4}
