@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .counts import (block_pair_tables, class_adjacency, neighbour_tallies,
-                     response_pair_tables, tally_edges, tally_marginals)
+                     response_pair_tables, tally_adjacency, tally_edges,
+                     tally_marginals)
 from .dataset import FeatureSet, NodeDataset, validate
 from .errors import ValidationError
 from .plr import width_blocks
@@ -147,10 +148,11 @@ def fit(spec: ClassifierSpec, dataset: NodeDataset,
         return clf
 
     cols = np.asarray(cols_a, dtype=np.int64)
+    adjacency = tally_adjacency(dataset._y0, src0, dst0, r)
     for k, part in width_blocks(dataset.k_levels[cols - 1], r):
         block = cols[part].tolist()
         xb0 = dataset.x[:, cols[part] - 1].astype(np.int64) - 1
-        edges = tally_edges(dataset._y0, src0, dst0, xb0, r, k)
+        edges = tally_edges(dataset._y0, src0, dst0, xb0, r, k, adjacency)
         pairs = block_pair_tables(np.stack([n_yj[col] for col in block]))
         for col, ej, pj in zip(block, edges, pairs):
             pij = (ej + alpha) / (pj + 2 * alpha)

@@ -4,8 +4,9 @@ Every statistic and classifier score in the package is a function of these
 tables. Feature tables come from the blocked tallies below; the per-feature
 functions are one-column calls into them. Pair counts come from a
 closed-form product identity, never from iterating node pairs. Edge tallies
-come only from the per-node neighbour tallies (see :func:`tally_edges`), so
-a block of B columns of width K costs O(R |E| + (K-1) B |E| + R K B n). All
+come only from one class-split adjacency per edge set (see
+:func:`tally_edges`), so a block of B columns of width K costs
+O((K-1) B |E| + R (K-1)^2 B n) once that is built. All
 tables are 64-bit integers (ordered-pair totals reach n(n-1), which
 overflows 32 bits beyond n of about 65k). Table axes are 0-based: entry
 [r-1, k-1] holds the tally of response level r with feature level k.
@@ -64,19 +65,39 @@ def edge_counts(dataset: NodeDataset, j: int):
 #
 # Edge tallies: class_adjacency splits an edge list by the response class
 # r2 of each edge's neighbour endpoint into sparse matrices A_{r2}, with
-# their row sums. neighbour_tallies counts each node's neighbours of class r2
-# at each level of each column, T[i, r2, l, c] = (A_{r2} I_{l,c})[i], where
-# I_{l,c} indicates the nodes at level l of column c: one sparse-dense
-# product per class covers all B columns and every level but the last, which
-# is the degree minus the others. tally_edges takes the neighbour to be the
-# destination and sums over the sources of class r1 at level l:
+# their row sums (degrees). neighbour_tallies counts each node's neighbours
+# of class r2 at each level of each column, T[i, r2, l, c] = (A_{r2}
+# I_{l,c})[i], where I_{l,c} indicates the nodes at level l of column c: one
+# sparse-dense product per class covers all B columns and every level but
+# the last, which is the degree minus the others. The classifier reads T per
+# target, out of it and, through the transposed adjacency, into it. The CSR
+# adjacency is read straight off the edge arrays, which requires them to be
+# sorted by source; validate() guarantees that, and any subset of its edges
+# keeps the order.
+#
+# tally_edges takes the neighbour to be the destination and sums over the
+# sources of class r1 at level l:
 #     E[r1, r2, l, m] = sum of T[i, r2, m, c] over i with y_i = r1, x_ic = l.
-# The classifier reads T per target, out of it and, through the transposed
-# adjacency, into it. The CSR adjacency is read straight off the edge arrays,
-# which requires them to be sorted by source; validate() guarantees that, and
-# any subset of its edges keeps the order. Products and sums run in float64
-# and are exact: every operand and partial sum is an integer no larger than
-# the edge count, far below 2^53.
+# Its adjacency (tally_adjacency) depends only on the edges and responses,
+# so callers build it once per edge set and pass it to every block. Its rows
+# are the nodes listed class by class, so the sources of each class r1 are
+# one contiguous row range. Only the inner cells l, m < k-1 are summed from
+# the products; the rest follow from margins of the same table:
+#     row l < k-1:   sum over m of E[.., l, m] = sum of deg_{r2}[i] over the
+#                    sources i of class r1 at level l;
+#     column m < k-1: sum over l of E[.., l, m] = sum of T[i, r2, m, c] over
+#                    the sources i of class r1;
+#     all cells:     the class-pair edge total, sum of deg_{r2} over class r1,
+# so the last row, the last column and the corner are differences, and the
+# last level is never written out per node. Products run in float32 when
+# n < FLOAT32_EXACT_N = 2^24: each entry of T is an integer no larger than
+# n-1, so float32 holds it and every partial sum of its row exactly.
+# Reductions over nodes run in float64, whose integer range (2^53) covers the
+# edge count. A block of B columns of width k then costs O((k-1) B |E|) for
+# the products plus O(R (k-1)^2 B n) for the reductions; the adjacency costs
+# O(R (|E| + n)) once per edge set. All tables come back as exact int64.
+
+FLOAT32_EXACT_N = 2 ** 24  # float32 holds every integer up to this bound
 
 def tally_marginals(y0: np.ndarray, xb0: np.ndarray, r: int, k: int) -> np.ndarray:
     """Joint (response, level) tallies, shape (B, R, k), from 0-based codes."""
@@ -88,16 +109,17 @@ def tally_marginals(y0: np.ndarray, xb0: np.ndarray, r: int, k: int) -> np.ndarr
 
 
 def class_adjacency(src0: np.ndarray, dst0: np.ndarray, nbr_y0: np.ndarray,
-                    n: int, r: int) -> list:
-    """R pairs (adj, deg): CSR adjacency of the source-sorted edges whose
-    neighbour endpoint has class r2 (nbr_y0, per edge), and its row sums."""
+                    n: int, r: int, dtype=np.float64) -> list:
+    """R pairs (adj, deg): CSR adjacency, with entries of the given dtype,
+    of the source-sorted edges whose neighbour endpoint has class r2
+    (nbr_y0, per edge), and its row sums."""
     split = []
     for r2 in range(r):
         keep = np.flatnonzero(nbr_y0 == r2)  # faster to gather than a mask
         deg = np.bincount(src0[keep], minlength=n)
         indptr = np.concatenate(([0], np.cumsum(deg)))
         adj = sparse.csr_array(
-            (np.ones(indptr[-1]), dst0[keep], indptr), shape=(n, n))
+            (np.ones(indptr[-1], dtype), dst0[keep], indptr), shape=(n, n))
         split.append((adj, deg))
     return split
 
@@ -116,22 +138,53 @@ def neighbour_tallies(adjacency: list, xb0: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def tally_adjacency(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
+                    r: int):
+    """(order, adjacency) that :func:`tally_edges` reads for these edges.
+
+    order lists the nodes class by class (stable in node id); adjacency is
+    :func:`class_adjacency` over the destinations' classes with row i
+    holding node order[i], in float32 when n < FLOAT32_EXACT_N.
+    """
+    n = y0.size
+    order = np.argsort(y0, kind="stable")
+    dtype = np.float32 if n < FLOAT32_EXACT_N else np.float64
+    return order, [(adj[order], deg[order]) for adj, deg in
+                   class_adjacency(src0, dst0, y0[dst0], n, r, dtype)]
+
+
 def tally_edges(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
-                xb0: np.ndarray, r: int, k: int) -> np.ndarray:
+                xb0: np.ndarray, r: int, k: int, adjacency=None) -> np.ndarray:
     """Linked-pair tallies, shape (B, R, R, k, k), from 0-based codes.
 
-    Edges must be sorted by source (see the identity above).
+    Edges must be sorted by source (see the identity above). adjacency is
+    :func:`tally_adjacency` of these y0, src0 and dst0; pass it to reuse one
+    build across blocks, or leave it out to build it here.
     """
+    if adjacency is None:
+        adjacency = tally_adjacency(y0, src0, dst0, r)
+    order, split = adjacency
     n, b = xb0.shape
-    nbr = neighbour_tallies(
-        class_adjacency(src0, dst0, y0[dst0], n, r), xb0, k)
-    # add each source's tallies into its (column, response, level) cell
-    cells = (y0[:, None] * k + xb0 + np.arange(b) * (r * k)).ravel()
+    ends = np.cumsum(np.bincount(y0, minlength=r))
+    classes = [slice(lo, hi) for lo, hi in zip(np.r_[0, ends[:-1]], ends)]
+    # indicators of the inner levels, laid out (node, level, column)
+    lev = (xb0[:, None, :] == np.arange(k - 1)[:, None]).astype(
+        split[0][0].dtype).reshape(n, -1)
+    src = lev[order].reshape(n, k - 1, b)
     out = np.empty((b, r, r, k, k), dtype=np.int64)
-    for r2 in range(r):
-        for m in range(k):
-            out[:, :, r2, :, m] = np.bincount(  # (x, weights, minlength)
-                cells, nbr[:, r2, m].ravel(), b * r * k).reshape(b, r, k)
+    for r2, (adj, deg) in enumerate(split):
+        hit = (adj @ lev).reshape(n, k - 1, b)
+        for r1, rows in enumerate(classes):
+            s, h = src[rows], hit[rows]
+            inner = np.einsum("ilb,imb->blm", s, h, dtype=np.float64)
+            row_tot = np.einsum("ilb,i->bl", s, deg[rows], dtype=np.float64)
+            col_tot = h.sum(axis=0, dtype=np.float64).T
+            cell = out[:, r1, r2]
+            cell[:, :-1, :-1] = inner
+            cell[:, :-1, -1] = row_tot - inner.sum(axis=2)
+            cell[:, -1, :-1] = col_tot - inner.sum(axis=1)
+            cell[:, -1, -1] = (deg[rows].sum() - row_tot.sum(axis=1)
+                               - col_tot.sum(axis=1) + inner.sum(axis=(1, 2)))
     return out
 
 

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc, xlogy
 
-from .counts import (block_pair_tables, response_pair_tables, tally_edges,
-                     tally_marginals)
+from .counts import (block_pair_tables, response_pair_tables,
+                     tally_adjacency, tally_edges, tally_marginals)
 from .dataset import NodeDataset, validate
 from .errors import DegeneracyError
 
@@ -69,7 +69,8 @@ def chi2_tail(stat: float, df: int) -> float:
 
 
 class _SharedTables:
-    """Feature-independent pieces reused across all columns of one dataset."""
+    """Feature-independent pieces reused across all columns of one dataset,
+    the edge-tally adjacency among them."""
 
     def __init__(self, dataset: NodeDataset):
         n_y, n_pairs_y, n_edges_y = response_pair_tables(
@@ -89,6 +90,8 @@ class _SharedTables:
         self.ref_network = float(
             (xlogy(n_edges_y, pi0)
              + xlogy(n_pairs_y - n_edges_y, 1.0 - pi0)).sum())
+        self.adjacency = tally_adjacency(
+            dataset._y0, dataset._src0, dataset._dst0, r)
 
 
 def _block_lambdas(dataset, xb0, k, shared):
@@ -104,7 +107,8 @@ def _block_lambdas(dataset, xb0, k, shared):
     np.divide(nyj, nj[:, None, :], out=pi_cond, where=nj[:, None, :] > 0)
     self_tot = xlogy(nyj, pi_cond).sum(axis=(1, 2)) - shared.ref_self
 
-    e = tally_edges(dataset._y0, dataset._src0, dataset._dst0, xb0, r, k)
+    e = tally_edges(dataset._y0, dataset._src0, dataset._dst0, xb0, r, k,
+                    shared.adjacency)
     pairs = block_pair_tables(nyj)
     pij = np.zeros(e.shape)
     np.divide(e, pairs, out=pij, where=pairs > 0)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from netscreen import NodeDataset, validate
+from netscreen import NodeDataset, counts, validate
 from netscreen.counts import (
     class_adjacency, edge_counts, marginal_counts, neighbour_tallies,
-    pair_counts, response_pair_tables, tally_edges, tally_marginals,
+    pair_counts, response_pair_tables, tally_adjacency, tally_edges,
+    tally_marginals,
 )
 
 from oracles import oracle_counts, random_instance
@@ -84,13 +85,16 @@ def test_blocked_tallies_equal_per_column_counts():
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_tally_edges_matches_oracle_across_shapes(r, k):
     """Edge tallies equal the oracle for every width, alone and in a block.
 
     The block mixes a column over all k levels, one that never shows its top
     level, and one stuck at level k; the graphs are edgeless, or leave the
-    first three nodes isolated.
+    first three nodes isolated. One prebuilt adjacency serves both halves of
+    the block, and one built on a masked edge subset (the edges between
+    fitting nodes, as the type3 classifier tallies them) serves the block
+    against the oracle on those edges.
     """
     rng = np.random.default_rng(10 * r + k)
     n = 14
@@ -105,13 +109,53 @@ def test_tally_edges_matches_oracle_across_shapes(r, k):
         edges = [(s + 1, t + 1) for s in range(3, n) for t in range(3, n)
                  if s != t and rng.uniform() < density]
         ds = as_dataset(y, x, edges, r, k)
-        block = tally_edges(ds._y0, ds._src0, ds._dst0, xb0, r, k)
+        y0, src0, dst0 = ds._y0, ds._src0, ds._dst0
+        block = tally_edges(y0, src0, dst0, xb0, r, k)
         assert block.shape == (3, r, r, k, k)
+        adjacency = tally_adjacency(y0, src0, dst0, r)
+        halves = np.concatenate([
+            tally_edges(y0, src0, dst0, xb0[:, :2], r, k, adjacency),
+            tally_edges(y0, src0, dst0, xb0[:, 2:], r, k, adjacency)])
+        mask = rng.uniform(size=n) < 0.6
+        both = mask[src0] & mask[dst0]
+        masked_edges = [(s, t) for s, t in edges if mask[s - 1] and mask[t - 1]]
+        masked = tally_edges(
+            y0, src0[both], dst0[both], xb0, r, k,
+            tally_adjacency(y0, src0[both], dst0[both], r))
         for c in range(3):
             want = oracle_counts(y, x[:, c], edges, r, k)["n_edges_yj"]
-            alone = tally_edges(ds._y0, ds._src0, ds._dst0, xb0[:, [c]], r, k)
+            alone = tally_edges(y0, src0, dst0, xb0[:, [c]], r, k)
             assert np.array_equal(block[c], want)
             assert np.array_equal(alone[0], want)
+            assert np.array_equal(halves[c], want)
+            want = oracle_counts(y, x[:, c], masked_edges, r, k)["n_edges_yj"]
+            assert np.array_equal(masked[c], want)
+
+
+def test_tally_edges_float64_products_give_the_same_tables(monkeypatch):
+    """Below the float32 bound the products run in float32; with the bound
+    lowered to 0 they run in float64 and the tables keep every byte."""
+    rng = np.random.default_rng(13)
+    n, p, r, k = 60, 9, 3, 4
+    y = np.concatenate([np.arange(1, r + 1), rng.integers(1, r + 1, n - r)])
+    x = rng.integers(1, k + 1, size=(n, p))
+    edges = [(s + 1, t + 1) for s in range(n) for t in range(n)
+             if s != t and rng.uniform() < 0.3]
+    ds = as_dataset(y, x, edges, r, k)
+    xb0 = x.astype(np.int64) - 1
+    args = (ds._y0, ds._src0, ds._dst0)
+    narrow = tally_adjacency(*args, r)
+    single = tally_edges(*args, xb0, r, k, narrow)
+    monkeypatch.setattr(counts, "FLOAT32_EXACT_N", 0)
+    wide = tally_adjacency(*args, r)
+    double = tally_edges(*args, xb0, r, k, wide)
+    assert narrow[1][0][0].dtype == np.float32
+    assert wide[1][0][0].dtype == np.float64
+    assert single.dtype == double.dtype == np.int64
+    assert single.tobytes() == double.tobytes()
+    for c in range(p):
+        want = oracle_counts(y, x[:, c], edges, r, k)["n_edges_yj"]
+        assert np.array_equal(double[c], want)
 
 
 def test_neighbour_tallies_match_edge_loop():
