@@ -15,9 +15,11 @@ refined and null log pseudo-likelihoods,
 
 is nonnegative and exactly zero for a constant column. Both fits are
 evaluated in closed form from the count tables of a block of columns at once
-(see :func:`batch_statistics`). Every logarithm that enters with a positive
-coefficient has a positive argument, so no smoothing is needed and the value
-is always finite.
+(see :func:`batch_statistics`), and their gap is summed cell by cell as log
+ratios of refined to null frequencies (see :func:`_block_lambdas`), so a
+noise column's small value is not the difference of two large totals. Every
+logarithm that enters with a positive coefficient has a positive argument,
+so no smoothing is needed and the value is always finite.
 
 Under a null with independent uniform responses, 2 n lam_self is
 asymptotically chi-square with (R-1)(K-1) degrees of freedom and
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc, xlogy
+from scipy.special import chdtrc
 
 from .counts import (block_pair_tables, response_pair_tables,
                      tally_adjacency, tally_edges, tally_marginals)
@@ -81,40 +83,73 @@ class _SharedTables:
                 f"response level {missing} has no nodes; the statistic's "
                 "reference distribution is undefined")
         self.n_y = n_y
-        r = dataset.r_levels
-        pi_y = n_y / dataset.n
-        self.ref_self = float(xlogy(n_y, pi_y).sum())
-        pi0 = np.zeros((r, r))
-        np.divide(n_edges_y, n_pairs_y, out=pi0, where=n_pairs_y > 0)
-        self.pi0 = pi0
-        self.ref_network = float(
-            (xlogy(n_edges_y, pi0)
-             + xlogy(n_pairs_y - n_edges_y, 1.0 - pi0)).sum())
+        self.n_pairs_y = n_pairs_y.astype(np.float64)
+        self.n_edges_y = n_edges_y.astype(np.float64)
         self.adjacency = tally_adjacency(
-            dataset._y0, dataset._src0, dataset._dst0, r)
+            dataset._y0, dataset._src0, dataset._dst0, dataset.r_levels)
+
+
+_SPLIT = 2.0 ** 27 + 1  # Veltkamp's splitter for float64
+
+
+def _product_error(a, b, ab):
+    """a b - ab exactly, where ab is the float64 product of a and b
+    (Dekker's two-product)."""
+    a_hi = a * _SPLIT
+    a_hi -= a_hi - a
+    b_hi = b * _SPLIT
+    b_hi -= b_hi - b
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return ((a_hi * b_hi - ab) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _cross_difference(a, b, c, d):
+    """a b - c d for integer-valued float64 arrays, to one final rounding
+    even when the two products nearly cancel."""
+    ab, cd = a * b, c * d
+    return (ab - cd) + (_product_error(a, b, ab) - _product_error(c, d, cd))
 
 
 def _block_lambdas(dataset, xb0, k, shared):
     """Total (unnormalized) statistic parts for a block of 0-based columns.
 
     xb0: (n, B) level codes 0..k-1. Returns (self_totals, network_totals),
-    each (B,) float64.
+    each (B,) float64. Both are sums of per-cell log ratios of the refined
+    fit to the null:
+
+        self:    n_yj log(n_yj n / (n_j n_y))
+        network: e log(p1 / p0) + (m - e) log((1 - p1) / (1 - p0))
+
+    with e and m the linked and all ordered pairs of a refined cell, p1 =
+    e / m, and p0 = E / P the null rate of its response pair. Each log is
+    log1p of an exact integer difference over its denominator: n_yj n -
+    n_j n_y for the node term, and d = e P - m E for the link terms, whose
+    ratios are 1 + d / (m E) and 1 - d / (m (P - E)). So a noise column,
+    whose ratios are all near 1, keeps its full relative precision. A cell
+    with n_yj = 0, e = 0 or m - e = 0 adds nothing to that term and is
+    skipped, so p0 = 0 or 1 never enters a logarithm. Each column sums its
+    own cells in one fixed order, whatever the block.
     """
-    r = dataset.r_levels
+    r, n = dataset.r_levels, dataset.n
     nyj = tally_marginals(dataset._y0, xb0, r, k)
-    nj = nyj.sum(axis=1)
-    pi_cond = np.zeros(nyj.shape)
-    np.divide(nyj, nj[:, None, :], out=pi_cond, where=nj[:, None, :] > 0)
-    self_tot = xlogy(nyj, pi_cond).sum(axis=(1, 2)) - shared.ref_self
+    null = nyj.sum(axis=1)[:, None, :] * shared.n_y[:, None]  # n_j n_y
+    rise = np.zeros(nyj.shape)
+    np.divide(nyj * n - null, null, out=rise, where=nyj > 0)
+    self_tot = (nyj * np.log1p(rise)).sum(axis=(1, 2))
 
     e = tally_edges(dataset._y0, dataset._src0, dataset._dst0, xb0, r, k,
-                    shared.adjacency)
-    pairs = block_pair_tables(nyj)
-    pij = np.zeros(e.shape)
-    np.divide(e, pairs, out=pij, where=pairs > 0)
-    holes = pairs - e
-    net_tot = ((xlogy(e, pij) + xlogy(holes, 1.0 - pij))
-               .sum(axis=(1, 2, 3, 4)) - shared.ref_network)
+                    shared.adjacency).astype(np.float64)
+    m = block_pair_tables(nyj).astype(np.float64)
+    pairs = shared.n_pairs_y[:, :, None, None]
+    links = shared.n_edges_y[:, :, None, None]
+    d = _cross_difference(e, pairs, m, links)
+    holes = m - e
+    up = np.zeros(e.shape)
+    np.divide(d, m * links, out=up, where=e > 0)
+    down = np.zeros(e.shape)
+    np.divide(-d, m * (pairs - links), out=down, where=holes > 0)
+    net_tot = (e * np.log1p(up) + holes * np.log1p(down)).sum(
+        axis=(1, 2, 3, 4))
     return self_tot, net_tot
 
 

@@ -8,6 +8,7 @@ from netscreen.plr import (
     plr_statistic,
 )
 from netscreen.experiment import null_calibration
+from netscreen.simulate import example_config, generate
 
 from oracles import oracle_plr, random_instance
 
@@ -56,6 +57,60 @@ def test_statistic_matches_loop_oracle():
             assert abs(a - b) <= 1e-10 * max(abs(b), 1.0)
             worst = max(worst, abs(a - b))
     print(f"worst absolute deviation from oracle: {worst:.3e}")
+
+
+def precise_parts(y0, x0, src0, dst0, r, k, mpmath):
+    """(lam_self, lam_network) of one column, as mpmath numbers at 50
+    digits, from integer tables tallied here with numpy."""
+    n = y0.size
+    nyj = np.zeros((r, k), dtype=np.int64)
+    np.add.at(nyj, (y0, x0), 1)
+    ny, nj = nyj.sum(axis=1), nyj.sum(axis=0)
+    e = np.zeros((r, r, k, k), dtype=np.int64)
+    np.add.at(e, (y0[src0], y0[dst0], x0[src0], x0[dst0]), 1)
+    big_e = e.sum(axis=(2, 3))
+    mpf, log = mpmath.mpf, mpmath.log
+    node = mpf(0)
+    for a in range(r):
+        for l in range(k):
+            if nyj[a, l]:
+                node += int(nyj[a, l]) * log(
+                    mpf(int(nyj[a, l]) * n) / (int(nj[l]) * int(ny[a])))
+    link = mpf(0)
+    for a in range(r):
+        for b in range(r):
+            null_pairs = int(ny[a]) * (int(ny[b]) - (a == b))
+            p0 = mpf(int(big_e[a, b])) / null_pairs
+            for l in range(k):
+                for m in range(k):
+                    pairs = int(nyj[a, l]) * int(nyj[b, m])
+                    pairs -= int(nyj[a, l]) if (a, l) == (b, m) else 0
+                    hit = int(e[a, b, l, m])
+                    if hit:
+                        link += hit * log(mpf(hit) / pairs / p0)
+                    if pairs - hit:
+                        link += (pairs - hit) * (
+                            log(1 - mpf(hit) / pairs) - log(1 - p0))
+    return node / n, link / n
+
+
+def test_noise_columns_match_high_precision_values():
+    """On columns independent of everything, n lam is about 10 while the
+    fitted log pseudo-likelihoods are of order -1e5; the parts still match
+    a 50-digit evaluation of the same tables to 1e-12 relative."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    ds = validate(generate(example_config(1, n=2000, p=12), seed=3)[0])
+    noise = range(5, 13)  # ex1's true features are columns 1..4
+    got = batch_statistics(ds, noise)
+    for pos, j in enumerate(noise):
+        node, link = precise_parts(
+            ds._y0, ds.x[:, j - 1].astype(np.int64) - 1, ds._src0, ds._dst0,
+            ds.r_levels, int(ds.k_levels[j - 1]), mpmath)
+        for value, want in zip((got[0][pos], got[1][pos], got[2][pos]),
+                               (node + link, node, link)):
+            rel = (mpmath.mpf(float(value)) - want) / want
+            assert abs(float(rel)) <= 1e-12, (j, value)
 
 
 def test_parts_are_nonnegative_and_sum():
