@@ -89,23 +89,25 @@ class _SharedTables:
             dataset._y0, dataset._src0, dataset._dst0, dataset.r_levels)
 
 
-_SPLIT = 2.0 ** 27 + 1  # Veltkamp's splitter for float64
+def _split(a):
+    """(hi, lo) with hi + lo == a exactly, each with at most 26 significant
+    bits, so that products of halves are exact (Veltkamp's split)."""
+    c = a * (2.0 ** 27 + 1)
+    hi = c - (c - a)
+    return hi, a - hi
 
 
 def _product_error(a, b, ab):
     """a b - ab exactly, where ab is the float64 product of a and b
     (Dekker's two-product)."""
-    a_hi = a * _SPLIT
-    a_hi -= a_hi - a
-    b_hi = b * _SPLIT
-    b_hi -= b_hi - b
-    a_lo, b_lo = a - a_hi, b - b_hi
+    (a_hi, a_lo), (b_hi, b_lo) = _split(a), _split(b)
     return ((a_hi * b_hi - ab) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 def _cross_difference(a, b, c, d):
-    """a b - c d for integer-valued float64 arrays, to one final rounding
-    even when the two products nearly cancel."""
+    """a b - c d for integer-valued float64 arrays, within a few units in
+    the last place of the result even when the two products nearly
+    cancel."""
     ab, cd = a * b, c * d
     return (ab - cd) + (_product_error(a, b, ab) - _product_error(c, d, cd))
 
