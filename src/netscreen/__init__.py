@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 from .classify import (ClassifierSpec, MetricsReport, NetworkClassifier,
                        evaluate, fit, predict, predict_scores,
                        screening_metrics)
-from .counts import edge_counts, marginal_counts, pair_counts
-from .dataset import FeatureSet, NodeDataset, degree_filter, validate
+from .dataset import FeatureSet, NodeDataset, validate
 from .errors import DegeneracyError, ValidationError
 from .experiment import (ExperimentReport, experiment, null_calibration,
                          run_replication)
@@ -31,11 +30,10 @@ __all__ = [
     "ClassifierSpec", "DegeneracyError", "ExperimentReport", "FeatureSet",
     "MetricsReport", "NetworkClassifier", "NodeDataset", "PlrStat",
     "ScreeningResult", "SimulationConfig", "ValidationError",
-    "batch_statistics", "chi2_tail", "degree_filter", "degrees_of_freedom",
-    "discretize", "edge_counts", "evaluate", "example_config", "experiment",
-    "fit", "gen_network", "gen_nlr", "gen_nnb", "generate", "hard_cutoff",
-    "interaction_expand", "marginal_counts", "max_ratio_cutoff",
-    "noise_rates", "null_calibration", "pair_counts", "pc_sis",
+    "batch_statistics", "chi2_tail", "degrees_of_freedom", "discretize",
+    "evaluate", "example_config", "experiment", "fit", "gen_network",
+    "gen_nlr", "gen_nnb", "generate", "hard_cutoff", "interaction_expand",
+    "max_ratio_cutoff", "noise_rates", "null_calibration", "pc_sis",
     "permutation_pvalue", "perturb_network", "plr_sis", "plr_statistic",
     "predict", "predict_scores", "read_dataset", "read_json",
     "run_replication", "screening_metrics", "validate", "write_dataset",

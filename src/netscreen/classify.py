@@ -63,7 +63,6 @@ class NetworkClassifier:
 
     spec: ClassifierSpec
     r_levels: int
-    n_fit: int
     train_mask: np.ndarray
     cols_y: tuple[int, ...]
     cols_a: tuple[int, ...]
@@ -115,9 +114,8 @@ def fit(spec: ClassifierSpec, dataset: NodeDataset,
     cols_a = _resolve_columns(dataset, spec.s_a) if spec.kind == "type3" else ()
 
     y0 = dataset._y0[mask]
-    n_fit = int(mask.sum())
     n_y = np.bincount(y0, minlength=r).astype(np.float64)
-    log_prior = np.log((n_y + alpha) / (n_fit + alpha * r))
+    log_prior = np.log((n_y + alpha) / (y0.size + alpha * r))
 
     # joint (response, level) tallies of the fitting nodes, one per feature
     feats = np.asarray(list(dict.fromkeys(cols_y + cols_a)), dtype=np.int64)
@@ -130,7 +128,7 @@ def fit(spec: ClassifierSpec, dataset: NodeDataset,
                 for col, k in widths.items()}
 
     clf = NetworkClassifier(
-        spec=spec, r_levels=r, n_fit=n_fit, train_mask=mask,
+        spec=spec, r_levels=r, train_mask=mask,
         cols_y=cols_y, cols_a=cols_a, k_widths=widths,
         log_prior=log_prior, log_cond=log_cond)
     if spec.kind == "type1":

@@ -133,8 +133,7 @@ def cmd_classify(args) -> int:
     if missing:
         dataset = interaction_expand(dataset, missing)
 
-    train_mask = None
-    targets = None
+    train_mask = targets = None
     n_train = dataset.n
     if args.split is not None:
         if not 0.0 < args.split < 1.0:
@@ -222,9 +221,20 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     scr = sub.add_parser("screen", help="rank features and cut the list")
-    scr.add_argument("--nodes", required=True)
-    scr.add_argument("--edges", required=True)
-    scr.add_argument("--metadata")
+    cls = sub.add_parser("classify", help="fit and evaluate a classifier")
+    for cmd, func in ((scr, cmd_screen), (cls, cmd_classify)):
+        cmd.add_argument("--nodes", required=True)
+        cmd.add_argument("--edges", required=True)
+        cmd.add_argument("--metadata")
+        cmd.add_argument("--bins", type=int,
+                         help="bin count for continuous columns")
+        cmd.add_argument("--bin-scheme", dest="bin_scheme",
+                         default="normal_quantile",
+                         choices=["normal_quantile", "empirical_quantile"])
+        cmd.add_argument("--seed", type=int, default=0)
+        cmd.add_argument("--out")
+        cmd.set_defaults(func=func)
+
     scr.add_argument("--method", choices=["plr", "pc"], default="plr")
     scr.add_argument("--cutoff", default="maxratio",
                      help="maxratio | hard:<d> | hard:n_minus_1 | "
@@ -235,19 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     scr.add_argument("--top-m", type=int, dest="top_m")
     scr.add_argument("--search-cap", dest="search_cap",
                      help="max-ratio scan depth, or 'auto'")
-    scr.add_argument("--bins", type=int,
-                     help="bin count for continuous columns")
-    scr.add_argument("--bin-scheme", dest="bin_scheme",
-                     default="normal_quantile",
-                     choices=["normal_quantile", "empirical_quantile"])
-    scr.add_argument("--seed", type=int, default=0)
-    scr.add_argument("--out")
-    scr.set_defaults(func=cmd_screen)
 
-    cls = sub.add_parser("classify", help="fit and evaluate a classifier")
-    cls.add_argument("--nodes", required=True)
-    cls.add_argument("--edges", required=True)
-    cls.add_argument("--metadata")
     cls.add_argument("--screen", help="screening result JSON; its selected "
                      "set feeds both feature roles")
     cls.add_argument("--s-y", dest="s_y",
@@ -259,13 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--split", type=float,
                      help="training fraction; omit for transductive")
     cls.add_argument("--auc", action="store_true")
-    cls.add_argument("--bins", type=int)
-    cls.add_argument("--bin-scheme", dest="bin_scheme",
-                     default="normal_quantile",
-                     choices=["normal_quantile", "empirical_quantile"])
-    cls.add_argument("--seed", type=int, default=0)
-    cls.add_argument("--out")
-    cls.set_defaults(func=cmd_classify)
 
     exp = sub.add_parser("experiment", help="replicated end-to-end runs")
     exp.add_argument("--example", required=True,

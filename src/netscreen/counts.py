@@ -1,8 +1,8 @@
 """Count tables for response/feature/adjacency tallies.
 
 Every statistic and classifier score in the package is a function of these
-tables. Feature tables come from the blocked tallies below; the per-feature
-functions are one-column calls into them. Pair counts come from a
+tables. Feature tables come from the blocked tallies below, one block of
+same-width columns per call. Pair counts come from a
 closed-form product identity, never from iterating node pairs. Edge tallies
 come only from one class-split adjacency per edge set (see
 :func:`tally_edges`), so a block of B columns of width K costs
@@ -16,46 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-
-from .dataset import NodeDataset, validate
-
-
-def _column_codes(dataset: NodeDataset, j: int) -> np.ndarray:
-    """0-based level codes of column j (1-based) as an (n, 1) block."""
-    if not 1 <= j <= dataset.p:
-        raise IndexError(f"column {j} outside 1..{dataset.p}")
-    return dataset.column(j).astype(np.int64)[:, None] - 1
-
-
-def marginal_counts(dataset: NodeDataset, j: int):
-    """Exact tallies (n_y, n_j, n_yj) for column j (1-based)."""
-    dataset = validate(dataset)
-    xb0 = _column_codes(dataset, j)
-    k = int(dataset.k_levels[j - 1])
-    n_yj = tally_marginals(dataset._y0, xb0, dataset.r_levels, k)[0]
-    return n_yj.sum(axis=1), n_yj.sum(axis=0), n_yj
-
-
-def pair_counts(n_yj: np.ndarray):
-    """Ordered-pair tables (n_pairs_y, n_pairs_yj) from the joint marginals.
-
-    n_pairs_yj[r1, r2, k1, k2] = n_yj[r1, k1] * n_yj[r2, k2], minus
-    n_yj[r1, k1] on the diagonal cells (r1, k1) = (r2, k2) because a node
-    cannot pair with itself.
-    """
-    n_yj = np.asarray(n_yj, dtype=np.int64)
-    n_pairs_yj = block_pair_tables(n_yj[None])[0]
-    return n_pairs_yj.sum(axis=(2, 3)), n_pairs_yj
-
-
-def edge_counts(dataset: NodeDataset, j: int):
-    """Linked-pair tables (n_edges_y, n_edges_yj) for column j (1-based)."""
-    dataset = validate(dataset)
-    xb0 = _column_codes(dataset, j)
-    k = int(dataset.k_levels[j - 1])
-    n_edges_yj = tally_edges(dataset._y0, dataset._src0, dataset._dst0, xb0,
-                             dataset.r_levels, k)[0]
-    return n_edges_yj.sum(axis=(2, 3)), n_edges_yj
 
 
 # ---- blocked tallies over groups of same-width columns ----
@@ -154,15 +114,13 @@ def tally_adjacency(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
 
 
 def tally_edges(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
-                xb0: np.ndarray, r: int, k: int, adjacency=None) -> np.ndarray:
+                xb0: np.ndarray, r: int, k: int, adjacency) -> np.ndarray:
     """Linked-pair tallies, shape (B, R, R, k, k), from 0-based codes.
 
     Edges must be sorted by source (see the identity above). adjacency is
-    :func:`tally_adjacency` of these y0, src0 and dst0; pass it to reuse one
-    build across blocks, or leave it out to build it here.
+    :func:`tally_adjacency` of these y0, src0 and dst0, built once per edge
+    set and shared by every block.
     """
-    if adjacency is None:
-        adjacency = tally_adjacency(y0, src0, dst0, r)
     order, split = adjacency
     n, b = xb0.shape
     ends = np.cumsum(np.bincount(y0, minlength=r))

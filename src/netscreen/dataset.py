@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import ValidationError
 
+CODE_MAX = np.iinfo(np.int32).max  # codes are stored as int32
+
 
 @dataclass(frozen=True)
 class FeatureSet:
@@ -62,9 +64,6 @@ class FeatureSet:
         if isinstance(item, tuple):
             return tuple(item) in self.pairs
         return int(item) in self.mains
-
-    def intersection_size(self, other: "FeatureSet") -> int:
-        return len(set(self.keys()) & set(other.keys()))
 
 
 class NodeDataset:
@@ -120,14 +119,6 @@ class NodeDataset:
         """Levels of column j (1-based), values 1..K_j."""
         return self.x[:, j - 1]
 
-    def name_of(self, j: int) -> str:
-        if self.feature_names is not None:
-            return self.feature_names[j - 1]
-        if j in self.composite_pairs:
-            a, b = self.composite_pairs[j]
-            return f"{a}&{b}"
-        return str(j)
-
 
 def validate(dataset: NodeDataset) -> NodeDataset:
     """Check all invariants and return the canonical immutable dataset.
@@ -142,14 +133,14 @@ def validate(dataset: NodeDataset) -> NodeDataset:
     if y.ndim != 1 or y.shape[0] == 0:
         raise ValidationError("response vector must be 1-d and non-empty")
     if not np.issubdtype(y.dtype, np.integer):
-        if not np.all(y == np.floor(y)):
+        if not np.all(np.isfinite(y) & (y == np.floor(y))):
             raise ValidationError("response labels must be integers")
-    y = y.astype(np.int32)
     n = y.shape[0]
-    if y.min() < 1:
-        bad = int(np.argmin(y)) + 1
+    if y.min() < 1 or y.max() > CODE_MAX:
+        bad = int(np.argmin(y) if y.min() < 1 else np.argmax(y)) + 1
         raise ValidationError(
             f"response label {int(y[bad - 1])} at node {bad} outside 1..R")
+    y = y.astype(np.int32)
     r_obs = int(y.max())
     r_levels = dataset.r_levels if dataset.r_levels is not None else r_obs
     if r_levels < r_obs:
@@ -161,13 +152,23 @@ def validate(dataset: NodeDataset) -> NodeDataset:
     x = np.asarray(dataset.x)
     if x.ndim != 2 or x.shape[0] != n:
         raise ValidationError("feature matrix must be n x p")
-    x = np.asfortranarray(x, dtype=np.int32)
     p = x.shape[1]
+    if not np.issubdtype(x.dtype, np.integer):
+        whole = np.isfinite(x) & (x == np.floor(x))
+        if not whole.all():
+            j = int(np.argmin(whole.all(axis=0))) + 1
+            raise ValidationError(
+                f"feature labels must be integers in column {j}")
     col_min = x.min(axis=0) if p else np.empty(0, np.int32)
     col_max = x.max(axis=0) if p else np.empty(0, np.int32)
     if p and col_min.min() < 1:
         j = int(np.argmin(col_min)) + 1
         raise ValidationError(f"feature label below 1 in column {j}")
+    if p and col_max.max() > CODE_MAX:
+        j = int(np.argmax(col_max)) + 1
+        raise ValidationError(
+            f"feature label {int(col_max[j - 1])} in column {j} above {CODE_MAX}")
+    x = np.asfortranarray(x, dtype=np.int32)
     if dataset.k_levels is not None:
         k_levels = np.asarray(dataset.k_levels, dtype=np.int64)
         if k_levels.shape != (p,):
@@ -192,9 +193,12 @@ def validate(dataset: NodeDataset) -> NodeDataset:
         if loops.any():
             raise ValidationError(
                 f"self-loop at node {int(edges[loops][0, 0])}")
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        edges = edges[order]
-        dup = np.all(edges[1:] == edges[:-1], axis=1)
+        # src * (n + 1) + dst sorts as (src, dst) does; divmod inverts it
+        key = edges[:, 0] * (n + 1) + edges[:, 1]
+        key.sort()
+        edges = np.empty((key.size, 2), dtype=np.int64)
+        np.divmod(key, n + 1, out=(edges[:, 0], edges[:, 1]))
+        dup = key[1:] == key[:-1]
         if dup.any():
             s, t = edges[1:][dup][0]
             raise ValidationError(f"duplicate edge ({int(s)}, {int(t)})")
@@ -213,28 +217,3 @@ def validate(dataset: NodeDataset) -> NodeDataset:
         arr.flags.writeable = False
     out._validated = True
     return out
-
-
-def degree_filter(dataset: NodeDataset, min_degree: int) -> NodeDataset:
-    """Induced sub-dataset on nodes with total degree (in + out) >= min_degree.
-
-    Node indices are relabeled contiguously; edges with a removed endpoint
-    are dropped. Raises :class:`ValidationError` if nothing survives.
-    """
-    dataset = validate(dataset)
-    n = dataset.n
-    deg = (np.bincount(dataset._src0, minlength=n)
-           + np.bincount(dataset._dst0, minlength=n))
-    keep = deg >= min_degree
-    if not keep.any():
-        raise ValidationError(
-            f"degree filter {min_degree} removed every node")
-    if keep.all():
-        return dataset
-    new_id = np.cumsum(keep) - 1  # old 0-based -> new 0-based
-    emask = keep[dataset._src0] & keep[dataset._dst0]
-    edges = np.stack([new_id[dataset._src0[emask]] + 1,
-                      new_id[dataset._dst0[emask]] + 1], axis=1)
-    return validate(NodeDataset(
-        dataset.y[keep], dataset.x[keep], edges, dataset.feature_names,
-        dataset.r_levels, dataset.k_levels, dataset.composite_pairs))

@@ -79,8 +79,7 @@ def _clean_float(v):
 def _classify_on(dataset, kind, s_y, s_a, want_auc):
     spec = ClassifierSpec(kind, s_y=s_y, s_a=s_a)
     needed = set(s_y.pairs) | (set(s_a.pairs) if kind == "type3" else set())
-    have = set(dataset.composite_pairs.values())
-    missing = sorted(needed - have)
+    missing = sorted(needed - set(dataset.composite_pairs.values()))
     if missing:
         dataset = interaction_expand(dataset, missing)
     clf = fit(spec, dataset)
@@ -102,15 +101,12 @@ def run_replication(config: SimulationConfig, rep: int, seed: int, *,
         mode = "top" if truth.pairs else "none"
     want_auc = config.r_levels == 2
     rec = {"rep": rep}
+    screens = {"plr": plr_sis, "pc": pc_sis}
     for method in methods:
-        if method == "plr":
-            res = plr_sis(dataset, cutoff=cutoff, d=cutoff_d,
-                          alpha=cutoff_alpha, interactions=mode)
-        elif method == "pc":
-            res = pc_sis(dataset, cutoff=cutoff, d=cutoff_d,
-                         alpha=cutoff_alpha, interactions=mode)
-        else:
+        if method not in screens:
             raise ValidationError(f"unknown screening method {method!r}")
+        res = screens[method](dataset, cutoff=cutoff, d=cutoff_d,
+                              alpha=cutoff_alpha, interactions=mode)
         entry = {"selected": list(res.selected.keys()),
                  "d_hat": int(res.d_hat),
                  "degenerate": bool(res.degenerate)}
@@ -154,6 +150,17 @@ def _mean_se(values):
     return mean, se
 
 
+def _fit_summary(fits) -> dict:
+    """acc_mean and acc_se of classifier fits, and auc_mean when any fit
+    has an AUC."""
+    out = {}
+    out["acc_mean"], out["acc_se"] = _mean_se([f["acc"] for f in fits])
+    aucs = [f["auc"] for f in fits if f.get("auc") is not None]
+    if aucs:
+        out["auc_mean"], _ = _mean_se(aucs)
+    return out
+
+
 def _aggregate(records, config, methods, classify_true):
     truth = config.true_features()
     metrics = {}
@@ -161,13 +168,9 @@ def _aggregate(records, config, methods, classify_true):
         sels = [FeatureSet.from_keys(r[method]["selected"]) for r in records]
         rep_metrics = screening_metrics(sels, truth)
         entry = rep_metrics.to_dict()
-        accs = [r[method]["acc"] for r in records if "acc" in r[method]]
-        if accs:
-            entry["acc_mean"], entry["acc_se"] = _mean_se(accs)
-            aucs = [r[method]["auc"] for r in records
-                    if r[method].get("auc") is not None]
-            if aucs:
-                entry["auc_mean"], _ = _mean_se(aucs)
+        fitted = [r[method] for r in records if "acc" in r[method]]
+        if fitted:
+            entry.update(_fit_summary(fitted))
         if method == "plr":
             margins = [r[method] for r in records
                        if "min_true_score" in r[method]]
@@ -178,16 +181,8 @@ def _aggregate(records, config, methods, classify_true):
         metrics[method] = entry
     true_fit = None
     if classify_true:
-        true_fit = {}
-        for kind in classify_true:
-            accs = [r["true_fit"][kind]["acc"] for r in records]
-            mean, se = _mean_se(accs)
-            entry = {"acc_mean": mean, "acc_se": se}
-            aucs = [r["true_fit"][kind]["auc"] for r in records
-                    if r["true_fit"][kind]["auc"] is not None]
-            if aucs:
-                entry["auc_mean"], _ = _mean_se(aucs)
-            true_fit[kind] = entry
+        true_fit = {kind: _fit_summary([r["true_fit"][kind] for r in records])
+                    for kind in classify_true}
     return metrics, true_fit
 
 
@@ -209,13 +204,8 @@ def experiment(config, *, n: int | None = None, p: int | None = None,
         config = example_config(config, n=n or 300, p=p or 400, model=model,
                                 seed=seed)
     else:
-        updates = {}
-        if n is not None:
-            updates["n"] = n
-        if p is not None:
-            updates["p"] = p
-        if updates:
-            config = replace(config, **updates)
+        config = replace(config, n=config.n if n is None else n,
+                         p=config.p if p is None else p)
     if m_reps < 1:
         raise ValidationError("need at least one replication")
     options = {"methods": tuple(methods), "interactions": interactions,

@@ -128,10 +128,9 @@ def _read_table(path):
 
 
 def _read_csv_columns(path):
-    """(header, columns) where each column is int64, float64, or a mapped
-    string column. Returns (header, columns, level_maps dict); columns is
-    the transposed int64 matrix when every cell is an integer, else a list
-    of arrays."""
+    """(header, columns, level_maps): columns is the transposed int64 matrix
+    when every cell is an integer, else a list of int64, float64 or mapped
+    label columns, with the label-to-code maps in level_maps."""
     header, data = _read_table(path)
     if isinstance(data, np.ndarray):
         return header, data.T, {}

@@ -245,8 +245,6 @@ def _apply_cutoff(sorted_scores, p_sorted, cutoff, d, alpha, search_cap, n):
     raise ValidationError(f"unknown cutoff {cutoff!r}")
 
 
-
-
 # ---- statistics ----
 # Each maps (dataset, cols) -- cols 1-based, int64 -- to (raw, chi2, df,
 # rank_by, fields): the per-column statistic, its chi-square reference value
@@ -304,6 +302,8 @@ def _screen(method, statistic, dataset, *, cutoff, d, alpha, seed,
     dataset = validate(dataset)
     if interactions not in ("none", "top", "all"):
         raise ValidationError(f"unknown interactions mode {interactions!r}")
+    if perms < 0:
+        raise ValidationError("perms must be nonnegative")
     stage1 = None
     if interactions != "none":
         if columns is not None:

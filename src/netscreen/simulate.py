@@ -139,12 +139,10 @@ def _recipe_width(recipe: dict, config: SimulationConfig) -> int:
         return 2
     if kind == "uniform":
         return int(recipe["k"])
-    if kind == "cond_y":
+    if kind in ("cond_y", "cond_x"):
         return len(recipe["table"][0])
     if kind == "cond_yx":
         return len(recipe["table"][0][0])
-    if kind == "cond_x":
-        return len(recipe["table"][0])
     if kind == "normal":
         return config.bins
     raise ValidationError(f"unknown column recipe kind {kind!r}")
@@ -180,25 +178,21 @@ def check_config(config: SimulationConfig) -> None:
             raise ValidationError(
                 f"column {j} conditions on the response, which the "
                 "logistic model generates last")
-        if kind in ("cond_yx", "cond_x"):
-            parent = int(recipe["parent"])
-            if not 1 <= parent < j:
-                raise ValidationError(
-                    f"column {j} needs a parent with smaller index, got {parent}")
-            pw = config.column_width(parent)
+        if kind in ("cond_y", "cond_yx", "cond_x"):
+            # table rows are indexed by the response, the parent's level,
+            # or both, and hold the column's level probabilities
+            want = (config.r_levels,) if kind != "cond_x" else ()
+            if kind != "cond_y":
+                parent = int(recipe["parent"])
+                if not 1 <= parent < j:
+                    raise ValidationError(f"column {j} needs a parent with "
+                                          f"smaller index, got {parent}")
+                want += (config.column_width(parent),)
+            want += (width,)
             table = np.asarray(recipe["table"], dtype=np.float64)
-            want = (config.r_levels, pw, width) if kind == "cond_yx" \
-                else (pw, width)
             if table.shape != want:
                 raise ValidationError(
                     f"column {j} table shape {table.shape} != {want}")
-            _check_prob_rows(table, f"column {j}")
-        elif kind == "cond_y":
-            table = np.asarray(recipe["table"], dtype=np.float64)
-            if table.shape != (config.r_levels, width):
-                raise ValidationError(
-                    f"column {j} table shape {table.shape} != "
-                    f"{(config.r_levels, width)}")
             _check_prob_rows(table, f"column {j}")
         elif kind == "bern":
             if not 0.0 <= float(recipe["p"]) <= 1.0:
@@ -265,7 +259,7 @@ def _sample_rows(rng, probs: np.ndarray, row_index: np.ndarray) -> np.ndarray:
     return (u[:, None] > cdf[row_index]).sum(axis=1).astype(np.int32) + 1
 
 
-def _draw_column(recipe, config, rng, j, y0, x):
+def _draw_column(recipe, config, rng, y0, x):
     """(codes 1..K, raw-or-None) for one column; x holds earlier columns."""
     kind = recipe["kind"]
     n = config.n
@@ -298,37 +292,35 @@ def _draw_column(recipe, config, rng, j, y0, x):
     raise ValidationError(f"unknown column recipe kind {kind!r}")
 
 
+def _draw_columns(config: SimulationConfig, entropy: tuple, y0):
+    """(x codes, raw columns) of every column, each from its own stream."""
+    x = np.empty((config.n, config.p), dtype=np.int32, order="F")
+    raw = {}
+    for j in range(1, config.p + 1):
+        rng = _stream(entropy, _STREAM_COLUMN, j)
+        codes, raw_j = _draw_column(config.recipe(j), config, rng, y0, x)
+        x[:, j - 1] = codes
+        if raw_j is not None:
+            raw[j] = raw_j
+    return x, raw
+
+
 def gen_nnb(config: SimulationConfig, seed=None):
     """Response-first sampler: (y, x codes, raw continuous columns)."""
     check_config(config)
     entropy = _entropy(config.seed if seed is None else seed)
-    n, p, r = config.n, config.p, config.r_levels
-    y0 = _stream(entropy, _STREAM_RESPONSE).integers(0, r, n)
-    y = (y0 + 1).astype(np.int32)
-    x = np.empty((n, p), dtype=np.int32, order="F")
-    raw = {}
-    for j in range(1, p + 1):
-        rng = _stream(entropy, _STREAM_COLUMN, j)
-        codes, raw_j = _draw_column(config.recipe(j), config, rng, j, y0, x)
-        x[:, j - 1] = codes
-        if raw_j is not None:
-            raw[j] = raw_j
-    return y, x, raw
+    y0 = _stream(entropy, _STREAM_RESPONSE).integers(
+        0, config.r_levels, config.n)
+    x, raw = _draw_columns(config, entropy, y0)
+    return (y0 + 1).astype(np.int32), x, raw
 
 
 def gen_nlr(config: SimulationConfig, seed=None):
     """Feature-first sampler with a logistic 2-level response."""
     check_config(config)
     entropy = _entropy(config.seed if seed is None else seed)
-    n, p = config.n, config.p
-    x = np.empty((n, p), dtype=np.int32, order="F")
-    raw = {}
-    for j in range(1, p + 1):
-        rng = _stream(entropy, _STREAM_COLUMN, j)
-        codes, raw_j = _draw_column(config.recipe(j), config, rng, j, None, x)
-        x[:, j - 1] = codes
-        if raw_j is not None:
-            raw[j] = raw_j
+    n = config.n
+    x, raw = _draw_columns(config, entropy, None)
     logits = np.zeros(n)
     for cols, coef in config.response["terms"]:
         term = np.ones(n)
@@ -430,10 +422,7 @@ def generate(config: SimulationConfig, seed=None):
     """
     check_config(config)
     entropy = _entropy(config.seed if seed is None else seed)
-    if config.model == "nnb":
-        y, x, raw = gen_nnb(config, entropy)
-    else:
-        y, x, raw = gen_nlr(config, entropy)
+    y, x, raw = (gen_nnb if config.model == "nnb" else gen_nlr)(config, entropy)
     edges = gen_network(y, x, config, entropy)
     if config.noise is not None:
         keep, add = noise_rates(config.n, float(config.noise["s"]))

@@ -121,6 +121,15 @@ def test_cutoff_arguments(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_screen_rejects_negative_perms(tmp_path, capsys):
+    d = simulate_dir(tmp_path)
+    assert main(["screen", "--nodes", str(d / "nodes.csv"),
+                 "--edges", str(d / "edges.csv"), "--perms", "-2",
+                 "--out", str(tmp_path / "s.json")]) == 3
+    assert "perms must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_degenerate_data_exits_4(tmp_path, capsys):
     # a declared response level with no nodes kills the reference fit
     y = np.array([1, 2, 1, 2, 1, 2])

@@ -3,9 +3,8 @@ import pytest
 
 from netscreen import NodeDataset, counts, validate
 from netscreen.counts import (
-    class_adjacency, edge_counts, marginal_counts, neighbour_tallies,
-    pair_counts, response_pair_tables, tally_adjacency, tally_edges,
-    tally_marginals,
+    block_pair_tables, class_adjacency, neighbour_tallies,
+    response_pair_tables, tally_adjacency, tally_edges, tally_marginals,
 )
 
 from oracles import oracle_counts, random_instance
@@ -23,17 +22,23 @@ def test_marginal_and_edge_counts_match_oracle():
         y, x, edges, r, k = random_instance(rng)
         ds = as_dataset(y, x, edges, r, k)
         want = oracle_counts(y, x[:, 0], edges, r, k)
-        n_y, n_j, n_yj = marginal_counts(ds, 1)
-        assert np.array_equal(n_y, want["n_y"])
-        assert np.array_equal(n_j, want["n_j"])
+        y0, src0, dst0 = ds._y0, ds._src0, ds._dst0
+        xb0 = ds.x.astype(np.int64) - 1
+        n_yj = tally_marginals(y0, xb0, r, k)[0]
+        assert np.array_equal(n_yj.sum(axis=1), want["n_y"])
+        assert np.array_equal(n_yj.sum(axis=0), want["n_j"])
         assert np.array_equal(n_yj, want["n_yj"])
-        e_y, e_yj = edge_counts(ds, 1)
+        e_yj = tally_edges(y0, src0, dst0, xb0, r, k,
+                           tally_adjacency(y0, src0, dst0, r))[0]
+        e_y = e_yj.sum(axis=(2, 3))
         assert np.array_equal(e_y, want["n_edges_y"])
         assert np.array_equal(e_yj, want["n_edges_yj"])
         # every refined table collapses back to its coarse counterpart
-        pairs_y, pairs_yj = pair_counts(n_yj)
+        n_y, pairs_y, edges_y = response_pair_tables(y0, src0, dst0, r)
+        pairs_yj = block_pair_tables(n_yj[None])[0]
+        assert np.array_equal(n_yj.sum(axis=1), n_y)
         assert np.array_equal(pairs_yj.sum(axis=(2, 3)), pairs_y)
-        assert np.array_equal(e_yj.sum(axis=(2, 3)), e_y)
+        assert np.array_equal(e_y, edges_y)
         assert pairs_y.sum() == len(y) * (len(y) - 1)
         assert e_y.sum() == len(edges)
 
@@ -45,9 +50,9 @@ def test_pair_counts_product_identity():
         y, x, edges, r, k = random_instance(rng)
         ds = as_dataset(y, x, edges, r, k)
         want = oracle_counts(y, x[:, 0], edges, r, k)
-        _, _, n_yj = marginal_counts(ds, 1)
-        n_pairs_y, n_pairs_yj = pair_counts(n_yj)
-        assert np.array_equal(n_pairs_y, want["n_pairs_y"])
+        n_yj = tally_marginals(ds._y0, ds.x.astype(np.int64) - 1, r, k)[0]
+        n_pairs_yj = block_pair_tables(n_yj[None])[0]
+        assert np.array_equal(n_pairs_yj.sum(axis=(2, 3)), want["n_pairs_y"])
         assert np.array_equal(n_pairs_yj, want["n_pairs_yj"])
 
 
@@ -74,7 +79,8 @@ def test_blocked_tallies_equal_per_column_counts():
     ds = as_dataset(y.astype(np.int32), x, edges, r, k)
     xb0 = ds.x.astype(np.int64) - 1  # (n, p) 0-based codes
     marg = tally_marginals(ds._y0, xb0, r, k)
-    edge = tally_edges(ds._y0, ds._src0, ds._dst0, xb0, r, k)
+    edge = tally_edges(ds._y0, ds._src0, ds._dst0, xb0, r, k,
+                       tally_adjacency(ds._y0, ds._src0, ds._dst0, r))
     assert marg.shape == (p, r, k)
     assert edge.shape == (p, r, r, k, k)
     assert edge.dtype == np.int64
@@ -110,9 +116,9 @@ def test_tally_edges_matches_oracle_across_shapes(r, k):
                  if s != t and rng.uniform() < density]
         ds = as_dataset(y, x, edges, r, k)
         y0, src0, dst0 = ds._y0, ds._src0, ds._dst0
-        block = tally_edges(y0, src0, dst0, xb0, r, k)
-        assert block.shape == (3, r, r, k, k)
         adjacency = tally_adjacency(y0, src0, dst0, r)
+        block = tally_edges(y0, src0, dst0, xb0, r, k, adjacency)
+        assert block.shape == (3, r, r, k, k)
         halves = np.concatenate([
             tally_edges(y0, src0, dst0, xb0[:, :2], r, k, adjacency),
             tally_edges(y0, src0, dst0, xb0[:, 2:], r, k, adjacency)])
@@ -124,7 +130,7 @@ def test_tally_edges_matches_oracle_across_shapes(r, k):
             tally_adjacency(y0, src0[both], dst0[both], r))
         for c in range(3):
             want = oracle_counts(y, x[:, c], edges, r, k)["n_edges_yj"]
-            alone = tally_edges(y0, src0, dst0, xb0[:, [c]], r, k)
+            alone = tally_edges(y0, src0, dst0, xb0[:, [c]], r, k, adjacency)
             assert np.array_equal(block[c], want)
             assert np.array_equal(alone[0], want)
             assert np.array_equal(halves[c], want)
@@ -198,7 +204,8 @@ def test_counts_ignore_declared_but_unseen_levels():
     x = np.array([[1], [2], [2], [1]])
     ds = validate(NodeDataset(y=y, x=x, edges=np.array([[1, 2]]),
                               k_levels=[4]))
-    _, _, n_yj = marginal_counts(ds, 1)
+    n_yj = tally_marginals(ds._y0, ds.x.astype(np.int64) - 1, ds.r_levels,
+                           int(ds.k_levels[0]))[0]
     assert n_yj.shape == (2, 4)
     assert n_yj[:, 2:].sum() == 0
     assert n_yj.sum() == 4

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from netscreen import (
-    FeatureSet, NodeDataset, ValidationError, degree_filter, validate,
-)
+from netscreen import FeatureSet, NodeDataset, ValidationError, validate
+from netscreen.dataset import CODE_MAX
 
 
 def small_dataset(**overrides):
@@ -46,11 +45,6 @@ class TestFeatureSet:
     def test_duplicates_rejected(self):
         with pytest.raises(ValidationError):
             FeatureSet((1, 1))
-
-    def test_intersection_size(self):
-        a = FeatureSet((1, 2), ((3, 4),))
-        b = FeatureSet((2, 5), ((3, 4), (1, 2)))
-        assert a.intersection_size(b) == 2
 
     def test_len(self):
         assert len(FeatureSet((1, 2), ((3, 4),))) == 3
@@ -132,31 +126,74 @@ class TestValidate:
         assert ds.column(1).tolist() == [1, 2, 1, 2, 1]
         assert ds.column(2).tolist() == [2, 1, 1, 2, 2]
 
-    def test_names(self):
-        ds = validate(small_dataset(feature_names=("age", "tag")))
-        assert ds.name_of(1) == "age"
-        assert ds.name_of(2) == "tag"
-        ds2 = validate(small_dataset())
-        assert ds2.name_of(2) == "2"
+    def test_rejects_non_integer_feature_codes(self):
+        y = np.array([1, 2, 1, 2])
+        no_edges = np.empty((0, 2), dtype=np.int64)
+        for bad in (1.7, np.nan, np.inf):
+            x = np.array([[1.0, 1.0], [2.0, 2.0], [1.0, 1.0], [2.0, bad]])
+            with pytest.raises(ValidationError,
+                               match="must be integers in column 2"):
+                validate(NodeDataset(y=y, x=x, edges=no_edges))
+        x = np.array([[1.7], [2.2], [1.0], [2.9]])
+        with pytest.raises(ValidationError, match="column 1"):
+            validate(NodeDataset(y=y, x=x, edges=no_edges))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValidationError, match="must be integers"):
+                validate(NodeDataset(y=np.array([1.0, 2.0, bad, 1.0]),
+                                     x=np.ones((4, 1)), edges=no_edges))
+        ds = validate(NodeDataset(y=y.astype(float), x=np.array(
+            [[1.0], [2.0], [2.0], [1.0]]), edges=no_edges))
+        assert ds.x.dtype == np.int32 and ds.x[:, 0].tolist() == [1, 2, 2, 1]
+        assert ds.y.tolist() == [1, 2, 1, 2]
 
+    def test_rejects_codes_beyond_int32(self):
+        y = np.array([1, 2, 1, 2], dtype=np.int64)
+        x = np.array([[1, 1], [2, 2], [1, 2], [2, 2]], dtype=np.int64)
+        no_edges = np.empty((0, 2), dtype=np.int64)
+        wide = x.copy()
+        wide[2, 1] = 2 ** 32 + 1  # int32 would wrap it to 1
+        with pytest.raises(ValidationError,
+                           match=f"label {2 ** 32 + 1} in column 2 above"):
+            validate(NodeDataset(y=y, x=wide, edges=no_edges))
+        big_y = y.copy()
+        big_y[1] = 2 ** 32 + 2  # int32 would wrap it to 2
+        with pytest.raises(ValidationError,
+                           match=f"label {2 ** 32 + 2} at node 2 outside"):
+            validate(NodeDataset(y=big_y, x=x, edges=no_edges))
+        with pytest.raises(ValidationError, match="column 1"):
+            validate(NodeDataset(y=y, x=x.astype(float) * [2.0 ** 40, 1],
+                                 edges=no_edges))
+        # the largest int32 code still passes
+        wide[2, 1] = CODE_MAX
+        assert validate(NodeDataset(y=y, x=wide, edges=no_edges)
+                        ).k_levels.tolist() == [2, CODE_MAX]
 
-class TestDegreeFilter:
-    def test_keeps_connected_nodes(self):
-        # node 3 has degree 1, node 5 degree 1; min_degree=2 keeps 1, 2, 4
-        ds = validate(small_dataset())
-        out = degree_filter(ds, 2)
-        assert out.n == 3
-        assert out.y.tolist() == [1, 2, 2]
-        # surviving edges relabeled: (1,2) -> (1,2), (4,1) -> (3,1)
-        assert out.edges.tolist() == [[1, 2], [3, 1]]
-
-    def test_noop_when_all_pass(self):
-        ds = validate(small_dataset())
-        out = degree_filter(ds, 0)
-        assert out.n == ds.n
-        assert out.n_edges == ds.n_edges
-
-    def test_error_when_all_dropped(self):
-        ds = validate(small_dataset())
-        with pytest.raises(ValidationError):
-            degree_filter(ds, 99)
+    def test_sorted_edges_match_lexsort_on_shuffled_input(self):
+        rng = np.random.default_rng(17)
+        for n in (2, 3, 9, 40, 200):
+            y = np.concatenate([[1, 2], rng.integers(1, 3, n - 2)])
+            src, dst = np.divmod(
+                rng.choice(n * n, size=min(n * n, 600), replace=False), n)
+            edges = np.column_stack([src, dst]) + 1
+            edges = edges[edges[:, 0] != edges[:, 1]]
+            # both extreme node ids at both ends of some edge
+            extremes = np.array([[1, n], [n, 1]])
+            edges = np.vstack([edges[~(edges[:, None] == extremes).all(
+                axis=2).any(axis=1)], extremes])
+            edges = edges[rng.permutation(len(edges))]
+            ds = validate(NodeDataset(y=y, x=np.ones((n, 1), dtype=int),
+                                      edges=edges))
+            want = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+            assert np.array_equal(ds.edges, want)
+            assert np.array_equal(ds._src0, want[:, 0] - 1)
+            assert np.array_equal(ds._dst0, want[:, 1] - 1)
+            # with two edges repeated, the first in sorted order is named
+            twice = edges[rng.choice(len(edges), size=2, replace=False)]
+            first = twice[np.lexsort((twice[:, 1], twice[:, 0]))][0]
+            dup = np.vstack([edges, twice[::-1]])
+            dup = dup[rng.permutation(len(dup))]
+            with pytest.raises(
+                    ValidationError,
+                    match=rf"duplicate edge \({first[0]}, {first[1]}\)"):
+                validate(NodeDataset(y=y, x=np.ones((n, 1), dtype=int),
+                                     edges=dup))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from netscreen import NodeDataset, ValidationError, validate
-from netscreen.counts import marginal_counts
+from netscreen.counts import tally_marginals
 from netscreen.plr import chi2_tail
 from netscreen.screening import (
     discretize, feature_key, hard_cutoff, interaction_expand,
@@ -13,6 +13,13 @@ from netscreen.screening import (
 from netscreen.simulate import example_config, generate
 
 from oracles import oracle_pearson, random_instance
+
+
+def joint_tally(ds, j):
+    """(R, K_j) tally of response level by level of column j (1-based)."""
+    xb0 = ds.column(j).astype(np.int64)[:, None] - 1
+    return tally_marginals(ds._y0, xb0, ds.r_levels,
+                           int(ds.k_levels[j - 1]))[0]
 
 
 def as_dataset(y, x, edges, r, k):
@@ -100,12 +107,13 @@ def test_interaction_expand_codes_and_keys():
     assert out.k_levels[2] == 4
     assert feature_key(out, 3) == "1&2"
     # joint tally of the sources equals the marginal tally of the composite
-    _, _, joint = marginal_counts(ds, 1)
-    n3 = marginal_counts(out, 3)[2]
+    n3 = joint_tally(out, 3)
     y_by_12 = np.zeros((2, 4), dtype=np.int64)
     for yi, a, b in zip(y, x[:, 0], x[:, 1]):
         y_by_12[yi - 1, (a - 1) * 2 + (b - 1)] += 1
     assert np.array_equal(n3, y_by_12)
+    # summed over the second source's levels, it is the first source's tally
+    assert np.array_equal(n3.reshape(2, 2, 2).sum(axis=2), joint_tally(ds, 1))
 
 
 def test_interaction_expand_rejects_bad_pairs():
@@ -127,7 +135,7 @@ def test_composite_marginal_equals_joint_tally():
     rng = np.random.default_rng(31)
     ds = random_wide(rng, n=30, p=3, k=3)
     out = interaction_expand(ds, [(1, 3)])
-    _, _, njoint = marginal_counts(out, 4)
+    njoint = joint_tally(out, 4)
     manual = np.zeros((2, 9), dtype=np.int64)
     for yi, a, b in zip(ds.y, ds.column(1), ds.column(3)):
         manual[yi - 1, (a - 1) * 3 + (b - 1)] += 1
@@ -267,6 +275,12 @@ def test_permutation_ranking_path():
     assert res.p_perm is not None and res.p_perm.shape == (3,)
     again = plr_sis(ds, perms=19, seed=4, cutoff="hard", d=2)
     assert np.array_equal(res.p_perm, again.p_perm)
+
+
+def test_negative_perms_rejected():
+    ds = random_wide(np.random.default_rng(37), n=30, p=3)
+    with pytest.raises(ValidationError, match="perms must be nonnegative"):
+        plr_sis(ds, perms=-2)
 
 
 def test_mixed_widths_rank_by_tail_probability():
