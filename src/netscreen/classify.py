@@ -14,10 +14,17 @@ is finite. Predictions condition on the responses of all labeled nodes
 except the node being predicted; parameter tables come from the fitted
 sample. Ties go to the smallest level.
 
-Link terms read each target's labeled neighbours, out of it and into it, by
-(response, level) from :func:`counts.neighbour_tallies`; absent links are
-the labeled census of each cell minus those. type2 reads a constant width-1
-column, type3 each link feature.
+Link terms are linear in a target's labeled neighbours, out of it and into
+it, counted by (response, level): each neighbour adds its edge cell, every
+other labeled node its absent-link ("gap") cell. So the gap terms are the
+labeled census dotted with the gap cells, once per column and target level,
+less the target's own cell when it is labeled; the neighbour counts enter
+through edge-minus-gap weights. The last level's count is the degree minus
+the inner ones, so it is folded into the weights and never counted per node.
+type3 reads the inner counts of a block of equal-width link columns from one
+product of :func:`counts.neighbour_adjacency` with the block's level
+indicators, in float32 while that is exact, and contracts them in float64;
+type2 is the width-1 case, which needs the degrees alone.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counts import (block_pair_tables, class_adjacency, neighbour_tallies,
+from .counts import (block_pair_tables, neighbour_adjacency, product_dtype,
                      response_pair_tables, tally_adjacency, tally_edges,
                      tally_marginals)
 from .dataset import FeatureSet, NodeDataset, validate
@@ -34,6 +41,7 @@ from .errors import ValidationError
 from .plr import width_blocks
 
 KINDS = ("type1", "type2", "type3")
+CHUNK_CELLS = 2 ** 17  # link terms per target chunk: 1 MB of float64
 
 
 @dataclass(frozen=True)
@@ -183,55 +191,78 @@ def predict_scores(clf: NetworkClassifier, dataset: NodeDataset,
     if clf.spec.kind == "type1":
         return scores
 
-    # labeled-neighbour tallies: out of each node over the edges into labeled
-    # nodes, into it over the transposed edges from labeled nodes
-    y0, src0, dst0 = dataset._y0, dataset._src0, dataset._dst0
-    mask = clf.train_mask
-    to_known, from_known = mask[dst0], mask[src0]
-    out_adj = class_adjacency(src0[to_known], dst0[to_known],
-                              y0[dst0[to_known]], n, r)
-    in_adj = [(adj.T, adj.sum(axis=0)) for adj, _ in class_adjacency(
-        src0[from_known], dst0[from_known], y0[src0[from_known]], n, r)]
-    known_t = mask[t0]
-
-    def at_targets(x0, k):
-        """Labeled neighbours out of and into each target, and the labeled
-        census less the target, by (response, level of x0): (targets, R*k)."""
-        xb0 = x0[:, None]
-        self_cell = np.zeros((t0.size, r, k))
-        self_cell[np.arange(t0.size)[known_t], y0[t0[known_t]],
-                  x0[t0[known_t]]] = 1.0
-        cnt = tally_marginals(y0[mask], xb0[mask], r, k)[0] - self_cell
-        return (neighbour_tallies(out_adj, xb0, k)[t0].reshape(t0.size, -1),
-                neighbour_tallies(in_adj, xb0, k)[t0].reshape(t0.size, -1),
-                cnt.reshape(t0.size, -1))
-
-    # type2 reads a constant width-1 column
-    out_e, in_e, cnt = at_targets(np.zeros(n, dtype=np.int64), 1)
-    scores += out_e @ clf.log_pi0.T + in_e @ clf.log_pi0
-    scores += (cnt - out_e) @ clf.log_gap0.T + (cnt - in_e) @ clf.log_gap0
+    # every target's labeled neighbours by direction and class (rows of
+    # nbrs); shared holds their counts, a one and the own-cell indicator
+    y0, mask = dataset._y0, clf.train_mask
+    nbrs = neighbour_adjacency(y0, dataset._src0, dataset._dst0, mask, t0, r,
+                               product_dtype(n))
+    own = np.zeros((t0.size, r))
+    own[mask[t0], y0[t0[mask[t0]]]] = 1.0
+    shared = np.column_stack([np.diff(nbrs.indptr).reshape(-1, 2 * r),
+                              np.ones(t0.size), own])
+    census = np.bincount(y0[mask], minlength=r)[None, :, None]
+    scores += shared @ _link_weights(clf.log_pi0[None, :, :, None, None],
+                                     clf.log_gap0[None, :, :, None, None],
+                                     census)[0]
     if clf.spec.kind == "type2":
         return scores
 
-    for col in clf.cols_a:
-        k = clf.k_widths[col]
-        x0 = dataset.column(col).astype(np.int64) - 1
-        out_e, in_e, cnt = at_targets(x0, k)
-        out_g, in_g = cnt - out_e, cnt - in_e
-        de, dg = clf.dlog_edge[col], clf.dlog_gap[col]
-        for lev in range(k):
-            sel = np.flatnonzero(x0[t0] == lev)
-            if not sel.size:
-                continue
-            # target as source: table[r, r2, lev, k2]
-            a_e = de[:, :, lev, :].reshape(r, r * k)
-            a_g = dg[:, :, lev, :].reshape(r, r * k)
-            # target as destination: table[r2, r, k2, lev]
-            b_e = de.transpose(1, 0, 3, 2)[:, :, lev, :].reshape(r, r * k)
-            b_g = dg.transpose(1, 0, 3, 2)[:, :, lev, :].reshape(r, r * k)
-            scores[sel] += (out_e[sel] @ a_e.T + out_g[sel] @ a_g.T
-                            + in_e[sel] @ b_e.T + in_g[sel] @ b_g.T)
+    cols = np.asarray(clf.cols_a, dtype=np.int64)
+    for k, part in width_blocks(dataset.k_levels[cols - 1], r):
+        block = cols[part]
+        xb0 = dataset.x[:, block - 1].astype(np.int64) - 1
+        weights = _link_weights(
+            np.stack([clf.dlog_edge[col] for col in block.tolist()]),
+            np.stack([clf.dlog_gap[col] for col in block.tolist()]),
+            tally_marginals(y0[mask], xb0[mask], r, k))
+        inner = weights.shape[1] - shared.shape[1]
+        # inner level indicators, laid out (node, column, level)
+        lev = (xb0[:, :, None] == np.arange(k - 1)).astype(nbrs.dtype)
+        lev = lev.reshape(n, -1)
+        at = xb0[t0]  # each target's own level
+        # targets in chunks, so that every temporary stays a few MB
+        step = max(1, CHUNK_CELLS // weights[:, 0].size)
+        for lo in range(0, t0.size, step):
+            rows = slice(lo, min(lo + step, t0.size))
+            m = rows.stop - lo
+            # (column, target, direction and class, level), in float64
+            hits = (nbrs[2 * r * lo:2 * r * rows.stop] @ lev).reshape(
+                m, 2 * r, block.size, k - 1).transpose(2, 0, 1, 3)
+            hits = hits.astype(np.float64, order="C").reshape(block.size, m, -1)
+            terms = np.matmul(shared[rows], weights[:, inner:])
+            terms += np.matmul(hits, weights[:, :inner])
+            # each target's terms at its own level of each column
+            pick = (np.arange(block.size)[:, None] * m + np.arange(m)) * k \
+                + at[rows].T
+            scores[rows] += terms.reshape(-1, r)[pick].sum(axis=0)
     return scores
+
+
+def _link_weights(edge, gap, census):
+    """Weights (B, 2R (k-1) + 3R + 1, k R) of a block's link features.
+
+    edge, gap: (B, R, R, k, k) log-probability tables [c, source class,
+    destination class, source level, destination level] of linked and
+    unlinked pairs, for type3 less the response-only ones. census: (B, R, k)
+    labeled tallies. A target's features, per column, are its labeled
+    neighbours at each inner level, out of it and into it by class; then its
+    labeled neighbours by direction and class, a one, and the indicator of
+    its own labeled cell. Their dot product with the weights at the target's
+    level l and response h is its link score in that column.
+    """
+    b, r, _, k, _ = edge.shape
+    # axes [c, r2, m, l, h]: neighbour class r2 at level m, target level l,
+    # target response h; the target is the source, then the destination
+    out, into = (0, 2, 4, 3, 1), (0, 1, 3, 4, 2)
+    diff = edge - gap
+    link = np.stack([diff.transpose(out), diff.transpose(into)], axis=1)
+    link = link.reshape(b, 2 * r, k, k, r)
+    gaps = gap.transpose(out) + gap.transpose(into)
+    return np.concatenate([
+        (link[:, :, :-1] - link[:, :, -1:]).reshape(b, -1, k, r),
+        link[:, :, -1],
+        np.einsum("crm,crmlh->clh", census, gaps)[:, None],
+        -np.einsum("crllh->crlh", gaps)], axis=1).reshape(b, -1, k * r)
 
 
 def predict(clf: NetworkClassifier, dataset: NodeDataset,

@@ -25,15 +25,13 @@ from scipy import sparse
 #
 # Edge tallies: class_adjacency splits an edge list by the response class
 # r2 of each edge's neighbour endpoint into sparse matrices A_{r2}, with
-# their row sums (degrees). neighbour_tallies counts each node's neighbours
-# of class r2 at each level of each column, T[i, r2, l, c] = (A_{r2}
-# I_{l,c})[i], where I_{l,c} indicates the nodes at level l of column c: one
-# sparse-dense product per class covers all B columns and every level but
-# the last, which is the degree minus the others. The classifier reads T per
-# target, out of it and, through the transposed adjacency, into it. The CSR
-# adjacency is read straight off the edge arrays, which requires them to be
-# sorted by source; validate() guarantees that, and any subset of its edges
-# keeps the order.
+# their row sums (degrees). Each node's neighbours of class r2 at each level
+# of each column are T[i, r2, l, c] = (A_{r2} I_{l,c})[i], where I_{l,c}
+# indicates the nodes at level l of column c: one sparse-dense product per
+# class covers all B columns and every level but the last, which is the
+# degree minus the others. The CSR adjacency is read straight off the edge
+# arrays, which requires them to be sorted by source; validate() guarantees
+# that, and any subset of its edges keeps the order.
 #
 # tally_edges takes the neighbour to be the destination and sums over the
 # sources of class r1 at level l:
@@ -50,14 +48,27 @@ from scipy import sparse
 #     all cells:     the class-pair edge total, sum of deg_{r2} over class r1,
 # so the last row, the last column and the corner are differences, and the
 # last level is never written out per node. Products run in float32 when
-# n < FLOAT32_EXACT_N = 2^24: each entry of T is an integer no larger than
-# n-1, so float32 holds it and every partial sum of its row exactly.
+# n < FLOAT32_EXACT_N = 2^24 (product_dtype): each entry of T is an integer
+# no larger than n-1, so float32 holds it and every partial sum of its row
+# exactly.
 # Reductions over nodes run in float64, whose integer range (2^53) covers the
 # edge count. A block of B columns of width k then costs O((k-1) B |E|) for
 # the products plus O(R (k-1)^2 B n) for the reductions; the adjacency costs
 # O(R (|E| + n)) once per edge set. All tables come back as exact int64.
+#
+# The classifier needs T at its targets only, out of each target and into
+# it, over the neighbours it knows the responses of. neighbour_adjacency
+# stacks those 2R class-split adjacencies, restricted to the target rows,
+# into one CSR matrix, so one product per block gives every target's inner
+# level counts in both directions, and its row lengths are the degrees.
 
 FLOAT32_EXACT_N = 2 ** 24  # float32 holds every integer up to this bound
+
+
+def product_dtype(n: int):
+    """Entry type of adjacency products over n nodes: float32 while exact."""
+    return np.float32 if n < FLOAT32_EXACT_N else np.float64
+
 
 def tally_marginals(y0: np.ndarray, xb0: np.ndarray, r: int, k: int) -> np.ndarray:
     """Joint (response, level) tallies, shape (B, R, k), from 0-based codes."""
@@ -84,18 +95,23 @@ def class_adjacency(src0: np.ndarray, dst0: np.ndarray, nbr_y0: np.ndarray,
     return split
 
 
-def neighbour_tallies(adjacency: list, xb0: np.ndarray, k: int) -> np.ndarray:
-    """Per-node tallies (n, R, k, B): [i, r2, l, c] counts the j with
-    adj[i, j] = 1 in class r2 at level l of column c, for the R pairs
-    (adj, deg) of :func:`class_adjacency` (or transposes with column sums)."""
-    n, b = xb0.shape
-    lev = (xb0[:, None, :] == np.arange(k - 1)[:, None]).astype(np.float64)
-    out = np.empty((n, len(adjacency), k, b))
-    for r2, (adj, deg) in enumerate(adjacency):
-        hit = (adj @ lev.reshape(n, -1)).reshape(n, k - 1, b)
-        out[:, r2, :-1] = hit
-        out[:, r2, -1] = deg.astype(np.float64)[:, None] - hit.sum(axis=1)
-    return out
+def neighbour_adjacency(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
+                        known: np.ndarray, targets: np.ndarray, r: int,
+                        dtype=np.float64):
+    """CSR (2R T, n) of each target's known neighbours by direction and class.
+
+    Row 2R t + d R + r2 lists the nodes j of class r2 with known[j] that
+    targets[t] links to (d = 0) or that link to it (d = 1); its length is
+    that count. targets are 0-based node ids in any order, repeats allowed.
+    """
+    n = y0.size
+    out, into = known[dst0], known[src0]
+    rows = np.concatenate([src0[out] * (2 * r) + y0[dst0[out]],
+                           dst0[into] * (2 * r) + r + y0[src0[into]]])
+    cols = np.concatenate([dst0[out], src0[into]])
+    adj = sparse.csr_array((np.ones(rows.size, dtype), (rows, cols)),
+                           shape=(2 * r * n, n))
+    return adj[(targets[:, None] * (2 * r) + np.arange(2 * r)).ravel()]
 
 
 def tally_adjacency(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
@@ -108,9 +124,8 @@ def tally_adjacency(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
     """
     n = y0.size
     order = np.argsort(y0, kind="stable")
-    dtype = np.float32 if n < FLOAT32_EXACT_N else np.float64
-    return order, [(adj[order], deg[order]) for adj, deg in
-                   class_adjacency(src0, dst0, y0[dst0], n, r, dtype)]
+    return order, [(adj[order], deg[order]) for adj, deg in class_adjacency(
+        src0, dst0, y0[dst0], n, r, product_dtype(n))]
 
 
 def tally_edges(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,

@@ -207,13 +207,22 @@ def validate(dataset: NodeDataset) -> NodeDataset:
     if names is not None and len(names) != p:
         raise ValidationError("feature_names length must equal column count")
 
-    out = NodeDataset(y, x, edges, names, r_levels, k_levels,
-                      dict(dataset.composite_pairs))
-    out._y0 = (y - 1).astype(np.int64)
-    out._src0 = edges[:, 0] - 1
-    out._dst0 = edges[:, 1] - 1
-    for arr in (out.y, out.x, out.edges, out._y0, out._src0, out._dst0,
-                out.k_levels):
+    return seal(NodeDataset(y, x, edges, names, r_levels, k_levels,
+                            dict(dataset.composite_pairs)),
+                (y - 1).astype(np.int64), edges[:, 0] - 1, edges[:, 1] - 1)
+
+
+def seal(dataset: NodeDataset, y0, src0, dst0) -> NodeDataset:
+    """Mark a dataset whose invariants hold as validated.
+
+    Its y and edges must already be in canonical form (int32 levels, sorted
+    int64 edges) and x Fortran-ordered int32; y0, src0 and dst0 are the
+    0-based views :func:`validate` derives from them. Every array is made
+    read-only.
+    """
+    dataset._y0, dataset._src0, dataset._dst0 = y0, src0, dst0
+    for arr in (dataset.y, dataset.x, dataset.edges, y0, src0, dst0,
+                dataset.k_levels):
         arr.flags.writeable = False
-    out._validated = True
-    return out
+    dataset._validated = True
+    return dataset

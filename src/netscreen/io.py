@@ -183,8 +183,8 @@ def read_dataset(nodes_path, edges_path, metadata_path=None,
     for c in range(2, len(header)):
         col = columns[c]
         if np.issubdtype(col.dtype, np.floating):
-            if np.allclose(col, np.round(col)):
-                col = np.round(col).astype(np.int64)
+            if np.all(np.isfinite(col) & (col == np.round(col))):
+                col = col.astype(np.int64)
             elif bins is None:
                 raise ValidationError(
                     f"column {header[c]} is continuous; pass a bin count")

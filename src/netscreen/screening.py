@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import chdtrc, ndtri
 
 from .counts import tally_marginals
-from .dataset import FeatureSet, NodeDataset, validate
+from .dataset import CODE_MAX, FeatureSet, NodeDataset, seal, validate
 from .errors import ValidationError
 from .plr import (batch_statistics, degrees_of_freedom, permutation_pvalue,
                   width_blocks)
@@ -181,20 +181,30 @@ def interaction_expand(dataset: NodeDataset, pairs) -> NodeDataset:
             raise ValidationError(
                 f"pair ({a},{b}) references a composite column")
     k_levels = dataset.k_levels
-    new_x = np.empty((dataset.n, len(pairs)), dtype=np.int32, order="F")
+    x = np.empty((dataset.n, p + len(pairs)), dtype=np.int32, order="F")
+    x[:, :p] = dataset.x
     new_k = np.empty(len(pairs), dtype=np.int64)
     composite = dict(dataset.composite_pairs)
     names = list(dataset.feature_names) if dataset.feature_names else None
     for i, (a, b) in enumerate(pairs):
         kb = int(k_levels[b - 1])
-        new_x[:, i] = (dataset.column(a) - 1) * kb + dataset.column(b)
+        codes = (dataset.column(a).astype(np.int64) - 1) * kb \
+            + dataset.column(b)
+        if codes.max() > CODE_MAX:
+            raise ValidationError(
+                f"feature label {int(codes.max())} in column {p + i + 1} "
+                f"above {CODE_MAX}")
+        x[:, p + i] = codes
         new_k[i] = int(k_levels[a - 1]) * kb
         composite[p + i + 1] = (a, b)
         if names is not None:
             names.append(f"{names[a - 1]}&{names[b - 1]}")
-    return validate(NodeDataset(
-        dataset.y, np.concatenate([dataset.x, new_x], axis=1), dataset.edges,
-        names, dataset.r_levels, np.concatenate([k_levels, new_k]), composite))
+    # The input is validated and each composite code lies in 1..K_j K_k, at
+    # most CODE_MAX, so the result needs no second pass of validate.
+    return seal(NodeDataset(dataset.y, x, dataset.edges, names,
+                            dataset.r_levels, np.concatenate([k_levels, new_k]),
+                            composite),
+                dataset._y0, dataset._src0, dataset._dst0)
 
 
 def feature_key(dataset: NodeDataset, j: int) -> str:

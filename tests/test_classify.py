@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from netscreen import FeatureSet, NodeDataset, ValidationError, validate
+from netscreen import FeatureSet, NodeDataset, ValidationError, counts, plr
+from netscreen import validate
+from netscreen import classify
 from netscreen.classify import (
     KINDS, ClassifierSpec, MetricsReport, _rank_auc, evaluate, fit, predict,
     predict_scores, screening_metrics,
@@ -26,9 +28,9 @@ def oracle_cases(rng):
     """(y, x, edges, r, widths, mask, s_y, s_a) inputs for the oracle test.
 
     Random equal-width instances, fitted on every node or on a random part;
-    then R = 3 with link features whose widths (3, 2, 3) are out of width
-    order, on a graph, on an empty edge list, and with a train mask that
-    hides every neighbour of node 1.
+    then R = 3 with link features whose widths (3, 2, 3, 1) are out of width
+    order and include a width-1 column, on a graph, on an empty edge list,
+    and with a train mask that hides every neighbour of node 1.
     """
     for trial in range(25):
         y, x, edges, r, k = random_instance(rng, p=3)
@@ -39,7 +41,7 @@ def oracle_cases(rng):
         else:
             mask = np.ones(n, dtype=bool)
         yield y, x, edges, r, (k, k, k), mask, (1, 2), (2, 3)
-    n, r, widths = 12, 3, (3, 2, 3)
+    n, r, widths = 12, 3, (3, 2, 3, 1)
     y = np.r_[1, 2, 3, rng.integers(1, r + 1, n - r)].astype(np.int32)
     x = np.column_stack([rng.integers(1, w + 1, n) for w in widths])
     edges = [(s + 1, t + 1) for s in range(n) for t in range(n)
@@ -52,27 +54,87 @@ def oracle_cases(rng):
             hidden[s + t - 2] = False  # the other endpoint
     for links in (edges, []):
         for mask in (np.ones(n, dtype=bool), hidden):
-            yield y, x, links, r, widths, mask, (1, 3), (1, 2, 3)
+            yield y, x, links, r, widths, mask, (1, 3), (1, 2, 3, 4)
+
+
+def target_lists(rng, mask):
+    """Every node in order, then an unsorted draw with repeats that holds
+    each masked-out node twice."""
+    n = mask.size
+    out = np.flatnonzero(~mask) + 1
+    some = np.r_[rng.integers(1, n + 1, n // 2), out, out]
+    return [list(range(1, n + 1)), rng.permutation(some).tolist()]
 
 
 def test_scores_match_loop_oracle():
-    """All three score types against literal per-neighbor loops."""
+    """All three score types against literal per-neighbor loops, on every
+    node and on unsorted target lists with repeats and masked-out nodes."""
     rng = np.random.default_rng(41)
     for y, x, edges, r, widths, mask, s_y, s_a in oracle_cases(rng):
         ds = validate(NodeDataset(
             y=y, x=x, edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
             r_levels=r, k_levels=widths))
-        n = len(y)
-        targets = list(range(1, n + 1))
         k_widths = dict(enumerate(widths, start=1))
         for kind in KINDS:
             spec = ClassifierSpec(kind, s_y=mains(*s_y), s_a=mains(*s_a))
             clf = fit(spec, ds, train_mask=mask)
-            got = predict_scores(clf, ds, targets)
-            want = oracle_classifier_scores(
-                kind, y, x, edges, list(s_y), list(s_a), k_widths, r, mask,
-                targets)
-            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+            for targets in target_lists(rng, mask):
+                got = predict_scores(clf, ds, targets)
+                want = oracle_classifier_scores(
+                    kind, y, x, edges, list(s_y), list(s_a), k_widths, r,
+                    mask, targets)
+                np.testing.assert_allclose(got, want, rtol=1e-10,
+                                           atol=1e-10)
+
+
+def link_instance():
+    """A masked type3 fit with several link columns per width, R = 3, and
+    an unsorted target list with repeats and masked-out nodes."""
+    rng = np.random.default_rng(47)
+    n, r, widths = 60, 3, (3, 2, 3, 3, 2, 1, 3)
+    y = np.r_[1, 2, 3, rng.integers(1, r + 1, n - r)]
+    x = np.column_stack([rng.integers(1, w + 1, n) for w in widths])
+    edges = [(s + 1, t + 1) for s in range(n) for t in range(n)
+             if s != t and rng.uniform() < 0.12]
+    ds = validate(NodeDataset(y=y, x=x, edges=np.asarray(edges), r_levels=r,
+                              k_levels=widths))
+    mask = rng.uniform(size=n) < 0.8
+    cols = mains(*range(1, len(widths) + 1))
+    clf = fit(ClassifierSpec("type3", s_y=cols, s_a=cols), ds,
+              train_mask=mask)
+    return clf, ds, target_lists(rng, mask)[1]
+
+
+def test_scores_independent_of_blocks_and_chunks(monkeypatch):
+    clf, ds, targets = link_instance()
+    default = predict_scores(clf, ds, targets)
+    # widths 3 and 2 at R = 3: 81 and 36 cells per column
+    monkeypatch.setattr(plr, "BLOCK_TARGET_CELLS", 100)
+    blocks = [part.size for _, part in
+              plr.width_blocks([clf.k_widths[c] for c in clf.cols_a], 3)]
+    assert set(blocks) == {1, 2}
+    np.testing.assert_allclose(predict_scores(clf, ds, targets), default,
+                               rtol=0, atol=1e-12)
+    monkeypatch.setattr(classify, "CHUNK_CELLS", 1)  # one target per chunk
+    np.testing.assert_allclose(predict_scores(clf, ds, targets), default,
+                               rtol=0, atol=1e-12)
+
+
+def test_float64_products_give_the_same_scores(monkeypatch):
+    clf, ds, targets = link_instance()
+    dtypes = []
+
+    def spy(*args):
+        out = counts.neighbour_adjacency(*args)
+        dtypes.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(classify, "neighbour_adjacency", spy)
+    single = predict_scores(clf, ds, targets)
+    monkeypatch.setattr(counts, "FLOAT32_EXACT_N", 0)
+    double = predict_scores(clf, ds, targets)
+    assert dtypes == [np.float32, np.float64]
+    assert single.tobytes() == double.tobytes()
 
 
 def test_fitted_tables_frozen_values():

@@ -276,6 +276,17 @@ def test_read_dataset_bins_continuous_columns(tmp_path):
     assert ds.column(2).tolist() == [1, 2, 1, 2]
 
 
+def test_read_dataset_near_integer_column_is_continuous(tmp_path):
+    # within allclose's tolerance of integers, but not integers
+    text = NODES_HEADER + "1,1,1\n2,2,2.00001\n3,1,1\n4,2,2\n"
+    with pytest.raises(ValidationError, match="x1 is continuous"):
+        read_texts(tmp_path, text)
+    ds, info = read_dataset(tmp_path / "nodes.csv", tmp_path / "edges.csv",
+                            bins=2, bin_scheme="empirical_quantile")
+    assert info["binned_columns"] == ["x1"]
+    assert ds.column(1).tolist() == [1, 2, 1, 2]
+
+
 def test_read_dataset_maps_string_labels(tmp_path):
     nodes = tmp_path / "nodes.csv"
     nodes.write_text(

@@ -3,7 +3,7 @@ import pytest
 
 from netscreen import NodeDataset, counts, validate
 from netscreen.counts import (
-    block_pair_tables, class_adjacency, neighbour_tallies,
+    block_pair_tables, neighbour_adjacency,
     response_pair_tables, tally_adjacency, tally_edges, tally_marginals,
 )
 
@@ -164,38 +164,29 @@ def test_tally_edges_float64_products_give_the_same_tables(monkeypatch):
         assert np.array_equal(double[c], want)
 
 
-def test_neighbour_tallies_match_edge_loop():
-    """Per-node tallies of masked-in neighbours, out of and into each node,
-    equal a literal loop over the edges."""
+def test_neighbour_adjacency_matches_edge_loop():
+    """Rows of known neighbours, out of and into each target by class, on
+    unsorted targets with repeats, equal a literal loop over the edges."""
     rng = np.random.default_rng(12)
     for trial in range(30):
-        y, x, edges, r, k = random_instance(rng, p=3)
+        y, x, edges, r, k = random_instance(rng)
         ds = as_dataset(y, x, edges, r, k)
         n = len(y)
-        xb0 = ds.x.astype(np.int64) - 1
-        y0, src0, dst0 = ds._y0, ds._src0, ds._dst0
-        mask = rng.uniform(size=n) < 0.6 if trial % 2 else np.ones(n, bool)
-        into = mask[dst0]
-        out_adj = class_adjacency(src0[into], dst0[into], y0[dst0[into]],
-                                  n, r)
-        known = mask[src0]
-        in_adj = [(adj.T, adj.sum(axis=0))
-                  for adj, _ in class_adjacency(src0[known], dst0[known],
-                                                y0[src0[known]], n, r)]
-        want_out = np.zeros((n, r, k, 3), dtype=np.int64)
-        want_in = np.zeros((n, r, k, 3), dtype=np.int64)
-        for s, t in edges:
-            s, t = s - 1, t - 1
-            for c in range(3):
-                if mask[t]:
-                    want_out[s, y[t] - 1, x[t, c] - 1, c] += 1
-                if mask[s]:
-                    want_in[t, y[s] - 1, x[s, c] - 1, c] += 1
-        got_out = neighbour_tallies(out_adj, xb0, k)
-        got_in = neighbour_tallies(in_adj, xb0, k)
-        assert got_out.shape == got_in.shape == (n, r, k, 3)
-        assert np.array_equal(got_out, want_out)
-        assert np.array_equal(got_in, want_in)
+        known = rng.uniform(size=n) < 0.6 if trial % 2 else np.ones(n, bool)
+        targets = rng.integers(0, n, n + 3)
+        want = np.zeros((targets.size, 2, r, n), dtype=np.int64)
+        for i, t in enumerate(targets):
+            for s, d in edges:
+                s, d = s - 1, d - 1
+                if s == t and known[d]:
+                    want[i, 0, y[d] - 1, d] += 1
+                if d == t and known[s]:
+                    want[i, 1, y[s] - 1, s] += 1
+        got = neighbour_adjacency(ds._y0, ds._src0, ds._dst0, known,
+                                  targets, r)
+        assert got.shape == (targets.size * 2 * r, n)
+        assert np.array_equal(got.toarray().reshape(want.shape), want)
+        assert np.array_equal(np.diff(got.indptr), want.sum(axis=3).ravel())
 
 
 def test_counts_ignore_declared_but_unseen_levels():

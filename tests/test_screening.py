@@ -116,6 +116,50 @@ def test_interaction_expand_codes_and_keys():
     assert np.array_equal(n3.reshape(2, 2, 2).sum(axis=2), joint_tally(ds, 1))
 
 
+def test_interaction_expand_equals_full_validation():
+    """The expanded dataset, built without a second validate pass, equals
+    validate() of the same raw parts field by field."""
+    rng = np.random.default_rng(33)
+    n, r = 30, 3
+    y = np.r_[1, 2, 3, rng.integers(1, r + 1, n - 3)]
+    widths = [2, 3, 4, 5]  # column 4 declares a level it never shows
+    x = np.column_stack([rng.integers(1, w + 1, n) for w in (2, 3, 4, 4)])
+    edges = [(s + 1, t + 1) for s in range(n) for t in range(n)
+             if s != t and rng.uniform() < 0.2]
+    ds = validate(NodeDataset(y, x, np.asarray(edges)[::-1],
+                              ["a", "b", "c", "d"], r, widths))
+    once = interaction_expand(ds, [(1, 2), (2, 4)])
+    for got, names in ((once, ["a", "b", "c", "d", "a&b", "b&d"]),
+                       (interaction_expand(once, [(3, 4)]), None)):
+        want = validate(NodeDataset(got.y.copy(), got.x.copy(),
+                                    got.edges.copy(), got.feature_names,
+                                    got.r_levels, got.k_levels.copy(),
+                                    got.composite_pairs))
+        if names is not None:
+            assert list(got.feature_names) == names
+        assert got._validated and want._validated
+        assert got.feature_names == want.feature_names
+        assert got.r_levels == want.r_levels
+        assert got.composite_pairs == want.composite_pairs
+        for attr in ("y", "x", "edges", "k_levels", "_y0", "_src0", "_dst0"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and a.shape == b.shape, attr
+            assert np.array_equal(a, b), attr
+            assert not a.flags.writeable, attr
+        assert got.x.flags.f_contiguous
+    # raw composite columns of the expansion, checked against the sources
+    assert once.column(5).tolist() == ((x[:, 0] - 1) * 3 + x[:, 1]).tolist()
+    assert once.column(6).tolist() == ((x[:, 1] - 1) * 5 + x[:, 3]).tolist()
+
+
+def test_interaction_expand_rejects_codes_beyond_int32():
+    big = 2 ** 16 + 1  # (big - 1) * big + 1 > 2^31 - 1
+    ds = validate(NodeDataset([1, 2], [[big, big], [1, 1]], [[1, 2]],
+                              k_levels=[big, big]))
+    with pytest.raises(ValidationError, match="in column 3 above"):
+        interaction_expand(ds, [(1, 2)])
+
+
 def test_interaction_expand_rejects_bad_pairs():
     ds = random_wide(np.random.default_rng(0), p=4)
     with pytest.raises(ValidationError):
