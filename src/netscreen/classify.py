@@ -198,8 +198,8 @@ def predict_scores(clf: NetworkClassifier, dataset: NodeDataset,
                                product_dtype(n))
     own = np.zeros((t0.size, r))
     own[mask[t0], y0[t0[mask[t0]]]] = 1.0
-    shared = np.column_stack([np.diff(nbrs.indptr).reshape(-1, 2 * r),
-                              np.ones(t0.size), own])
+    degrees = (nbrs @ np.ones(n, nbrs.dtype)).reshape(-1, 2 * r)
+    shared = np.column_stack([degrees, np.ones(t0.size), own])
     census = np.bincount(y0[mask], minlength=r)[None, :, None]
     scores += shared @ _link_weights(clf.log_pi0[None, :, :, None, None],
                                      clf.log_gap0[None, :, :, None, None],

@@ -60,7 +60,9 @@ from scipy import sparse
 # it, over the neighbours it knows the responses of. neighbour_adjacency
 # stacks those 2R class-split adjacencies, restricted to the target rows,
 # into one CSR matrix, so one product per block gives every target's inner
-# level counts in both directions, and its row lengths are the degrees.
+# level counts in both directions, and its row sums are the degrees. Edges
+# to unknown neighbours stay in it as explicit zeros: masking the entries
+# costs less than filtering four edge arrays.
 
 FLOAT32_EXACT_N = 2 ** 24  # float32 holds every integer up to this bound
 
@@ -98,18 +100,18 @@ def class_adjacency(src0: np.ndarray, dst0: np.ndarray, nbr_y0: np.ndarray,
 def neighbour_adjacency(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
                         known: np.ndarray, targets: np.ndarray, r: int,
                         dtype=np.float64):
-    """CSR (2R T, n) of each target's known neighbours by direction and class.
+    """CSR (2R T, n) of each target's neighbours by direction and class.
 
-    Row 2R t + d R + r2 lists the nodes j of class r2 with known[j] that
-    targets[t] links to (d = 0) or that link to it (d = 1); its length is
-    that count. targets are 0-based node ids in any order, repeats allowed.
+    Row 2R t + d R + r2 holds the nodes j of class r2 that targets[t] links
+    to (d = 0) or that link to it (d = 1): 1 where known[j], else an
+    explicit 0, so that row sums and products count known neighbours only.
+    targets are 0-based node ids in any order, repeats allowed.
     """
     n = y0.size
-    out, into = known[dst0], known[src0]
-    rows = np.concatenate([src0[out] * (2 * r) + y0[dst0[out]],
-                           dst0[into] * (2 * r) + r + y0[src0[into]]])
-    cols = np.concatenate([dst0[out], src0[into]])
-    adj = sparse.csr_array((np.ones(rows.size, dtype), (rows, cols)),
+    rows = np.concatenate([src0 * (2 * r) + y0[dst0],
+                           dst0 * (2 * r) + (r + y0[src0])])
+    cols = np.concatenate([dst0, src0])
+    adj = sparse.csr_array((known[cols].astype(dtype), (rows, cols)),
                            shape=(2 * r * n, n))
     return adj[(targets[:, None] * (2 * r) + np.arange(2 * r)).ravel()]
 
