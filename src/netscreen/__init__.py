@@ -12,16 +12,15 @@ __version__ = "0.1.0"
 from .classify import (ClassifierSpec, MetricsReport, NetworkClassifier,
                        evaluate, fit, predict, predict_scores,
                        screening_metrics)
-from .dataset import FeatureSet, NodeDataset, validate
+from .dataset import FeatureSet, NodeDataset, discretize, validate
 from .errors import DegeneracyError, ValidationError
 from .experiment import (ExperimentReport, experiment, null_calibration,
                          run_replication)
 from .io import read_dataset, read_json, write_dataset, write_json
 from .plr import (PlrStat, batch_statistics, chi2_tail, degrees_of_freedom,
                   permutation_pvalue, plr_statistic)
-from .screening import (ScreeningResult, discretize, hard_cutoff,
-                        interaction_expand, max_ratio_cutoff, pc_sis,
-                        plr_sis)
+from .screening import (ScreeningResult, hard_cutoff, interaction_expand,
+                        max_ratio_cutoff, pc_sis, plr_sis)
 from .simulate import (SimulationConfig, example_config, gen_network,
                        gen_nlr, gen_nnb, generate, noise_rates,
                        perturb_network)

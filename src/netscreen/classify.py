@@ -38,7 +38,7 @@ from .counts import (block_pair_tables, neighbour_adjacency, product_dtype,
                      tally_marginals)
 from .dataset import FeatureSet, NodeDataset, validate
 from .errors import ValidationError
-from .plr import width_blocks
+from .plr import check_table_cells, column_blocks
 
 KINDS = ("type1", "type2", "type3")
 CHUNK_CELLS = 2 ** 17  # link terms per target chunk: 1 MB of float64
@@ -120,6 +120,7 @@ def fit(spec: ClassifierSpec, dataset: NodeDataset,
             raise ValidationError("train_mask must be a boolean (n,) array")
     cols_y = _resolve_columns(dataset, spec.s_y)
     cols_a = _resolve_columns(dataset, spec.s_a) if spec.kind == "type3" else ()
+    check_table_cells(dataset, cols_a)
 
     y0 = dataset._y0[mask]
     n_y = np.bincount(y0, minlength=r).astype(np.float64)
@@ -128,9 +129,9 @@ def fit(spec: ClassifierSpec, dataset: NodeDataset,
     # joint (response, level) tallies of the fitting nodes, one per feature
     feats = np.asarray(list(dict.fromkeys(cols_y + cols_a)), dtype=np.int64)
     n_yj = {}
-    for k, part in width_blocks(dataset.k_levels[feats - 1], r):
-        xb0 = dataset.x[np.ix_(mask, feats[part] - 1)].astype(np.int64) - 1
-        n_yj.update(zip(feats[part].tolist(), tally_marginals(y0, xb0, r, k)))
+    for k, part, xb0 in column_blocks(dataset, feats):
+        n_yj.update(zip(feats[part].tolist(),
+                        tally_marginals(y0, xb0[mask], r, k)))
     widths = {col: int(dataset.k_levels[col - 1]) for col in feats.tolist()}
     log_cond = {col: np.log((n_yj[col] + alpha) / (n_y[:, None] + alpha * k))
                 for col, k in widths.items()}
@@ -155,10 +156,9 @@ def fit(spec: ClassifierSpec, dataset: NodeDataset,
 
     cols = np.asarray(cols_a, dtype=np.int64)
     adjacency = tally_adjacency(dataset._y0, src0, dst0, r)
-    for k, part in width_blocks(dataset.k_levels[cols - 1], r):
+    for k, part, xb0 in column_blocks(dataset, cols):
         block = cols[part].tolist()
-        xb0 = dataset.x[:, cols[part] - 1].astype(np.int64) - 1
-        edges = tally_edges(dataset._y0, src0, dst0, xb0, r, k, adjacency)
+        edges = tally_edges(dataset._y0, src0, dst0, xb0, k, adjacency)
         pairs = block_pair_tables(np.stack([n_yj[col] for col in block]))
         for col, ej, pj in zip(block, edges, pairs):
             pij = (ej + alpha) / (pj + 2 * alpha)
@@ -185,8 +185,11 @@ def predict_scores(clf: NetworkClassifier, dataset: NodeDataset,
         raise ValidationError(f"target node outside 1..{n}")
 
     scores = np.tile(clf.log_prior, (t0.size, 1))
-    for col in clf.cols_y:
-        x0 = dataset.column(col).astype(np.int64)[t0] - 1
+    # every target's codes, column by column (int32 holds any stored code)
+    levels = np.empty((len(clf.cols_y), t0.size), dtype=np.int32)
+    for _, part, xb0 in column_blocks(dataset, clf.cols_y):
+        levels[part] = xb0.T[:, t0]
+    for col, x0 in zip(clf.cols_y, levels):  # summed in column order
         scores += clf.log_cond[col][:, x0].T
     if clf.spec.kind == "type1":
         return scores
@@ -208,9 +211,8 @@ def predict_scores(clf: NetworkClassifier, dataset: NodeDataset,
         return scores
 
     cols = np.asarray(clf.cols_a, dtype=np.int64)
-    for k, part in width_blocks(dataset.k_levels[cols - 1], r):
+    for k, part, xb0 in column_blocks(dataset, cols):
         block = cols[part]
-        xb0 = dataset.x[:, block - 1].astype(np.int64) - 1
         weights = _link_weights(
             np.stack([clf.dlog_edge[col] for col in block.tolist()]),
             np.stack([clf.dlog_gap[col] for col in block.tolist()]),

@@ -1,15 +1,13 @@
 """Count tables for response/feature/adjacency tallies.
 
 Every statistic and classifier score in the package is a function of these
-tables. Feature tables come from the blocked tallies below, one block of
-same-width columns per call. Pair counts come from a
-closed-form product identity, never from iterating node pairs. Edge tallies
-come only from one class-split adjacency per edge set (see
-:func:`tally_edges`), so a block of B columns of width K costs
-O((K-1) B |E| + R (K-1)^2 B n) once that is built. All
-tables are 64-bit integers (ordered-pair totals reach n(n-1), which
-overflows 32 bits beyond n of about 65k). Table axes are 0-based: entry
-[r-1, k-1] holds the tally of response level r with feature level k.
+tables. Feature tables come from blocked tallies, one block of same-width
+columns per call; pair counts from a closed-form product identity, never
+from iterating node pairs; edge tallies from one class-split CSR adjacency
+per edge set and one sparse-dense product per block. All tables are 64-bit
+integers (ordered-pair totals reach n(n-1), which overflows 32 bits beyond
+n of about 65k). Table axes are 0-based: entry [r-1, k-1] holds the tally
+of response level r with feature level k.
 """
 
 from __future__ import annotations
@@ -23,38 +21,28 @@ from scipy import sparse
 # holds 0-based level codes, one column per feature in the block; y0 the
 # 0-based responses; src0/dst0 the 0-based edge endpoints.
 #
-# Edge tallies: class_adjacency splits an edge list by the response class
-# r2 of each edge's neighbour endpoint into sparse matrices A_{r2}, with
-# their row sums (degrees). Each node's neighbours of class r2 at each level
-# of each column are T[i, r2, l, c] = (A_{r2} I_{l,c})[i], where I_{l,c}
-# indicates the nodes at level l of column c: one sparse-dense product per
-# class covers all B columns and every level but the last, which is the
-# degree minus the others. The CSR adjacency is read straight off the edge
-# arrays, which requires them to be sorted by source; validate() guarantees
-# that, and any subset of its edges keeps the order.
-#
-# tally_edges takes the neighbour to be the destination and sums over the
-# sources of class r1 at level l:
-#     E[r1, r2, l, m] = sum of T[i, r2, m, c] over i with y_i = r1, x_ic = l.
-# Its adjacency (tally_adjacency) depends only on the edges and responses,
-# so callers build it once per edge set and pass it to every block. Its rows
-# are the nodes listed class by class, so the sources of each class r1 are
-# one contiguous row range. Only the inner cells l, m < k-1 are summed from
-# the products; the rest follow from margins of the same table:
-#     row l < k-1:   sum over m of E[.., l, m] = sum of deg_{r2}[i] over the
-#                    sources i of class r1 at level l;
+# Edge tallies: tally_adjacency stacks, in one CSR matrix built by one COO
+# to CSR conversion, the adjacencies A_{r2} of the edges whose destination
+# has class r2, each with its rows listed class by class, so the sources of
+# each class r1 are one contiguous row range; its row sums are the degrees.
+# Each node's neighbours of class r2 at level l of column c are
+# T[i, r2, l, c] = (A_{r2} I_{l,c})[i], where I_{l,c} indicates the nodes at
+# that level: one product per block covers every class, all B columns and
+# every level but the last, which is the degree minus the others. Then
+#     E[r1, r2, l, m] = sum of T[i, r2, m, c] over i with y_i = r1, x_ic = l,
+# summed only over the inner cells l, m < k-1; the rest follow from margins:
+#     row l < k-1:    sum over m of E[.., l, m] = sum of deg_{r2}[i] over the
+#                     sources i of class r1 at level l;
 #     column m < k-1: sum over l of E[.., l, m] = sum of T[i, r2, m, c] over
-#                    the sources i of class r1;
-#     all cells:     the class-pair edge total, sum of deg_{r2} over class r1,
-# so the last row, the last column and the corner are differences, and the
-# last level is never written out per node. Products run in float32 when
-# n < FLOAT32_EXACT_N = 2^24 (product_dtype): each entry of T is an integer
-# no larger than n-1, so float32 holds it and every partial sum of its row
-# exactly.
-# Reductions over nodes run in float64, whose integer range (2^53) covers the
-# edge count. A block of B columns of width k then costs O((k-1) B |E|) for
-# the products plus O(R (k-1)^2 B n) for the reductions; the adjacency costs
-# O(R (|E| + n)) once per edge set. All tables come back as exact int64.
+#                     the sources i of class r1;
+#     all cells:      sum of deg_{r2} over class r1,
+# so the last row, the last column and the corner are differences. Products
+# run in float32 when n < FLOAT32_EXACT_N = 2^24 (product_dtype): each entry
+# of T is an integer below n, so float32 holds it and every partial sum of
+# its row exactly; reductions over nodes run in float64, whose integer range
+# (2^53) covers the edge count. A block then costs O((k-1) B |E|) for the
+# product plus O(R (k-1)^2 B n) for the reductions, and the adjacency
+# O(|E| + R n) once per edge set. All tables come back as exact int64.
 #
 # The classifier needs T at its targets only, out of each target and into
 # it, over the neighbours it knows the responses of. neighbour_adjacency
@@ -81,22 +69,6 @@ def tally_marginals(y0: np.ndarray, xb0: np.ndarray, r: int, k: int) -> np.ndarr
     return flat.reshape(b, r, k)
 
 
-def class_adjacency(src0: np.ndarray, dst0: np.ndarray, nbr_y0: np.ndarray,
-                    n: int, r: int, dtype=np.float64) -> list:
-    """R pairs (adj, deg): CSR adjacency, with entries of the given dtype,
-    of the source-sorted edges whose neighbour endpoint has class r2
-    (nbr_y0, per edge), and its row sums."""
-    split = []
-    for r2 in range(r):
-        keep = np.flatnonzero(nbr_y0 == r2)  # faster to gather than a mask
-        deg = np.bincount(src0[keep], minlength=n)
-        indptr = np.concatenate(([0], np.cumsum(deg)))
-        adj = sparse.csr_array(
-            (np.ones(indptr[-1], dtype), dst0[keep], indptr), shape=(n, n))
-        split.append((adj, deg))
-    return split
-
-
 def neighbour_adjacency(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
                         known: np.ndarray, targets: np.ndarray, r: int,
                         dtype=np.float64):
@@ -118,47 +90,55 @@ def neighbour_adjacency(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
 
 def tally_adjacency(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
                     r: int):
-    """(order, adjacency) that :func:`tally_edges` reads for these edges.
+    """(order, classes, adjacency, degrees) that :func:`tally_edges` reads.
 
-    order lists the nodes class by class (stable in node id); adjacency is
-    :func:`class_adjacency` over the destinations' classes with row i
-    holding node order[i], in float32 when n < FLOAT32_EXACT_N.
+    order lists the nodes class by class (stable in node id) and classes
+    holds each class's slice of it. adjacency is one CSR (R n, n) matrix:
+    row r2 n + i holds the destinations of class r2 of the edges out of
+    node order[i], in float32 when n < FLOAT32_EXACT_N. degrees (R, n) are
+    its row sums.
     """
     n = y0.size
     order = np.argsort(y0, kind="stable")
-    return order, [(adj[order], deg[order]) for adj, deg in class_adjacency(
-        src0, dst0, y0[dst0], n, r, product_dtype(n))]
+    ends = np.cumsum(np.bincount(y0, minlength=r))
+    classes = [slice(lo, hi) for lo, hi in zip(np.r_[0, ends[:-1]], ends)]
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    rows = y0[dst0] * n + rank[src0]
+    adjacency = sparse.csr_array(
+        (np.ones(rows.size, product_dtype(n)), (rows, dst0)), shape=(r * n, n))
+    degrees = np.bincount(rows, minlength=r * n).reshape(r, n)
+    return order, classes, adjacency, degrees
 
 
 def tally_edges(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
-                xb0: np.ndarray, r: int, k: int, adjacency) -> np.ndarray:
+                xb0: np.ndarray, k: int, adjacency) -> np.ndarray:
     """Linked-pair tallies, shape (B, R, R, k, k), from 0-based codes.
 
-    Edges must be sorted by source (see the identity above). adjacency is
-    :func:`tally_adjacency` of these y0, src0 and dst0, built once per edge
-    set and shared by every block.
+    adjacency is :func:`tally_adjacency` of y0, src0 and dst0, built once
+    per edge set; the kernel reads those only through it (they stay in the
+    signature because perfbench/spans.py sizes each call by them).
     """
-    order, split = adjacency
+    order, classes, adj, deg = adjacency
+    r = len(classes)
     n, b = xb0.shape
-    ends = np.cumsum(np.bincount(y0, minlength=r))
-    classes = [slice(lo, hi) for lo, hi in zip(np.r_[0, ends[:-1]], ends)]
     # indicators of the inner levels, laid out (node, level, column)
     lev = (xb0[:, None, :] == np.arange(k - 1)[:, None]).astype(
-        split[0][0].dtype).reshape(n, -1)
+        adj.dtype).reshape(n, -1)
     src = lev[order].reshape(n, k - 1, b)
+    hit = (adj @ lev).reshape(r, n, k - 1, b)
     out = np.empty((b, r, r, k, k), dtype=np.int64)
-    for r2, (adj, deg) in enumerate(split):
-        hit = (adj @ lev).reshape(n, k - 1, b)
+    for r2 in range(r):
         for r1, rows in enumerate(classes):
-            s, h = src[rows], hit[rows]
+            s, h, d = src[rows], hit[r2, rows], deg[r2, rows]
             inner = np.einsum("ilb,imb->blm", s, h, dtype=np.float64)
-            row_tot = np.einsum("ilb,i->bl", s, deg[rows], dtype=np.float64)
+            row_tot = np.einsum("ilb,i->bl", s, d, dtype=np.float64)
             col_tot = h.sum(axis=0, dtype=np.float64).T
             cell = out[:, r1, r2]
             cell[:, :-1, :-1] = inner
             cell[:, :-1, -1] = row_tot - inner.sum(axis=2)
             cell[:, -1, :-1] = col_tot - inner.sum(axis=1)
-            cell[:, -1, -1] = (deg[rows].sum() - row_tot.sum(axis=1)
+            cell[:, -1, -1] = (d.sum() - row_tot.sum(axis=1)
                                - col_tot.sum(axis=1) + inner.sum(axis=(1, 2)))
     return out
 

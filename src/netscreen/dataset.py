@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import ValidationError
 
@@ -206,10 +207,51 @@ def validate(dataset: NodeDataset) -> NodeDataset:
     names = dataset.feature_names
     if names is not None and len(names) != p:
         raise ValidationError("feature_names length must equal column count")
+    composite = _check_composites(dataset.composite_pairs, x, k_levels)
 
     return seal(NodeDataset(y, x, edges, names, r_levels, k_levels,
-                            dict(dataset.composite_pairs)),
+                            composite),
                 (y - 1).astype(np.int64), edges[:, 0] - 1, edges[:, 1] - 1)
+
+
+def joint_code(x: np.ndarray, k_levels: np.ndarray, a: int,
+               b: int) -> np.ndarray:
+    """int64 codes of the composite of columns a and b (1-based): level
+    (x_a - 1) K_b + x_b, which runs over 1..K_a K_b."""
+    return (x[:, a - 1].astype(np.int64) - 1) * int(k_levels[b - 1]) \
+        + x[:, b - 1]
+
+
+def check_pair(a: int, b: int, p: int, composite) -> None:
+    """Refuse a composite's source pair unless 1 <= a < b <= p and neither
+    is itself a composite column."""
+    if not 1 <= a < b <= p:
+        raise ValidationError(
+            f"interaction pair ({a},{b}) needs 1 <= j < k <= {p}")
+    if a in composite or b in composite:
+        raise ValidationError(f"pair ({a},{b}) references a composite column")
+
+
+def _check_composites(composite_pairs, x, k_levels) -> dict:
+    """composite_pairs as {column: (j, k)} ints, each column in 1..p and
+    holding the joint codes of a pair that :func:`check_pair` accepts."""
+    try:
+        out = {int(c): (int(a), int(b))
+               for c, (a, b) in composite_pairs.items()}
+    except (TypeError, ValueError) as err:
+        raise ValidationError(
+            "composite_pairs must map column ids to pairs of column ids"
+        ) from err
+    p = x.shape[1]
+    for col, (a, b) in out.items():
+        if not 1 <= col <= p:
+            raise ValidationError(f"composite column {col} outside 1..{p}")
+        check_pair(a, b, p, out)
+        if not np.array_equal(x[:, col - 1], joint_code(x, k_levels, a, b)):
+            raise ValidationError(
+                f"composite column {col} does not hold the joint codes of "
+                f"columns {a} and {b}")
+    return out
 
 
 def seal(dataset: NodeDataset, y0, src0, dst0) -> NodeDataset:
@@ -226,3 +268,24 @@ def seal(dataset: NodeDataset, y0, src0, dst0) -> NodeDataset:
         arr.flags.writeable = False
     dataset._validated = True
     return dataset
+
+
+def discretize(values, k: int, scheme: str = "normal_quantile") -> np.ndarray:
+    """Bin continuous values into levels 1..k, boundaries going to the lower bin.
+
+    normal_quantile cuts at standard normal quantiles i/k; empirical_quantile
+    cuts at the sample quantiles of the values themselves.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(v)):
+        raise ValidationError("cannot discretize non-finite values")
+    if k < 2:
+        raise ValidationError("need at least 2 bins")
+    qs = np.arange(1, k) / k
+    if scheme == "normal_quantile":
+        edges = ndtri(qs)
+    elif scheme == "empirical_quantile":
+        edges = np.quantile(v, qs)
+    else:
+        raise ValidationError(f"unknown discretization scheme {scheme!r}")
+    return (np.searchsorted(edges, v, side="left") + 1).astype(np.int32)

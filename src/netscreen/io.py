@@ -24,9 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import NodeDataset, validate
+from .dataset import NodeDataset, discretize, validate
 from .errors import ValidationError
-from .screening import discretize
 
 WRITE_BLOCK_CELLS = 1 << 16  # cells formatted per write call
 
@@ -214,18 +213,12 @@ def read_dataset(nodes_path, edges_path, metadata_path=None,
             raise ValidationError(
                 f"{edges_path}: edge rows must be integer pairs") from err
 
-    r_levels = k_levels = names = None
-    composite = {}
+    meta = {}
     if metadata_path is not None:
-        meta = read_json(metadata_path)
-        r_levels = meta.get("r_levels")
-        k_levels = meta.get("k_levels")
-        names = meta.get("feature_names")
-        composite = {int(c): tuple(pair) for c, pair
-                     in meta.get("composite_pairs", {}).items()}
-        info["metadata"] = meta
-    dataset = validate(NodeDataset(y, x, edges, names, r_levels, k_levels,
-                                   composite))
+        meta = info["metadata"] = read_json(metadata_path)
+    dataset = validate(NodeDataset(
+        y, x, edges, meta.get("feature_names"), meta.get("r_levels"),
+        meta.get("k_levels"), meta.get("composite_pairs")))
     return dataset, info
 
 

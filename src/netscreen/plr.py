@@ -28,6 +28,7 @@ asymptotically chi-square with (R-1)(K-1) degrees of freedom and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +37,10 @@ from scipy.special import chdtrc
 from .counts import (block_pair_tables, response_pair_tables,
                      tally_adjacency, tally_edges, tally_marginals)
 from .dataset import NodeDataset, validate
-from .errors import DegeneracyError
+from .errors import DegeneracyError, ValidationError
 
 BLOCK_TARGET_CELLS = 5_000_000  # soft cap on B * R^2 * K^2 per tally block
+TABLE_CELL_LIMIT = 2 ** 24  # hard cap on R^2 * K^2 for any one column
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,7 @@ def _block_lambdas(dataset, xb0, k, shared):
     np.divide(nyj * n - null, null, out=rise, where=nyj > 0)
     self_tot = (nyj * np.log1p(rise)).sum(axis=(1, 2))
 
-    e = tally_edges(dataset._y0, dataset._src0, dataset._dst0, xb0, r, k,
+    e = tally_edges(dataset._y0, dataset._src0, dataset._dst0, xb0, k,
                     shared.adjacency).astype(np.float64)
     m = block_pair_tables(nyj).astype(np.float64)
     pairs = shared.n_pairs_y[:, :, None, None]
@@ -159,20 +161,40 @@ def _block_size(r: int, k: int) -> int:
     return max(1, min(64, BLOCK_TARGET_CELLS // max(1, r * r * k * k)))
 
 
-def width_blocks(widths, r: int):
-    """Yield (k, positions) over blocks of equal-width columns.
+def column_blocks(dataset: NodeDataset, cols):
+    """Yield (k, positions, xb0) over blocks of equal-width columns.
 
-    widths: level count of each column. Positions index into widths; blocks
-    come width by width, in column order within a width, each small enough
-    for the tally size cap.
+    cols: 1-based column ids; positions index into cols. xb0 holds the
+    block's (n, B) int64 0-based codes, the one form in which the kernels
+    read stored codes. Blocks come width by width, in the order of cols
+    within a width, each small enough for the tally size cap.
     """
-    widths = np.asarray(widths)
+    cols = np.asarray(cols, dtype=np.int64)
+    widths = dataset.k_levels[cols - 1]
     for k in np.unique(widths):
         k = int(k)
         sel = np.flatnonzero(widths == k)
-        step = _block_size(r, k)
+        step = _block_size(dataset.r_levels, k)
         for lo in range(0, sel.size, step):
-            yield k, sel[lo:lo + step]
+            part = sel[lo:lo + step]
+            yield k, part, dataset.x[:, cols[part] - 1].astype(np.int64) - 1
+
+
+def check_table_cells(dataset: NodeDataset, cols) -> None:
+    """Refuse a column (1-based id) whose (R, R, K_j, K_j) tally tables
+    would exceed TABLE_CELL_LIMIT cells, as one stray large code makes them.
+    """
+    cols = np.asarray(cols, dtype=np.int64)
+    # (R K)^2 exceeds the limit exactly when the integer R K exceeds its root
+    wide = cols[dataset.r_levels * dataset.k_levels[cols - 1]
+                > math.isqrt(TABLE_CELL_LIMIT)]
+    if wide.size:
+        j = int(wide[0])
+        k = int(dataset.k_levels[j - 1])
+        raise ValidationError(
+            f"column {j} has {k} levels; its tally tables would need "
+            f"{(dataset.r_levels * k) ** 2} cells (R^2 K^2), above the "
+            f"{TABLE_CELL_LIMIT} limit")
 
 
 def batch_statistics(dataset: NodeDataset, columns=None):
@@ -186,13 +208,13 @@ def batch_statistics(dataset: NodeDataset, columns=None):
     shared = _SharedTables(dataset)
     if columns is None:
         columns = range(1, dataset.p + 1)
-    cols0 = np.asarray([int(j) - 1 for j in columns], dtype=np.int64)
-    if cols0.size and (cols0.min() < 0 or cols0.max() >= dataset.p):
+    cols = np.asarray([int(j) for j in columns], dtype=np.int64)
+    if cols.size and (cols.min() < 1 or cols.max() > dataset.p):
         raise IndexError(f"column index outside 1..{dataset.p}")
-    lam_self = np.zeros(cols0.size)
-    lam_net = np.zeros(cols0.size)
-    for k, part in width_blocks(dataset.k_levels[cols0], dataset.r_levels):
-        xb0 = dataset.x[:, cols0[part]].astype(np.int64) - 1
+    check_table_cells(dataset, cols)
+    lam_self = np.zeros(cols.size)
+    lam_net = np.zeros(cols.size)
+    for k, part, xb0 in column_blocks(dataset, cols):
         s_tot, n_tot = _block_lambdas(dataset, xb0, k, shared)
         lam_self[part] = s_tot / dataset.n
         lam_net[part] = n_tot / dataset.n
@@ -204,6 +226,17 @@ def degrees_of_freedom(r: int, k: int) -> tuple[int, int]:
     return (r - 1) * (k - 1), r * r * (k * k - 1)
 
 
+def _column_totals(dataset: NodeDataset, j: int):
+    """(k, x0, shared tables, self total, network total) of column j."""
+    if not 1 <= j <= dataset.p:
+        raise IndexError(f"column {j} outside 1..{dataset.p}")
+    shared = _SharedTables(dataset)
+    check_table_cells(dataset, [j])
+    k, _, x0 = next(column_blocks(dataset, [j]))
+    s_tot, n_tot = _block_lambdas(dataset, x0, k, shared)
+    return k, x0, shared, float(s_tot[0]), float(n_tot[0])
+
+
 def plr_statistic(dataset: NodeDataset, j: int, *, perms: int = 0,
                   seed: int = 0) -> PlrStat:
     """Statistic of column j (1-based) with chi-square tail probabilities.
@@ -213,13 +246,7 @@ def plr_statistic(dataset: NodeDataset, j: int, *, perms: int = 0,
     level has no nodes.
     """
     dataset = validate(dataset)
-    if not 1 <= j <= dataset.p:
-        raise IndexError(f"column {j} outside 1..{dataset.p}")
-    shared = _SharedTables(dataset)
-    k = int(dataset.k_levels[j - 1])
-    x0 = (dataset.column(j).astype(np.int64) - 1)[:, None]
-    s_tot, n_tot = _block_lambdas(dataset, x0, k, shared)
-    s_tot, n_tot = float(s_tot[0]), float(n_tot[0])
+    k, _, _, s_tot, n_tot = _column_totals(dataset, j)
     df_self, df_net = degrees_of_freedom(dataset.r_levels, k)
     p_perm = None
     if perms > 0:
@@ -247,15 +274,10 @@ def permutation_pvalue(dataset: NodeDataset, j: int, n_perms: int,
     and independent of batching.
     """
     dataset = validate(dataset)
-    if not 1 <= j <= dataset.p:
-        raise IndexError(f"column {j} outside 1..{dataset.p}")
     if n_perms < 1:
         raise ValueError("n_perms must be positive")
-    shared = _SharedTables(dataset)
-    k = int(dataset.k_levels[j - 1])
-    col0 = dataset.column(j).astype(np.int64) - 1
-    s_tot, n_tot = _block_lambdas(dataset, col0[:, None], k, shared)
-    observed = float(s_tot[0] + n_tot[0])
+    k, x0, shared, s_tot, n_tot = _column_totals(dataset, j)
+    observed = s_tot + n_tot
 
     perm_vals = np.empty(n_perms)
     step = _block_size(dataset.r_levels, k)
@@ -264,7 +286,7 @@ def permutation_pvalue(dataset: NodeDataset, j: int, n_perms: int,
         xb0 = np.empty((dataset.n, hi - lo), dtype=np.int64)
         for b in range(lo, hi):
             rng = np.random.default_rng(np.random.SeedSequence((seed, j, b)))
-            xb0[:, b - lo] = col0[rng.permutation(dataset.n)]
+            xb0[:, b - lo] = x0[rng.permutation(dataset.n), 0]
         s_tot, n_tot = _block_lambdas(dataset, xb0, k, shared)
         perm_vals[lo:hi] = s_tot + n_tot
     count = int(np.sum(perm_vals >= observed))

@@ -27,13 +27,14 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.special import chdtrc, ndtri
+from scipy.special import chdtrc
 
 from .counts import tally_marginals
-from .dataset import CODE_MAX, FeatureSet, NodeDataset, seal, validate
+from .dataset import (CODE_MAX, FeatureSet, NodeDataset, check_pair,
+                      joint_code, seal, validate)
 from .errors import ValidationError
-from .plr import (batch_statistics, degrees_of_freedom, permutation_pvalue,
-                  width_blocks)
+from .plr import (batch_statistics, column_blocks, degrees_of_freedom,
+                  permutation_pvalue)
 
 DEGENERATE_TOL = 1e-8   # top score below this means nothing separates
 RATIO_EPS = 1e-12       # relative floor for max-ratio denominators
@@ -134,27 +135,6 @@ def max_ratio_cutoff(sorted_scores, search_cap: int | None = None) -> int:
     return int(np.argmax(ratios)) + 1
 
 
-def discretize(values, k: int, scheme: str = "normal_quantile") -> np.ndarray:
-    """Bin continuous values into levels 1..k, boundaries going to the lower bin.
-
-    normal_quantile cuts at standard normal quantiles i/k; empirical_quantile
-    cuts at the sample quantiles of the values themselves.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
-        raise ValidationError("cannot discretize non-finite values")
-    if k < 2:
-        raise ValidationError("need at least 2 bins")
-    qs = np.arange(1, k) / k
-    if scheme == "normal_quantile":
-        edges = ndtri(qs)
-    elif scheme == "empirical_quantile":
-        edges = np.quantile(v, qs)
-    else:
-        raise ValidationError(f"unknown discretization scheme {scheme!r}")
-    return (np.searchsorted(edges, v, side="left") + 1).astype(np.int32)
-
-
 def interaction_expand(dataset: NodeDataset, pairs) -> NodeDataset:
     """Append one composite column per (j, k) pair, coding levels jointly.
 
@@ -175,11 +155,7 @@ def interaction_expand(dataset: NodeDataset, pairs) -> NodeDataset:
             f"expansion to {p + len(pairs)} columns exceeds the "
             f"{EXPANSION_LIMIT} limit")
     for a, b in pairs:
-        if not (1 <= a < b <= p):
-            raise ValidationError(f"interaction pair ({a},{b}) needs 1 <= j < k <= p")
-        if a in dataset.composite_pairs or b in dataset.composite_pairs:
-            raise ValidationError(
-                f"pair ({a},{b}) references a composite column")
+        check_pair(a, b, p, dataset.composite_pairs)
     k_levels = dataset.k_levels
     x = np.empty((dataset.n, p + len(pairs)), dtype=np.int32, order="F")
     x[:, :p] = dataset.x
@@ -187,15 +163,13 @@ def interaction_expand(dataset: NodeDataset, pairs) -> NodeDataset:
     composite = dict(dataset.composite_pairs)
     names = list(dataset.feature_names) if dataset.feature_names else None
     for i, (a, b) in enumerate(pairs):
-        kb = int(k_levels[b - 1])
-        codes = (dataset.column(a).astype(np.int64) - 1) * kb \
-            + dataset.column(b)
+        codes = joint_code(dataset.x, k_levels, a, b)
         if codes.max() > CODE_MAX:
             raise ValidationError(
                 f"feature label {int(codes.max())} in column {p + i + 1} "
                 f"above {CODE_MAX}")
         x[:, p + i] = codes
-        new_k[i] = int(k_levels[a - 1]) * kb
+        new_k[i] = int(k_levels[a - 1]) * int(k_levels[b - 1])
         composite[p + i + 1] = (a, b)
         if names is not None:
             names.append(f"{names[a - 1]}&{names[b - 1]}")
@@ -277,8 +251,7 @@ def _pearson_batch(dataset: NodeDataset, cols: np.ndarray):
     n_y = np.bincount(dataset._y0, minlength=r).astype(np.float64)
     widths = dataset.k_levels[cols - 1]
     chi = np.zeros(cols.size)
-    for k, part in width_blocks(widths, r):
-        xb0 = dataset.x[:, cols[part] - 1].astype(np.int64) - 1
+    for k, part, xb0 in column_blocks(dataset, cols):
         nyj = tally_marginals(dataset._y0, xb0, r, k).astype(np.float64)
         nj = nyj.sum(axis=1)
         expected = n_y[None, :, None] * nj[:, None, :] / dataset.n

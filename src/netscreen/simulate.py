@@ -39,9 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .dataset import FeatureSet, NodeDataset, validate
+from .dataset import FeatureSet, NodeDataset, discretize, validate
 from .errors import ValidationError
-from .screening import discretize
 
 _STREAM_RESPONSE = 1
 _STREAM_COLUMN = 2

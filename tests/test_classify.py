@@ -110,14 +110,25 @@ def test_scores_independent_of_blocks_and_chunks(monkeypatch):
     default = predict_scores(clf, ds, targets)
     # widths 3 and 2 at R = 3: 81 and 36 cells per column
     monkeypatch.setattr(plr, "BLOCK_TARGET_CELLS", 100)
-    blocks = [part.size for _, part in
-              plr.width_blocks([clf.k_widths[c] for c in clf.cols_a], 3)]
+    blocks = [part.size for _, part, _ in plr.column_blocks(ds, clf.cols_a)]
     assert set(blocks) == {1, 2}
     np.testing.assert_allclose(predict_scores(clf, ds, targets), default,
                                rtol=0, atol=1e-12)
     monkeypatch.setattr(classify, "CHUNK_CELLS", 1)  # one target per chunk
     np.testing.assert_allclose(predict_scores(clf, ds, targets), default,
                                rtol=0, atol=1e-12)
+
+
+def test_node_term_sums_columns_in_fitted_order():
+    """The per-node term adds the columns in s_y order, not block order."""
+    clf, ds, targets = link_instance()
+    clf = fit(ClassifierSpec("type1", s_y=mains(7, 2, 3, 6, 1, 5, 4)), ds,
+              train_mask=clf.train_mask)
+    t0 = np.asarray(targets) - 1
+    want = np.tile(clf.log_prior, (t0.size, 1))
+    for col in clf.cols_y:
+        want += clf.log_cond[col][:, ds.x[t0, col - 1] - 1].T
+    assert predict_scores(clf, ds, targets).tobytes() == want.tobytes()
 
 
 def test_float64_products_give_the_same_scores(monkeypatch):
@@ -181,6 +192,23 @@ def test_composite_features_need_expanded_columns():
     clf = fit(ClassifierSpec("type1", s_y=paired), wide)
     assert clf.cols_y == (1, 3)
     assert np.all(np.isfinite(predict_scores(clf, wide)))
+
+
+def test_type3_refuses_link_tables_beyond_the_cell_limit():
+    rng = np.random.default_rng(48)
+    n = 60
+    x = rng.integers(1, 3, (n, 3))
+    x[7, 2] = 30000
+    edges = [(s + 1, t + 1) for s in range(n) for t in range(n)
+             if s != t and rng.uniform() < 0.1]
+    ds = validate(NodeDataset(y=np.r_[1, 2, rng.integers(1, 3, n - 2)], x=x,
+                              edges=np.asarray(edges)))
+    with pytest.raises(ValidationError, match="column 3 .* cells"):
+        fit(ClassifierSpec("type3", s_y=mains(1, 2), s_a=mains(3)), ds)
+    fit(ClassifierSpec("type3", s_y=mains(3), s_a=mains(1, 2)), ds)
+    for kind in ("type1", "type2"):
+        clf = fit(ClassifierSpec(kind, s_y=mains(1, 3), s_a=mains(3)), ds)
+        assert predict_scores(clf, ds).shape == (n, 2)
 
 
 def test_spec_rejects_bad_arguments():

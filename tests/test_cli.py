@@ -223,6 +223,38 @@ def test_simulate_rejects_noise_rates_outside_unit_interval(tmp_path, capsys):
     assert "add probability" in capsys.readouterr().err
 
 
+def test_unchecked_composite_map_exits_3(tmp_path, capsys):
+    """A metadata.json composite map must name real columns that hold the
+    joint codes of their pair."""
+    d = simulate_dir(tmp_path, n=60, p=5)
+    meta = read_json(d / "metadata.json")
+    files = ["--nodes", str(d / "nodes.csv"), "--edges", str(d / "edges.csv"),
+             "--metadata", str(d / "metadata.json")]
+    meta["composite_pairs"] = {"9": [1, 2]}  # beyond p
+    write_json(d / "metadata.json", meta)
+    assert main(["classify", *files, "--s-y", "1&2"]) == 3
+    assert "composite column 9 outside 1..5" in capsys.readouterr().err
+    meta["composite_pairs"] = {"3": [1, 2]}  # an original column
+    write_json(d / "metadata.json", meta)
+    assert main(["screen", *files]) == 3
+    assert "column 3 does not hold the joint codes" in capsys.readouterr().err
+
+
+def test_stray_large_code_exits_3_for_plr_only(tmp_path, capsys):
+    d = simulate_dir(tmp_path, n=60, p=5)
+    lines = (d / "nodes.csv").read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[-1] = "30000"  # column 5 of node 5
+    lines[5] = ",".join(cells)
+    (d / "nodes.csv").write_text("\n".join(lines) + "\n")
+    files = ["--nodes", str(d / "nodes.csv"), "--edges", str(d / "edges.csv")]
+    assert main(["screen", *files]) == 3
+    assert f"column 5 has 30000 levels; its tally tables would need " \
+        f"{4 * 30000 ** 2} cells" in capsys.readouterr().err
+    assert main(["screen", *files, "--method", "pc",
+                 "--out", str(tmp_path / "pc.json")]) == 0
+
+
 def test_dataset_round_trip_with_composites_and_raw(tmp_path):
     ds, extras = generate(example_config(8, n=50, p=6), seed=5)
     wide = interaction_expand(ds, [(1, 2)])

@@ -28,7 +28,7 @@ def test_marginal_and_edge_counts_match_oracle():
         assert np.array_equal(n_yj.sum(axis=1), want["n_y"])
         assert np.array_equal(n_yj.sum(axis=0), want["n_j"])
         assert np.array_equal(n_yj, want["n_yj"])
-        e_yj = tally_edges(y0, src0, dst0, xb0, r, k,
+        e_yj = tally_edges(y0, src0, dst0, xb0, k,
                            tally_adjacency(y0, src0, dst0, r))[0]
         e_y = e_yj.sum(axis=(2, 3))
         assert np.array_equal(e_y, want["n_edges_y"])
@@ -79,7 +79,7 @@ def test_blocked_tallies_equal_per_column_counts():
     ds = as_dataset(y.astype(np.int32), x, edges, r, k)
     xb0 = ds.x.astype(np.int64) - 1  # (n, p) 0-based codes
     marg = tally_marginals(ds._y0, xb0, r, k)
-    edge = tally_edges(ds._y0, ds._src0, ds._dst0, xb0, r, k,
+    edge = tally_edges(ds._y0, ds._src0, ds._dst0, xb0, k,
                        tally_adjacency(ds._y0, ds._src0, ds._dst0, r))
     assert marg.shape == (p, r, k)
     assert edge.shape == (p, r, r, k, k)
@@ -117,20 +117,20 @@ def test_tally_edges_matches_oracle_across_shapes(r, k):
         ds = as_dataset(y, x, edges, r, k)
         y0, src0, dst0 = ds._y0, ds._src0, ds._dst0
         adjacency = tally_adjacency(y0, src0, dst0, r)
-        block = tally_edges(y0, src0, dst0, xb0, r, k, adjacency)
+        block = tally_edges(y0, src0, dst0, xb0, k, adjacency)
         assert block.shape == (3, r, r, k, k)
         halves = np.concatenate([
-            tally_edges(y0, src0, dst0, xb0[:, :2], r, k, adjacency),
-            tally_edges(y0, src0, dst0, xb0[:, 2:], r, k, adjacency)])
+            tally_edges(y0, src0, dst0, xb0[:, :2], k, adjacency),
+            tally_edges(y0, src0, dst0, xb0[:, 2:], k, adjacency)])
         mask = rng.uniform(size=n) < 0.6
         both = mask[src0] & mask[dst0]
         masked_edges = [(s, t) for s, t in edges if mask[s - 1] and mask[t - 1]]
         masked = tally_edges(
-            y0, src0[both], dst0[both], xb0, r, k,
+            y0, src0[both], dst0[both], xb0, k,
             tally_adjacency(y0, src0[both], dst0[both], r))
         for c in range(3):
             want = oracle_counts(y, x[:, c], edges, r, k)["n_edges_yj"]
-            alone = tally_edges(y0, src0, dst0, xb0[:, [c]], r, k, adjacency)
+            alone = tally_edges(y0, src0, dst0, xb0[:, [c]], k, adjacency)
             assert np.array_equal(block[c], want)
             assert np.array_equal(alone[0], want)
             assert np.array_equal(halves[c], want)
@@ -151,17 +151,40 @@ def test_tally_edges_float64_products_give_the_same_tables(monkeypatch):
     xb0 = x.astype(np.int64) - 1
     args = (ds._y0, ds._src0, ds._dst0)
     narrow = tally_adjacency(*args, r)
-    single = tally_edges(*args, xb0, r, k, narrow)
+    single = tally_edges(*args, xb0, k, narrow)
     monkeypatch.setattr(counts, "FLOAT32_EXACT_N", 0)
     wide = tally_adjacency(*args, r)
-    double = tally_edges(*args, xb0, r, k, wide)
-    assert narrow[1][0][0].dtype == np.float32
-    assert wide[1][0][0].dtype == np.float64
+    double = tally_edges(*args, xb0, k, wide)
+    (_, _, narrow_adjacency, _), (_, _, wide_adjacency, _) = narrow, wide
+    assert narrow_adjacency.dtype == np.float32
+    assert wide_adjacency.dtype == np.float64
     assert single.dtype == double.dtype == np.int64
     assert single.tobytes() == double.tobytes()
     for c in range(p):
         want = oracle_counts(y, x[:, c], edges, r, k)["n_edges_yj"]
         assert np.array_equal(double[c], want)
+
+
+def test_tally_adjacency_matches_edge_loop():
+    """Nodes listed class by class; row r2 n + i holds the class-r2
+    destinations of the edges out of node order[i]; degrees are row sums."""
+    rng = np.random.default_rng(14)
+    for _ in range(30):
+        y, x, edges, r, k = random_instance(rng)
+        ds = as_dataset(y, x, edges, r, k)
+        n = len(y)
+        order, classes, adjacency, degrees = tally_adjacency(
+            ds._y0, ds._src0, ds._dst0, r)
+        assert np.array_equal(order, np.argsort(y, kind="stable"))
+        assert [y[order[rows]].tolist() for rows in classes] == [
+            [c] * int(np.sum(y == c)) for c in range(1, r + 1)]
+        want = np.zeros((r, n, n), dtype=np.int64)
+        rank = np.argsort(order)
+        for s, d in edges:
+            want[y[d - 1] - 1, rank[s - 1], d - 1] += 1
+        assert adjacency.shape == (r * n, n)
+        assert np.array_equal(adjacency.toarray(), want.reshape(r * n, n))
+        assert np.array_equal(degrees, want.sum(axis=2))
 
 
 def test_neighbour_adjacency_matches_edge_loop():

@@ -73,6 +73,30 @@ class TestValidate:
         assert ds3.r_levels == 3
         assert list(ds3.k_levels) == [4, 2]
 
+    def test_checks_composite_pairs(self):
+        rng = np.random.default_rng(18)
+        x = rng.integers(1, 3, (12, 4))
+        x[:, 2] = (x[:, 0] - 1) * 2 + x[:, 1]  # the joint code of (1, 2)
+        y = np.r_[1, 2, rng.integers(1, 3, 10)]
+        edges = np.array([[1, 2], [3, 4]])
+
+        def check(composite):
+            return validate(NodeDataset(y=y, x=x, edges=edges,
+                                        composite_pairs=composite))
+
+        assert check({"3": [1, 2]}).composite_pairs == {3: (1, 2)}
+        for composite, message in [
+                ({9: (1, 2)}, "composite column 9 outside 1..4"),
+                ({4: (1, 2)}, "column 4 does not hold the joint codes"),
+                ({3: (2, 1)}, r"pair \(2,1\) needs 1 <= j < k <= 4"),
+                ({3: (1, 5)}, r"pair \(1,5\) needs"),
+                ({3: (1, 2), 4: (1, 3)}, "references a composite column"),
+                ({"a": (1, 2)}, "must map column ids to pairs"),
+                ({3: (1, 2, 3)}, "must map column ids to pairs"),
+                ({3: 1}, "must map column ids to pairs")]:
+            with pytest.raises(ValidationError, match=message):
+                check(composite)
+
     def test_rejects_declared_levels_below_observed(self):
         with pytest.raises(ValidationError):
             validate(small_dataset(r_levels=1))

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import netscreen.plr as plr
-from netscreen import DegeneracyError, NodeDataset, validate
+from netscreen import DegeneracyError, NodeDataset, ValidationError, validate
 from netscreen.plr import (
-    batch_statistics, chi2_tail, degrees_of_freedom, permutation_pvalue,
-    plr_statistic,
+    TABLE_CELL_LIMIT, batch_statistics, check_table_cells, chi2_tail,
+    column_blocks, degrees_of_freedom, permutation_pvalue, plr_statistic,
 )
 from netscreen.experiment import null_calibration
 from netscreen.simulate import example_config, generate
@@ -208,6 +208,51 @@ def test_batch_statistics_independent_of_block_size(monkeypatch):
     single = batch_statistics(ds)
     for a, b in zip(default, single):
         assert a.tobytes() == b.tobytes()
+
+
+def test_column_blocks_group_widths_in_column_order(monkeypatch):
+    rng = np.random.default_rng(28)
+    n, widths = 12, (3, 2, 3, 1, 2, 3, 3)
+    x = np.column_stack([rng.integers(1, w + 1, n) for w in widths])
+    ds = validate(NodeDataset(y=np.r_[1, 2, rng.integers(1, 3, n - 2)], x=x,
+                              edges=np.empty((0, 2)), k_levels=widths))
+    monkeypatch.setattr(plr, "BLOCK_TARGET_CELLS", 2 * 4 * 9)  # two of width 3
+    cols = np.array([7, 2, 3, 1, 5, 6, 4])
+    blocks = list(column_blocks(ds, cols))
+    assert [(k, part.tolist()) for k, part, _ in blocks] == [
+        (1, [6]), (2, [1, 4]), (3, [0, 2]), (3, [3, 5])]
+    for k, part, xb0 in blocks:
+        assert xb0.dtype == np.int64
+        assert np.array_equal(xb0, x[:, cols[part] - 1] - 1)
+    assert list(column_blocks(ds, [])) == []
+
+
+def test_tables_beyond_the_cell_limit_are_refused():
+    """A stray large code (an id column, say) makes K_j huge: PLR scoring
+    refuses the column before allocating its R^2 K_j^2 tables."""
+    rng = np.random.default_rng(29)
+    n = 60
+    x = rng.integers(1, 3, (n, 3))
+    x[5, 2] = 30000
+    edges = [(s + 1, t + 1) for s in range(n) for t in range(n)
+             if s != t and rng.uniform() < 0.1]
+    ds = validate(NodeDataset(y=np.r_[1, 2, rng.integers(1, 3, n - 2)], x=x,
+                              edges=np.asarray(edges)))
+    message = f"column 3 .* {4 * 30000 ** 2} cells"
+    with pytest.raises(ValidationError, match=message):
+        batch_statistics(ds)
+    with pytest.raises(ValidationError, match=message):
+        plr_statistic(ds, 3)
+    with pytest.raises(ValidationError, match=message):
+        permutation_pvalue(ds, 3, 5)
+    assert batch_statistics(ds, [1, 2])[0].shape == (2,)
+    # R^2 K^2 at the limit passes, one level more does not
+    wide = validate(NodeDataset(y=ds.y, x=x, edges=ds.edges,
+                                k_levels=[2, 2048, 30000]))
+    assert TABLE_CELL_LIMIT == 4 * 2048 ** 2
+    check_table_cells(wide, [1, 2])
+    with pytest.raises(ValidationError, match="column 3"):
+        check_table_cells(wide, [1, 2, 3])
 
 
 def test_permutation_pvalue_is_deterministic():

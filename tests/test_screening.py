@@ -5,10 +5,11 @@ import pytest
 
 from netscreen import NodeDataset, ValidationError, validate
 from netscreen.counts import tally_marginals
+from netscreen.dataset import discretize
 from netscreen.plr import chi2_tail
 from netscreen.screening import (
-    discretize, feature_key, hard_cutoff, interaction_expand,
-    max_ratio_cutoff, pc_sis, plr_sis,
+    feature_key, hard_cutoff, interaction_expand, max_ratio_cutoff, pc_sis,
+    plr_sis,
 )
 from netscreen.simulate import example_config, generate
 
@@ -187,6 +188,21 @@ def test_composite_marginal_equals_joint_tally():
 
 
 # ------------------------------------------------------------- pc screen
+
+def test_stray_large_code_stops_plr_sis_but_not_pc_sis():
+    rng = np.random.default_rng(30)
+    n = 60
+    x = rng.integers(1, 3, (n, 3))
+    x[7, 2] = 30000
+    edges = [(s + 1, t + 1) for s in range(n) for t in range(n)
+             if s != t and rng.uniform() < 0.1]
+    ds = NodeDataset(y=np.r_[1, 2, rng.integers(1, 3, n - 2)], x=x,
+                     edges=np.asarray(edges))
+    with pytest.raises(ValidationError,
+                       match=f"column 3 .* {4 * 30000 ** 2} cells"):
+        plr_sis(ds)
+    assert pc_sis(ds).feature_keys == ("1", "2", "3")
+
 
 def test_pearson_statistic_values():
     # diagonal 2x2 table: chi-square is n

@@ -8,7 +8,7 @@ from scipy.special import expit
 
 from netscreen import FeatureSet, ValidationError, simulate
 from netscreen.io import write_dataset
-from netscreen.screening import discretize
+from netscreen.dataset import discretize
 from netscreen.simulate import (
     SimulationConfig, check_config, example_config, gen_network, gen_nlr,
     gen_nnb, generate, noise_rates, perturb_network,
