@@ -13,7 +13,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -46,13 +46,8 @@ class ExperimentReport:
     timing: dict | None = None  # in-memory only, never serialized
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.version, "name": self.name, "model": self.model,
-            "n": self.n, "p": self.p, "m_reps": self.m_reps,
-            "seed": self.seed, "config": self.config,
-            "replications": self.replications, "metrics": self.metrics,
-            "true_fit": self.true_fit,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "timing"}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

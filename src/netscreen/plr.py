@@ -23,7 +23,9 @@ so no smoothing is needed and the value is always finite.
 
 Under a null with independent uniform responses, 2 n lam_self is
 asymptotically chi-square with (R-1)(K-1) degrees of freedom and
-2 n lam_network chi-square with R^2 (K^2 - 1).
+2 n lam_network chi-square with R^2 (K^2 - 1). Where that is in doubt, label
+permutations give each column its own tail, scored on the statistic's own
+walk (:func:`_column_totals`).
 """
 
 from __future__ import annotations
@@ -62,14 +64,13 @@ class PlrStat:
     p_perm: float | None = None
 
 
-def chi2_tail(stat: float, df: int) -> float:
-    """Upper tail of chi-square with df degrees of freedom.
-
-    df = 0 is the degenerate point mass at zero: tail is 1 for stat <= 0.
-    """
-    if df == 0:
-        return 1.0 if stat <= 1e-12 else 0.0
-    return float(chdtrc(df, max(float(stat), 0.0)))
+def chi2_tail(stat, df):
+    """Upper tail of chi-square with df degrees of freedom, elementwise;
+    a float for scalars. df = 0 is the degenerate point mass at zero: tail
+    is 1 for stat <= 0 (up to 1e-12), else 0."""
+    stat = np.maximum(np.asarray(stat, dtype=np.float64), 0.0)
+    tail = np.where(np.asarray(df) == 0, stat <= 1e-12, chdtrc(df, stat))
+    return float(tail) if tail.ndim == 0 else tail
 
 
 class _SharedTables:
@@ -157,10 +158,6 @@ def _block_lambdas(dataset, xb0, k, shared):
     return self_tot, net_tot
 
 
-def _block_size(r: int, k: int) -> int:
-    return max(1, min(64, BLOCK_TARGET_CELLS // max(1, r * r * k * k)))
-
-
 def column_blocks(dataset: NodeDataset, cols):
     """Yield (k, positions, xb0) over blocks of equal-width columns.
 
@@ -169,12 +166,12 @@ def column_blocks(dataset: NodeDataset, cols):
     read stored codes. Blocks come width by width, in the order of cols
     within a width, each small enough for the tally size cap.
     """
-    cols = np.asarray(cols, dtype=np.int64)
+    cols, r = np.asarray(cols, dtype=np.int64), dataset.r_levels
     widths = dataset.k_levels[cols - 1]
     for k in np.unique(widths):
         k = int(k)
         sel = np.flatnonzero(widths == k)
-        step = _block_size(dataset.r_levels, k)
+        step = min(64, max(1, BLOCK_TARGET_CELLS // (r * k) ** 2))
         for lo in range(0, sel.size, step):
             part = sel[lo:lo + step]
             yield k, part, dataset.x[:, cols[part] - 1].astype(np.int64) - 1
@@ -197,6 +194,37 @@ def check_table_cells(dataset: NodeDataset, cols) -> None:
             f"{TABLE_CELL_LIMIT} limit")
 
 
+def _column_totals(dataset: NodeDataset, cols, perms: int = 0,
+                   seed: int = 0):
+    """((2, B) self and network totals, permutation tails) of cols (1-based).
+
+    One build of the shared tables, the columns block by block, then perms
+    permuted copies of each, every draw one more column of its width. Draw b
+    of column j is seeded by (seed, j, b); a tail is (1 + #{draws whose
+    unnormalized total reaches the column's own}) / (perms + 1).
+    """
+    cols = np.asarray([int(j) for j in cols], dtype=np.int64)
+    bad = cols[(cols < 1) | (cols > dataset.p)]
+    if bad.size:
+        raise IndexError(f"column {int(bad[0])} outside 1..{dataset.p}")
+    shared = _SharedTables(dataset)
+    check_table_cells(dataset, cols)
+    totals = np.zeros((2, cols.size))
+    for k, part, xb0 in column_blocks(dataset, cols):
+        totals[:, part] = _block_lambdas(dataset, xb0, k, shared)
+    observed = totals[0] + totals[1]
+    hits = np.zeros(cols.size, dtype=np.int64)
+    for k, part, xb0 in column_blocks(dataset, np.repeat(cols, perms)):
+        owner, draw = np.divmod(part, perms)  # entry i perms + b
+        for c, (i, b) in enumerate(zip(owner.tolist(), draw.tolist())):
+            rng = np.random.default_rng(
+                np.random.SeedSequence((seed, int(cols[i]), b)))
+            xb0[:, c] = xb0[rng.permutation(dataset.n), c]
+        s_perm, n_perm = _block_lambdas(dataset, xb0, k, shared)
+        np.add.at(hits, owner, s_perm + n_perm >= observed[owner])
+    return totals, (1.0 + hits) / (perms + 1.0)
+
+
 def batch_statistics(dataset: NodeDataset, columns=None):
     """Normalized (lam, lam_self, lam_network) arrays over the given columns.
 
@@ -205,36 +233,14 @@ def batch_statistics(dataset: NodeDataset, columns=None):
     fixed, so results do not depend on the blocking or on thread count.
     """
     dataset = validate(dataset)
-    shared = _SharedTables(dataset)
-    if columns is None:
-        columns = range(1, dataset.p + 1)
-    cols = np.asarray([int(j) for j in columns], dtype=np.int64)
-    if cols.size and (cols.min() < 1 or cols.max() > dataset.p):
-        raise IndexError(f"column index outside 1..{dataset.p}")
-    check_table_cells(dataset, cols)
-    lam_self = np.zeros(cols.size)
-    lam_net = np.zeros(cols.size)
-    for k, part, xb0 in column_blocks(dataset, cols):
-        s_tot, n_tot = _block_lambdas(dataset, xb0, k, shared)
-        lam_self[part] = s_tot / dataset.n
-        lam_net[part] = n_tot / dataset.n
+    cols = range(1, dataset.p + 1) if columns is None else columns
+    lam_self, lam_net = _column_totals(dataset, cols)[0] / dataset.n
     return lam_self + lam_net, lam_self, lam_net
 
 
 def degrees_of_freedom(r: int, k: int) -> tuple[int, int]:
     """(df_self, df_network) of the chi-square references for widths (R, K)."""
     return (r - 1) * (k - 1), r * r * (k * k - 1)
-
-
-def _column_totals(dataset: NodeDataset, j: int):
-    """(k, x0, shared tables, self total, network total) of column j."""
-    if not 1 <= j <= dataset.p:
-        raise IndexError(f"column {j} outside 1..{dataset.p}")
-    shared = _SharedTables(dataset)
-    check_table_cells(dataset, [j])
-    k, _, x0 = next(column_blocks(dataset, [j]))
-    s_tot, n_tot = _block_lambdas(dataset, x0, k, shared)
-    return k, x0, shared, float(s_tot[0]), float(n_tot[0])
 
 
 def plr_statistic(dataset: NodeDataset, j: int, *, perms: int = 0,
@@ -246,11 +252,12 @@ def plr_statistic(dataset: NodeDataset, j: int, *, perms: int = 0,
     level has no nodes.
     """
     dataset = validate(dataset)
-    k, _, _, s_tot, n_tot = _column_totals(dataset, j)
-    df_self, df_net = degrees_of_freedom(dataset.r_levels, k)
-    p_perm = None
-    if perms > 0:
-        p_perm, _ = permutation_pvalue(dataset, j, perms, seed)
+    if perms < 0:
+        raise ValidationError("perms must be nonnegative")
+    totals, tails = _column_totals(dataset, [j], perms, seed)
+    s_tot, n_tot = totals[:, 0].tolist()
+    df_self, df_net = degrees_of_freedom(dataset.r_levels,
+                                         int(dataset.k_levels[j - 1]))
     return PlrStat(
         lam=(s_tot + n_tot) / dataset.n,
         lam_self=s_tot / dataset.n,
@@ -259,36 +266,19 @@ def plr_statistic(dataset: NodeDataset, j: int, *, perms: int = 0,
         df_network=df_net,
         p_self=chi2_tail(2.0 * s_tot, df_self),
         p_network=chi2_tail(2.0 * n_tot, df_net),
-        p_perm=p_perm,
+        p_perm=float(tails[0]) if perms else None,
     )
 
 
-def permutation_pvalue(dataset: NodeDataset, j: int, n_perms: int,
-                       seed: int = 0):
-    """Permutation tail probability for column j (1-based).
+def permutation_pvalue(dataset: NodeDataset, columns, n_perms: int,
+                       seed: int = 0) -> np.ndarray:
+    """Permutation tail of each of columns (1-based ids), in the order given.
 
-    The column is permuted across nodes, which breaks its tie to both the
-    responses and the adjacency while keeping its level frequencies. Returns
-    ((1 + #{permuted lam >= observed lam}) / (n_perms + 1), permuted values).
-    Draw b uses an RNG seeded by (seed, j, b), so results are reproducible
-    and independent of batching.
+    Permuting a column across nodes breaks its tie to the responses and the
+    adjacency but keeps its level frequencies. Costs one table build and
+    n_perms extra scoring passes over the columns.
     """
     dataset = validate(dataset)
     if n_perms < 1:
         raise ValueError("n_perms must be positive")
-    k, x0, shared, s_tot, n_tot = _column_totals(dataset, j)
-    observed = s_tot + n_tot
-
-    perm_vals = np.empty(n_perms)
-    step = _block_size(dataset.r_levels, k)
-    for lo in range(0, n_perms, step):
-        hi = min(lo + step, n_perms)
-        xb0 = np.empty((dataset.n, hi - lo), dtype=np.int64)
-        for b in range(lo, hi):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, j, b)))
-            xb0[:, b - lo] = x0[rng.permutation(dataset.n), 0]
-        s_tot, n_tot = _block_lambdas(dataset, xb0, k, shared)
-        perm_vals[lo:hi] = s_tot + n_tot
-    count = int(np.sum(perm_vals >= observed))
-    p = (1.0 + count) / (n_perms + 1.0)
-    return p, perm_vals / dataset.n
+    return _column_totals(dataset, columns, n_perms, seed)[1]

@@ -11,8 +11,9 @@ statistic values are compared directly. With mixed level counts the raw
 values are not comparable (wider columns have larger null means), so columns
 are ranked by the upper tail of the combined chi-square reference instead:
 score = -log10 of the joint tail probability, ties broken by the larger raw
-statistic, then by the smaller column index. A permutation ranking is
-available for small column sets via perms > 0.
+statistic, then by the smaller column index. perms > 0 ranks by permutation
+tails instead (plr only); it costs one more build of the shared tables and
+perms extra scoring passes over the columns, so it suits small column sets.
 
 Cutoffs. "max_ratio" walks the sorted scores and keeps the prefix in front
 of the largest consecutive ratio; "hard" keeps a fixed count, by default
@@ -27,14 +28,13 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .counts import tally_marginals
 from .dataset import (CODE_MAX, FeatureSet, NodeDataset, check_pair,
                       joint_code, seal, validate)
 from .errors import ValidationError
-from .plr import (batch_statistics, column_blocks, degrees_of_freedom,
-                  permutation_pvalue)
+from .plr import (batch_statistics, chi2_tail, column_blocks,
+                  degrees_of_freedom, permutation_pvalue)
 
 DEGENERATE_TOL = 1e-8   # top score below this means nothing separates
 RATIO_EPS = 1e-12       # relative floor for max-ratio denominators
@@ -240,9 +240,9 @@ def _plr_batch(dataset: NodeDataset, cols: np.ndarray):
     lam, lam_self, lam_net = batch_statistics(dataset, cols)
     df_self, df_net = degrees_of_freedom(dataset.r_levels,
                                          dataset.k_levels[cols - 1])
-    return (lam, np.maximum(2.0 * dataset.n * lam, 0.0), df_self + df_net,
-            "lambda", dict(lam=lam, lam_self=lam_self, lam_network=lam_net,
-                           df_self=df_self, df_network=df_net))
+    return (lam, 2.0 * dataset.n * lam, df_self + df_net, "lambda",
+            dict(lam=lam, lam_self=lam_self, lam_network=lam_net,
+                 df_self=df_self, df_network=df_net))
 
 
 def _pearson_batch(dataset: NodeDataset, cols: np.ndarray):
@@ -270,9 +270,7 @@ def _asymptotic(dataset, statistic, cols):
     chi-square tail.
     """
     raw, chi2, df, rank_by, fields = statistic(dataset, cols)
-    with np.errstate(invalid="ignore"):
-        p_asym = chdtrc(df, chi2)
-    p_asym = np.where(df == 0, 1.0, p_asym)
+    p_asym = chi2_tail(chi2, df)
     if np.unique(dataset.k_levels[cols - 1]).size <= 1:
         return raw, p_asym, raw, rank_by, fields
     scores = -np.log10(np.maximum(p_asym, P_FLOOR))
@@ -324,8 +322,7 @@ def _screen(method, statistic, dataset, *, cutoff, d, alpha, seed,
                                                        cols)
     p_used, p_perm = p_asym, None
     if perms > 0:
-        p_perm = np.asarray(
-            [permutation_pvalue(dataset, int(j), perms, seed)[0] for j in cols])
+        p_perm = permutation_pvalue(dataset, cols, perms, seed)
         scores = -np.log10(np.maximum(p_perm, P_FLOOR))
         rank_by, p_used = "permutation", p_perm
 
@@ -359,9 +356,9 @@ def plr_sis(dataset: NodeDataset, *, cutoff: str = "max_ratio",
     interactions="top" first ranks main effects, then adds composite columns
     for every pair among the leading top_m (default floor(n/log n)) and
     screens mains and composites jointly; "all" expands every pair. perms > 0
-    replaces the asymptotic ranking with permutation tail probabilities
-    (costly; meant for small column sets). columns restricts the screen to a
-    subset of 1-based column ids.
+    replaces the asymptotic ranking with permutation tail probabilities,
+    which cost perms extra scoring passes over the columns. columns restricts
+    the screen to a subset of 1-based column ids.
     """
     return _screen("plr", _plr_batch, dataset, cutoff=cutoff, d=d,
                    alpha=alpha, seed=seed, interactions=interactions,

@@ -417,11 +417,12 @@ def generate(config: SimulationConfig, seed=None):
 
     extras carries "raw" (dict of continuous columns before binning) and
     "true_features". seed overrides config.seed; a tuple seed opens a
-    distinct stream family, which the replication harness uses.
+    distinct stream family, which the replication harness uses. The
+    sampler (gen_nnb or gen_nlr) checks the config before any draw.
     """
-    check_config(config)
-    entropy = _entropy(config.seed if seed is None else seed)
-    y, x, raw = (gen_nnb if config.model == "nnb" else gen_nlr)(config, entropy)
+    seed = config.seed if seed is None else seed
+    y, x, raw = (gen_nnb if config.model == "nnb" else gen_nlr)(config, seed)
+    entropy = _entropy(seed)
     edges = gen_network(y, x, config, entropy)
     if config.noise is not None:
         keep, add = noise_rates(config.n, float(config.noise["s"]))

@@ -319,6 +319,20 @@ def test_read_dataset_near_integer_column_is_continuous(tmp_path):
     assert ds.column(1).tolist() == [1, 2, 1, 2]
 
 
+def test_binning_to_a_single_level_is_refused(tmp_path, capsys):
+    # normal_quantile cuts the raw values at 0 with two bins, so a column
+    # that never goes below 1 would become one level and screen as noise
+    text = NODES_HEADER + "1,1,1\n2,2,2.00001\n3,1,1\n4,2,2\n"
+    (tmp_path / "nodes.csv").write_text(text, encoding="utf-8")
+    (tmp_path / "edges.csv").write_text(EDGE_OK, encoding="utf-8")
+    with pytest.raises(ValidationError,
+                       match="x1 falls in one level under normal_quantile with 2 bins"):
+        read_dataset(tmp_path / "nodes.csv", tmp_path / "edges.csv", bins=2)
+    assert main(["screen", "--nodes", str(tmp_path / "nodes.csv"),
+                 "--edges", str(tmp_path / "edges.csv"), "--bins", "2"]) == 3
+    assert "empirical_quantile" in capsys.readouterr().err
+
+
 def test_read_dataset_maps_string_labels(tmp_path):
     nodes = tmp_path / "nodes.csv"
     nodes.write_text(

@@ -8,6 +8,7 @@ from netscreen.plr import (
     column_blocks, degrees_of_freedom, permutation_pvalue, plr_statistic,
 )
 from netscreen.experiment import null_calibration
+from netscreen.screening import plr_sis
 from netscreen.simulate import example_config, generate
 
 from oracles import oracle_plr, random_instance
@@ -145,6 +146,19 @@ def test_chi2_tail():
     # zero df: point mass at zero
     assert chi2_tail(0.0, 0) == 1.0
     assert chi2_tail(0.5, 0) == 0.0
+    assert type(chi2_tail(2.0, 3)) is float
+
+
+def test_chi2_tail_on_arrays():
+    # elementwise over statistics and df alike, the scalar rule at each
+    stat = np.array([3.841458820694124, 0.0, 0.0, 0.5, -1.0, 7.5])
+    df = np.array([1, 5, 0, 0, 2, 4])
+    got = chi2_tail(stat, df)
+    assert isinstance(got, np.ndarray) and got.shape == (6,)
+    assert got.tolist() == [chi2_tail(float(s), int(d))
+                            for s, d in zip(stat, df)]
+    assert got[2:5].tolist() == [1.0, 0.0, 1.0]
+    assert chi2_tail(np.zeros(3), 2).tolist() == [1.0, 1.0, 1.0]
 
 
 def test_degrees_of_freedom():
@@ -244,7 +258,7 @@ def test_tables_beyond_the_cell_limit_are_refused():
     with pytest.raises(ValidationError, match=message):
         plr_statistic(ds, 3)
     with pytest.raises(ValidationError, match=message):
-        permutation_pvalue(ds, 3, 5)
+        permutation_pvalue(ds, [1, 3], 5)
     assert batch_statistics(ds, [1, 2])[0].shape == (2,)
     # R^2 K^2 at the limit passes, one level more does not
     wide = validate(NodeDataset(y=ds.y, x=x, edges=ds.edges,
@@ -255,38 +269,87 @@ def test_tables_beyond_the_cell_limit_are_refused():
         check_table_cells(wide, [1, 2, 3])
 
 
-def test_permutation_pvalue_is_deterministic():
-    rng = np.random.default_rng(26)
+def mixed_instance(rng):
+    """random_instance's column next to two more drawn from rng: a
+    four-level one and a second of the instance's width."""
     y, x, edges, r, k = random_instance(rng, n_max=10)
-    ds = as_dataset(y, x, edges, r, k)
-    p1, vals1 = permutation_pvalue(ds, 1, 40, seed=5)
-    p2, vals2 = permutation_pvalue(ds, 1, 40, seed=5)
-    assert p1 == p2
-    assert np.array_equal(vals1, vals2)
-    assert plr_statistic(ds, 1, perms=40, seed=5).p_perm == p1
+    n = len(y)
+    x = np.column_stack([x[:, 0], rng.integers(1, 5, n),
+                         rng.integers(1, k + 1, n)])
+    return validate(NodeDataset(
+        y=y, x=x, edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+        r_levels=r, k_levels=[k, 4, k]))
+
+
+def test_permutation_pvalue_is_deterministic():
+    ds = mixed_instance(np.random.default_rng(26))
+    p1 = permutation_pvalue(ds, [1, 2, 3], 40, seed=5)
+    p2 = permutation_pvalue(ds, [1, 2, 3], 40, seed=5)
+    assert p1.tobytes() == p2.tobytes()
+    # each column's tail is its own: alone, in another order, or through
+    # plr_statistic, it does not move
+    for j in (1, 2, 3):
+        assert permutation_pvalue(ds, [j], 40, seed=5)[0] == p1[j - 1]
+        assert plr_statistic(ds, j, perms=40, seed=5).p_perm == p1[j - 1]
+    assert np.array_equal(permutation_pvalue(ds, [3, 1, 2], 40, seed=5),
+                          p1[[2, 0, 1]])
     # a different seed reshuffles
-    p3, _ = permutation_pvalue(ds, 1, 40, seed=6)
-    assert 0.0 < p3 <= 1.0
+    p3 = permutation_pvalue(ds, [1, 2, 3], 40, seed=6)
+    assert not np.array_equal(p1, p3)
+    assert np.all((0.0 < p3) & (p3 <= 1.0))
+
+
+def test_permutation_tails_frozen_values():
+    """p_perm as the per-column draws gave it before the draws of all
+    columns shared one walk."""
+    y, x, edges, r, k = random_instance(np.random.default_rng(26), n_max=10)
+    stat = plr_statistic(as_dataset(y, x, edges, r, k), 1, perms=40, seed=5)
+    assert stat.p_perm == 12 / 41
 
 
 def test_permutation_pvalue_independent_of_batching(monkeypatch):
-    rng = np.random.default_rng(27)
-    y, x, edges, r, k = random_instance(rng, n_max=10)
-    ds = as_dataset(y, x, edges, r, k)
-    p_big, vals_big = permutation_pvalue(ds, 1, 25, seed=9)
+    ds = mixed_instance(np.random.default_rng(27))
+    big = permutation_pvalue(ds, [1, 2, 3], 25, seed=9)
     monkeypatch.setattr(plr, "BLOCK_TARGET_CELLS", 1)  # one draw per block
-    p_one, vals_one = permutation_pvalue(ds, 1, 25, seed=9)
-    assert p_big == p_one
-    assert np.array_equal(vals_big, vals_one)
+    one = permutation_pvalue(ds, [1, 2, 3], 25, seed=9)
+    assert big.tobytes() == one.tobytes()
 
 
 def test_permutation_pvalue_on_constant_column_is_one():
     y = np.array([1, 2, 1, 2, 1, 2])
     x = np.ones((6, 1), dtype=np.int64)
     ds = as_dataset(y, x, [(1, 2), (3, 4)], 2, 1)
-    p, vals = permutation_pvalue(ds, 1, 19, seed=0)
-    assert p == 1.0
-    assert np.all(vals == 0.0)
+    assert permutation_pvalue(ds, [1], 19, seed=0).tolist() == [1.0]
+
+
+def test_one_shared_table_build_per_call(monkeypatch):
+    """Observed columns and permutation draws share one build of the
+    feature-free tables per scoring call."""
+    builds = []
+    init = plr._SharedTables.__init__
+
+    def counted(self, dataset):
+        builds.append(1)
+        init(self, dataset)
+
+    monkeypatch.setattr(plr._SharedTables, "__init__", counted)
+    ds = mixed_instance(np.random.default_rng(26))
+    for call in (lambda: batch_statistics(ds),
+                 lambda: plr_statistic(ds, 2, perms=9),
+                 lambda: permutation_pvalue(ds, [1, 2, 3], 9)):
+        builds.clear()
+        call()
+        assert len(builds) == 1
+    builds.clear()
+    plr_sis(ds, perms=9)
+    assert len(builds) <= 2
+
+
+def test_negative_perms_rejected():
+    ds = four_node_dataset()
+    with pytest.raises(ValidationError, match="perms must be nonnegative"):
+        plr_statistic(ds, 1, perms=-2)
+    assert plr_statistic(ds, 1, perms=0).p_perm is None
 
 
 def test_missing_response_level_raises():
@@ -305,7 +368,7 @@ def test_column_index_bounds():
     with pytest.raises(IndexError):
         plr_statistic(ds, 2)
     with pytest.raises(ValueError):
-        permutation_pvalue(ds, 1, 0)
+        permutation_pvalue(ds, [1], 0)
 
 
 def test_null_calibration_at_three_response_levels():

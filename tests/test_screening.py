@@ -335,6 +335,9 @@ def test_permutation_ranking_path():
     assert res.p_perm is not None and res.p_perm.shape == (3,)
     again = plr_sis(ds, perms=19, seed=4, cutoff="hard", d=2)
     assert np.array_equal(res.p_perm, again.p_perm)
+    # the tails as per-column draws gave them before the columns shared one
+    # walk
+    assert res.p_perm.tobytes() == (np.array([13.0, 15.0, 13.0]) / 20).tobytes()
 
 
 def test_negative_perms_rejected():
