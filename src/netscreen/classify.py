@@ -24,8 +24,7 @@ the inner ones, so it is folded into the weights and never counted per node.
 type3 reads the inner counts of a block of equal-width link columns from one
 product of :func:`counts.neighbour_adjacency` with the block's level
 indicators, in float32 while that is exact, and contracts them in float64;
-type2 is the width-1 case, which needs the degrees alone, and takes them
-from :func:`counts.neighbour_degrees` without building the matrix.
+type2 is the width-1 case, which needs the degrees alone.
 """
 
 from __future__ import annotations
@@ -34,9 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counts import (block_pair_tables, neighbour_adjacency,
-                     neighbour_degrees, product_dtype, response_pair_tables,
-                     tally_adjacency, tally_edges, tally_marginals)
+from .counts import (block_pair_tables, neighbour_adjacency, product_dtype,
+                     response_pair_tables, tally_adjacency, tally_edges,
+                     tally_marginals)
 from .dataset import FeatureSet, NodeDataset, validate
 from .errors import ValidationError
 from .plr import check_table_cells, column_blocks
@@ -195,17 +194,14 @@ def predict_scores(clf: NetworkClassifier, dataset: NodeDataset,
     if clf.spec.kind == "type1":
         return scores
 
-    # shared: every target's labeled neighbours by direction and class (type3
-    # reads them one by one, as rows of nbrs), a one and its own labeled cell
+    # every target's labeled neighbours by direction and class (rows of
+    # nbrs); shared holds their counts, a one and the own-cell indicator
     y0, mask = dataset._y0, clf.train_mask
-    args = (y0, dataset._src0, dataset._dst0, mask, t0, r)
-    if clf.spec.kind == "type2":
-        degrees = neighbour_degrees(*args)
-    else:
-        nbrs = neighbour_adjacency(*args, product_dtype(n))
-        degrees = (nbrs @ np.ones(n, nbrs.dtype)).reshape(-1, 2 * r)
+    nbrs = neighbour_adjacency(y0, dataset._src0, dataset._dst0, mask, t0, r,
+                               product_dtype(n))
     own = np.zeros((t0.size, r))
     own[mask[t0], y0[t0[mask[t0]]]] = 1.0
+    degrees = (nbrs @ np.ones(n, nbrs.dtype)).reshape(-1, 2 * r)
     shared = np.column_stack([degrees, np.ones(t0.size), own])
     census = np.bincount(y0[mask], minlength=r)[None, :, None]
     scores += shared @ _link_weights(clf.log_pi0[None, :, :, None, None],
@@ -350,7 +346,10 @@ def screening_metrics(selections, s_true: FeatureSet,
     selections: iterable of FeatureSet (a ScreeningResult's selected works).
     """
     keys = s_true.keys()
-    sets = [set(getattr(sel, "selected", sel).keys()) for sel in selections]
+    sets = []
+    for sel in selections:
+        chosen = getattr(sel, "selected", sel)
+        sets.append(set(chosen.keys()))
     if not sets:
         raise ValidationError("no selections to aggregate")
     m = len(sets)

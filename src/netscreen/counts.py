@@ -48,9 +48,9 @@ from scipy import sparse
 # it, over the neighbours it knows the responses of. neighbour_adjacency
 # stacks those 2R class-split adjacencies, restricted to the target rows,
 # into one CSR matrix, so one product per block gives every target's inner
-# level counts in both directions; neighbour_degrees gives its row sums
-# alone. Edges to unknown neighbours stay in it as explicit zeros: masking
-# the entries costs less than filtering four edge arrays.
+# level counts in both directions, and its row sums are the degrees. Edges
+# to unknown neighbours stay in it as explicit zeros: masking the entries
+# costs less than filtering four edge arrays.
 
 FLOAT32_EXACT_N = 2 ** 24  # float32 holds every integer up to this bound
 
@@ -69,22 +69,6 @@ def tally_marginals(y0: np.ndarray, xb0: np.ndarray, r: int, k: int) -> np.ndarr
     return flat.reshape(b, r, k)
 
 
-def _neighbour_keys(y0, src0, dst0, r):
-    """Row keys 2R i + d R + r2 and ids of the neighbours of class r2 that
-    node i links to (d = 0) or that link to it (d = 1), over every edge."""
-    return (np.concatenate([src0 * (2 * r) + y0[dst0],
-                            dst0 * (2 * r) + (r + y0[src0])]),
-            np.concatenate([dst0, src0]))
-
-
-def neighbour_degrees(y0, src0, dst0, known, targets, r: int):
-    """(T, 2R) float64 row sums of :func:`neighbour_adjacency`, by one
-    weighted bincount of its row keys."""
-    rows, nbrs = _neighbour_keys(y0, src0, dst0, r)
-    degrees = np.bincount(rows, known[nbrs], 2 * r * y0.size)
-    return degrees.reshape(-1, 2 * r)[targets]
-
-
 def neighbour_adjacency(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
                         known: np.ndarray, targets: np.ndarray, r: int,
                         dtype=np.float64):
@@ -96,8 +80,10 @@ def neighbour_adjacency(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
     targets are 0-based node ids in any order, repeats allowed.
     """
     n = y0.size
-    rows, nbrs = _neighbour_keys(y0, src0, dst0, r)
-    adj = sparse.csr_array((known[nbrs].astype(dtype), (rows, nbrs)),
+    rows = np.concatenate([src0 * (2 * r) + y0[dst0],
+                           dst0 * (2 * r) + (r + y0[src0])])
+    cols = np.concatenate([dst0, src0])
+    adj = sparse.csr_array((known[cols].astype(dtype), (rows, cols)),
                            shape=(2 * r * n, n))
     return adj[(targets[:, None] * (2 * r) + np.arange(2 * r)).ravel()]
 

@@ -13,7 +13,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,8 +46,13 @@ class ExperimentReport:
     timing: dict | None = None  # in-memory only, never serialized
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name != "timing"}
+        return {
+            "version": self.version, "name": self.name, "model": self.model,
+            "n": self.n, "p": self.p, "m_reps": self.m_reps,
+            "seed": self.seed, "config": self.config,
+            "replications": self.replications, "metrics": self.metrics,
+            "true_fit": self.true_fit,
+        }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

@@ -143,16 +143,20 @@ def _read_csv_columns(path):
     columns, level_maps = [], {}
     for c, name in enumerate(header):
         values = [row[c].strip() for row in data]
-        for cast, dtype in ((int, np.int64), (float, np.float64)):
-            try:
-                columns.append(np.asarray([cast(v) for v in values], dtype))
-                break
-            except ValueError:
-                pass
-        else:  # labels: codes in sorted order
-            code = {v: i + 1 for i, v in enumerate(sorted(set(values)))}
-            level_maps[name] = code
-            columns.append(np.asarray([code[v] for v in values], np.int64))
+        try:
+            columns.append(np.asarray([int(v) for v in values], np.int64))
+            continue
+        except ValueError:
+            pass
+        try:
+            columns.append(np.asarray([float(v) for v in values], np.float64))
+            continue
+        except ValueError:
+            pass
+        levels = sorted(set(values))
+        code = {v: i + 1 for i, v in enumerate(levels)}
+        level_maps[name] = code
+        columns.append(np.asarray([code[v] for v in values], np.int64))
     return header, columns, level_maps
 
 
@@ -187,10 +191,11 @@ def read_dataset(nodes_path, edges_path, metadata_path=None,
                 spread = col.min() < col.max()
                 col = discretize(col, bins, bin_scheme).astype(np.int64)
                 if spread and col.min() == col.max():
+                    hint = "empirical_quantile" \
+                        if bin_scheme == "normal_quantile" else "more bins"
                     raise ValidationError(
                         f"column {header[c]} falls in one level under "
-                        f"{bin_scheme} with {bins} bins; try "
-                        "empirical_quantile")
+                        f"{bin_scheme} with {bins} bins; try {hint}")
                 info["binned_columns"].append(header[c])
         x_cols.append(col)
     if isinstance(columns, np.ndarray):  # every cell an integer

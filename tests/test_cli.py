@@ -331,6 +331,13 @@ def test_binning_to_a_single_level_is_refused(tmp_path, capsys):
     assert main(["screen", "--nodes", str(tmp_path / "nodes.csv"),
                  "--edges", str(tmp_path / "edges.csv"), "--bins", "2"]) == 3
     assert "empirical_quantile" in capsys.readouterr().err
+    # empirical_quantile collapses a tied column too: its one cut is the tie
+    text = NODES_HEADER + "1,1,1\n2,2,2.5\n3,1,2.5\n4,2,2.5\n5,1,2.5\n"
+    (tmp_path / "nodes.csv").write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError, match="x1 falls in one level under "
+                       "empirical_quantile with 2 bins; try more bins"):
+        read_dataset(tmp_path / "nodes.csv", tmp_path / "edges.csv", bins=2,
+                     bin_scheme="empirical_quantile")
 
 
 def test_read_dataset_maps_string_labels(tmp_path):
