@@ -119,6 +119,9 @@ def cmd_classify(args) -> int:
         raise ValidationError("pass --screen or explicit sets, not both")
     if args.screen:
         screened = read_json(args.screen)
+        if not isinstance(screened, dict) or "selected" not in screened:
+            raise ValidationError(
+                f"{args.screen}: not a screen result; it has no 'selected'")
         s_y = FeatureSet.from_keys(screened["selected"])
         s_a = s_y
     elif args.s_y is not None:
@@ -128,10 +131,8 @@ def cmd_classify(args) -> int:
         raise ValidationError("pass --screen result or --s-y keys")
     spec = ClassifierSpec(args.kind, s_y=s_y, s_a=s_a,
                           smoothing=args.smoothing)
-    needed = set(s_y.pairs) | set(s_a.pairs)
-    missing = sorted(needed - set(dataset.composite_pairs.values()))
-    if missing:
-        dataset = interaction_expand(dataset, missing)
+    dataset = interaction_expand(dataset, sorted(set(s_y.pairs)
+                                                 | set(s_a.pairs)))
 
     train_mask = targets = None
     n_train = dataset.n

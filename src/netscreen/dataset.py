@@ -14,7 +14,7 @@ from scipy.special import ndtri
 
 from .errors import ValidationError
 
-CODE_MAX = np.iinfo(np.int32).max  # codes are stored as int32
+CODE_MAX = np.iinfo(np.int32).max  # every column's codes fit int32
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,17 @@ class FeatureSet:
     def from_keys(cls, keys) -> "FeatureSet":
         mains, pairs = [], []
         for key in keys:
-            if isinstance(key, str) and "&" in key:
-                j, k = key.split("&")
-                pairs.append((int(j), int(k)))
-            elif isinstance(key, tuple):
-                pairs.append(key)
-            else:
-                mains.append(int(key))
+            try:
+                if isinstance(key, str) and "&" in key:
+                    j, k = key.split("&")
+                    pairs.append((int(j), int(k)))
+                elif isinstance(key, tuple):
+                    pairs.append(key)
+                else:
+                    mains.append(int(key))
+            except (TypeError, ValueError) as err:
+                raise ValidationError(
+                    f"malformed feature key {key!r}; use j or j&k") from err
         return cls(tuple(mains), tuple(pairs))
 
     def keys(self) -> tuple[str, ...]:
@@ -77,15 +81,17 @@ class NodeDataset:
     Attributes
     ----------
     y : (n,) int array, response levels 1..R
-    x : (n, p) int array, column j holds levels 1..K_j, column-contiguous
+    x : (n, s) int array of the stored columns, column j holding levels
+        1..K_j, column-contiguous; expansion shares it with its parent
     edges : (E, 2) int array of ordered node pairs (src, dst), 1-based,
         lexicographically sorted, deduplicated, no self-loops
     r_levels : level count R
-    k_levels : (p,) per-column level counts K_j
-    feature_names : optional tuple of column names
-    composite_pairs : mapping from a composite column (1-based) to the
-        (j, k) source pair it encodes, for columns added by interaction
-        expansion
+    k_levels : (p,) per-column level counts K_j, composites included
+    feature_names : optional tuple of p column names
+    composite_pairs : mapping from each composite column id, s+1..p, to
+        its stored source pair (j, k); a composite (added by interaction
+        expansion) is only this entry, and :func:`column_codes` builds its
+        codes from the sources
     """
 
     def __init__(self, y, x, edges, feature_names=None, r_levels=None,
@@ -110,15 +116,15 @@ class NodeDataset:
 
     @property
     def p(self) -> int:
-        return self.x.shape[1]
+        return self.x.shape[1] + len(self.composite_pairs)
 
     @property
     def n_edges(self) -> int:
         return self.edges.shape[0]
 
     def column(self, j: int) -> np.ndarray:
-        """Levels of column j (1-based), values 1..K_j."""
-        return self.x[:, j - 1]
+        """Levels of column j (1-based), values 1..K_j, as int64."""
+        return column_codes(self, [j])[:, 0]
 
 
 def validate(dataset: NodeDataset) -> NodeDataset:
@@ -152,37 +158,45 @@ def validate(dataset: NodeDataset) -> NodeDataset:
 
     x = np.asarray(dataset.x)
     if x.ndim != 2 or x.shape[0] != n:
-        raise ValidationError("feature matrix must be n x p")
-    p = x.shape[1]
+        raise ValidationError("feature matrix must be n x s")
+    s = x.shape[1]  # stored columns
     if not np.issubdtype(x.dtype, np.integer):
         whole = np.isfinite(x) & (x == np.floor(x))
         if not whole.all():
             j = int(np.argmin(whole.all(axis=0))) + 1
             raise ValidationError(
                 f"feature labels must be integers in column {j}")
-    col_min = x.min(axis=0) if p else np.empty(0, np.int32)
-    col_max = x.max(axis=0) if p else np.empty(0, np.int32)
-    if p and col_min.min() < 1:
+    col_min = x.min(axis=0) if s else np.empty(0, np.int32)
+    col_max = x.max(axis=0) if s else np.empty(0, np.int32)
+    if s and col_min.min() < 1:
         j = int(np.argmin(col_min)) + 1
         raise ValidationError(f"feature label below 1 in column {j}")
-    if p and col_max.max() > CODE_MAX:
+    if s and col_max.max() > CODE_MAX:
         j = int(np.argmax(col_max)) + 1
         raise ValidationError(
             f"feature label {int(col_max[j - 1])} in column {j} above {CODE_MAX}")
     x = np.asfortranarray(x, dtype=np.int32)
+    p = s + len(dataset.composite_pairs)
     if dataset.k_levels is not None:
         k_levels = np.asarray(dataset.k_levels, dtype=np.int64)
         if k_levels.shape != (p,):
             raise ValidationError("k_levels length must equal column count")
-        if p and np.any(k_levels < col_max):
-            j = int(np.argmax(k_levels < col_max)) + 1
+        if s and np.any(k_levels[:s] < col_max):
+            j = int(np.argmax(k_levels[:s] < col_max)) + 1
             raise ValidationError(
                 f"declared level count {int(k_levels[j - 1])} in column {j} "
                 f"below observed maximum {int(col_max[j - 1])}")
     else:
         k_levels = col_max.astype(np.int64)
-    if p and k_levels.min() < 1:
-        raise ValidationError("every column needs at least one level")
+    composite, widths = _check_composites(dataset.composite_pairs,
+                                          k_levels[:s])
+    if dataset.k_levels is None:
+        k_levels = np.concatenate([k_levels, widths])
+    elif np.any(k_levels[s:] != widths):
+        j = s + int(np.argmax(k_levels[s:] != widths)) + 1
+        raise ValidationError(
+            f"declared level count {k_levels[j - 1]} of composite column {j} "
+            "is not K_{} K_{} = {}".format(*composite[j], widths[j - s - 1]))
 
     edges = np.asarray(dataset.edges, dtype=np.int64).reshape(-1, 2)
     if edges.size:
@@ -207,60 +221,75 @@ def validate(dataset: NodeDataset) -> NodeDataset:
     names = dataset.feature_names
     if names is not None and len(names) != p:
         raise ValidationError("feature_names length must equal column count")
-    composite = _check_composites(dataset.composite_pairs, x, k_levels)
 
     return seal(NodeDataset(y, x, edges, names, r_levels, k_levels,
                             composite),
                 (y - 1).astype(np.int64), edges[:, 0] - 1, edges[:, 1] - 1)
 
 
-def joint_code(x: np.ndarray, k_levels: np.ndarray, a: int,
-               b: int) -> np.ndarray:
-    """int64 codes of the composite of columns a and b (1-based): level
-    (x_a - 1) K_b + x_b, which runs over 1..K_a K_b."""
-    return (x[:, a - 1].astype(np.int64) - 1) * int(k_levels[b - 1]) \
-        + x[:, b - 1]
+def column_codes(dataset: NodeDataset, cols) -> np.ndarray:
+    """(n, B) int64 levels 1..K_j of the 1-based column ids cols, in column
+    order. The one reader of codes: a stored column is gathered from x, and
+    the composite of columns a and b is built as (x_a - 1) K_b + x_b."""
+    cols = np.asarray(cols, dtype=np.int64)
+    x, stored = dataset.x, cols <= dataset.x.shape[1]
+    out = np.empty((x.shape[0], cols.size), dtype=np.int64, order="F")
+    out[:, stored] = x[:, cols[stored] - 1]
+    pairs = [dataset.composite_pairs[c] for c in cols[~stored].tolist()]
+    a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    out[:, ~stored] = (x[:, a - 1] - 1) * dataset.k_levels[b - 1] + x[:, b - 1]
+    return out
 
 
-def check_pair(a: int, b: int, p: int, composite) -> None:
-    """Refuse a composite's source pair unless 1 <= a < b <= p and neither
-    is itself a composite column."""
-    if not 1 <= a < b <= p:
+def pair_width(a: int, b: int, k_stored) -> int:
+    """Width K_a K_b of the composite of stored columns a < b, given the
+    stored widths; refused beyond CODE_MAX, so that every composite's codes
+    fit int32."""
+    if not 1 <= a < b <= len(k_stored):
         raise ValidationError(
-            f"interaction pair ({a},{b}) needs 1 <= j < k <= {p}")
-    if a in composite or b in composite:
-        raise ValidationError(f"pair ({a},{b}) references a composite column")
+            f"interaction pair ({a},{b}) needs stored columns "
+            f"1 <= j < k <= {len(k_stored)}")
+    width = int(k_stored[a - 1]) * int(k_stored[b - 1])
+    if width > CODE_MAX:
+        raise ValidationError(
+            f"pair ({a},{b}) would have {width} levels, above {CODE_MAX}")
+    return width
 
 
-def _check_composites(composite_pairs, x, k_levels) -> dict:
-    """composite_pairs as {column: (j, k)} ints, each column in 1..p and
-    holding the joint codes of a pair that :func:`check_pair` accepts."""
+def _check_composites(composite_pairs, k_stored):
+    """(composite_pairs as {column: (j, k)} ints, the widths of columns
+    s+1..p), where s = len(k_stored): the map's ids must be exactly those
+    trailing ones, and its distinct pairs must pass :func:`pair_width`."""
     try:
-        out = {int(c): (int(a), int(b))
-               for c, (a, b) in composite_pairs.items()}
+        composite = {int(c): (int(a), int(b))
+                     for c, (a, b) in composite_pairs.items()}
     except (TypeError, ValueError) as err:
         raise ValidationError(
             "composite_pairs must map column ids to pairs of column ids"
         ) from err
-    p = x.shape[1]
-    for col, (a, b) in out.items():
+    if len(set(composite.values())) != len(composite):
+        raise ValidationError("duplicate composite pair")
+    s = len(k_stored)
+    p = s + len(composite)
+    for col in composite:
         if not 1 <= col <= p:
             raise ValidationError(f"composite column {col} outside 1..{p}")
-        check_pair(a, b, p, out)
-        if not np.array_equal(x[:, col - 1], joint_code(x, k_levels, a, b)):
+        if col <= s:
             raise ValidationError(
-                f"composite column {col} does not hold the joint codes of "
-                f"columns {a} and {b}")
-    return out
+                f"composite column {col} is not trailing: composites take "
+                f"ids {s + 1}..{p}, after the {s} stored columns")
+    return composite, np.array([pair_width(*composite[col], k_stored)
+                                for col in range(s + 1, p + 1)], np.int64)
 
 
 def seal(dataset: NodeDataset, y0, src0, dst0) -> NodeDataset:
     """Mark a dataset whose invariants hold as validated.
 
     Its y and edges must already be in canonical form (int32 levels, sorted
-    int64 edges) and x Fortran-ordered int32; y0, src0 and dst0 are the
-    0-based views :func:`validate` derives from them. Every array is made
-    read-only.
+    int64 edges), x Fortran-ordered int32 and composite_pairs a checked map
+    of the trailing ids; y0, src0 and dst0 are the 0-based views
+    :func:`validate` derives from them. Every array is made read-only, so
+    an expansion can share y, x and edges with its parent.
     """
     dataset._y0, dataset._src0, dataset._dst0 = y0, src0, dst0
     for arr in (dataset.y, dataset.x, dataset.edges, y0, src0, dst0,

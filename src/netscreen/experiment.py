@@ -79,9 +79,7 @@ def _clean_float(v):
 def _classify_on(dataset, kind, s_y, s_a, want_auc):
     spec = ClassifierSpec(kind, s_y=s_y, s_a=s_a)
     needed = set(s_y.pairs) | (set(s_a.pairs) if kind == "type3" else set())
-    missing = sorted(needed - set(dataset.composite_pairs.values()))
-    if missing:
-        dataset = interaction_expand(dataset, missing)
+    dataset = interaction_expand(dataset, sorted(needed))
     clf = fit(spec, dataset)
     acc, auc = evaluate(clf, dataset, auc=want_auc)
     return float(acc), _clean_float(auc)

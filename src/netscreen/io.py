@@ -1,7 +1,7 @@
 """File formats: headered CSVs for nodes and edges, JSON for everything else.
 
 nodes.csv   node_id,y,x1,...,xp with integer level codes (floats allowed on
-            read; they are quantile-binned on request)
+            read; they are quantile-binned on request), composites trailing
 edges.csv   src,dst ordered pairs, 1-based node ids
 metadata.json   level counts, names, composite column map, generator echo
 
@@ -24,10 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import NodeDataset, discretize, validate
+from .dataset import NodeDataset, column_codes, discretize, validate
 from .errors import ValidationError
 
-WRITE_BLOCK_CELLS = 1 << 16  # cells formatted per write call
+WRITE_BLOCK_CELLS = 1 << 16  # cells read or formatted per writer block
 
 
 def write_json(path, obj) -> None:
@@ -36,7 +36,10 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as err:  # malformed JSON or UTF-8
+        raise ValidationError(f"{path}: not a JSON file ({err})") from err
 
 
 def write_dataset(out_dir, dataset: NodeDataset, extras: dict | None = None,
@@ -53,7 +56,11 @@ def write_dataset(out_dir, dataset: NodeDataset, extras: dict | None = None,
     table = np.empty((dataset.n, dataset.p + 2), dtype=np.int64)
     table[:, 0] = np.arange(1, dataset.n + 1)
     table[:, 1] = dataset.y
-    table[:, 2:] = dataset.x
+    ids = np.arange(1, dataset.p + 1)
+    step = max(1, WRITE_BLOCK_CELLS // dataset.n)
+    for lo in range(0, dataset.p, step):
+        table[:, lo + 2:lo + 2 + step] = column_codes(dataset,
+                                                      ids[lo:lo + step])
     _write_csv(paths["nodes"], header, table, ["%d"] * table.shape[1])
     _write_csv(paths["edges"], "src,dst", dataset.edges, ["%d", "%d"])
 
@@ -223,9 +230,20 @@ def read_dataset(nodes_path, edges_path, metadata_path=None,
     meta = {}
     if metadata_path is not None:
         meta = info["metadata"] = read_json(metadata_path)
+    # the file's composite columns trail the stored ones; only the sources
+    # are kept, once the copies match the codes the reader builds
+    stored = max(0, x.shape[1] - len(meta.get("composite_pairs") or {}))
     dataset = validate(NodeDataset(
-        y, x, edges, meta.get("feature_names"), meta.get("r_levels"),
-        meta.get("k_levels"), meta.get("composite_pairs")))
+        y, x[:, :stored], edges, meta.get("feature_names"),
+        meta.get("r_levels"), meta.get("k_levels"),
+        meta.get("composite_pairs")))
+    wrong = np.any(x[:, stored:] != column_codes(
+        dataset, range(stored + 1, dataset.p + 1)), axis=0)
+    if wrong.any():
+        col = stored + int(np.argmax(wrong)) + 1
+        raise ValidationError(
+            "composite column {} does not hold the joint codes of columns {} "
+            "and {}".format(col, *dataset.composite_pairs[col]))
     return dataset, info
 
 

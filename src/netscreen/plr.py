@@ -38,7 +38,7 @@ from scipy.special import chdtrc
 
 from .counts import (block_pair_tables, response_pair_tables,
                      tally_adjacency, tally_edges, tally_marginals)
-from .dataset import NodeDataset, validate
+from .dataset import NodeDataset, column_codes, validate
 from .errors import DegeneracyError, ValidationError
 
 BLOCK_TARGET_CELLS = 5_000_000  # soft cap on B * R^2 * K^2 per tally block
@@ -162,9 +162,10 @@ def column_blocks(dataset: NodeDataset, cols):
     """Yield (k, positions, xb0) over blocks of equal-width columns.
 
     cols: 1-based column ids; positions index into cols. xb0 holds the
-    block's (n, B) int64 0-based codes, the one form in which the kernels
-    read stored codes. Blocks come width by width, in the order of cols
-    within a width, each small enough for the tally size cap.
+    block's (n, B) int64 0-based codes from :func:`dataset.column_codes`,
+    the one form in which the kernels read codes. Blocks come width by
+    width, in the order of cols within a width, each small enough for the
+    tally size cap.
     """
     cols, r = np.asarray(cols, dtype=np.int64), dataset.r_levels
     widths = dataset.k_levels[cols - 1]
@@ -174,7 +175,7 @@ def column_blocks(dataset: NodeDataset, cols):
         step = min(64, max(1, BLOCK_TARGET_CELLS // (r * k) ** 2))
         for lo in range(0, sel.size, step):
             part = sel[lo:lo + step]
-            yield k, part, dataset.x[:, cols[part] - 1].astype(np.int64) - 1
+            yield k, part, column_codes(dataset, cols[part]) - 1
 
 
 def check_table_cells(dataset: NodeDataset, cols) -> None:

@@ -30,8 +30,7 @@ from itertools import combinations
 import numpy as np
 
 from .counts import tally_marginals
-from .dataset import (CODE_MAX, FeatureSet, NodeDataset, check_pair,
-                      joint_code, seal, validate)
+from .dataset import FeatureSet, NodeDataset, pair_width, seal, validate
 from .errors import ValidationError
 from .plr import (batch_statistics, chi2_tail, column_blocks,
                   degrees_of_freedom, permutation_pvalue)
@@ -39,7 +38,6 @@ from .plr import (batch_statistics, chi2_tail, column_blocks,
 DEGENERATE_TOL = 1e-8   # top score below this means nothing separates
 RATIO_EPS = 1e-12       # relative floor for max-ratio denominators
 P_FLOOR = 1e-300        # tail probabilities are clipped here before log10
-EXPANSION_LIMIT = 200_000  # refuse interaction expansions beyond this width
 
 
 @dataclass(frozen=True)
@@ -136,47 +134,34 @@ def max_ratio_cutoff(sorted_scores, search_cap: int | None = None) -> int:
 
 
 def interaction_expand(dataset: NodeDataset, pairs) -> NodeDataset:
-    """Append one composite column per (j, k) pair, coding levels jointly.
+    """Add one composite column per (j, k) pair, coding levels jointly.
 
     The composite of columns with widths K_j and K_k has width K_j * K_k and
-    level (x_j - 1) * K_k + x_k. Pairs must name original (non-composite)
-    columns with j < k and no duplicates. composite_pairs on the result maps
-    each new column id back to its source pair.
+    level (x_j - 1) * K_k + x_k. Pairs must name stored columns with j < k,
+    no duplicates and K_j * K_k at most CODE_MAX; a pair the dataset already
+    has is skipped. The result shares x and stores nothing new: each new
+    trailing column id maps to its pair in composite_pairs.
     """
     dataset = validate(dataset)
     pairs = [(int(a), int(b)) for a, b in pairs]
-    if not pairs:
-        return dataset
     if len(set(pairs)) != len(pairs):
         raise ValidationError("duplicate interaction pair")
-    p = dataset.p
-    if p + len(pairs) > EXPANSION_LIMIT:
-        raise ValidationError(
-            f"expansion to {p + len(pairs)} columns exceeds the "
-            f"{EXPANSION_LIMIT} limit")
-    for a, b in pairs:
-        check_pair(a, b, p, dataset.composite_pairs)
-    k_levels = dataset.k_levels
-    x = np.empty((dataset.n, p + len(pairs)), dtype=np.int32, order="F")
-    x[:, :p] = dataset.x
-    new_k = np.empty(len(pairs), dtype=np.int64)
+    have = set(dataset.composite_pairs.values())
+    pairs = [pair for pair in pairs if pair not in have]
+    if not pairs:
+        return dataset
+    k_stored, p = dataset.k_levels[:dataset.x.shape[1]], dataset.p
+    widths = [pair_width(a, b, k_stored) for a, b in pairs]
     composite = dict(dataset.composite_pairs)
-    names = list(dataset.feature_names) if dataset.feature_names else None
-    for i, (a, b) in enumerate(pairs):
-        codes = joint_code(dataset.x, k_levels, a, b)
-        if codes.max() > CODE_MAX:
-            raise ValidationError(
-                f"feature label {int(codes.max())} in column {p + i + 1} "
-                f"above {CODE_MAX}")
-        x[:, p + i] = codes
-        new_k[i] = int(k_levels[a - 1]) * int(k_levels[b - 1])
-        composite[p + i + 1] = (a, b)
-        if names is not None:
-            names.append(f"{names[a - 1]}&{names[b - 1]}")
-    # The input is validated and each composite code lies in 1..K_j K_k, at
-    # most CODE_MAX, so the result needs no second pass of validate.
-    return seal(NodeDataset(dataset.y, x, dataset.edges, names,
-                            dataset.r_levels, np.concatenate([k_levels, new_k]),
+    composite.update(zip(range(p + 1, p + len(pairs) + 1), pairs))
+    names = dataset.feature_names
+    if names:
+        names += tuple(f"{names[a - 1]}&{names[b - 1]}" for a, b in pairs)
+    # the input is validated and pair_width checked the new widths, so the
+    # result needs no second pass of validate
+    return seal(NodeDataset(dataset.y, dataset.x, dataset.edges, names,
+                            dataset.r_levels,
+                            np.concatenate([dataset.k_levels, widths]),
                             composite),
                 dataset._y0, dataset._src0, dataset._dst0)
 
@@ -290,17 +275,18 @@ def _screen(method, statistic, dataset, *, cutoff, d, alpha, seed,
         if columns is not None:
             raise ValidationError(
                 "interaction expansion screens every column; drop columns=")
+        mains = dataset.x.shape[1]  # composites are never paired again
         if interactions == "all":
-            pairs = list(combinations(range(1, dataset.p + 1), 2))
+            pairs = list(combinations(range(1, mains + 1), 2))
         else:
-            # stage 1: rank main effects, pair up the leaders
+            # stage 1: rank the stored main effects, pair up the leaders
             if top_m is not None and top_m < 0:
                 raise ValidationError("top_m must be nonnegative")
             raw, _, scores, _, _ = _asymptotic(
-                dataset, statistic, np.arange(1, dataset.p + 1))
+                dataset, statistic, np.arange(1, mains + 1))
             order = _ranking(scores, raw)
             m = min(top_m if top_m is not None else hard_cutoff(dataset.n),
-                    dataset.p)
+                    mains)
             leaders = sorted(int(j) + 1 for j in order[:m])
             pairs = list(combinations(leaders, 2))
         stage1 = {"pairs_screened": len(pairs)}
@@ -353,12 +339,13 @@ def plr_sis(dataset: NodeDataset, *, cutoff: str = "max_ratio",
             columns=None) -> ScreeningResult:
     """Screen features by the network pseudo-likelihood statistic.
 
-    interactions="top" first ranks main effects, then adds composite columns
-    for every pair among the leading top_m (default floor(n/log n)) and
-    screens mains and composites jointly; "all" expands every pair. perms > 0
-    replaces the asymptotic ranking with permutation tail probabilities,
-    which cost perms extra scoring passes over the columns. columns restricts
-    the screen to a subset of 1-based column ids.
+    interactions="top" first ranks the stored main effects, then adds
+    composite columns for every pair among the leading top_m (default
+    floor(n/log n)) and screens mains and composites jointly; "all" pairs
+    every stored main. perms > 0 replaces the asymptotic ranking with
+    permutation tail probabilities, which cost perms extra scoring passes
+    over the columns. columns restricts the screen to a subset of 1-based
+    column ids.
     """
     return _screen("plr", _plr_batch, dataset, cutoff=cutoff, d=d,
                    alpha=alpha, seed=seed, interactions=interactions,

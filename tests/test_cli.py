@@ -224,8 +224,9 @@ def test_simulate_rejects_noise_rates_outside_unit_interval(tmp_path, capsys):
 
 
 def test_unchecked_composite_map_exits_3(tmp_path, capsys):
-    """A metadata.json composite map must name real columns that hold the
-    joint codes of their pair."""
+    """A metadata.json composite map must name the trailing columns, with
+    widths K_j K_k, and those columns must hold the joint codes of their
+    pair."""
     d = simulate_dir(tmp_path, n=60, p=5)
     meta = read_json(d / "metadata.json")
     files = ["--nodes", str(d / "nodes.csv"), "--edges", str(d / "edges.csv"),
@@ -237,7 +238,55 @@ def test_unchecked_composite_map_exits_3(tmp_path, capsys):
     meta["composite_pairs"] = {"3": [1, 2]}  # an original column
     write_json(d / "metadata.json", meta)
     assert main(["screen", *files]) == 3
-    assert "column 3 does not hold the joint codes" in capsys.readouterr().err
+    assert "composite column 3 is not trailing" in capsys.readouterr().err
+    meta["composite_pairs"] = {"5": [1, 2]}  # trailing, but binary
+    write_json(d / "metadata.json", meta)
+    assert main(["screen", *files]) == 3
+    assert "declared level count 2 of composite column 5 is not K_1 K_2 = 4" \
+        in capsys.readouterr().err
+    meta["k_levels"][4] = 4
+    write_json(d / "metadata.json", meta)
+    assert main(["screen", *files]) == 3
+    assert "column 5 does not hold the joint codes of columns 1 and 2" \
+        in capsys.readouterr().err
+
+    # a written expansion: composites 6 and 7 trail the 5 stored columns
+    ds, _ = read_dataset(d / "nodes.csv", d / "edges.csv")
+    write_dataset(d, interaction_expand(ds, [(1, 2), (3, 4)]))
+    meta = read_json(d / "metadata.json")
+    assert main(["screen", *files, "--out", str(tmp_path / "s.json")]) == 0
+    for key, value, message in [
+            ("composite_pairs", {"6": [1, 2]}, "column 6 is not trailing"),
+            ("k_levels", [2] * 5 + [4, 5], "declared level count 5 of "
+             "composite column 7 is not K_3 K_4 = 4")]:
+        write_json(d / "metadata.json", {**meta, key: value})
+        assert main(["screen", *files]) == 3
+        assert message in capsys.readouterr().err
+
+
+def test_malformed_feature_keys_exit_3(tmp_path, capsys):
+    d = simulate_dir(tmp_path, n=60, p=5)
+    files = ["--nodes", str(d / "nodes.csv"), "--edges", str(d / "edges.csv")]
+    for key in ("1&x", "1&2&3", "abc"):
+        assert main(["classify", *files, "--s-y", key]) == 3
+        assert f"malformed feature key {key!r}" in capsys.readouterr().err
+
+
+def test_malformed_json_files_exit_3(tmp_path, capsys):
+    d = simulate_dir(tmp_path, n=60, p=5)
+    files = ["--nodes", str(d / "nodes.csv"), "--edges", str(d / "edges.csv")]
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"selected": ["1",', encoding="utf-8")
+    for argv in (["screen", *files, "--metadata", str(broken)],
+                 ["classify", *files, "--screen", str(broken)],
+                 ["simulate", "--config", str(broken),
+                  "--out", str(tmp_path / "o")]):
+        assert main(argv) == 3
+        assert f"{broken}: not a JSON file" in capsys.readouterr().err
+    for content in ({"d_hat": 2}, ["1", "2"]):
+        write_json(broken, content)
+        assert main(["classify", *files, "--screen", str(broken)]) == 3
+        assert "it has no 'selected'" in capsys.readouterr().err
 
 
 def test_stray_large_code_exits_3_for_plr_only(tmp_path, capsys):
@@ -266,6 +315,8 @@ def test_dataset_round_trip_with_composites_and_raw(tmp_path):
     assert np.array_equal(back.x, wide.x)
     assert np.array_equal(back.edges, wide.edges)
     assert back.composite_pairs == {7: (1, 2)}
+    header = paths["nodes"].read_text().split("\n", 1)[0]
+    assert header.endswith(",x6,x7")  # the composite is written out
     assert np.array_equal(back.k_levels, wide.k_levels)
     assert info["metadata"]["n"] == 50
 

@@ -74,28 +74,47 @@ class TestValidate:
         assert list(ds3.k_levels) == [4, 2]
 
     def test_checks_composite_pairs(self):
+        """x holds the stored columns only; composites are map entries with
+        the trailing ids, pairs of stored columns, widths K_j K_k."""
         rng = np.random.default_rng(18)
-        x = rng.integers(1, 3, (12, 4))
-        x[:, 2] = (x[:, 0] - 1) * 2 + x[:, 1]  # the joint code of (1, 2)
+        x = rng.integers(1, 3, (12, 3))
+        x[:, 2] += rng.integers(0, 2, 12)  # levels 1..3
+        x[0, 2] = 3
         y = np.r_[1, 2, rng.integers(1, 3, 10)]
         edges = np.array([[1, 2], [3, 4]])
 
-        def check(composite):
+        def check(composite, k_levels=None):
             return validate(NodeDataset(y=y, x=x, edges=edges,
+                                        k_levels=k_levels,
                                         composite_pairs=composite))
 
-        assert check({"3": [1, 2]}).composite_pairs == {3: (1, 2)}
+        ds = check({"4": [1, 2], 5: (2, 3)})
+        assert ds.composite_pairs == {4: (1, 2), 5: (2, 3)}
+        assert ds.x.shape == (12, 3) and ds.p == 5
+        assert ds.k_levels.tolist() == [2, 2, 3, 4, 6]
+        assert check({4: (1, 3)}, [2, 2, 3, 6]).k_levels.tolist() == \
+            [2, 2, 3, 6]
         for composite, message in [
                 ({9: (1, 2)}, "composite column 9 outside 1..4"),
-                ({4: (1, 2)}, "column 4 does not hold the joint codes"),
-                ({3: (2, 1)}, r"pair \(2,1\) needs 1 <= j < k <= 4"),
-                ({3: (1, 5)}, r"pair \(1,5\) needs"),
-                ({3: (1, 2), 4: (1, 3)}, "references a composite column"),
+                ({4: (1, 2), 6: (1, 3)}, "composite column 6 outside 1..5"),
+                ({3: (1, 2)}, "composite column 3 is not trailing"),
+                ({4: (2, 1)}, r"pair \(2,1\) needs stored columns "
+                 "1 <= j < k <= 3"),
+                ({4: (1, 5)}, r"pair \(1,5\) needs"),
+                ({4: (1, 2), 5: (1, 4)}, r"pair \(1,4\) needs stored"),
+                ({4: (1, 2), 5: (1, 2)}, "duplicate composite pair"),
                 ({"a": (1, 2)}, "must map column ids to pairs"),
-                ({3: (1, 2, 3)}, "must map column ids to pairs"),
-                ({3: 1}, "must map column ids to pairs")]:
+                ({4: (1, 2, 3)}, "must map column ids to pairs"),
+                ({4: 1}, "must map column ids to pairs")]:
             with pytest.raises(ValidationError, match=message):
                 check(composite)
+        with pytest.raises(ValidationError, match="declared level count 5 "
+                           "of composite column 4 is not K_1 K_3 = 6"):
+            check({4: (1, 3)}, [2, 2, 3, 5])
+        big = 2 ** 16 + 1
+        with pytest.raises(ValidationError,
+                           match=f"would have {big * big} levels"):
+            check({4: (1, 2)}, [big, big, 3, big * big])
 
     def test_rejects_declared_levels_below_observed(self):
         with pytest.raises(ValidationError):

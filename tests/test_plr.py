@@ -8,7 +8,7 @@ from netscreen.plr import (
     column_blocks, degrees_of_freedom, permutation_pvalue, plr_statistic,
 )
 from netscreen.experiment import null_calibration
-from netscreen.screening import plr_sis
+from netscreen.screening import interaction_expand, plr_sis
 from netscreen.simulate import example_config, generate
 
 from oracles import oracle_plr, random_instance
@@ -239,6 +239,23 @@ def test_column_blocks_group_widths_in_column_order(monkeypatch):
         assert xb0.dtype == np.int64
         assert np.array_equal(xb0, x[:, cols[part] - 1] - 1)
     assert list(column_blocks(ds, [])) == []
+
+
+def test_column_blocks_build_composite_codes():
+    """A width-4 block mixes a stored K=4 main with 2x2 composites, whose
+    0-based codes are (x_a - 1) K_b + x_b - 1, built from the sources."""
+    rng = np.random.default_rng(29)
+    n = 50
+    x = np.column_stack([rng.integers(1, k + 1, n) for k in (2, 2, 4, 2)])
+    ds = validate(NodeDataset(y=np.r_[1, 2, rng.integers(1, 3, n - 2)], x=x,
+                              edges=[[1, 2]], k_levels=[2, 2, 4, 2]))
+    wide = interaction_expand(ds, [(1, 2), (2, 4)])
+    [(k, part, xb0)] = column_blocks(wide, [5, 3, 6])
+    want = np.column_stack([(x[:, 0] - 1) * 2 + x[:, 1] - 1, x[:, 2] - 1,
+                            (x[:, 1] - 1) * 2 + x[:, 3] - 1]).astype(np.int64)
+    assert k == 4 and part.tolist() == [0, 1, 2]
+    assert xb0.dtype == np.int64 and xb0.shape == want.shape
+    assert xb0.tobytes(order="F") == want.tobytes(order="F")
 
 
 def test_tables_beyond_the_cell_limit_are_refused():

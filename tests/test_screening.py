@@ -154,11 +154,51 @@ def test_interaction_expand_equals_full_validation():
 
 
 def test_interaction_expand_rejects_codes_beyond_int32():
-    big = 2 ** 16 + 1  # (big - 1) * big + 1 > 2^31 - 1
-    ds = validate(NodeDataset([1, 2], [[big, big], [1, 1]], [[1, 2]],
+    """A pair is refused when its declared width K_j K_k exceeds CODE_MAX,
+    from k_levels alone: every observed code here is 1."""
+    big = 2 ** 16 + 1  # big * big > 2^31 - 1
+    ds = validate(NodeDataset([1, 2], [[1, 1], [1, 1]], [[1, 2]],
                               k_levels=[big, big]))
-    with pytest.raises(ValidationError, match="in column 3 above"):
+    with pytest.raises(ValidationError,
+                       match=rf"pair \(1,2\) would have {big * big} levels"):
         interaction_expand(ds, [(1, 2)])
+    fits = 46340  # 46340^2 <= 2^31 - 1
+    ds = validate(NodeDataset([1, 2], [[1, fits], [fits, 1]], [[1, 2]],
+                              k_levels=[fits, fits]))
+    out = interaction_expand(ds, [(1, 2)])
+    assert out.k_levels[2] == fits * fits
+    assert out.column(3).tolist() == [fits, (fits - 1) * fits + 1]
+
+
+def test_interaction_expand_shares_x():
+    """An expansion stores nothing new: it shares its parent's x."""
+    ds = random_wide(np.random.default_rng(3), n=40, p=5)
+    out = interaction_expand(ds, list(combinations(range(1, 6), 2)))
+    assert out.p == 15
+    assert np.shares_memory(out.x, ds.x) and out.x.nbytes == ds.x.nbytes
+
+
+def test_interaction_expand_skips_pairs_it_has():
+    ds = random_wide(np.random.default_rng(4), n=40, p=5)
+    once = interaction_expand(ds, [(1, 2)])
+    assert interaction_expand(once, [(1, 2)]) is once
+    twice = interaction_expand(once, [(3, 4), (1, 2)])
+    assert twice.composite_pairs == {6: (1, 2), 7: (3, 4)}
+    keys = plr_sis(twice, cutoff="hard", d=2).feature_keys
+    assert keys == ("1", "2", "3", "4", "5", "1&2", "3&4")
+
+
+@pytest.mark.parametrize("mode", ["top", "all"])
+def test_interaction_screen_on_an_expanded_dataset(mode):
+    """Stage 1 and "all" pair the stored mains only, so screening a dataset
+    that already has the first pair gives the same result."""
+    ds, _ = generate(example_config(3, n=200, p=8), seed=6)
+    for screen in (plr_sis, pc_sis):
+        want = screen(ds, interactions=mode, top_m=4)
+        first = next(k for k in want.feature_keys if "&" in k)
+        wide = interaction_expand(ds, [tuple(map(int, first.split("&")))])
+        got = screen(wide, interactions=mode, top_m=4)
+        assert got.to_dict() == want.to_dict()
 
 
 def test_interaction_expand_rejects_bad_pairs():
