@@ -8,11 +8,19 @@ metadata.json   level counts, names, composite column map, generator echo
 All files are UTF-8 and written deterministically: same content in, same
 bytes out.
 
-The reader parses a CSV whose data rows are all header-wide integers with
-one int64 np.loadtxt call. Any other file (label or float cells, quoted
-cells, ragged or blank lines, lone carriage returns) goes to the csv-module
-parser, which maps labels, keeps floats for binning and names the first
-malformed row.
+nodes.csv and edges.csv go through one byte-level codec for non-negative
+integer tables, by row blocks of WRITE_BLOCK_CELLS cells. The encoder lays a
+block out as a uint8 array of fixed slots, one per cell, each as wide as its
+column's largest value, writes the digits by integer division and the
+separators in place, and drops the leading pad bytes with one compaction; the
+bytes equal printf "%d" output. The decoder cuts the data lines into blocks
+at newlines, finds the separators by a byte mask and adds up the digits by
+position. It reads a file whose data lines are all header-wide non-empty
+cells of at most 18 digits (so every value fits int64), with LF or CRLF
+line ends. Any other file (label, float or signed cells, quoted cells, ragged
+or blank lines, lone carriage returns, longer numbers) goes to the
+csv-module parser, which maps labels, keeps floats for binning and names the
+first malformed row.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import numpy as np
 from .dataset import NodeDataset, column_codes, discretize, validate
 from .errors import ValidationError
 
-WRITE_BLOCK_CELLS = 1 << 16  # cells read or formatted per writer block
+WRITE_BLOCK_CELLS = 1 << 16  # cells per row block, read or written
 
 
 def write_json(path, obj) -> None:
@@ -61,8 +69,8 @@ def write_dataset(out_dir, dataset: NodeDataset, extras: dict | None = None,
     for lo in range(0, dataset.p, step):
         table[:, lo + 2:lo + 2 + step] = column_codes(dataset,
                                                       ids[lo:lo + step])
-    _write_csv(paths["nodes"], header, table, ["%d"] * table.shape[1])
-    _write_csv(paths["edges"], "src,dst", dataset.edges, ["%d", "%d"])
+    _write_ints(paths["nodes"], header, table)
+    _write_ints(paths["edges"], "src,dst", dataset.edges)
 
     meta = {
         "format": 1,
@@ -104,32 +112,102 @@ def _write_csv(path, header: str, table: np.ndarray, fmt: list) -> None:
                      % tuple(block.ravel().tolist()))
 
 
+def _write_ints(path, header: str, table: np.ndarray) -> None:
+    """Header line, then one line per row of the non-negative integer
+    table: its cells' "%d" bytes, comma-separated, built by row blocks."""
+    rows, cols = table.shape
+    top = table.max(axis=0) if rows else np.zeros(cols, np.int64)
+    widths = 1 + np.sum(top[:, None] >= 10 ** np.arange(1, 19), axis=1)
+    seps = np.cumsum(widths + 1) - 1  # the slot byte after each cell
+    template = np.full(seps[-1] + 1, ord(","), np.uint8)
+    template[-1] = ord("\n")
+    groups = [(int(w), np.flatnonzero(widths == w)) for w in np.unique(widths)]
+    compact = widths.max() > 1
+    step = max(1, WRITE_BLOCK_CELLS // cols)
+    with open(path, "wb") as fh:
+        fh.write(header.encode("utf-8") + b"\n")
+        for lo in range(0, rows, step):
+            block = table[lo:lo + step]
+            buf = np.empty((block.shape[0], template.size), np.uint8)
+            buf[:] = template
+            for width, group in groups:
+                left = block[:, group]  # the digits not yet written
+                for place in range(width):  # right to left
+                    rest = left // 10 if place < width - 1 else 0
+                    byte = (left - 10 * rest + ord("0")).astype(np.uint8)
+                    if place:
+                        byte[left == 0] = 0  # a pad byte
+                    buf[:, seps[group] - 1 - place] = byte
+                    left = rest
+            fh.write((buf[buf != 0] if compact else buf).tobytes())
+
+
+def _decode_ints(body: bytes, width: int):
+    """The int64 (rows, width) matrix of the data lines body, or None
+    unless every byte is a digit, a comma or a line end, every line has
+    width cells and every cell has 1 to 18 digits, so that it fits int64.
+    CRLF line ends are read as LF and a lone CR is refused; the last line
+    end is optional."""
+    if b"\r" in body:
+        if body.count(b"\r") != body.count(b"\r\n"):
+            return None
+        body = body.replace(b"\r\n", b"\n")
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    raw = np.frombuffer(body, np.uint8)
+    line_ends = np.flatnonzero(raw == ord("\n"))
+    out = np.empty((line_ends.size, width), np.int64)
+    step = max(1, WRITE_BLOCK_CELLS // width)
+    for lo in range(0, line_ends.size, step):
+        hi = min(lo + step, line_ends.size)
+        start = line_ends[lo - 1] + 1 if lo else 0
+        if not _decode_block(raw[start:line_ends[hi - 1] + 1], out[lo:hi]):
+            return None
+    return out
+
+
+def _decode_block(chunk: np.ndarray, out: np.ndarray) -> bool:
+    """Fill the (rows, width) out from chunk, the bytes of whole lines;
+    False when they are not all width digit cells per line."""
+    ends = np.flatnonzero(chunk < ord("0"))  # "," and "\n" sort below "0"
+    if ends.size != out.size or chunk.max() > ord("9"):
+        return False
+    seps = chunk[ends].reshape(out.shape)
+    if not (np.all(seps[:, :-1] == ord(","))
+            and np.all(seps[:, -1] == ord("\n"))):
+        return False
+    lengths = np.diff(ends, prepend=-1) - 1
+    longest = int(lengths.max())
+    if lengths.min() < 1 or longest > 18:
+        return False
+    flat = out.reshape(-1)  # a view: out is whole rows of a C-ordered matrix
+    flat[:] = chunk[ends - 1]
+    flat -= ord("0")
+    for place in range(1, longest):
+        cells = np.flatnonzero(lengths > place)
+        digit = chunk[ends[cells] - 1 - place] - np.uint8(ord("0"))
+        flat[cells] += digit.astype(np.int64) * 10 ** place
+    return True
+
+
 def _read_table(path):
     """(header, data) of a headered CSV; header is None for an empty file.
 
-    data is the int64 (rows, width) matrix when every data row is
-    header-wide integers; otherwise it is the csv-module rows after the
-    header, as lists of strings.
+    data is the int64 (rows, width) matrix when :func:`_decode_ints` reads
+    the data lines; otherwise it is the csv-module rows after the header,
+    as lists of strings.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        text = fh.read()
-    head, _, body = text.partition("\n")
-    # the first line is the csv header row unless a quote or a lone "\r"
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    head, _, body = raw.partition(b"\n")
+    # the first line is the csv header row unless a quote or a lone CR
     # makes the header span or split lines
-    if (body and not body.isspace() and '"' not in head
-            and "\r" not in head[:-1]):
-        header = next(csv.reader([head]))
-        n_rows = body.count("\n") + (not body.endswith("\n"))
-        try:
-            data = np.loadtxt(io.StringIO(body), dtype=np.int64,
-                              delimiter=",", comments=None, ndmin=2)
-        except ValueError:  # a non-integer cell or a ragged row
-            data = None
-        # loadtxt skips blank lines and takes the width from the first row;
-        # it rejects a lone "\r", so rows end where csv rows end
-        if data is not None and data.shape == (n_rows, len(header)):
+    if body and b'"' not in head and b"\r" not in head[:-1]:
+        header = next(csv.reader([head.decode("utf-8")]))
+        data = _decode_ints(body, len(header)) if header else None
+        if data is not None:
             return header, data
-    rows = list(csv.reader(io.StringIO(text, newline="")))
+    rows = list(csv.reader(io.StringIO(raw.decode("utf-8"), newline="")))
     return (rows[0], rows[1:]) if rows else (None, [])
 
 
@@ -151,10 +229,12 @@ def _read_csv_columns(path):
     for c, name in enumerate(header):
         values = [row[c].strip() for row in data]
         try:
-            columns.append(np.asarray([int(v) for v in values], np.int64))
-            continue
+            ints = [int(v) for v in values]
         except ValueError:
             pass
+        else:
+            columns.append(_int64(path, ints))
+            continue
         try:
             columns.append(np.asarray([float(v) for v in values], np.float64))
             continue
@@ -165,6 +245,17 @@ def _read_csv_columns(path):
         level_maps[name] = code
         columns.append(np.asarray([code[v] for v in values], np.int64))
     return header, columns, level_maps
+
+
+def _int64(path, ints: list) -> np.ndarray:
+    """One column's Python ints, data row by data row, as int64; a cell
+    beyond int64 is refused with its row number."""
+    try:
+        return np.asarray(ints, np.int64)
+    except OverflowError:
+        row = next(i for i, v in enumerate(ints) if not -2**63 <= v < 2**63)
+        raise ValidationError(
+            f"{path}: row {row + 2} has a cell beyond int64") from None
 
 
 def read_dataset(nodes_path, edges_path, metadata_path=None,
@@ -221,15 +312,22 @@ def read_dataset(nodes_path, edges_path, metadata_path=None,
         edges = rows[:, :2]
     else:
         try:
-            edges = np.asarray([(int(r[0]), int(r[1])) for r in rows],
-                               np.int64).reshape(-1, 2)
+            endpoints = [[int(r[0]) for r in rows], [int(r[1]) for r in rows]]
         except (ValueError, IndexError) as err:
             raise ValidationError(
                 f"{edges_path}: edge rows must be integer pairs") from err
+        edges = np.column_stack([_int64(edges_path, e) for e in endpoints])
 
     meta = {}
     if metadata_path is not None:
         meta = info["metadata"] = read_json(metadata_path)
+        if not isinstance(meta, dict):
+            raise ValidationError(
+                f"{metadata_path}: metadata must be a JSON object")
+        if not isinstance(meta.get("composite_pairs") or {}, dict):
+            raise ValidationError(
+                f"{metadata_path}: composite_pairs must map column ids to "
+                "pairs of column ids")
     # the file's composite columns trail the stored ones; only the sources
     # are kept, once the copies match the codes the reader builds
     stored = max(0, x.shape[1] - len(meta.get("composite_pairs") or {}))

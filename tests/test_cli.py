@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import netscreen
 from netscreen import NodeDataset, ValidationError, validate
+from netscreen import io as nsio
 from netscreen.cli import main
 from netscreen.experiment import ExperimentReport, experiment
 from netscreen.io import read_dataset, read_json, write_dataset, write_json
@@ -264,6 +269,46 @@ def test_unchecked_composite_map_exits_3(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_malformed_metadata_exits_3(tmp_path, capsys):
+    d = simulate_dir(tmp_path, n=40, p=4)
+    files = ["--nodes", str(d / "nodes.csv"), "--edges", str(d / "edges.csv"),
+             "--metadata", str(d / "metadata.json")]
+    meta = read_json(d / "metadata.json")
+    for content, message in [
+            (["format", 1], "metadata must be a JSON object"),
+            ({**meta, "composite_pairs": [1, 2]},
+             "composite_pairs must map column ids to pairs of column ids")]:
+        write_json(d / "metadata.json", content)
+        assert main(["screen", *files]) == 3
+        assert f"{d / 'metadata.json'}: {message}" in capsys.readouterr().err
+
+
+def test_cells_beyond_int64_exit_3(tmp_path, capsys):
+    d = simulate_dir(tmp_path, n=40, p=4)
+    files = ["--nodes", str(d / "nodes.csv"), "--edges", str(d / "edges.csv")]
+    for name in ("nodes.csv", "edges.csv"):
+        original = (d / name).read_text()
+        lines = original.splitlines()
+        cells = lines[3].split(",")
+        cells[1] = "1" * 20
+        lines[3] = ",".join(cells)
+        (d / name).write_text("\n".join(lines) + "\n")
+        assert main(["screen", *files]) == 3
+        assert f"{d / name}: row 4 has a cell beyond int64" \
+            in capsys.readouterr().err
+        (d / name).write_text(original)
+
+
+def test_module_runs_the_cli():
+    src = str(Path(netscreen.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "netscreen", "--help"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60, check=False)
+    assert done.returncode == 0, done.stderr
+    assert "simulate" in done.stdout and "screen" in done.stdout
+
+
 def test_malformed_feature_keys_exit_3(tmp_path, capsys):
     d = simulate_dir(tmp_path, n=60, p=5)
     files = ["--nodes", str(d / "nodes.csv"), "--edges", str(d / "edges.csv")]
@@ -329,10 +374,7 @@ def test_int64_parse_matches_csv_parser(tmp_path, monkeypatch):
     fast, fast_info = read_dataset(paths["nodes"], paths["edges"],
                                    paths["metadata"])
 
-    def no_loadtxt(*args, **kwargs):
-        raise ValueError("int64 parse disabled")
-
-    monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+    monkeypatch.setattr(nsio, "_decode_ints", lambda body, width: None)
     slow, slow_info = read_dataset(paths["nodes"], paths["edges"],
                                    paths["metadata"])
     for field in ("y", "x", "edges", "k_levels"):
@@ -493,3 +535,60 @@ def test_read_dataset_edge_files(tmp_path, edges, want):
     else:
         ds, _ = read_texts(tmp_path, nodes, edges)
         assert ds.edges.tolist() == want
+
+
+# ------------------------------------------------------ integer CSV codec
+
+def printf_bytes(header, table):
+    fmt = ",".join(["%d"] * table.shape[1]) + "\n"
+    return (header + "\n" + "".join(
+        fmt % tuple(row) for row in table.tolist())).encode()
+
+
+INT_TABLES = {
+    "boundaries": [[0, 9, 10, 99, 100, 2**63 - 1]],
+    "one-row": [[5, 0, 12]],
+    "one-column": [[0], [9], [10], [99], [100], [7], [1000]],
+    "mixed-widths": np.random.default_rng(4).integers(
+        0, [10, 10**3, 10**6, 10**18], size=(23, 4)).tolist(),
+}
+
+
+@pytest.mark.parametrize("block_cells", [7, 1 << 16])
+@pytest.mark.parametrize("table", INT_TABLES.values(), ids=INT_TABLES)
+def test_int_codec_matches_printf_and_round_trips(tmp_path, monkeypatch,
+                                                   block_cells, table):
+    # 7 cells per block leaves a short last block of rows for every table
+    monkeypatch.setattr(nsio, "WRITE_BLOCK_CELLS", block_cells)
+    table = np.array(table, dtype=np.int64)
+    header = ",".join(f"c{j}" for j in range(table.shape[1]))
+    path = tmp_path / "t.csv"
+    nsio._write_ints(path, header, table)
+    assert path.read_bytes() == printf_bytes(header, table)
+    _, data = nsio._read_table(path)
+    # a 19-digit cell may not fit int64, so the csv path reads it
+    assert isinstance(data, np.ndarray) == (table.max() < 10**18)
+    _, columns, _ = nsio._read_csv_columns(path)
+    assert np.array_equal(np.array(columns).T, table)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("a,b\n1,2\n30,4", [[1, 2], [30, 4]]),
+    ("a,b\r\n1,2\r\n30,4\r\n", [[1, 2], [30, 4]]),
+    ("a,b\n007,999999999999999999\n", [[7, 999999999999999999]]),
+    ("a,b\n1,2\r30,4\n", None),
+    ("a,b\n1,1234567890123456789\n", None),
+    ("a,b\n1,\n", None),
+    ("a,b\n1,-2\n", None),
+], ids=["no-final-eol", "crlf", "18-digits", "lone-cr", "19-digits",
+        "empty-cell", "signed"])
+def test_int_decoder_takes_only_plain_digit_files(tmp_path, text, want):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    header, data = nsio._read_table(path)
+    assert header == ["a", "b"]
+    if want is None:
+        assert isinstance(data, list)
+    else:
+        assert data.dtype == np.int64 and data.tolist() == want
+
