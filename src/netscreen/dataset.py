@@ -227,12 +227,13 @@ def validate(dataset: NodeDataset) -> NodeDataset:
                 (y - 1).astype(np.int64), edges[:, 0] - 1, edges[:, 1] - 1)
 
 
-def column_codes(dataset: NodeDataset, cols) -> np.ndarray:
+def column_codes(dataset: NodeDataset, cols, rows=slice(None)) -> np.ndarray:
     """(n, B) int64 levels 1..K_j of the 1-based column ids cols, in column
-    order. The one reader of codes: a stored column is gathered from x, and
-    the composite of columns a and b is built as (x_a - 1) K_b + x_b."""
+    order, at the nodes rows selects (all by default). The one reader of
+    codes: a stored column is gathered from x, and the composite of columns
+    a and b is built as (x_a - 1) K_b + x_b."""
     cols = np.asarray(cols, dtype=np.int64)
-    x, stored = dataset.x, cols <= dataset.x.shape[1]
+    x, stored = dataset.x[rows], cols <= dataset.x.shape[1]
     out = np.empty((x.shape[0], cols.size), dtype=np.int64, order="F")
     out[:, stored] = x[:, cols[stored] - 1]
     pairs = [dataset.composite_pairs[c] for c in cols[~stored].tolist()]

@@ -9,18 +9,20 @@ All files are UTF-8 and written deterministically: same content in, same
 bytes out.
 
 nodes.csv and edges.csv go through one byte-level codec for non-negative
-integer tables, by row blocks of WRITE_BLOCK_CELLS cells. The encoder lays a
-block out as a uint8 array of fixed slots, one per cell, each as wide as its
-column's largest value, writes the digits by integer division and the
-separators in place, and drops the leading pad bytes with one compaction; the
-bytes equal printf "%d" output. The decoder cuts the data lines into blocks
-at newlines, finds the separators by a byte mask and adds up the digits by
-position. It reads a file whose data lines are all header-wide non-empty
-cells of at most 18 digits (so every value fits int64), with LF or CRLF
-line ends. Any other file (label, float or signed cells, quoted cells, ragged
-or blank lines, lone carriage returns, longer numbers) goes to the
-csv-module parser, which maps labels, keeps floats for binning and names the
-first malformed row.
+integer tables, by row blocks of WRITE_BLOCK_CELLS cells, and neither
+direction holds the whole node table as int64. The encoder builds each block
+of nodes.csv from the codes, lays it out as a uint8 array of fixed slots, one
+per cell, each as wide as its column's bound (n, R or K_j), writes the digits
+by integer division and the separators in place, and drops the leading pad
+bytes with one compaction; the bytes equal printf "%d" output. The decoder
+cuts the data lines into blocks at newlines, finds the separators by a byte
+mask and adds up the digits by position; the codes of each nodes.csv block go
+straight into the int32 code matrix. It reads a file whose data lines are
+all header-wide non-empty cells of at most 18 digits (so every value fits
+int64), with LF or CRLF line ends. Any other file (label, float or signed
+cells, quoted cells, ragged or blank lines, lone carriage returns, longer
+numbers) goes to the csv-module parser, which maps labels, keeps floats for
+binning and names the first malformed row.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import NodeDataset, column_codes, discretize, validate
+from .dataset import (CODE_MAX, NodeDataset, column_codes, discretize,
+                      validate)
 from .errors import ValidationError
 
 WRITE_BLOCK_CELLS = 1 << 16  # cells per row block, read or written
@@ -61,16 +64,13 @@ def write_dataset(out_dir, dataset: NodeDataset, extras: dict | None = None,
              "metadata": out / "metadata.json"}
 
     header = "node_id,y," + ",".join(f"x{j}" for j in range(1, dataset.p + 1))
-    table = np.empty((dataset.n, dataset.p + 2), dtype=np.int64)
-    table[:, 0] = np.arange(1, dataset.n + 1)
-    table[:, 1] = dataset.y
-    ids = np.arange(1, dataset.p + 1)
-    step = max(1, WRITE_BLOCK_CELLS // dataset.n)
-    for lo in range(0, dataset.p, step):
-        table[:, lo + 2:lo + 2 + step] = column_codes(dataset,
-                                                      ids[lo:lo + step])
-    _write_ints(paths["nodes"], header, table)
-    _write_ints(paths["edges"], "src,dst", dataset.edges)
+    # slot widths come from each column's bound: n for the ids, R for y,
+    # K_j for column j; a slot wider than its values only holds pad bytes
+    top = np.concatenate([[dataset.n, dataset.r_levels], dataset.k_levels])
+    _write_ints(paths["nodes"], header, top, dataset.n,
+                lambda lo, hi: _node_rows(dataset, lo, hi))
+    _write_ints(paths["edges"], "src,dst", [dataset.n, dataset.n],
+                dataset.n_edges, lambda lo, hi: dataset.edges[lo:hi])
 
     meta = {
         "format": 1,
@@ -112,26 +112,38 @@ def _write_csv(path, header: str, table: np.ndarray, fmt: list) -> None:
                      % tuple(block.ravel().tolist()))
 
 
-def _write_ints(path, header: str, table: np.ndarray) -> None:
-    """Header line, then one line per row of the non-negative integer
-    table: its cells' "%d" bytes, comma-separated, built by row blocks."""
-    rows, cols = table.shape
-    top = table.max(axis=0) if rows else np.zeros(cols, np.int64)
+def _node_rows(dataset: NodeDataset, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of nodes.csv as int64: node id, response, then the
+    codes of every column, composites included."""
+    block = np.empty((hi - lo, dataset.p + 2), dtype=np.int64)
+    block[:, 0] = np.arange(lo + 1, hi + 1)
+    block[:, 1] = dataset.y[lo:hi]
+    block[:, 2:] = column_codes(dataset, np.arange(1, dataset.p + 1),
+                                slice(lo, hi))
+    return block
+
+
+def _write_ints(path, header: str, top, rows: int, block) -> None:
+    """Header line, then rows lines of non-negative integers: their cells'
+    "%d" bytes, comma-separated. block(lo, hi) gives lines lo..hi-1 as an
+    int table, which is encoded by row blocks; top bounds each column's
+    values and sets its slot width."""
+    top = np.asarray(top, dtype=np.int64)
     widths = 1 + np.sum(top[:, None] >= 10 ** np.arange(1, 19), axis=1)
     seps = np.cumsum(widths + 1) - 1  # the slot byte after each cell
     template = np.full(seps[-1] + 1, ord(","), np.uint8)
     template[-1] = ord("\n")
     groups = [(int(w), np.flatnonzero(widths == w)) for w in np.unique(widths)]
     compact = widths.max() > 1
-    step = max(1, WRITE_BLOCK_CELLS // cols)
+    step = max(1, WRITE_BLOCK_CELLS // top.size)
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
         for lo in range(0, rows, step):
-            block = table[lo:lo + step]
-            buf = np.empty((block.shape[0], template.size), np.uint8)
+            table = block(lo, min(rows, lo + step))
+            buf = np.empty((table.shape[0], template.size), np.uint8)
             buf[:] = template
             for width, group in groups:
-                left = block[:, group]  # the digits not yet written
+                left = table[:, group]  # the digits not yet written
                 for place in range(width):  # right to left
                     rest = left // 10 if place < width - 1 else 0
                     byte = (left - 10 * rest + ord("0")).astype(np.uint8)
@@ -143,11 +155,13 @@ def _write_ints(path, header: str, table: np.ndarray) -> None:
 
 
 def _decode_ints(body: bytes, width: int):
-    """The int64 (rows, width) matrix of the data lines body, or None
-    unless every byte is a digit, a comma or a line end, every line has
-    width cells and every cell has 1 to 18 digits, so that it fits int64.
-    CRLF line ends are read as LF and a lone CR is refused; the last line
-    end is optional."""
+    """(rows, blocks) of the data lines body, or None when a CR in it is not
+    part of a CRLF: rows counts the lines, and blocks walks them by row
+    blocks of WRITE_BLOCK_CELLS cells, yielding each as (first line, int64
+    (lines, width) array), one array reused from block to block. A block
+    whose lines are not all width cells of 1 to 18 digits (so that every
+    value fits int64) comes as None and ends the walk. CRLF line ends are
+    read as LF; the last line end is optional."""
     if b"\r" in body:
         if body.count(b"\r") != body.count(b"\r\n"):
             return None
@@ -156,14 +170,20 @@ def _decode_ints(body: bytes, width: int):
         body += b"\n"
     raw = np.frombuffer(body, np.uint8)
     line_ends = np.flatnonzero(raw == ord("\n"))
-    out = np.empty((line_ends.size, width), np.int64)
+    return line_ends.size, _int_blocks(raw, line_ends, width)
+
+
+def _int_blocks(raw: np.ndarray, line_ends: np.ndarray, width: int):
     step = max(1, WRITE_BLOCK_CELLS // width)
+    buf = np.empty((min(step, line_ends.size), width), np.int64)
     for lo in range(0, line_ends.size, step):
         hi = min(lo + step, line_ends.size)
         start = line_ends[lo - 1] + 1 if lo else 0
-        if not _decode_block(raw[start:line_ends[hi - 1] + 1], out[lo:hi]):
-            return None
-    return out
+        block = buf[:hi - lo]
+        if not _decode_block(raw[start:line_ends[hi - 1] + 1], block):
+            yield lo, None
+            return
+        yield lo, block
 
 
 def _decode_block(chunk: np.ndarray, out: np.ndarray) -> bool:
@@ -190,12 +210,49 @@ def _decode_block(chunk: np.ndarray, out: np.ndarray) -> bool:
     return True
 
 
-def _read_table(path):
+def _int_matrix(decoded, width: int):
+    """The int64 (rows, width) matrix of :func:`_decode_ints`'s blocks, or
+    None when one of them could not be read."""
+    rows, blocks = decoded
+    out = np.empty((rows, width), np.int64)
+    for lo, block in blocks:
+        if block is None:
+            return None
+        out[lo:lo + len(block)] = block
+    return out
+
+
+def _node_codes(decoded, width: int):
+    """(y, x) of nodes.csv from :func:`_decode_ints`'s blocks, or None when
+    one of them could not be read or there is no y column: y holds the
+    int64 responses and x the codes of the columns after y, Fortran-ordered
+    int32. Each block is narrowed once its codes pass a 1..CODE_MAX check;
+    from the first block that fails it on, x is kept as int64, so that
+    validate names the column with its usual message."""
+    rows, blocks = decoded
+    if width < 2:
+        return None
+    y = np.empty(rows, np.int64)
+    x = np.empty((rows, width - 2), np.int32, order="F")
+    for lo, block in blocks:
+        if block is None:
+            return None
+        codes = block[:, 2:]
+        if x.dtype == np.int32 and codes.size and (
+                codes.min() < 1 or codes.max() > CODE_MAX):
+            x = x.astype(np.int64, order="F")
+        y[lo:lo + len(block)] = block[:, 1]
+        x[lo:lo + len(block)] = codes
+    return y, x
+
+
+def _read_table(path, collect=_int_matrix):
     """(header, data) of a headered CSV; header is None for an empty file.
 
-    data is the int64 (rows, width) matrix when :func:`_decode_ints` reads
-    the data lines; otherwise it is the csv-module rows after the header,
-    as lists of strings.
+    data is collect(decoded, width) of the row blocks of
+    :func:`_decode_ints` (by default their int64 matrix), unless that is
+    None; otherwise it is the csv-module rows after the header, as lists of
+    strings.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -204,30 +261,28 @@ def _read_table(path):
     # makes the header span or split lines
     if body and b'"' not in head and b"\r" not in head[:-1]:
         header = next(csv.reader([head.decode("utf-8")]))
-        data = _decode_ints(body, len(header)) if header else None
+        decoded = _decode_ints(body, len(header)) if header else None
+        data = None if decoded is None else collect(decoded, len(header))
         if data is not None:
             return header, data
     rows = list(csv.reader(io.StringIO(raw.decode("utf-8"), newline="")))
     return (rows[0], rows[1:]) if rows else (None, [])
 
 
-def _read_csv_columns(path):
-    """(header, columns, level_maps): columns is the transposed int64 matrix
-    when every cell is an integer, else a list of int64, float64 or mapped
-    label columns, with the label-to-code maps in level_maps."""
-    header, data = _read_table(path)
-    if isinstance(data, np.ndarray):
-        return header, data.T, {}
-    if header is None or not data:
+def _csv_columns(path, header, rows):
+    """(columns, level_maps) of the csv-module rows of path: a list of
+    int64, float64 or mapped label columns, with the label-to-code maps in
+    level_maps."""
+    if header is None or not rows:
         raise ValidationError(f"{path}: need a header row and data rows")
     width = len(header)
-    for i, row in enumerate(data):
+    for i, row in enumerate(rows):
         if len(row) != width:
             raise ValidationError(
                 f"{path}: row {i + 2} has {len(row)} fields, header has {width}")
     columns, level_maps = [], {}
     for c, name in enumerate(header):
-        values = [row[c].strip() for row in data]
+        values = [row[c].strip() for row in rows]
         try:
             ints = [int(v) for v in values]
         except ValueError:
@@ -244,7 +299,7 @@ def _read_csv_columns(path):
         code = {v: i + 1 for i, v in enumerate(levels)}
         level_maps[name] = code
         columns.append(np.asarray([code[v] for v in values], np.int64))
-    return header, columns, level_maps
+    return columns, level_maps
 
 
 def _int64(path, ints: list) -> np.ndarray:
@@ -258,21 +313,16 @@ def _int64(path, ints: list) -> np.ndarray:
             f"{path}: row {row + 2} has a cell beyond int64") from None
 
 
-def read_dataset(nodes_path, edges_path, metadata_path=None,
-                 bins: int | None = None,
-                 bin_scheme: str = "normal_quantile"):
-    """(validated NodeDataset, info dict).
-
-    Non-integer feature columns are quantile-binned into `bins` levels
-    (error if bins is None). Non-numeric label columns are mapped to level
-    codes in sorted order; the maps land in info["level_maps"]. Metadata,
-    when given, supplies declared level counts, names, and composite pairs.
-    """
-    header, columns, level_maps = _read_csv_columns(nodes_path)
+def _read_nodes(path, bins, bin_scheme):
+    """(y, x, info) of nodes.csv, for :func:`read_dataset`."""
+    header, data = _read_table(path, _node_codes)
+    columns, level_maps = ((None, {}) if isinstance(data, tuple)
+                           else _csv_columns(path, header, data))
     if len(header) < 2 or header[0] != "node_id" or header[1] != "y":
-        raise ValidationError(
-            f"{nodes_path}: header must start with node_id,y")
+        raise ValidationError(f"{path}: header must start with node_id,y")
     info = {"level_maps": level_maps, "binned_columns": []}
+    if columns is None:  # every cell a plain integer
+        return (*data, info)
     y = columns[1]
     if not np.issubdtype(y.dtype, np.integer):
         raise ValidationError("response column must be integer or labeled")
@@ -281,6 +331,13 @@ def read_dataset(nodes_path, edges_path, metadata_path=None,
         col = columns[c]
         if np.issubdtype(col.dtype, np.floating):
             if np.all(np.isfinite(col) & (col == np.round(col))):
+                # range-checked first: a cast beyond int64 would wrap
+                bad = (col < 1) | (col > CODE_MAX)
+                if bad.any():
+                    row = int(np.argmax(bad))
+                    raise ValidationError(
+                        f"{path}: row {row + 2} of column {header[c]} holds "
+                        f"{col[row]:g}, outside 1..{CODE_MAX}")
                 col = col.astype(np.int64)
             elif bins is None:
                 raise ValidationError(
@@ -296,11 +353,22 @@ def read_dataset(nodes_path, edges_path, metadata_path=None,
                         f"{bin_scheme} with {bins} bins; try {hint}")
                 info["binned_columns"].append(header[c])
         x_cols.append(col)
-    if isinstance(columns, np.ndarray):  # every cell an integer
-        x = columns[2:].T
-    else:
-        x = (np.column_stack(x_cols) if x_cols
-             else np.empty((y.size, 0), dtype=np.int64))
+    x = (np.column_stack(x_cols) if x_cols
+         else np.empty((y.size, 0), dtype=np.int64))
+    return y, x, info
+
+
+def read_dataset(nodes_path, edges_path, metadata_path=None,
+                 bins: int | None = None,
+                 bin_scheme: str = "normal_quantile"):
+    """(validated NodeDataset, info dict).
+
+    Non-integer feature columns are quantile-binned into `bins` levels
+    (error if bins is None). Non-numeric label columns are mapped to level
+    codes in sorted order; the maps land in info["level_maps"]. Metadata,
+    when given, supplies declared level counts, names, and composite pairs.
+    """
+    y, x, info = _read_nodes(nodes_path, bins, bin_scheme)
 
     eheader, rows = _read_table(edges_path)
     if eheader is None:

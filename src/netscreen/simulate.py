@@ -15,6 +15,13 @@ level and log 0.5 when they do not, plus a bonus for every network-related
 feature on which the endpoints agree. An optional noise pass drops each
 link and adds absent links at fixed rates.
 
+The pairs share a few link probabilities, one per agreement pattern, so the
+generator draws one uniform per pair in a fixed order and codes only the
+pairs whose uniform lies below the largest of them (the candidates, a few
+percent at the designs' densities). Every other pair fails its own test
+whatever its pattern, so the edges are those of testing every pair, bit for
+bit, at a fraction of the work.
+
 Recipes (dicts, JSON-friendly):
   {"kind": "bern", "p": q}                   levels {1, 2}, level 2 w.p. q
   {"kind": "uniform", "k": K}                uniform levels 1..K
@@ -334,11 +341,15 @@ def gen_nlr(config: SimulationConfig, seed=None):
 def gen_network(y, x, config: SimulationConfig, seed=None) -> np.ndarray:
     """Directed edges (E, 2), 1-based, one Bernoulli draw per ordered pair.
 
-    Pairs are drawn in source-row order, in blocks of rows. Each pair gets an
-    agreement code (bit 0: same response, bit i: phi term i agrees) that
-    indexes a table of link probabilities, and the blocks' uniform draws
-    concatenate to one draw over all n(n-1) pairs, so the block size never
-    changes the edges.
+    Each pair's agreement code (bit 0: same response, bit i: phi term i
+    agrees) indexes a table of link probabilities, and the pair is linked
+    when its uniform falls below its entry. The uniforms are one stream
+    over the n(n-1) loop-free pairs in source-row order, drawn in chunks of
+    BLOCK_TARGET_PAIRS. A uniform at or above the table's largest entry
+    links no pair, so only the pairs below it (a few percent in the
+    designs) are decoded, coded and compared with their own entry. That is
+    the same float comparison on the same uniform as coding every pair, so
+    neither the candidate step nor the chunk size changes the edges.
     """
     entropy = _entropy(config.seed if seed is None else seed)
     rng = _stream(entropy, _STREAM_NETWORK)
@@ -358,30 +369,37 @@ def gen_network(y, x, config: SimulationConfig, seed=None) -> np.ndarray:
         bit = ((table_codes >> (i + 1)) & 1).astype(bool)
         logit = logit + float(coef) * bit
     prob = expit(logit)
-    code_type = np.min_scalar_type(table_codes[-1])
+    top = prob.max()
 
-    rows = max(1, BLOCK_TARGET_PAIRS // n)
-    blocks = []
-    for lo in range(0, n, rows):
-        hi = min(n, lo + rows)
-        code = (y[lo:hi, None] == y).astype(code_type)
+    pairs = n * (n - 1)
+    u = np.empty(min(pairs, BLOCK_TARGET_PAIRS))
+    links = []
+    for lo in range(0, pairs, u.size):
+        block = u[:min(u.size, pairs - lo)]
+        rng.random(out=block)
+        cand = np.flatnonzero(block < top)
+        s0, t0 = _pair_nodes(lo + cand, n)
+        code = (y[s0] == y[t0]).astype(np.int64)
         for i, cols in enumerate(terms):
-            agree = np.ones((hi - lo, n), dtype=bool)
+            agree = np.ones(cand.size, dtype=bool)
             for col in cols:
-                agree &= col[lo:hi, None] == col
-            code |= agree.astype(code_type) << (i + 1)
-        code = code[np.arange(lo, hi)[:, None] != np.arange(n)]
-        link = np.flatnonzero(rng.random(code.size) < prob[code])
-        blocks.append(_pair_edges(lo * (n - 1) + link, n))
-    return np.concatenate(blocks)
+                agree &= col[s0] == col[t0]
+            code |= agree << (i + 1)
+        link = block[cand] < prob[code]
+        links.append(lo + cand[link])
+    return _pair_edges(np.concatenate(links), n)
+
+
+def _pair_nodes(codes: np.ndarray, n: int):
+    """0-based (s, t) of ordered-pair codes s * (n - 1) + t - (t > s),
+    which number the n(n-1) loop-free pairs 0, 1, ... in source-row order."""
+    s0, rem = np.divmod(codes, n - 1)
+    return s0, rem + (rem >= s0)
 
 
 def _pair_edges(codes: np.ndarray, n: int) -> np.ndarray:
-    """1-based (src, dst) rows of ordered-pair codes s * (n - 1) + t - (t > s),
-    which number the n(n-1) loop-free pairs 0, 1, ... in source-row order."""
-    s0 = codes // (n - 1)
-    rem = codes % (n - 1)
-    return np.column_stack([s0 + 1, rem + (rem >= s0) + 1])
+    """1-based (src, dst) rows of ordered-pair codes; see _pair_nodes."""
+    return np.column_stack(_pair_nodes(codes, n)) + 1
 
 
 def noise_rates(n: int, s: float) -> tuple[float, float]:

@@ -563,13 +563,15 @@ def test_int_codec_matches_printf_and_round_trips(tmp_path, monkeypatch,
     table = np.array(table, dtype=np.int64)
     header = ",".join(f"c{j}" for j in range(table.shape[1]))
     path = tmp_path / "t.csv"
-    nsio._write_ints(path, header, table)
+    nsio._write_ints(path, header, table.max(axis=0), len(table),
+                     lambda lo, hi: table[lo:hi])
     assert path.read_bytes() == printf_bytes(header, table)
-    _, data = nsio._read_table(path)
+    head, data = nsio._read_table(path)
     # a 19-digit cell may not fit int64, so the csv path reads it
     assert isinstance(data, np.ndarray) == (table.max() < 10**18)
-    _, columns, _ = nsio._read_csv_columns(path)
-    assert np.array_equal(np.array(columns).T, table)
+    if isinstance(data, list):
+        data = np.array(nsio._csv_columns(path, head, data)[0]).T
+    assert np.array_equal(data, table)
 
 
 @pytest.mark.parametrize("text, want", [
@@ -592,3 +594,67 @@ def test_int_decoder_takes_only_plain_digit_files(tmp_path, text, want):
     else:
         assert data.dtype == np.int64 and data.tolist() == want
 
+
+
+@pytest.mark.parametrize("block_cells", [7, 1 << 16])
+def test_declared_widths_beyond_the_codes_write_the_same_bytes(
+        tmp_path, monkeypatch, block_cells):
+    # slots sized from R = 10 and K_j = 12 hold codes of one digit, so the
+    # pad bytes must all be dropped
+    monkeypatch.setattr(nsio, "WRITE_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(5)
+    n = 23
+    y, x = rng.integers(1, 3, n), rng.integers(1, 10, (n, 4))
+    edges = [[23, 5], [1, 2], [9, 10]]
+    tight = NodeDataset(y, x, edges)  # widths from the observed maxima
+    wide = NodeDataset(y, x, edges, r_levels=10, k_levels=[12] * 4)
+    written = [write_dataset(tmp_path / name, ds)
+               for name, ds in (("tight", tight), ("wide", wide))]
+    nodes = printf_bytes("node_id,y,x1,x2,x3,x4",
+                         np.column_stack([np.arange(1, n + 1), y, x]))
+    edge_bytes = printf_bytes("src,dst", np.array(sorted(edges)))
+    for paths in written:
+        assert paths["nodes"].read_bytes() == nodes
+        assert paths["edges"].read_bytes() == edge_bytes
+
+
+@pytest.mark.parametrize("block_cells", [7, 1 << 16])
+@pytest.mark.parametrize("cell, message", [
+    (str(2**31), f"feature label {2**31} in column 1 above {2**31 - 1}"),
+    ("0", "feature label below 1 in column 1"),
+], ids=["above-int32", "zero"])
+def test_integer_reader_refuses_codes_outside_int32(
+        tmp_path, monkeypatch, block_cells, cell, message):
+    # with 7 cells per block every line is its own block, so the bad cell
+    # sits in a later block than the first
+    monkeypatch.setattr(nsio, "WRITE_BLOCK_CELLS", block_cells)
+    rows = [f"{i},{1 + i % 2},{1 + i % 3},2" for i in range(1, 9)]
+    rows[5] = f"6,2,{cell},2"
+    text = "node_id,y,x1,x2\n" + "\n".join(rows) + "\n"
+    with pytest.raises(ValidationError) as err:
+        read_texts(tmp_path, text)
+    assert str(err.value) == message
+
+
+def test_integer_reader_fills_fortran_int32_codes(tmp_path, monkeypatch):
+    monkeypatch.setattr(nsio, "WRITE_BLOCK_CELLS", 7)
+    ds, _ = generate(example_config(6, n=40, p=5), seed=2)
+    paths = write_dataset(tmp_path, ds)
+    header, (y, x) = nsio._read_table(paths["nodes"], nsio._node_codes)
+    assert header[:3] == ["node_id", "y", "x1"]
+    assert y.dtype == np.int64 and np.array_equal(y, ds.y)
+    assert x.dtype == np.int32 and x.flags.f_contiguous
+    assert np.array_equal(x, ds.x)
+
+
+@pytest.mark.filterwarnings("error")
+def test_integral_float_beyond_int32_is_refused_with_its_row(tmp_path,
+                                                             capsys):
+    text = NODES_HEADER + "1,1,1e20\n2,2,1\n3,1,2\n"
+    with pytest.raises(ValidationError) as err:
+        read_texts(tmp_path, text)
+    assert str(err.value).endswith(
+        f"row 2 of column x1 holds 1e+20, outside 1..{2**31 - 1}")
+    assert main(["screen", "--nodes", str(tmp_path / "nodes.csv"),
+                 "--edges", str(tmp_path / "edges.csv")]) == 3
+    assert "row 2 of column x1 holds 1e+20" in capsys.readouterr().err

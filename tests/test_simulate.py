@@ -158,6 +158,67 @@ def test_network_blocks_do_not_change_edges(monkeypatch, example):
     assert np.array_equal(runs[0], runs[1])
 
 
+def pairwise_edges(y, x, cfg, seed):
+    """The network drawn pair by pair: one uniform per loop-free ordered
+    pair in source-row order, tested against expit of the pair's logit,
+    summed term by term."""
+    rng = simulate._stream(simulate._entropy(seed), simulate._STREAM_NETWORK)
+    n = len(y)
+    u = rng.random(n * (n - 1))
+    decay = cfg.gamma * math.log(n)
+    edges, k = [], 0
+    for s in range(n):
+        for t in range(n):
+            if s == t:
+                continue
+            odds = cfg.base_odds_same if y[s] == y[t] else cfg.base_odds_diff
+            logit = math.log(odds) - decay
+            for key, coef in cfg.phi:
+                cols = key if isinstance(key, tuple) else (key,)
+                if all(x[s, c - 1] == x[t, c - 1] for c in cols):
+                    logit += coef
+            if u[k] < expit(logit):
+                edges.append((s + 1, t + 1))
+            k += 1
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+HALF = {"kind": "bern", "p": 0.5}
+NETWORK_CASES = {
+    # agreeing pairs link with probability 1, so every uniform is below the
+    # largest entry and every pair is a candidate
+    "certain": plain_config(n=14, p=1, phi=((1, 60.0),),
+                            default_column=HALF),
+    # the largest entry is same response, disagreeing on column 1
+    "negative-phi": plain_config(n=30, p=2, phi=((1, -1.5), (2, 0.7)),
+                                 default_column=HALF),
+    "ex3-tuple-phi": example_config(3, n=60, p=6, seed=4),
+    "ex7-four-levels": example_config(7, n=60, p=6, seed=4),
+    "n2": plain_config(n=2, p=1, base_odds_same=20.0, base_odds_diff=20.0,
+                       phi=((1, 0.5),)),
+}
+
+
+@pytest.mark.parametrize("block_pairs", [1, 997, None],
+                         ids=["1", "997", "all"])
+@pytest.mark.parametrize("cfg", NETWORK_CASES.values(), ids=NETWORK_CASES)
+def test_network_matches_pairwise_reference(monkeypatch, cfg, block_pairs):
+    gen = gen_nlr if cfg.model == "nlr" else gen_nnb
+    y, x, _ = gen(cfg, (21,))
+    n = cfg.n
+    monkeypatch.setattr(simulate, "BLOCK_TARGET_PAIRS",
+                        block_pairs or n * (n - 1))
+    got = gen_network(y, x, cfg, (21,))
+    want = pairwise_edges(y, x, cfg, (21,))
+    assert got.dtype == np.int64 and got.shape == want.shape
+    assert np.array_equal(got, want)
+    if cfg is NETWORK_CASES["certain"]:
+        linked = {(int(s), int(t)) for s, t in got}
+        assert all((s + 1, t + 1) in linked
+                   for s in range(n) for t in range(n)
+                   if s != t and x[s, 0] == x[t, 0])
+
+
 # sha256 of each file write_dataset wrote for example_config(ex, n=50, p=6,
 # seed=2), recorded from the np.savetxt writer
 FROZEN_FILES = (
