@@ -22,9 +22,9 @@ less the target's own cell when it is labeled; the neighbour counts enter
 through edge-minus-gap weights. The last level's count is the degree minus
 the inner ones, so it is folded into the weights and never counted per node.
 type3 reads the inner counts of a block of equal-width link columns from one
-product of :func:`counts.neighbour_adjacency` with the block's level
-indicators, in float32 while that is exact, and contracts them in float64;
-type2 is the width-1 case, which needs the degrees alone.
+product of the targets' rows of :func:`counts.tally_adjacency`, out of them
+and into them, with the block's labeled level indicators, in float32 while
+exact, and contracts them in float64; type2 needs the degrees alone.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counts import (block_pair_tables, neighbour_adjacency, product_dtype,
-                     response_pair_tables, tally_adjacency, tally_edges,
-                     tally_marginals)
+from .counts import (adjacency_rows, block_pair_tables, response_pair_tables,
+                     tally_adjacency, tally_edges, tally_marginals)
 from .dataset import FeatureSet, NodeDataset, validate
 from .errors import ValidationError
 from .plr import check_table_cells, column_blocks
@@ -194,14 +193,16 @@ def predict_scores(clf: NetworkClassifier, dataset: NodeDataset,
     if clf.spec.kind == "type1":
         return scores
 
-    # every target's labeled neighbours by direction and class (rows of
-    # nbrs); shared holds their counts, a one and the own-cell indicator
+    # every target's neighbours by direction and class (rows of nbrs), with
+    # the labeled ones' counts, a one and the own-cell indicator in shared
     y0, mask = dataset._y0, clf.train_mask
-    nbrs = neighbour_adjacency(y0, dataset._src0, dataset._dst0, mask, t0, r,
-                               product_dtype(n))
+    src0, dst0 = dataset._src0, dataset._dst0
+    nbrs = adjacency_rows([tally_adjacency(y0, src0, dst0, r),
+                           tally_adjacency(y0, dst0, src0, r)], t0)
+    known = mask.astype(nbrs.dtype)
     own = np.zeros((t0.size, r))
     own[mask[t0], y0[t0[mask[t0]]]] = 1.0
-    degrees = (nbrs @ np.ones(n, nbrs.dtype)).reshape(-1, 2 * r)
+    degrees = (nbrs @ known).reshape(-1, 2 * r)
     shared = np.column_stack([degrees, np.ones(t0.size), own])
     census = np.bincount(y0[mask], minlength=r)[None, :, None]
     scores += shared @ _link_weights(clf.log_pi0[None, :, :, None, None],
@@ -218,8 +219,8 @@ def predict_scores(clf: NetworkClassifier, dataset: NodeDataset,
             np.stack([clf.dlog_gap[col] for col in block.tolist()]),
             tally_marginals(y0[mask], xb0[mask], r, k))
         inner = weights.shape[1] - shared.shape[1]
-        # inner level indicators, laid out (node, column, level)
-        lev = (xb0[:, :, None] == np.arange(k - 1)).astype(nbrs.dtype)
+        # inner level indicators of the labeled nodes, (node, column, level)
+        lev = (xb0[:, :, None] == np.arange(k - 1)) * known[:, None, None]
         lev = lev.reshape(n, -1)
         at = xb0[t0]  # each target's own level
         # targets in chunks, so that every temporary stays a few MB

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import ClassifierSpec, evaluate, fit
+from .classify import KINDS, ClassifierSpec, evaluate, fit
 from .dataset import FeatureSet
 from .errors import DegeneracyError, ValidationError
 from .experiment import experiment, null_calibration
@@ -252,8 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--s-y", dest="s_y",
                      help="comma-separated keys, e.g. 1,2 or 1,3&4")
     cls.add_argument("--s-a", dest="s_a")
-    cls.add_argument("--kind", choices=["type1", "type2", "type3"],
-                     default="type3")
+    cls.add_argument("--kind", choices=KINDS, default="type3")
     cls.add_argument("--smoothing", type=float, default=0.5)
     cls.add_argument("--split", type=float,
                      help="training fraction; omit for transductive")
@@ -271,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--cutoff", default="maxratio")
     exp.add_argument("--interactions",
                      choices=["auto", "none", "top", "all"], default="auto")
-    exp.add_argument("--classifiers", default="type1,type2,type3",
+    exp.add_argument("--classifiers", default=",".join(KINDS),
                      help="comma-separated kinds, or 'none'")
     exp.add_argument("--threads", type=int, default=_default_threads())
     exp.add_argument("--out", required=True, help="output directory")

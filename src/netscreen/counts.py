@@ -43,14 +43,6 @@ from scipy import sparse
 # (2^53) covers the edge count. A block then costs O((k-1) B |E|) for the
 # product plus O(R (k-1)^2 B n) for the reductions, and the adjacency
 # O(|E| + R n) once per edge set. All tables come back as exact int64.
-#
-# The classifier needs T at its targets only, out of each target and into
-# it, over the neighbours it knows the responses of. neighbour_adjacency
-# stacks those 2R class-split adjacencies, restricted to the target rows,
-# into one CSR matrix, so one product per block gives every target's inner
-# level counts in both directions, and its row sums are the degrees. Edges
-# to unknown neighbours stay in it as explicit zeros: masking the entries
-# costs less than filtering four edge arrays.
 
 FLOAT32_EXACT_N = 2 ** 24  # float32 holds every integer up to this bound
 
@@ -67,25 +59,6 @@ def tally_marginals(y0: np.ndarray, xb0: np.ndarray, r: int, k: int) -> np.ndarr
     codes = codes + np.arange(b, dtype=np.int64) * (r * k)
     flat = np.bincount(codes.ravel(), minlength=b * r * k)
     return flat.reshape(b, r, k)
-
-
-def neighbour_adjacency(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
-                        known: np.ndarray, targets: np.ndarray, r: int,
-                        dtype=np.float64):
-    """CSR (2R T, n) of each target's neighbours by direction and class.
-
-    Row 2R t + d R + r2 holds the nodes j of class r2 that targets[t] links
-    to (d = 0) or that link to it (d = 1): 1 where known[j], else an
-    explicit 0, so that row sums and products count known neighbours only.
-    targets are 0-based node ids in any order, repeats allowed.
-    """
-    n = y0.size
-    rows = np.concatenate([src0 * (2 * r) + y0[dst0],
-                           dst0 * (2 * r) + (r + y0[src0])])
-    cols = np.concatenate([dst0, src0])
-    adj = sparse.csr_array((known[cols].astype(dtype), (rows, cols)),
-                           shape=(2 * r * n, n))
-    return adj[(targets[:, None] * (2 * r) + np.arange(2 * r)).ravel()]
 
 
 def tally_adjacency(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
@@ -109,6 +82,17 @@ def tally_adjacency(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
         (np.ones(rows.size, product_dtype(n)), (rows, dst0)), shape=(r * n, n))
     degrees = np.bincount(rows, minlength=r * n).reshape(r, n)
     return order, classes, adjacency, degrees
+
+
+def adjacency_rows(adjacencies, nodes: np.ndarray):
+    """CSR (A R T, n): row (A t + a) R + r2 is the row of class r2 of
+    nodes[t] (0-based ids, any order, repeats allowed) in the a-th of A
+    :func:`tally_adjacency` results of one y0."""
+    order, classes = adjacencies[0][:2]
+    stack = sparse.vstack([adj for _, _, adj, _ in adjacencies], format="csr")
+    rows = np.argsort(order)[nodes, None] + order.size * np.arange(
+        len(adjacencies) * len(classes))
+    return stack[rows.ravel()]
 
 
 def tally_edges(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,

@@ -18,14 +18,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .classify import ClassifierSpec, evaluate, fit, screening_metrics
+from .classify import KINDS, ClassifierSpec, evaluate, fit, screening_metrics
 from .dataset import FeatureSet
 from .errors import ValidationError
 from .plr import degrees_of_freedom, plr_statistic
 from .screening import interaction_expand, pc_sis, plr_sis
 from .simulate import SimulationConfig, example_config, generate
-
-CLASSIFIER_KINDS = ("type1", "type2", "type3")
 
 
 @dataclass
@@ -90,7 +88,7 @@ def run_replication(config: SimulationConfig, rep: int, seed: int, *,
                     cutoff: str = "max_ratio", cutoff_d: int | None = None,
                     cutoff_alpha: float = 0.05,
                     classify_selected: bool = True,
-                    classify_true=CLASSIFIER_KINDS) -> dict:
+                    classify_true=KINDS) -> dict:
     """One replication: a plain dict of selections, scores, and accuracies."""
     dataset, extras = generate(config, seed=(seed, rep))
     truth = extras["true_features"]
@@ -189,7 +187,7 @@ def experiment(config, *, n: int | None = None, p: int | None = None,
                methods=("plr", "pc"), interactions: str = "auto",
                cutoff: str = "max_ratio", cutoff_d: int | None = None,
                cutoff_alpha: float = 0.05, classify_selected: bool = True,
-               classify_true=CLASSIFIER_KINDS,
+               classify_true=KINDS,
                threads: int = 1) -> ExperimentReport:
     """Run m_reps replications of a config (or example id) and aggregate.
 

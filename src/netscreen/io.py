@@ -223,15 +223,17 @@ def _int_matrix(decoded, width: int):
 
 
 def _node_codes(decoded, width: int):
-    """(y, x) of nodes.csv from :func:`_decode_ints`'s blocks, or None when
-    one of them could not be read or there is no y column: y holds the
-    int64 responses and x the codes of the columns after y, Fortran-ordered
-    int32. Each block is narrowed once its codes pass a 1..CODE_MAX check;
-    from the first block that fails it on, x is kept as int64, so that
-    validate names the column with its usual message."""
+    """(ids, y, x) of nodes.csv from :func:`_decode_ints`'s blocks, or None
+    when one of them could not be read or there is no y column: ids and y
+    hold the int64 node ids and responses, and x the codes of the columns
+    after y, Fortran-ordered int32. Each block is narrowed once its codes
+    pass a 1..CODE_MAX check; from the first block that fails it on, x is
+    kept as int64, so that validate names the column with its usual
+    message."""
     rows, blocks = decoded
     if width < 2:
         return None
+    ids = np.empty(rows, np.int64)
     y = np.empty(rows, np.int64)
     x = np.empty((rows, width - 2), np.int32, order="F")
     for lo, block in blocks:
@@ -241,9 +243,10 @@ def _node_codes(decoded, width: int):
         if x.dtype == np.int32 and codes.size and (
                 codes.min() < 1 or codes.max() > CODE_MAX):
             x = x.astype(np.int64, order="F")
+        ids[lo:lo + len(block)] = block[:, 0]
         y[lo:lo + len(block)] = block[:, 1]
         x[lo:lo + len(block)] = codes
-    return y, x
+    return ids, y, x
 
 
 def _read_table(path, collect=_int_matrix):
@@ -313,6 +316,14 @@ def _int64(path, ints: list) -> np.ndarray:
             f"{path}: row {row + 2} has a cell beyond int64") from None
 
 
+def _reads_as(cell: str, value: int) -> bool:
+    """Whether the csv cell parses as the integer value."""
+    try:
+        return int(cell) == value
+    except ValueError:
+        return False
+
+
 def _read_nodes(path, bins, bin_scheme):
     """(y, x, info) of nodes.csv, for :func:`read_dataset`."""
     header, data = _read_table(path, _node_codes)
@@ -320,9 +331,20 @@ def _read_nodes(path, bins, bin_scheme):
                            else _csv_columns(path, header, data))
     if len(header) < 2 or header[0] != "node_id" or header[1] != "y":
         raise ValidationError(f"{path}: header must start with node_id,y")
+    # node ids must be 1..n in file order: rows are the nodes edges name
+    if columns is None:
+        ids, y, x = data
+        wrong = np.flatnonzero(ids != np.arange(1, ids.size + 1))
+        bad = (int(wrong[0]), ids[wrong[0]]) if wrong.size else None
+    else:
+        bad = next(((i, row[0].strip()) for i, row in enumerate(data)
+                    if not _reads_as(row[0], i + 1)), None)
+    if bad is not None:
+        raise ValidationError(f"{path}: row {bad[0] + 2} has node_id "
+                              f"{bad[1]}; ids must run 1..n in file order")
     info = {"level_maps": level_maps, "binned_columns": []}
     if columns is None:  # every cell a plain integer
-        return (*data, info)
+        return y, x, info
     y = columns[1]
     if not np.issubdtype(y.dtype, np.integer):
         raise ValidationError("response column must be integer or labeled")

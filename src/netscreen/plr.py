@@ -281,5 +281,5 @@ def permutation_pvalue(dataset: NodeDataset, columns, n_perms: int,
     """
     dataset = validate(dataset)
     if n_perms < 1:
-        raise ValueError("n_perms must be positive")
+        raise ValidationError("n_perms must be positive")
     return _column_totals(dataset, columns, n_perms, seed)[1]

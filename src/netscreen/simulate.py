@@ -41,7 +41,7 @@ results never depend on evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 from scipy.special import expit
@@ -56,6 +56,9 @@ _STREAM_NOISE = 4
 
 BLOCK_TARGET_PAIRS = 250_000  # soft cap on ordered pairs per network block
 MAX_PHI_TERMS = 20  # the link table has 2^(terms + 1) entries
+RECIPE_FIELDS = {"bern": ("p",), "uniform": ("k",), "cond_y": ("table",),
+                 "cond_yx": ("parent", "table"), "cond_x": ("parent", "table"),
+                 "normal": ("mu", "sigma")}
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,29 +117,39 @@ class SimulationConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimulationConfig":
+        """The config of a to_dict-shaped mapping; an absent optional field
+        takes its dataclass default."""
+        if not isinstance(d, dict):
+            raise ValidationError("a simulation config must be a JSON object")
+
         def key_of(s):
             if isinstance(s, str) and "&" in s:
                 a, b = s.split("&")
                 return (int(a), int(b))
             return int(s)
 
-        return cls(
-            name=d["name"], model=d["model"], n=int(d["n"]), p=int(d["p"]),
-            r_levels=int(d.get("r_levels", 2)),
-            columns={int(j): r for j, r in d.get("columns", {}).items()},
-            default_column=d.get("default_column",
-                                 {"kind": "bern", "p": 0.2}),
-            response=d.get("response", {"kind": "uniform"}),
-            s_y=FeatureSet.from_keys(d.get("s_y", [])),
-            s_a=FeatureSet.from_keys(d.get("s_a", [])),
-            phi=tuple((key_of(k), float(c)) for k, c in d.get("phi", [])),
-            gamma=float(d.get("gamma", 0.5)),
-            base_odds_same=float(d.get("base_odds_same", 1.0)),
-            base_odds_diff=float(d.get("base_odds_diff", 0.5)),
-            noise=d.get("noise"), bins=int(d.get("bins", 4)),
-            bin_scheme=d.get("bin_scheme", "normal_quantile"),
-            seed=int(d.get("seed", 0)),
-        )
+        convert = {
+            "n": int, "p": int, "r_levels": int, "gamma": float,
+            "base_odds_same": float, "base_odds_diff": float, "bins": int,
+            "seed": int, "s_y": FeatureSet.from_keys,
+            "s_a": FeatureSet.from_keys,
+            "columns": lambda c: {int(j): r for j, r in c.items()},
+            "phi": lambda phi: tuple((key_of(k), float(c)) for k, c in phi),
+        }
+        kwargs = {}
+        for f in fields(cls):
+            if f.name in d:
+                value = d[f.name]
+                try:
+                    kwargs[f.name] = convert.get(f.name, lambda v: v)(value)
+                except (TypeError, ValueError, AttributeError):
+                    raise ValidationError(
+                        f"simulation config field {f.name!r} cannot be "
+                        f"{value!r}") from None
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ValidationError(
+                    f"simulation config needs the field {f.name!r}")
+        return cls(**kwargs)
 
 
 def _recipe_width(recipe: dict, config: SimulationConfig) -> int:
@@ -176,7 +189,13 @@ def check_config(config: SimulationConfig) -> None:
             raise ValidationError(f"column recipe index {j} outside 1..{config.p}")
     for j in range(1, config.p + 1):
         recipe = config.recipe(j)
+        if not isinstance(recipe, dict):
+            raise ValidationError(f"column {j}: a recipe must be an object")
         kind = recipe.get("kind")
+        for key in RECIPE_FIELDS.get(kind, ()):
+            if key not in recipe:
+                raise ValidationError(
+                    f"column {j}: a {kind} recipe needs {key!r}")
         width = _recipe_width(recipe, config)
         if width < 1:
             raise ValidationError(f"column {j} has no levels")

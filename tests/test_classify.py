@@ -136,15 +136,16 @@ def test_float64_products_give_the_same_scores(monkeypatch):
     dtypes = []
 
     def spy(*args):
-        out = counts.neighbour_adjacency(*args)
-        dtypes.append(out.dtype)
+        out = counts.tally_adjacency(*args)
+        dtypes.append(out[2].dtype)
         return out
 
-    monkeypatch.setattr(classify, "neighbour_adjacency", spy)
+    monkeypatch.setattr(classify, "tally_adjacency", spy)
     single = predict_scores(clf, ds, targets)
     monkeypatch.setattr(counts, "FLOAT32_EXACT_N", 0)
     double = predict_scores(clf, ds, targets)
-    assert dtypes == [np.float32, np.float64]
+    # one build out of the targets and one into them, per call
+    assert dtypes == [np.float32] * 2 + [np.float64] * 2
     assert single.tobytes() == double.tobytes()
 
 

@@ -168,6 +168,28 @@ def test_simulate_from_config_file(tmp_path):
                  "--out", str(tmp_path / "o2")]) == 3
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: [c], "a simulation config must be a JSON object"),
+    (lambda c: {k: v for k, v in c.items() if k != "name"},
+     "simulation config needs the field 'name'"),
+    (lambda c: {k: v for k, v in c.items() if k != "p"},
+     "simulation config needs the field 'p'"),
+    (lambda c: {**c, "n": "thirty"},
+     "simulation config field 'n' cannot be 'thirty'"),
+    (lambda c: {**c, "default_column": {"kind": "bern"}},
+     "column 5: a bern recipe needs 'p'"),
+    (lambda c: {**c, "default_column": 5},
+     "column 5: a recipe must be an object"),
+], ids=["list", "no-name", "no-p", "word-n", "bern-without-p", "bare-recipe"])
+def test_simulate_rejects_malformed_config_files(tmp_path, capsys, edit,
+                                                 message):
+    cfg_path = tmp_path / "cfg.json"
+    write_json(cfg_path, edit(example_config(1, n=50, p=5).to_dict()))
+    assert main(["simulate", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.strip().endswith(message)
+
+
 def test_experiment_command_writes_reports(tmp_path, capsys):
     d = tmp_path / "exp"
     code = main(["experiment", "--example", "1", "--n", "40", "--p", "5",
@@ -481,9 +503,18 @@ H = NODES_HEADER
     ("", "need a header row and data rows"),
     ('"node_id\n1\n2\n', "need a header row and data rows"),
     (H + "1,1.0,2\n2,2,1\n", "response column must be integer or labeled"),
+    (H + "7,1,2\n3,2,1\n3,1,1\n", "row 2 has node_id 7; ids must run 1..n "
+     "in file order"),
+    (H + "1,1,2\n3,2,1\n2,1,1\n", "row 3 has node_id 3; ids must run 1..n "
+     "in file order"),
+    (H + "1,1,2\n#2,2,1\n", "row 3 has node_id #2; ids must run 1..n in "
+     "file order"),
+    (H + "1,1,a\n2.0,2,b\n", "row 3 has node_id 2.0; ids must run 1..n in "
+     "file order"),
 ], ids=["short", "wide", "all-wide", "blank", "trailing-blank",
         "blank-no-final-eol", "blank-only", "comment", "header-only", "empty",
-        "open-quote", "float-y"])
+        "open-quote", "float-y", "repeated-ids", "unordered-ids", "hash-id",
+        "float-id"])
 @pytest.mark.filterwarnings("error")
 def test_read_dataset_rejects_malformed_nodes(tmp_path, text, message):
     with pytest.raises(ValidationError) as err:
@@ -497,7 +528,7 @@ def test_read_dataset_rejects_malformed_nodes(tmp_path, text, message):
     (H + "1,1,1_0\n2,2,1\n", [[10], [1]], {}),
     (H + "1,1,2.0\n2,2,1\n", [[2], [1]], {}),
     (H + "1,1,2\n2,2,1", [[2], [1]], {}),
-    (H + "1,1,2\n#2,2,1\n", [[2], [1]], {"node_id": {"#2": 1, "1": 2}}),
+    (H + "1,1,#2\n2,2,1\n", [[1], [2]], {"x1": {"#2": 1, "1": 2}}),
     ("node_id,y,x1\r\n1,1,2\r\n2,2,1\r\n", [[2], [1]], {}),
     ("node_id,y,x1\r1,1,2\n2,2,1\n", [[2], [1]], {}),
     ('"node_id","y","x1"\n1,1,2\n2,2,1\n', [[2], [1]], {}),
@@ -640,8 +671,9 @@ def test_integer_reader_fills_fortran_int32_codes(tmp_path, monkeypatch):
     monkeypatch.setattr(nsio, "WRITE_BLOCK_CELLS", 7)
     ds, _ = generate(example_config(6, n=40, p=5), seed=2)
     paths = write_dataset(tmp_path, ds)
-    header, (y, x) = nsio._read_table(paths["nodes"], nsio._node_codes)
+    header, (ids, y, x) = nsio._read_table(paths["nodes"], nsio._node_codes)
     assert header[:3] == ["node_id", "y", "x1"]
+    assert np.array_equal(ids, np.arange(1, ds.n + 1))
     assert y.dtype == np.int64 and np.array_equal(y, ds.y)
     assert x.dtype == np.int32 and x.flags.f_contiguous
     assert np.array_equal(x, ds.x)

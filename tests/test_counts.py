@@ -3,7 +3,7 @@ import pytest
 
 from netscreen import NodeDataset, counts, validate
 from netscreen.counts import (
-    block_pair_tables, neighbour_adjacency,
+    adjacency_rows, block_pair_tables,
     response_pair_tables, tally_adjacency, tally_edges, tally_marginals,
 )
 
@@ -167,29 +167,34 @@ def test_tally_edges_float64_products_give_the_same_tables(monkeypatch):
 
 def test_tally_adjacency_matches_edge_loop():
     """Nodes listed class by class; row r2 n + i holds the class-r2
-    destinations of the edges out of node order[i]; degrees are row sums."""
+    destinations of the edges out of node order[i]; degrees are row sums.
+    The reversed edge list gives the sources of the edges into each node."""
     rng = np.random.default_rng(14)
     for _ in range(30):
         y, x, edges, r, k = random_instance(rng)
         ds = as_dataset(y, x, edges, r, k)
         n = len(y)
-        order, classes, adjacency, degrees = tally_adjacency(
-            ds._y0, ds._src0, ds._dst0, r)
-        assert np.array_equal(order, np.argsort(y, kind="stable"))
-        assert [y[order[rows]].tolist() for rows in classes] == [
-            [c] * int(np.sum(y == c)) for c in range(1, r + 1)]
-        want = np.zeros((r, n, n), dtype=np.int64)
-        rank = np.argsort(order)
-        for s, d in edges:
-            want[y[d - 1] - 1, rank[s - 1], d - 1] += 1
-        assert adjacency.shape == (r * n, n)
-        assert np.array_equal(adjacency.toarray(), want.reshape(r * n, n))
-        assert np.array_equal(degrees, want.sum(axis=2))
+        for links, src0, dst0 in ((edges, ds._src0, ds._dst0),
+                                  ([(d, s) for s, d in edges], ds._dst0,
+                                   ds._src0)):
+            order, classes, adjacency, degrees = tally_adjacency(
+                ds._y0, src0, dst0, r)
+            assert np.array_equal(order, np.argsort(y, kind="stable"))
+            assert [y[order[rows]].tolist() for rows in classes] == [
+                [c] * int(np.sum(y == c)) for c in range(1, r + 1)]
+            want = np.zeros((r, n, n), dtype=np.int64)
+            rank = np.argsort(order)
+            for s, d in links:
+                want[y[d - 1] - 1, rank[s - 1], d - 1] += 1
+            assert adjacency.shape == (r * n, n)
+            assert np.array_equal(adjacency.toarray(), want.reshape(r * n, n))
+            assert np.array_equal(degrees, want.sum(axis=2))
 
 
-def test_neighbour_adjacency_matches_edge_loop():
-    """Rows of known neighbours, out of and into each target by class, on
-    unsorted targets with repeats, equal a literal loop over the edges."""
+def test_adjacency_rows_matches_edge_loop():
+    """Rows out of and into each target by class, on unsorted targets with
+    repeats, equal a literal loop over the edges; a product with the known
+    indicator counts the known neighbours only."""
     rng = np.random.default_rng(12)
     for trial in range(30):
         y, x, edges, r, k = random_instance(rng)
@@ -201,15 +206,16 @@ def test_neighbour_adjacency_matches_edge_loop():
         for i, t in enumerate(targets):
             for s, d in edges:
                 s, d = s - 1, d - 1
-                if s == t and known[d]:
+                if s == t:
                     want[i, 0, y[d] - 1, d] += 1
-                if d == t and known[s]:
+                if d == t:
                     want[i, 1, y[s] - 1, s] += 1
-        got = neighbour_adjacency(ds._y0, ds._src0, ds._dst0, known,
-                                  targets, r)
+        y0, src0, dst0 = ds._y0, ds._src0, ds._dst0
+        got = adjacency_rows([tally_adjacency(y0, src0, dst0, r),
+                              tally_adjacency(y0, dst0, src0, r)], targets)
         assert got.shape == (targets.size * 2 * r, n)
         assert np.array_equal(got.toarray().reshape(want.shape), want)
-        assert np.array_equal(got @ np.ones(n), want.sum(axis=3).ravel())
+        assert np.array_equal(got @ known, (want @ known).ravel())
 
 
 def test_counts_ignore_declared_but_unseen_levels():

@@ -367,6 +367,8 @@ def test_negative_perms_rejected():
     with pytest.raises(ValidationError, match="perms must be nonnegative"):
         plr_statistic(ds, 1, perms=-2)
     assert plr_statistic(ds, 1, perms=0).p_perm is None
+    with pytest.raises(ValidationError, match="n_perms must be positive"):
+        permutation_pvalue(ds, [1], 0)
 
 
 def test_missing_response_level_raises():

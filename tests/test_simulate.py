@@ -385,6 +385,10 @@ def test_config_round_trips_through_json():
         back = SimulationConfig.from_dict(json.loads(blob))
         assert back.to_dict() == cfg.to_dict()
         assert back.s_y == cfg.s_y and back.phi == cfg.phi
+    # an absent optional field takes the dataclass default
+    least = {"name": "tiny", "model": "nnb", "n": 30, "p": 4}
+    assert SimulationConfig.from_dict(least).to_dict() == \
+        SimulationConfig(**least).to_dict()
 
 
 def test_check_config_rejects_structural_problems():
