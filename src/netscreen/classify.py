@@ -21,10 +21,10 @@ labeled census dotted with the gap cells, once per column and target level,
 less the target's own cell when it is labeled; the neighbour counts enter
 through edge-minus-gap weights. The last level's count is the degree minus
 the inner ones, so it is folded into the weights and never counted per node.
-type3 reads the inner counts of a block of equal-width link columns from one
-product of the targets' rows of :func:`counts.tally_adjacency`, out of them
-and into them, with the block's labeled level indicators, in float32 while
-exact, and contracts them in float64; type2 needs the degrees alone.
+type3 reads the inner counts of a block of equal-width link columns from the
+products of the targets' rows of the :class:`counts.Network` adjacencies, out
+of them and into them, with the block's labeled level indicators, in float32
+while exact, and contracts them in float64; type2 needs the degrees alone.
 """
 
 from __future__ import annotations
@@ -33,11 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counts import (adjacency_rows, block_pair_tables, response_pair_tables,
-                     tally_adjacency, tally_edges, tally_marginals)
+from .counts import block_pair_tables, tally_edges, tally_marginals
 from .dataset import FeatureSet, NodeDataset, validate
 from .errors import ValidationError
-from .plr import check_table_cells, column_blocks
+from .plr import column_blocks
 
 KINDS = ("type1", "type2", "type3")
 CHUNK_CELLS = 2 ** 17  # link terms per target chunk: 1 MB of float64
@@ -119,9 +118,8 @@ def fit(spec: ClassifierSpec, dataset: NodeDataset,
             raise ValidationError("train_mask must be a boolean (n,) array")
     cols_y = _resolve_columns(dataset, spec.s_y)
     cols_a = _resolve_columns(dataset, spec.s_a) if spec.kind == "type3" else ()
-    check_table_cells(dataset, cols_a)
 
-    y0 = dataset._y0[mask]
+    y0 = dataset._network.y0[mask]
     n_y = np.bincount(y0, minlength=r).astype(np.float64)
     log_prior = np.log((n_y + alpha) / (y0.size + alpha * r))
 
@@ -143,10 +141,8 @@ def fit(spec: ClassifierSpec, dataset: NodeDataset,
         return clf
 
     # link tables over ordered pairs with both endpoints in the mask
-    both = mask[dataset._src0] & mask[dataset._dst0]
-    src0, dst0 = dataset._src0[both], dataset._dst0[both]
-    rank = np.cumsum(mask) - 1  # node ids among the fitting nodes
-    _, p0, e0 = response_pair_tables(y0, rank[src0], rank[dst0], r)
+    network, inside = dataset._network, None if mask.all() else mask
+    _, p0, e0 = network.tables(inside)
     pi0 = (e0 + alpha) / (p0 + 2 * alpha)
     clf.log_pi0 = np.log(pi0)
     clf.log_gap0 = np.log1p(-pi0)
@@ -154,10 +150,10 @@ def fit(spec: ClassifierSpec, dataset: NodeDataset,
         return clf
 
     cols = np.asarray(cols_a, dtype=np.int64)
-    adjacency = tally_adjacency(dataset._y0, src0, dst0, r)
     for k, part, xb0 in column_blocks(dataset, cols):
         block = cols[part].tolist()
-        edges = tally_edges(dataset._y0, src0, dst0, xb0, k, adjacency)
+        edges = tally_edges(network.y0, network.src0, network.dst0, xb0, k,
+                            network.out, mask=inside)
         pairs = block_pair_tables(np.stack([n_yj[col] for col in block]))
         for col, ej, pj in zip(block, edges, pairs):
             pij = (ej + alpha) / (pj + 2 * alpha)
@@ -193,16 +189,16 @@ def predict_scores(clf: NetworkClassifier, dataset: NodeDataset,
     if clf.spec.kind == "type1":
         return scores
 
-    # every target's neighbours by direction and class (rows of nbrs), with
-    # the labeled ones' counts, a one and the own-cell indicator in shared
-    y0, mask = dataset._y0, clf.train_mask
-    src0, dst0 = dataset._src0, dataset._dst0
-    nbrs = adjacency_rows([tally_adjacency(y0, src0, dst0, r),
-                           tally_adjacency(y0, dst0, src0, r)], t0)
-    known = mask.astype(nbrs.dtype)
+    # each target's class-r2 neighbours out of it and into it (rows t R + r2
+    # of sides), the labeled ones' counts, a one and its own cell in shared
+    network, mask = dataset._network, clf.train_mask
+    y0 = network.y0
+    ids = (np.argsort(network.out[0])[t0, None] + n * np.arange(r)).ravel()
+    sides = [network.out[2][ids], network.into[2][ids]]
+    known = mask.astype(sides[0].dtype)
     own = np.zeros((t0.size, r))
     own[mask[t0], y0[t0[mask[t0]]]] = 1.0
-    degrees = (nbrs @ known).reshape(-1, 2 * r)
+    degrees = np.column_stack([(side @ known).reshape(-1, r) for side in sides])
     shared = np.column_stack([degrees, np.ones(t0.size), own])
     census = np.bincount(y0[mask], minlength=r)[None, :, None]
     scores += shared @ _link_weights(clf.log_pi0[None, :, :, None, None],
@@ -229,9 +225,11 @@ def predict_scores(clf: NetworkClassifier, dataset: NodeDataset,
             rows = slice(lo, min(lo + step, t0.size))
             m = rows.stop - lo
             # (column, target, direction and class, level), in float64
-            hits = (nbrs[2 * r * lo:2 * r * rows.stop] @ lev).reshape(
-                m, 2 * r, block.size, k - 1).transpose(2, 0, 1, 3)
-            hits = hits.astype(np.float64, order="C").reshape(block.size, m, -1)
+            hits = np.empty((block.size, m, 2, r, k - 1))
+            for side, nbrs in enumerate(sides):
+                hits[:, :, side] = (nbrs[r * lo:r * rows.stop] @ lev).reshape(
+                    m, r, block.size, k - 1).transpose(2, 0, 1, 3)
+            hits = hits.reshape(block.size, m, -1)
             terms = np.matmul(shared[rows], weights[:, inner:])
             terms += np.matmul(hits, weights[:, :inner])
             # each target's terms at its own level of each column

@@ -3,14 +3,16 @@
 Every statistic and classifier score in the package is a function of these
 tables. Feature tables come from blocked tallies, one block of same-width
 columns per call; pair counts from a closed-form product identity, never
-from iterating node pairs; edge tallies from one class-split CSR adjacency
-per edge set and one sparse-dense product per block. All tables are 64-bit
-integers (ordered-pair totals reach n(n-1), which overflows 32 bits beyond
-n of about 65k). Table axes are 0-based: entry [r-1, k-1] holds the tally
-of response level r with feature level k.
+from iterating node pairs; edge tallies from one sparse-dense product per
+block with the class-split CSR adjacency of the dataset's :class:`Network`.
+All tables are 64-bit integers (ordered-pair totals reach n(n-1), which
+overflows 32 bits beyond n of about 65k). Table axes are 0-based: entry
+[r-1, k-1] holds the tally of response level r with feature level k.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -36,20 +38,17 @@ from scipy import sparse
 #     column m < k-1: sum over l of E[.., l, m] = sum of T[i, r2, m, c] over
 #                     the sources i of class r1;
 #     all cells:      sum of deg_{r2} over class r1,
-# so the last row, the last column and the corner are differences. Products
-# run in float32 when n < FLOAT32_EXACT_N = 2^24 (product_dtype): each entry
-# of T is an integer below n, so float32 holds it and every partial sum of
-# its row exactly; reductions over nodes run in float64, whose integer range
-# (2^53) covers the edge count. A block then costs O((k-1) B |E|) for the
-# product plus O(R (k-1)^2 B n) for the reductions, and the adjacency
-# O(|E| + R n) once per edge set. All tables come back as exact int64.
+# so the last row, the last column and the corner are differences. A train
+# mask zeroes the indicators and the source rows of the nodes it leaves out,
+# and its degrees are the product of the adjacency with it. Products run in
+# float32 when n < FLOAT32_EXACT_N = 2^24: each entry of T is an integer
+# below n, so float32 holds it and every partial sum of its row exactly;
+# reductions over nodes run in float64, whose integer range (2^53) covers
+# the edge count. A block then costs O((k-1) B |E|) for the product plus
+# O(R (k-1)^2 B n) for the reductions, and the adjacency O(|E| + R n) once
+# per dataset. All tables come back as exact int64.
 
 FLOAT32_EXACT_N = 2 ** 24  # float32 holds every integer up to this bound
-
-
-def product_dtype(n: int):
-    """Entry type of adjacency products over n nodes: float32 while exact."""
-    return np.float32 if n < FLOAT32_EXACT_N else np.float64
 
 
 def tally_marginals(y0: np.ndarray, xb0: np.ndarray, r: int, k: int) -> np.ndarray:
@@ -57,7 +56,8 @@ def tally_marginals(y0: np.ndarray, xb0: np.ndarray, r: int, k: int) -> np.ndarr
     b = xb0.shape[1]
     codes = y0[:, None] * k + xb0
     codes = codes + np.arange(b, dtype=np.int64) * (r * k)
-    flat = np.bincount(codes.ravel(), minlength=b * r * k)
+    # bincount ignores element order, so the F-ordered codes need no copy
+    flat = np.bincount(codes.ravel(order="K"), minlength=b * r * k)
     return flat.reshape(b, r, k)
 
 
@@ -78,39 +78,47 @@ def tally_adjacency(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     rows = y0[dst0] * n + rank[src0]
+    dtype = np.float32 if n < FLOAT32_EXACT_N else np.float64
     adjacency = sparse.csr_array(
-        (np.ones(rows.size, product_dtype(n)), (rows, dst0)), shape=(r * n, n))
-    degrees = np.bincount(rows, minlength=r * n).reshape(r, n)
-    return order, classes, adjacency, degrees
+        (np.ones(rows.size, dtype), (rows, dst0)), shape=(r * n, n))
+    deg = np.bincount(rows, minlength=r * n).reshape(r, n)
+    return order, classes, adjacency, deg
 
 
-def adjacency_rows(adjacencies, nodes: np.ndarray):
-    """CSR (A R T, n): row (A t + a) R + r2 is the row of class r2 of
-    nodes[t] (0-based ids, any order, repeats allowed) in the a-th of A
-    :func:`tally_adjacency` results of one y0."""
-    order, classes = adjacencies[0][:2]
-    stack = sparse.vstack([adj for _, _, adj, _ in adjacencies], format="csr")
-    rows = np.argsort(order)[nodes, None] + order.size * np.arange(
-        len(adjacencies) * len(classes))
-    return stack[rows.ravel()]
+def degrees(adjacency, mask=None) -> np.ndarray:
+    """The (R, n) int64 degrees of a :func:`tally_adjacency` result; with a
+    boolean (n,) mask, of the edges between the nodes it selects only."""
+    order, classes, adj, deg = adjacency
+    if mask is None:
+        return deg
+    # each entry is an integer below n, so the product holds it exactly
+    return (adj @ mask.astype(adj.dtype)).reshape(len(classes), -1).astype(
+        np.int64) * mask[order]
 
 
 def tally_edges(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
-                xb0: np.ndarray, k: int, adjacency) -> np.ndarray:
+                xb0: np.ndarray, k: int, adjacency, *,
+                mask=None) -> np.ndarray:
     """Linked-pair tallies, shape (B, R, R, k, k), from 0-based codes.
 
-    adjacency is :func:`tally_adjacency` of y0, src0 and dst0, built once
-    per edge set; the kernel reads those only through it (they stay in the
-    signature because perfbench/spans.py sizes each call by them).
+    adjacency is :func:`tally_adjacency` of y0, src0 and dst0, which the
+    kernel reads only through it (they stay in the signature because
+    perfbench/spans.py sizes each call by them). A boolean (n,) mask counts
+    only the edges between the nodes it selects.
     """
-    order, classes, adj, deg = adjacency
+    order, classes, adj, _ = adjacency
     r = len(classes)
     n, b = xb0.shape
+    deg = degrees(adjacency, mask)
     # indicators of the inner levels, laid out (node, level, column)
-    lev = (xb0[:, None, :] == np.arange(k - 1)[:, None]).astype(
-        adj.dtype).reshape(n, -1)
+    lev = (xb0[:, None, :] == np.arange(k - 1)[:, None]).astype(adj.dtype)
+    if mask is not None:
+        lev *= mask[:, None, None]
+    lev = lev.reshape(n, -1)
     src = lev[order].reshape(n, k - 1, b)
     hit = (adj @ lev).reshape(r, n, k - 1, b)
+    if mask is not None:
+        hit *= mask[order][:, None, None]
     out = np.empty((b, r, r, k, k), dtype=np.int64)
     for r2 in range(r):
         for r1, rows in enumerate(classes):
@@ -137,14 +145,29 @@ def block_pair_tables(n_yj_block: np.ndarray) -> np.ndarray:
     return out
 
 
-def response_pair_tables(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
-                         r: int):
-    """(n_y, n_pairs_y, n_edges_y): the feature-free tables, from 0-based codes.
+class Network:
+    """A sealed dataset's 0-based responses y0 and edge endpoints src0 and
+    dst0, and the :func:`tally_adjacency` of its edges (out) and of the
+    reversed edges (into), each built the first time a kernel reads it."""
 
-    src0/dst0 index into y0, which holds every node the tables count.
-    """
-    n_y = np.bincount(y0, minlength=r)
-    n_pairs_y = np.outer(n_y, n_y) - np.diag(n_y)
-    n_edges_y = np.bincount(y0[src0] * r + y0[dst0],
-                            minlength=r * r).reshape(r, r)
-    return n_y, n_pairs_y, n_edges_y
+    def __init__(self, y0, src0, dst0, r: int):
+        self.y0, self.src0, self.dst0, self.r = y0, src0, dst0, r
+
+    @cached_property
+    def out(self):
+        return tally_adjacency(self.y0, self.src0, self.dst0, self.r)
+
+    @cached_property
+    def into(self):
+        return tally_adjacency(self.y0, self.dst0, self.src0, self.r)
+
+    def tables(self, mask=None):
+        """(n_y, n_pairs_y, n_edges_y): the feature-free tables of the nodes
+        a boolean (n,) mask selects (default all) and the edges between
+        them; n_edges_y[r1, r2] sums the class-r2 :func:`degrees` of the
+        sources of class r1, so it takes no pass over the edges."""
+        y0 = self.y0 if mask is None else self.y0[mask]
+        n_y = np.bincount(y0, minlength=self.r)
+        deg, classes = degrees(self.out, mask), self.out[1]
+        n_edges_y = np.stack([deg[:, rows].sum(axis=1) for rows in classes])
+        return n_y, np.outer(n_y, n_y) - np.diag(n_y), n_edges_y

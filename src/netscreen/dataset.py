@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
+from .counts import Network
 from .errors import ValidationError
 
 CODE_MAX = np.iinfo(np.int32).max  # every column's codes fit int32
@@ -107,8 +108,8 @@ class NodeDataset:
         self.composite_pairs = dict(composite_pairs or {})
         self._validated = False
 
-    # Populated by validate(): _y0, the 0-based responses, and _src0/_dst0,
-    # the 0-based edge endpoints, with edges sorted by (src, dst).
+    # Populated by seal(): _network, the counts.Network of the 0-based
+    # responses and edge endpoints, with edges sorted by (src, dst).
 
     @property
     def n(self) -> int:
@@ -224,7 +225,8 @@ def validate(dataset: NodeDataset) -> NodeDataset:
 
     return seal(NodeDataset(y, x, edges, names, r_levels, k_levels,
                             composite),
-                (y - 1).astype(np.int64), edges[:, 0] - 1, edges[:, 1] - 1)
+                Network((y - 1).astype(np.int64), edges[:, 0] - 1,
+                        edges[:, 1] - 1, r_levels))
 
 
 def column_codes(dataset: NodeDataset, cols, rows=slice(None)) -> np.ndarray:
@@ -235,7 +237,10 @@ def column_codes(dataset: NodeDataset, cols, rows=slice(None)) -> np.ndarray:
     cols = np.asarray(cols, dtype=np.int64)
     x, stored = dataset.x[rows], cols <= dataset.x.shape[1]
     out = np.empty((x.shape[0], cols.size), dtype=np.int64, order="F")
-    out[:, stored] = x[:, cols[stored] - 1]
+    at = cols[stored] - 1
+    if at.size and np.all(np.diff(at) == 1):
+        at = slice(at[0], at[-1] + 1)  # a run of ids: a view, not a gather
+    out[:, stored] = x[:, at]
     pairs = [dataset.composite_pairs[c] for c in cols[~stored].tolist()]
     a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     out[:, ~stored] = (x[:, a - 1] - 1) * dataset.k_levels[b - 1] + x[:, b - 1]
@@ -283,18 +288,20 @@ def _check_composites(composite_pairs, k_stored):
                                 for col in range(s + 1, p + 1)], np.int64)
 
 
-def seal(dataset: NodeDataset, y0, src0, dst0) -> NodeDataset:
+def seal(dataset: NodeDataset, network: Network) -> NodeDataset:
     """Mark a dataset whose invariants hold as validated.
 
     Its y and edges must already be in canonical form (int32 levels, sorted
     int64 edges), x Fortran-ordered int32 and composite_pairs a checked map
-    of the trailing ids; y0, src0 and dst0 are the 0-based views
-    :func:`validate` derives from them. Every array is made read-only, so
-    an expansion can share y, x and edges with its parent.
+    of the trailing ids. The network, of the 0-based views :func:`validate`
+    derives from them, is the one derived value a sealed dataset holds; its
+    adjacencies are built when a kernel first reads them, never here. Every
+    array is made read-only, so an expansion can share y, x, edges and the
+    network with its parent.
     """
-    dataset._y0, dataset._src0, dataset._dst0 = y0, src0, dst0
-    for arr in (dataset.y, dataset.x, dataset.edges, y0, src0, dst0,
-                dataset.k_levels):
+    dataset._network = network
+    for arr in (dataset.y, dataset.x, dataset.edges, network.y0,
+                network.src0, network.dst0, dataset.k_levels):
         arr.flags.writeable = False
     dataset._validated = True
     return dataset

@@ -36,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import chdtrc
 
-from .counts import (block_pair_tables, response_pair_tables,
-                     tally_adjacency, tally_edges, tally_marginals)
+from .counts import block_pair_tables, tally_edges, tally_marginals
 from .dataset import NodeDataset, column_codes, validate
 from .errors import DegeneracyError, ValidationError
 
@@ -73,25 +72,6 @@ def chi2_tail(stat, df):
     return float(tail) if tail.ndim == 0 else tail
 
 
-class _SharedTables:
-    """Feature-independent pieces reused across all columns of one dataset,
-    the edge-tally adjacency among them."""
-
-    def __init__(self, dataset: NodeDataset):
-        n_y, n_pairs_y, n_edges_y = response_pair_tables(
-            dataset._y0, dataset._src0, dataset._dst0, dataset.r_levels)
-        if n_y.min() == 0:
-            missing = int(np.argmin(n_y)) + 1
-            raise DegeneracyError(
-                f"response level {missing} has no nodes; the statistic's "
-                "reference distribution is undefined")
-        self.n_y = n_y
-        self.n_pairs_y = n_pairs_y.astype(np.float64)
-        self.n_edges_y = n_edges_y.astype(np.float64)
-        self.adjacency = tally_adjacency(
-            dataset._y0, dataset._src0, dataset._dst0, dataset.r_levels)
-
-
 def _split(a):
     """(hi, lo) with hi + lo == a exactly, each with at most 26 significant
     bits, so that products of halves are exact (Veltkamp's split)."""
@@ -115,12 +95,12 @@ def _cross_difference(a, b, c, d):
     return (ab - cd) + (_product_error(a, b, ab) - _product_error(c, d, cd))
 
 
-def _block_lambdas(dataset, xb0, k, shared):
+def _block_lambdas(dataset, xb0, k, tables):
     """Total (unnormalized) statistic parts for a block of 0-based columns.
 
-    xb0: (n, B) level codes 0..k-1. Returns (self_totals, network_totals),
-    each (B,) float64. Both are sums of per-cell log ratios of the refined
-    fit to the null:
+    xb0: (n, B) level codes 0..k-1; tables: :meth:`counts.Network.tables`.
+    Returns (self_totals, network_totals), each (B,) float64. Both are sums
+    of per-cell log ratios of the refined fit to the null:
 
         self:    n_yj log(n_yj n / (n_j n_y))
         network: e log(p1 / p0) + (m - e) log((1 - p1) / (1 - p0))
@@ -135,18 +115,19 @@ def _block_lambdas(dataset, xb0, k, shared):
     skipped, so p0 = 0 or 1 never enters a logarithm. Each column sums its
     own cells in one fixed order, whatever the block.
     """
-    r, n = dataset.r_levels, dataset.n
-    nyj = tally_marginals(dataset._y0, xb0, r, k)
-    null = nyj.sum(axis=1)[:, None, :] * shared.n_y[:, None]  # n_j n_y
+    r, n, net = dataset.r_levels, dataset.n, dataset._network
+    n_y, n_pairs_y, n_edges_y = tables
+    nyj = tally_marginals(net.y0, xb0, r, k)
+    null = nyj.sum(axis=1)[:, None, :] * n_y[:, None]  # n_j n_y
     rise = np.zeros(nyj.shape)
     np.divide(nyj * n - null, null, out=rise, where=nyj > 0)
     self_tot = (nyj * np.log1p(rise)).sum(axis=(1, 2))
 
-    e = tally_edges(dataset._y0, dataset._src0, dataset._dst0, xb0, k,
-                    shared.adjacency).astype(np.float64)
+    e = tally_edges(net.y0, net.src0, net.dst0, xb0, k, net.out).astype(
+        np.float64)
     m = block_pair_tables(nyj).astype(np.float64)
-    pairs = shared.n_pairs_y[:, :, None, None]
-    links = shared.n_edges_y[:, :, None, None]
+    pairs = n_pairs_y[:, :, None, None].astype(np.float64)
+    links = n_edges_y[:, :, None, None].astype(np.float64)
     d = _cross_difference(e, pairs, m, links)
     holes = m - e
     up = np.zeros(e.shape)
@@ -165,9 +146,12 @@ def column_blocks(dataset: NodeDataset, cols):
     block's (n, B) int64 0-based codes from :func:`dataset.column_codes`,
     the one form in which the kernels read codes. Blocks come width by
     width, in the order of cols within a width, each small enough for the
-    tally size cap.
+    tally size cap. Since every kernel reads its codes here, a column whose
+    tables would be too large is refused here too, before the first block
+    (:func:`check_table_cells`).
     """
     cols, r = np.asarray(cols, dtype=np.int64), dataset.r_levels
+    check_table_cells(dataset, cols)
     widths = dataset.k_levels[cols - 1]
     for k in np.unique(widths):
         k = int(k)
@@ -199,20 +183,24 @@ def _column_totals(dataset: NodeDataset, cols, perms: int = 0,
                    seed: int = 0):
     """((2, B) self and network totals, permutation tails) of cols (1-based).
 
-    One build of the shared tables, the columns block by block, then perms
-    permuted copies of each, every draw one more column of its width. Draw b
-    of column j is seeded by (seed, j, b); a tail is (1 + #{draws whose
-    unnormalized total reaches the column's own}) / (perms + 1).
+    The columns block by block, then perms permuted copies of each, every
+    draw one more column of its width. Draw b of column j is seeded by
+    (seed, j, b); a tail is (1 + #{draws whose unnormalized total reaches
+    the column's own}) / (perms + 1).
     """
     cols = np.asarray([int(j) for j in cols], dtype=np.int64)
     bad = cols[(cols < 1) | (cols > dataset.p)]
     if bad.size:
         raise IndexError(f"column {int(bad[0])} outside 1..{dataset.p}")
-    shared = _SharedTables(dataset)
-    check_table_cells(dataset, cols)
+    tables = dataset._network.tables()
+    if tables[0].min() == 0:
+        missing = int(np.argmin(tables[0])) + 1
+        raise DegeneracyError(
+            f"response level {missing} has no nodes; the statistic's "
+            "reference distribution is undefined")
     totals = np.zeros((2, cols.size))
     for k, part, xb0 in column_blocks(dataset, cols):
-        totals[:, part] = _block_lambdas(dataset, xb0, k, shared)
+        totals[:, part] = _block_lambdas(dataset, xb0, k, tables)
     observed = totals[0] + totals[1]
     hits = np.zeros(cols.size, dtype=np.int64)
     for k, part, xb0 in column_blocks(dataset, np.repeat(cols, perms)):
@@ -221,7 +209,7 @@ def _column_totals(dataset: NodeDataset, cols, perms: int = 0,
             rng = np.random.default_rng(
                 np.random.SeedSequence((seed, int(cols[i]), b)))
             xb0[:, c] = xb0[rng.permutation(dataset.n), c]
-        s_perm, n_perm = _block_lambdas(dataset, xb0, k, shared)
+        s_perm, n_perm = _block_lambdas(dataset, xb0, k, tables)
         np.add.at(hits, owner, s_perm + n_perm >= observed[owner])
     return totals, (1.0 + hits) / (perms + 1.0)
 
@@ -276,8 +264,8 @@ def permutation_pvalue(dataset: NodeDataset, columns, n_perms: int,
     """Permutation tail of each of columns (1-based ids), in the order given.
 
     Permuting a column across nodes breaks its tie to the responses and the
-    adjacency but keeps its level frequencies. Costs one table build and
-    n_perms extra scoring passes over the columns.
+    adjacency but keeps its level frequencies. Costs n_perms extra scoring
+    passes over the columns.
     """
     dataset = validate(dataset)
     if n_perms < 1:

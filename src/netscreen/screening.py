@@ -12,8 +12,8 @@ values are not comparable (wider columns have larger null means), so columns
 are ranked by the upper tail of the combined chi-square reference instead:
 score = -log10 of the joint tail probability, ties broken by the larger raw
 statistic, then by the smaller column index. perms > 0 ranks by permutation
-tails instead (plr only); it costs one more build of the shared tables and
-perms extra scoring passes over the columns, so it suits small column sets.
+tails instead (plr only); it costs perms extra scoring passes over the
+columns, so it suits small column sets.
 
 Cutoffs. "max_ratio" walks the sorted scores and keeps the prefix in front
 of the largest consecutive ratio; "hard" keeps a fixed count, by default
@@ -139,8 +139,8 @@ def interaction_expand(dataset: NodeDataset, pairs) -> NodeDataset:
     The composite of columns with widths K_j and K_k has width K_j * K_k and
     level (x_j - 1) * K_k + x_k. Pairs must name stored columns with j < k,
     no duplicates and K_j * K_k at most CODE_MAX; a pair the dataset already
-    has is skipped. The result shares x and stores nothing new: each new
-    trailing column id maps to its pair in composite_pairs.
+    has is skipped. The result shares x and the network and stores nothing
+    new: each new trailing column id maps to its pair in composite_pairs.
     """
     dataset = validate(dataset)
     pairs = [(int(a), int(b)) for a, b in pairs]
@@ -162,8 +162,7 @@ def interaction_expand(dataset: NodeDataset, pairs) -> NodeDataset:
     return seal(NodeDataset(dataset.y, dataset.x, dataset.edges, names,
                             dataset.r_levels,
                             np.concatenate([dataset.k_levels, widths]),
-                            composite),
-                dataset._y0, dataset._src0, dataset._dst0)
+                            composite), dataset._network)
 
 
 def feature_key(dataset: NodeDataset, j: int) -> str:
@@ -232,12 +231,12 @@ def _plr_batch(dataset: NodeDataset, cols: np.ndarray):
 
 def _pearson_batch(dataset: NodeDataset, cols: np.ndarray):
     """Pearson chi-square of response against each column, network ignored."""
-    r = dataset.r_levels
-    n_y = np.bincount(dataset._y0, minlength=r).astype(np.float64)
+    r, y0 = dataset.r_levels, dataset._network.y0
+    n_y = np.bincount(y0, minlength=r).astype(np.float64)
     widths = dataset.k_levels[cols - 1]
     chi = np.zeros(cols.size)
     for k, part, xb0 in column_blocks(dataset, cols):
-        nyj = tally_marginals(dataset._y0, xb0, r, k).astype(np.float64)
+        nyj = tally_marginals(y0, xb0, r, k).astype(np.float64)
         nj = nyj.sum(axis=1)
         expected = n_y[None, :, None] * nj[:, None, :] / dataset.n
         dev = np.zeros(nyj.shape)

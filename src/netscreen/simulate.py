@@ -59,6 +59,10 @@ MAX_PHI_TERMS = 20  # the link table has 2^(terms + 1) entries
 RECIPE_FIELDS = {"bern": ("p",), "uniform": ("k",), "cond_y": ("table",),
                  "cond_yx": ("parent", "table"), "cond_x": ("parent", "table"),
                  "normal": ("mu", "sigma")}
+# the type each recipe value must convert to
+RECIPE_VALUES = {"p": float, "k": int, "parent": int, "sigma": float,
+                 "mu": lambda mu: np.asarray(mu, dtype=np.float64),
+                 "table": lambda table: np.asarray(table, dtype=np.float64)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,7 +137,9 @@ class SimulationConfig:
             "base_odds_same": float, "base_odds_diff": float, "bins": int,
             "seed": int, "s_y": FeatureSet.from_keys,
             "s_a": FeatureSet.from_keys,
-            "columns": lambda c: {int(j): r for j, r in c.items()},
+            "default_column": _typed_recipe,
+            "columns": lambda c: {int(j): _typed_recipe(r)
+                                  for j, r in c.items()},
             "phi": lambda phi: tuple((key_of(k), float(c)) for k, c in phi),
         }
         kwargs = {}
@@ -150,6 +156,16 @@ class SimulationConfig:
                 raise ValidationError(
                     f"simulation config needs the field {f.name!r}")
         return cls(**kwargs)
+
+
+def _typed_recipe(recipe):
+    """recipe as given, once each value in it converts to its type
+    (RECIPE_VALUES); a recipe that is no object, or lacks a value, is left
+    for :func:`check_config` to name."""
+    if isinstance(recipe, dict):
+        for key in RECIPE_VALUES.keys() & recipe.keys():
+            RECIPE_VALUES[key](recipe[key])
+    return recipe
 
 
 def _recipe_width(recipe: dict, config: SimulationConfig) -> int:

@@ -9,6 +9,7 @@ from netscreen.classify import (
     predict_scores, screening_metrics,
 )
 from netscreen.screening import interaction_expand
+from netscreen.simulate import example_config, generate
 
 from oracles import oracle_classifier_scores, random_instance
 
@@ -132,21 +133,57 @@ def test_node_term_sums_columns_in_fitted_order():
 
 
 def test_float64_products_give_the_same_scores(monkeypatch):
+    """A network fixes its product type when it is built, so the float64
+    side predicts on a freshly validated copy of the dataset."""
     clf, ds, targets = link_instance()
     dtypes = []
+    build = counts.tally_adjacency
 
     def spy(*args):
-        out = counts.tally_adjacency(*args)
+        out = build(*args)
         dtypes.append(out[2].dtype)
         return out
 
-    monkeypatch.setattr(classify, "tally_adjacency", spy)
+    monkeypatch.setattr(counts, "tally_adjacency", spy)
     single = predict_scores(clf, ds, targets)
     monkeypatch.setattr(counts, "FLOAT32_EXACT_N", 0)
-    double = predict_scores(clf, ds, targets)
-    # one build out of the targets and one into them, per call
-    assert dtypes == [np.float32] * 2 + [np.float64] * 2
+    fresh = validate(NodeDataset(ds.y, ds.x, ds.edges, r_levels=ds.r_levels,
+                                 k_levels=ds.k_levels))
+    double = predict_scores(clf, fresh, targets)
+    # the fit built ds's adjacency out of each node; each prediction builds
+    # the sides its dataset lacks: into ds's nodes, then both for the copy
+    assert dtypes == [np.float32] + [np.float64] * 2
     assert single.tobytes() == double.tobytes()
+
+
+@pytest.mark.parametrize("example", range(1, 10))
+def test_masked_fit_equals_fit_on_the_masked_nodes(example):
+    """A masked fit tallies the whole network with the mask applied; every
+    fitted table keeps the bytes of a fit on the subgraph of the masked-in
+    nodes, with masks of 100%, 70% and 5% of the nodes."""
+    config = example_config(example, n=300, p=10)
+    truth = config.true_features()
+    ds = interaction_expand(generate(config, seed=example)[0], truth.pairs)
+    spec = ClassifierSpec("type3", s_y=truth, s_a=truth)
+    rng = np.random.default_rng(example)
+    for share in (1.0, 0.7, 0.05):
+        mask = rng.uniform(size=ds.n) < share
+        mask[:2] = True
+        rank = np.cumsum(mask)  # 1-based ids among the masked-in nodes
+        src, dst = ds.edges.T - 1
+        inner = rank[ds.edges[mask[src] & mask[dst]] - 1]
+        sub = validate(NodeDataset(
+            ds.y[mask], ds.x[mask], inner, r_levels=ds.r_levels,
+            k_levels=ds.k_levels, composite_pairs=ds.composite_pairs))
+        got, want = fit(spec, ds, train_mask=mask), fit(spec, sub)
+        for name in ("log_prior", "log_pi0", "log_gap0"):
+            assert getattr(got, name).tobytes() == \
+                getattr(want, name).tobytes()
+        for name in ("log_cond", "dlog_edge", "dlog_gap"):
+            tables = getattr(want, name)
+            assert getattr(got, name).keys() == tables.keys()
+            for col, table in getattr(got, name).items():
+                assert table.tobytes() == tables[col].tobytes()
 
 
 def test_fitted_tables_frozen_values():
@@ -206,9 +243,11 @@ def test_type3_refuses_link_tables_beyond_the_cell_limit():
                               edges=np.asarray(edges)))
     with pytest.raises(ValidationError, match="column 3 .* cells"):
         fit(ClassifierSpec("type3", s_y=mains(1, 2), s_a=mains(3)), ds)
-    fit(ClassifierSpec("type3", s_y=mains(3), s_a=mains(1, 2)), ds)
-    for kind in ("type1", "type2"):
-        clf = fit(ClassifierSpec(kind, s_y=mains(1, 3), s_a=mains(3)), ds)
+    # every kind reads its codes through the same refusal, in s_y too
+    for kind in KINDS:
+        with pytest.raises(ValidationError, match="column 3 .* cells"):
+            fit(ClassifierSpec(kind, s_y=mains(1, 3), s_a=mains(1)), ds)
+        clf = fit(ClassifierSpec(kind, s_y=mains(1, 2), s_a=mains(2)), ds)
         assert predict_scores(clf, ds).shape == (n, 2)
 
 

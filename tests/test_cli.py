@@ -180,7 +180,18 @@ def test_simulate_from_config_file(tmp_path):
      "column 5: a bern recipe needs 'p'"),
     (lambda c: {**c, "default_column": 5},
      "column 5: a recipe must be an object"),
-], ids=["list", "no-name", "no-p", "word-n", "bern-without-p", "bare-recipe"])
+    (lambda c: {**c, "default_column": {"kind": "bern", "p": "abc"}},
+     "simulation config field 'default_column' cannot be "
+     "{'kind': 'bern', 'p': 'abc'}"),
+    (lambda c: {**c, "columns": {"2": {"kind": "uniform", "k": "x"}}},
+     "simulation config field 'columns' cannot be "
+     "{'2': {'k': 'x', 'kind': 'uniform'}}"),
+    (lambda c: {**c, "columns": {"2": {"kind": "cond_y",
+                                       "table": [[0.5, "half"]] * 2}}},
+     "simulation config field 'columns' cannot be "
+     "{'2': {'kind': 'cond_y', 'table': [[0.5, 'half'], [0.5, 'half']]}}"),
+], ids=["list", "no-name", "no-p", "word-n", "bern-without-p", "bare-recipe",
+        "word-p", "word-k", "word-table"])
 def test_simulate_rejects_malformed_config_files(tmp_path, capsys, edit,
                                                  message):
     cfg_path = tmp_path / "cfg.json"
@@ -356,7 +367,7 @@ def test_malformed_json_files_exit_3(tmp_path, capsys):
         assert "it has no 'selected'" in capsys.readouterr().err
 
 
-def test_stray_large_code_exits_3_for_plr_only(tmp_path, capsys):
+def test_stray_large_code_exits_3_for_every_method(tmp_path, capsys):
     d = simulate_dir(tmp_path, n=60, p=5)
     lines = (d / "nodes.csv").read_text().splitlines()
     cells = lines[5].split(",")
@@ -364,11 +375,10 @@ def test_stray_large_code_exits_3_for_plr_only(tmp_path, capsys):
     lines[5] = ",".join(cells)
     (d / "nodes.csv").write_text("\n".join(lines) + "\n")
     files = ["--nodes", str(d / "nodes.csv"), "--edges", str(d / "edges.csv")]
-    assert main(["screen", *files]) == 3
-    assert f"column 5 has 30000 levels; its tally tables would need " \
-        f"{4 * 30000 ** 2} cells" in capsys.readouterr().err
-    assert main(["screen", *files, "--method", "pc",
-                 "--out", str(tmp_path / "pc.json")]) == 0
+    for method in ("plr", "pc"):
+        assert main(["screen", *files, "--method", method]) == 3
+        assert f"column 5 has 30000 levels; its tally tables would need " \
+            f"{4 * 30000 ** 2} cells" in capsys.readouterr().err
 
 
 def test_dataset_round_trip_with_composites_and_raw(tmp_path):

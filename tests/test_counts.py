@@ -3,8 +3,8 @@ import pytest
 
 from netscreen import NodeDataset, counts, validate
 from netscreen.counts import (
-    adjacency_rows, block_pair_tables,
-    response_pair_tables, tally_adjacency, tally_edges, tally_marginals,
+    block_pair_tables, degrees, tally_adjacency, tally_edges,
+    tally_marginals,
 )
 
 from oracles import oracle_counts, random_instance
@@ -22,7 +22,8 @@ def test_marginal_and_edge_counts_match_oracle():
         y, x, edges, r, k = random_instance(rng)
         ds = as_dataset(y, x, edges, r, k)
         want = oracle_counts(y, x[:, 0], edges, r, k)
-        y0, src0, dst0 = ds._y0, ds._src0, ds._dst0
+        net = ds._network
+        y0, src0, dst0 = net.y0, net.src0, net.dst0
         xb0 = ds.x.astype(np.int64) - 1
         n_yj = tally_marginals(y0, xb0, r, k)[0]
         assert np.array_equal(n_yj.sum(axis=1), want["n_y"])
@@ -34,7 +35,7 @@ def test_marginal_and_edge_counts_match_oracle():
         assert np.array_equal(e_y, want["n_edges_y"])
         assert np.array_equal(e_yj, want["n_edges_yj"])
         # every refined table collapses back to its coarse counterpart
-        n_y, pairs_y, edges_y = response_pair_tables(y0, src0, dst0, r)
+        n_y, pairs_y, edges_y = ds._network.tables()
         pairs_yj = block_pair_tables(n_yj[None])[0]
         assert np.array_equal(n_yj.sum(axis=1), n_y)
         assert np.array_equal(pairs_yj.sum(axis=(2, 3)), pairs_y)
@@ -50,22 +51,35 @@ def test_pair_counts_product_identity():
         y, x, edges, r, k = random_instance(rng)
         ds = as_dataset(y, x, edges, r, k)
         want = oracle_counts(y, x[:, 0], edges, r, k)
-        n_yj = tally_marginals(ds._y0, ds.x.astype(np.int64) - 1, r, k)[0]
+        xb0 = ds.x.astype(np.int64) - 1
+        n_yj = tally_marginals(ds._network.y0, xb0, r, k)[0]
         n_pairs_yj = block_pair_tables(n_yj[None])[0]
         assert np.array_equal(n_pairs_yj.sum(axis=(2, 3)), want["n_pairs_y"])
         assert np.array_equal(n_pairs_yj, want["n_pairs_yj"])
 
 
 def test_response_pair_tables():
+    """The network's feature-free tables, and those of a masked subset,
+    equal the oracle's on the nodes and the edges between them."""
     rng = np.random.default_rng(10)
-    y, x, edges, r, k = random_instance(rng)
-    ds = as_dataset(y, x, edges, r, k)
-    n_y, n_pairs_y, n_edges_y = response_pair_tables(
-        ds._y0, ds._src0, ds._dst0, r)
-    want = oracle_counts(y, x[:, 0], edges, r, k)
-    assert np.array_equal(n_y, want["n_y"])
-    assert np.array_equal(n_pairs_y, want["n_pairs_y"])
-    assert np.array_equal(n_edges_y, want["n_edges_y"])
+    for trial in range(20):
+        y, x, edges, r, k = random_instance(rng)
+        ds = as_dataset(y, x, edges, r, k)
+        want = oracle_counts(y, x[:, 0], edges, r, k)
+        got = ds._network.tables()
+        for have, key in zip(got, ("n_y", "n_pairs_y", "n_edges_y")):
+            assert have.dtype == np.int64
+            assert np.array_equal(have, want[key])
+        mask = rng.uniform(size=len(y)) < 0.6
+        mask[trial % len(y)] = True
+        keep = np.flatnonzero(mask)
+        rank = np.cumsum(mask)  # 1-based ids among the kept nodes
+        inner = [(rank[s - 1], rank[t - 1]) for s, t in edges
+                 if mask[s - 1] and mask[t - 1]]
+        want = oracle_counts(y[keep], x[keep, 0], inner, r, k)
+        got = ds._network.tables(mask)
+        for have, key in zip(got, ("n_y", "n_pairs_y", "n_edges_y")):
+            assert np.array_equal(have, want[key])
 
 
 def test_blocked_tallies_equal_per_column_counts():
@@ -78,9 +92,9 @@ def test_blocked_tallies_equal_per_column_counts():
              if s != t and rng.uniform() < 0.2]
     ds = as_dataset(y.astype(np.int32), x, edges, r, k)
     xb0 = ds.x.astype(np.int64) - 1  # (n, p) 0-based codes
-    marg = tally_marginals(ds._y0, xb0, r, k)
-    edge = tally_edges(ds._y0, ds._src0, ds._dst0, xb0, k,
-                       tally_adjacency(ds._y0, ds._src0, ds._dst0, r))
+    args = (ds._network.y0, ds._network.src0, ds._network.dst0)
+    marg = tally_marginals(args[0], xb0, r, k)
+    edge = tally_edges(*args, xb0, k, tally_adjacency(*args, r))
     assert marg.shape == (p, r, k)
     assert edge.shape == (p, r, r, k, k)
     assert edge.dtype == np.int64
@@ -98,9 +112,8 @@ def test_tally_edges_matches_oracle_across_shapes(r, k):
     The block mixes a column over all k levels, one that never shows its top
     level, and one stuck at level k; the graphs are edgeless, or leave the
     first three nodes isolated. One prebuilt adjacency serves both halves of
-    the block, and one built on a masked edge subset (the edges between
-    fitting nodes, as the type3 classifier tallies them) serves the block
-    against the oracle on those edges.
+    the block, and, with a train mask, the block against the oracle on the
+    edges between the masked-in nodes, as the type3 classifier tallies them.
     """
     rng = np.random.default_rng(10 * r + k)
     n = 14
@@ -115,7 +128,8 @@ def test_tally_edges_matches_oracle_across_shapes(r, k):
         edges = [(s + 1, t + 1) for s in range(3, n) for t in range(3, n)
                  if s != t and rng.uniform() < density]
         ds = as_dataset(y, x, edges, r, k)
-        y0, src0, dst0 = ds._y0, ds._src0, ds._dst0
+        net = ds._network
+        y0, src0, dst0 = net.y0, net.src0, net.dst0
         adjacency = tally_adjacency(y0, src0, dst0, r)
         block = tally_edges(y0, src0, dst0, xb0, k, adjacency)
         assert block.shape == (3, r, r, k, k)
@@ -123,11 +137,8 @@ def test_tally_edges_matches_oracle_across_shapes(r, k):
             tally_edges(y0, src0, dst0, xb0[:, :2], k, adjacency),
             tally_edges(y0, src0, dst0, xb0[:, 2:], k, adjacency)])
         mask = rng.uniform(size=n) < 0.6
-        both = mask[src0] & mask[dst0]
         masked_edges = [(s, t) for s, t in edges if mask[s - 1] and mask[t - 1]]
-        masked = tally_edges(
-            y0, src0[both], dst0[both], xb0, k,
-            tally_adjacency(y0, src0[both], dst0[both], r))
+        masked = tally_edges(y0, src0, dst0, xb0, k, adjacency, mask=mask)
         for c in range(3):
             want = oracle_counts(y, x[:, c], edges, r, k)["n_edges_yj"]
             alone = tally_edges(y0, src0, dst0, xb0[:, [c]], k, adjacency)
@@ -149,7 +160,7 @@ def test_tally_edges_float64_products_give_the_same_tables(monkeypatch):
              if s != t and rng.uniform() < 0.3]
     ds = as_dataset(y, x, edges, r, k)
     xb0 = x.astype(np.int64) - 1
-    args = (ds._y0, ds._src0, ds._dst0)
+    args = (ds._network.y0, ds._network.src0, ds._network.dst0)
     narrow = tally_adjacency(*args, r)
     single = tally_edges(*args, xb0, k, narrow)
     monkeypatch.setattr(counts, "FLOAT32_EXACT_N", 0)
@@ -174,11 +185,12 @@ def test_tally_adjacency_matches_edge_loop():
         y, x, edges, r, k = random_instance(rng)
         ds = as_dataset(y, x, edges, r, k)
         n = len(y)
-        for links, src0, dst0 in ((edges, ds._src0, ds._dst0),
-                                  ([(d, s) for s, d in edges], ds._dst0,
-                                   ds._src0)):
+        net = ds._network
+        for links, src0, dst0 in ((edges, net.src0, net.dst0),
+                                  ([(d, s) for s, d in edges], net.dst0,
+                                   net.src0)):
             order, classes, adjacency, degrees = tally_adjacency(
-                ds._y0, src0, dst0, r)
+                net.y0, src0, dst0, r)
             assert np.array_equal(order, np.argsort(y, kind="stable"))
             assert [y[order[rows]].tolist() for rows in classes] == [
                 [c] * int(np.sum(y == c)) for c in range(1, r + 1)]
@@ -192,9 +204,9 @@ def test_tally_adjacency_matches_edge_loop():
 
 
 def test_adjacency_rows_matches_edge_loop():
-    """Rows out of and into each target by class, on unsorted targets with
-    repeats, equal a literal loop over the edges; a product with the known
-    indicator counts the known neighbours only."""
+    """The network's rows out of and into each target by class, on unsorted
+    targets with repeats, equal a literal loop over the edges; its masked
+    degrees count only the edges between known nodes."""
     rng = np.random.default_rng(12)
     for trial in range(30):
         y, x, edges, r, k = random_instance(rng)
@@ -210,12 +222,14 @@ def test_adjacency_rows_matches_edge_loop():
                     want[i, 0, y[d] - 1, d] += 1
                 if d == t:
                     want[i, 1, y[s] - 1, s] += 1
-        y0, src0, dst0 = ds._y0, ds._src0, ds._dst0
-        got = adjacency_rows([tally_adjacency(y0, src0, dst0, r),
-                              tally_adjacency(y0, dst0, src0, r)], targets)
-        assert got.shape == (targets.size * 2 * r, n)
-        assert np.array_equal(got.toarray().reshape(want.shape), want)
-        assert np.array_equal(got @ known, (want @ known).ravel())
+        sides = (ds._network.out, ds._network.into)
+        pos = np.argsort(sides[0][0])[targets]
+        rows = (pos[:, None] + n * np.arange(r)).ravel()
+        for a, side in enumerate(sides):
+            got = side[2][rows].toarray().reshape(targets.size, r, n)
+            assert np.array_equal(got, want[:, a])
+            assert np.array_equal(degrees(side, known)[:, pos].T,
+                                  (want[:, a] @ known) * known[targets, None])
 
 
 def test_counts_ignore_declared_but_unseen_levels():
@@ -224,8 +238,8 @@ def test_counts_ignore_declared_but_unseen_levels():
     x = np.array([[1], [2], [2], [1]])
     ds = validate(NodeDataset(y=y, x=x, edges=np.array([[1, 2]]),
                               k_levels=[4]))
-    n_yj = tally_marginals(ds._y0, ds.x.astype(np.int64) - 1, ds.r_levels,
-                           int(ds.k_levels[0]))[0]
+    n_yj = tally_marginals(ds._network.y0, ds.x.astype(np.int64) - 1,
+                           ds.r_levels, int(ds.k_levels[0]))[0]
     assert n_yj.shape == (2, 4)
     assert n_yj[:, 2:].sum() == 0
     assert n_yj.sum() == 4

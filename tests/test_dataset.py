@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from netscreen import FeatureSet, NodeDataset, ValidationError, validate
+from netscreen import FeatureSet, NodeDataset, ValidationError, counts
+from netscreen import validate
+from netscreen.classify import ClassifierSpec, evaluate, fit
 from netscreen.dataset import CODE_MAX
+from netscreen.io import read_dataset, write_dataset
+from netscreen.screening import interaction_expand, pc_sis, plr_sis
+from netscreen.simulate import example_config, generate
 
 
 def small_dataset(**overrides):
@@ -228,8 +233,8 @@ class TestValidate:
                                       edges=edges))
             want = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
             assert np.array_equal(ds.edges, want)
-            assert np.array_equal(ds._src0, want[:, 0] - 1)
-            assert np.array_equal(ds._dst0, want[:, 1] - 1)
+            assert np.array_equal(ds._network.src0, want[:, 0] - 1)
+            assert np.array_equal(ds._network.dst0, want[:, 1] - 1)
             # with two edges repeated, the first in sorted order is named
             twice = edges[rng.choice(len(edges), size=2, replace=False)]
             first = twice[np.lexsort((twice[:, 1], twice[:, 0]))][0]
@@ -240,3 +245,48 @@ class TestValidate:
                     match=rf"duplicate edge \({first[0]}, {first[1]}\)"):
                 validate(NodeDataset(y=y, x=np.ones((n, 1), dtype=int),
                                      edges=dup))
+
+
+# ---- the network's lifetime: built on a kernel's first request, once ----
+
+def spy_builds(monkeypatch):
+    """Record each counts.tally_adjacency build as "out" (of the edges) or
+    "in" (of the reversed edges): a sealed dataset's edges are sorted by
+    source, so only an out-build is passed sorted sources."""
+    builds = []
+    build = counts.tally_adjacency
+
+    def spy(y0, src0, dst0, r):
+        builds.append("out" if np.all(src0[1:] >= src0[:-1]) else "in")
+        return build(y0, src0, dst0, r)
+
+    monkeypatch.setattr(counts, "tally_adjacency", spy)
+    return builds
+
+
+def test_data_path_builds_no_network(monkeypatch, tmp_path):
+    builds = spy_builds(monkeypatch)
+    ds, extras = generate(example_config(3, n=80, p=6), seed=2)
+    paths = write_dataset(tmp_path / "d", ds, extras)
+    back, _ = read_dataset(paths["nodes"], paths["edges"], paths["metadata"])
+    wide = interaction_expand(validate(back), [(1, 2), (3, 4)])
+    assert wide._network is back._network
+    assert builds == []
+
+
+def test_screens_and_classifier_build_each_side_once(monkeypatch):
+    """plr_sis, pc_sis, type3 fits, whole and masked, and an evaluation on a
+    dataset and on its expansion build the adjacency out of each node once
+    and the one into each node once."""
+    ds, _ = generate(example_config(3, n=120, p=8), seed=4)
+    builds = spy_builds(monkeypatch)
+    plr = plr_sis(ds, interactions="top", top_m=4, cutoff="hard", d=5)
+    pc_sis(ds, interactions="top", top_m=4)
+    assert plr.selected.pairs
+    wide = interaction_expand(ds, plr.selected.pairs)
+    clf = fit(ClassifierSpec("type3", s_y=plr.selected, s_a=plr.selected),
+              wide)
+    evaluate(clf, wide, auc=True)
+    fit(ClassifierSpec("type3", s_y=plr.selected, s_a=plr.selected), wide,
+        train_mask=np.arange(ds.n) % 3 > 0)
+    assert builds == ["out", "in"]

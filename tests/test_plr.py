@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import netscreen.counts as counts
 import netscreen.plr as plr
 from netscreen import DegeneracyError, NodeDataset, ValidationError, validate
 from netscreen.plr import (
@@ -105,8 +106,9 @@ def test_noise_columns_match_high_precision_values():
     noise = range(5, 13)  # ex1's true features are columns 1..4
     got = batch_statistics(ds, noise)
     for pos, j in enumerate(noise):
+        net = ds._network
         node, link = precise_parts(
-            ds._y0, ds.x[:, j - 1].astype(np.int64) - 1, ds._src0, ds._dst0,
+            net.y0, ds.x[:, j - 1].astype(np.int64) - 1, net.src0, net.dst0,
             ds.r_levels, int(ds.k_levels[j - 1]), mpmath)
         for value, want in zip((got[0][pos], got[1][pos], got[2][pos]),
                                (node + link, node, link)):
@@ -340,26 +342,27 @@ def test_permutation_pvalue_on_constant_column_is_one():
 
 
 def test_one_shared_table_build_per_call(monkeypatch):
-    """Observed columns and permutation draws share one build of the
-    feature-free tables per scoring call."""
+    """Observed columns and permutation draws read one build of the edge
+    adjacency, and of the feature-free tables taken from it: the dataset's
+    network, built by the first scoring call and read by every later one."""
     builds = []
-    init = plr._SharedTables.__init__
+    build = counts.tally_adjacency
 
-    def counted(self, dataset):
+    def counted(*args):
         builds.append(1)
-        init(self, dataset)
+        return build(*args)
 
-    monkeypatch.setattr(plr._SharedTables, "__init__", counted)
-    ds = mixed_instance(np.random.default_rng(26))
-    for call in (lambda: batch_statistics(ds),
-                 lambda: plr_statistic(ds, 2, perms=9),
-                 lambda: permutation_pvalue(ds, [1, 2, 3], 9)):
+    monkeypatch.setattr(counts, "tally_adjacency", counted)
+    for call in (lambda ds: batch_statistics(ds),
+                 lambda ds: plr_statistic(ds, 2, perms=9),
+                 lambda ds: permutation_pvalue(ds, [1, 2, 3], 9),
+                 lambda ds: plr_sis(ds, perms=9)):
+        ds = mixed_instance(np.random.default_rng(26))
         builds.clear()
-        call()
+        call(ds)
         assert len(builds) == 1
-    builds.clear()
-    plr_sis(ds, perms=9)
-    assert len(builds) <= 2
+        call(ds)
+        assert len(builds) == 1
 
 
 def test_negative_perms_rejected():

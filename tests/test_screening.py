@@ -1,4 +1,5 @@
 from itertools import combinations
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from oracles import oracle_pearson, random_instance
 def joint_tally(ds, j):
     """(R, K_j) tally of response level by level of column j (1-based)."""
     xb0 = ds.column(j).astype(np.int64)[:, None] - 1
-    return tally_marginals(ds._y0, xb0, ds.r_levels,
+    return tally_marginals(ds._network.y0, xb0, ds.r_levels,
                            int(ds.k_levels[j - 1]))[0]
 
 
@@ -142,8 +143,9 @@ def test_interaction_expand_equals_full_validation():
         assert got.feature_names == want.feature_names
         assert got.r_levels == want.r_levels
         assert got.composite_pairs == want.composite_pairs
-        for attr in ("y", "x", "edges", "k_levels", "_y0", "_src0", "_dst0"):
-            a, b = getattr(got, attr), getattr(want, attr)
+        for attr in ("y", "x", "edges", "k_levels", "_network.y0",
+                     "_network.src0", "_network.dst0"):
+            a, b = attrgetter(attr)(got), attrgetter(attr)(want)
             assert a.dtype == b.dtype and a.shape == b.shape, attr
             assert np.array_equal(a, b), attr
             assert not a.flags.writeable, attr
@@ -229,7 +231,7 @@ def test_composite_marginal_equals_joint_tally():
 
 # ------------------------------------------------------------- pc screen
 
-def test_stray_large_code_stops_plr_sis_but_not_pc_sis():
+def test_stray_large_code_stops_plr_sis_and_pc_sis():
     rng = np.random.default_rng(30)
     n = 60
     x = rng.integers(1, 3, (n, 3))
@@ -238,10 +240,11 @@ def test_stray_large_code_stops_plr_sis_but_not_pc_sis():
              if s != t and rng.uniform() < 0.1]
     ds = NodeDataset(y=np.r_[1, 2, rng.integers(1, 3, n - 2)], x=x,
                      edges=np.asarray(edges))
-    with pytest.raises(ValidationError,
-                       match=f"column 3 .* {4 * 30000 ** 2} cells"):
-        plr_sis(ds)
-    assert pc_sis(ds).feature_keys == ("1", "2", "3")
+    for screen in (plr_sis, pc_sis):
+        with pytest.raises(ValidationError,
+                           match=f"column 3 .* {4 * 30000 ** 2} cells"):
+            screen(ds)
+        assert screen(ds, columns=[1, 2]).feature_keys == ("1", "2")
 
 
 def test_pearson_statistic_values():
