@@ -58,6 +58,16 @@ def _parse_features(text: str) -> FeatureSet:
     return FeatureSet.from_keys(keys)
 
 
+def _emit(payload: dict, out) -> None:
+    """Sorted, indented JSON of payload to the file out, else to stdout."""
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+        print(out)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_simulate(args) -> int:
     if args.config:
         config = SimulationConfig.from_dict(read_json(args.config))
@@ -103,12 +113,7 @@ def cmd_screen(args) -> int:
     payload = result.to_dict()
     if info["binned_columns"]:
         payload["binned_columns"] = info["binned_columns"]
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(args.out)
-    else:
-        sys.stdout.write(text)
+    _emit(payload, args.out)
     return 0
 
 
@@ -156,12 +161,7 @@ def cmd_classify(args) -> int:
         else dataset.n,
         "seed": args.seed,
     }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(args.out)
-    else:
-        sys.stdout.write(text)
+    _emit(payload, args.out)
     return 0
 
 

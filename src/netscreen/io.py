@@ -15,14 +15,17 @@ of nodes.csv from the codes, lays it out as a uint8 array of fixed slots, one
 per cell, each as wide as its column's bound (n, R or K_j), writes the digits
 by integer division and the separators in place, and drops the leading pad
 bytes with one compaction; the bytes equal printf "%d" output. The decoder
-cuts the data lines into blocks at newlines, finds the separators by a byte
-mask and adds up the digits by position; the codes of each nodes.csv block go
-straight into the int32 code matrix. It reads a file whose data lines are
-all header-wide non-empty cells of at most 18 digits (so every value fits
-int64), with LF or CRLF line ends. Any other file (label, float or signed
-cells, quoted cells, ragged or blank lines, lone carriage returns, longer
-numbers) goes to the csv-module parser, which maps labels, keeps floats for
-binning and names the first malformed row.
+is one collector over the file's bytes as read: it finds the newline offsets,
+cuts the data lines into row blocks there, finds the separators by a byte
+mask and adds up the digits by position. Both files come back in one shape:
+the first two columns (node_id,y or src,dst) as int64, and the columns after
+them as a Fortran int32 code matrix. The file is held once; only CRLF line
+ends or a missing last line end make a second copy. It reads a file whose
+data lines are all header-wide non-empty cells of at most 18 digits (so every
+value fits int64), with LF or CRLF line ends. Any other file (label, float or
+signed cells, quoted cells, ragged or blank lines, lone carriage returns,
+longer numbers) goes to the csv-module parser, which maps labels, keeps
+floats for binning and names the first malformed row.
 """
 
 from __future__ import annotations
@@ -154,36 +157,69 @@ def _write_ints(path, header: str, top, rows: int, block) -> None:
             fh.write((buf[buf != 0] if compact else buf).tobytes())
 
 
-def _decode_ints(body: bytes, width: int):
-    """(rows, blocks) of the data lines body, or None when a CR in it is not
-    part of a CRLF: rows counts the lines, and blocks walks them by row
-    blocks of WRITE_BLOCK_CELLS cells, yielding each as (first line, int64
-    (lines, width) array), one array reused from block to block. A block
-    whose lines are not all width cells of 1 to 18 digits (so that every
-    value fits int64) comes as None and ends the walk. CRLF line ends are
-    read as LF; the last line end is optional."""
-    if b"\r" in body:
-        if body.count(b"\r") != body.count(b"\r\n"):
+def _read_table(path):
+    """(header, data) of a headered CSV; header is None for an empty file.
+
+    data is :func:`_int_columns` of the file's bytes, (head, x), unless that
+    is None; otherwise it is the csv-module rows after the header, as lists
+    of strings.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    first = raw.find(b"\n")  # the end of the header line
+    head = raw[:first] if first > 0 else b""
+    # the first line is the csv header row unless a quote or a lone CR
+    # makes the header span or split lines
+    if 0 < first < len(raw) - 1 and b'"' not in head \
+            and b"\r" not in head[:-1]:
+        header = next(csv.reader([head.decode("utf-8")]))
+        data = _int_columns(raw, len(header)) if header else None
+        if data is not None:
+            return header, data
+    rows = list(csv.reader(io.StringIO(raw.decode("utf-8"), newline="")))
+    return (rows[0], rows[1:]) if rows else (None, [])
+
+
+def _int_columns(raw: bytes, width: int):
+    """(head, x) of the data lines of raw, a headered CSV's bytes, or None
+    when a CR in it is not part of a CRLF or a line is not width cells of 1
+    to 18 digits (so that every value fits int64).
+
+    head holds the first two columns (node_id,y or src,dst; one for a
+    one-column table) as int64, and x the columns after them,
+    Fortran-ordered int32. Lines are decoded by row blocks of
+    WRITE_BLOCK_CELLS cells straight from the bytes, found by their newline
+    offsets. Each block's codes go into x once they pass a 1..CODE_MAX
+    check; from the first block that fails it on, x is kept as int64, so
+    that validate names the column with its usual message. CRLF line ends
+    are read as LF and the last line end is optional: only these two copy
+    the bytes.
+    """
+    if b"\r" in raw:
+        if raw.count(b"\r") != raw.count(b"\r\n"):
             return None
-        body = body.replace(b"\r\n", b"\n")
-    if not body.endswith(b"\n"):
-        body += b"\n"
-    raw = np.frombuffer(body, np.uint8)
-    line_ends = np.flatnonzero(raw == ord("\n"))
-    return line_ends.size, _int_blocks(raw, line_ends, width)
-
-
-def _int_blocks(raw: np.ndarray, line_ends: np.ndarray, width: int):
+        raw = raw.replace(b"\r\n", b"\n")
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    chars = np.frombuffer(raw, np.uint8)
+    ends = np.flatnonzero(chars == ord("\n"))  # the header's end comes first
+    rows = ends.size - 1
     step = max(1, WRITE_BLOCK_CELLS // width)
-    buf = np.empty((min(step, line_ends.size), width), np.int64)
-    for lo in range(0, line_ends.size, step):
-        hi = min(lo + step, line_ends.size)
-        start = line_ends[lo - 1] + 1 if lo else 0
+    buf = np.empty((min(step, rows), width), np.int64)
+    head = np.empty((rows, min(width, 2)), np.int64)
+    x = np.empty((rows, width - head.shape[1]), np.int32, order="F")
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
         block = buf[:hi - lo]
-        if not _decode_block(raw[start:line_ends[hi - 1] + 1], block):
-            yield lo, None
-            return
-        yield lo, block
+        if not _decode_block(chars[ends[lo] + 1:ends[hi] + 1], block):
+            return None
+        codes = block[:, 2:]
+        if x.dtype == np.int32 and codes.size and (
+                codes.min() < 1 or codes.max() > CODE_MAX):
+            x = x.astype(np.int64, order="F")
+        head[lo:hi] = block[:, :2]
+        x[lo:hi] = codes
+    return head, x
 
 
 def _decode_block(chunk: np.ndarray, out: np.ndarray) -> bool:
@@ -208,68 +244,6 @@ def _decode_block(chunk: np.ndarray, out: np.ndarray) -> bool:
         digit = chunk[ends[cells] - 1 - place] - np.uint8(ord("0"))
         flat[cells] += digit.astype(np.int64) * 10 ** place
     return True
-
-
-def _int_matrix(decoded, width: int):
-    """The int64 (rows, width) matrix of :func:`_decode_ints`'s blocks, or
-    None when one of them could not be read."""
-    rows, blocks = decoded
-    out = np.empty((rows, width), np.int64)
-    for lo, block in blocks:
-        if block is None:
-            return None
-        out[lo:lo + len(block)] = block
-    return out
-
-
-def _node_codes(decoded, width: int):
-    """(ids, y, x) of nodes.csv from :func:`_decode_ints`'s blocks, or None
-    when one of them could not be read or there is no y column: ids and y
-    hold the int64 node ids and responses, and x the codes of the columns
-    after y, Fortran-ordered int32. Each block is narrowed once its codes
-    pass a 1..CODE_MAX check; from the first block that fails it on, x is
-    kept as int64, so that validate names the column with its usual
-    message."""
-    rows, blocks = decoded
-    if width < 2:
-        return None
-    ids = np.empty(rows, np.int64)
-    y = np.empty(rows, np.int64)
-    x = np.empty((rows, width - 2), np.int32, order="F")
-    for lo, block in blocks:
-        if block is None:
-            return None
-        codes = block[:, 2:]
-        if x.dtype == np.int32 and codes.size and (
-                codes.min() < 1 or codes.max() > CODE_MAX):
-            x = x.astype(np.int64, order="F")
-        ids[lo:lo + len(block)] = block[:, 0]
-        y[lo:lo + len(block)] = block[:, 1]
-        x[lo:lo + len(block)] = codes
-    return ids, y, x
-
-
-def _read_table(path, collect=_int_matrix):
-    """(header, data) of a headered CSV; header is None for an empty file.
-
-    data is collect(decoded, width) of the row blocks of
-    :func:`_decode_ints` (by default their int64 matrix), unless that is
-    None; otherwise it is the csv-module rows after the header, as lists of
-    strings.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    head, _, body = raw.partition(b"\n")
-    # the first line is the csv header row unless a quote or a lone CR
-    # makes the header span or split lines
-    if body and b'"' not in head and b"\r" not in head[:-1]:
-        header = next(csv.reader([head.decode("utf-8")]))
-        decoded = _decode_ints(body, len(header)) if header else None
-        data = None if decoded is None else collect(decoded, len(header))
-        if data is not None:
-            return header, data
-    rows = list(csv.reader(io.StringIO(raw.decode("utf-8"), newline="")))
-    return (rows[0], rows[1:]) if rows else (None, [])
 
 
 def _csv_columns(path, header, rows):
@@ -326,14 +300,15 @@ def _reads_as(cell: str, value: int) -> bool:
 
 def _read_nodes(path, bins, bin_scheme):
     """(y, x, info) of nodes.csv, for :func:`read_dataset`."""
-    header, data = _read_table(path, _node_codes)
+    header, data = _read_table(path)
     columns, level_maps = ((None, {}) if isinstance(data, tuple)
                            else _csv_columns(path, header, data))
     if len(header) < 2 or header[0] != "node_id" or header[1] != "y":
         raise ValidationError(f"{path}: header must start with node_id,y")
     # node ids must be 1..n in file order: rows are the nodes edges name
     if columns is None:
-        ids, y, x = data
+        head, x = data
+        ids, y = head.T
         wrong = np.flatnonzero(ids != np.arange(1, ids.size + 1))
         bad = (int(wrong[0]), ids[wrong[0]]) if wrong.size else None
     else:
@@ -398,8 +373,8 @@ def read_dataset(nodes_path, edges_path, metadata_path=None,
             f"{edges_path}: empty edge file; a header is required")
     if len(eheader) < 2:
         raise ValidationError(f"{edges_path}: header must name src,dst")
-    if isinstance(rows, np.ndarray):
-        edges = rows[:, :2]
+    if isinstance(rows, tuple):
+        edges = rows[0]
     else:
         try:
             endpoints = [[int(r[0]) for r in rows], [int(r[1]) for r in rows]]

@@ -212,6 +212,10 @@ def check_config(config: SimulationConfig) -> None:
             if key not in recipe:
                 raise ValidationError(
                     f"column {j}: a {kind} recipe needs {key!r}")
+        for key in ("k", "parent"):  # int() would truncate a fraction
+            if key in recipe and float(recipe[key]) % 1:
+                raise ValidationError(f"column {j}: {key} must be a whole "
+                                      f"number, not {recipe[key]!r}")
         width = _recipe_width(recipe, config)
         if width < 1:
             raise ValidationError(f"column {j} has no levels")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -190,8 +191,13 @@ def test_simulate_from_config_file(tmp_path):
                                        "table": [[0.5, "half"]] * 2}}},
      "simulation config field 'columns' cannot be "
      "{'2': {'kind': 'cond_y', 'table': [[0.5, 'half'], [0.5, 'half']]}}"),
+    (lambda c: {**c, "columns": {"2": {"kind": "uniform", "k": 2.7}}},
+     "column 2: k must be a whole number, not 2.7"),
+    (lambda c: {**c, "columns": {"3": {"kind": "cond_x", "parent": 1.5,
+                                       "table": [[0.5, 0.5]] * 2}}},
+     "column 3: parent must be a whole number, not 1.5"),
 ], ids=["list", "no-name", "no-p", "word-n", "bern-without-p", "bare-recipe",
-        "word-p", "word-k", "word-table"])
+        "word-p", "word-k", "word-table", "fractional-k", "fractional-parent"])
 def test_simulate_rejects_malformed_config_files(tmp_path, capsys, edit,
                                                  message):
     cfg_path = tmp_path / "cfg.json"
@@ -406,7 +412,7 @@ def test_int64_parse_matches_csv_parser(tmp_path, monkeypatch):
     fast, fast_info = read_dataset(paths["nodes"], paths["edges"],
                                    paths["metadata"])
 
-    monkeypatch.setattr(nsio, "_decode_ints", lambda body, width: None)
+    monkeypatch.setattr(nsio, "_int_columns", lambda raw, width: None)
     slow, slow_info = read_dataset(paths["nodes"], paths["edges"],
                                    paths["metadata"])
     for field in ("y", "x", "edges", "k_levels"):
@@ -609,9 +615,12 @@ def test_int_codec_matches_printf_and_round_trips(tmp_path, monkeypatch,
     assert path.read_bytes() == printf_bytes(header, table)
     head, data = nsio._read_table(path)
     # a 19-digit cell may not fit int64, so the csv path reads it
-    assert isinstance(data, np.ndarray) == (table.max() < 10**18)
+    assert isinstance(data, tuple) == (table.max() < 10**18)
     if isinstance(data, list):
         data = np.array(nsio._csv_columns(path, head, data)[0]).T
+    else:  # (the first two columns, the rest)
+        assert data[0].shape[1] == min(2, table.shape[1])
+        data = np.hstack(data)
     assert np.array_equal(data, table)
 
 
@@ -633,7 +642,9 @@ def test_int_decoder_takes_only_plain_digit_files(tmp_path, text, want):
     if want is None:
         assert isinstance(data, list)
     else:
-        assert data.dtype == np.int64 and data.tolist() == want
+        head, x = data
+        assert head.dtype == np.int64 and head.tolist() == want
+        assert x.shape == (len(want), 0)
 
 
 
@@ -681,12 +692,36 @@ def test_integer_reader_fills_fortran_int32_codes(tmp_path, monkeypatch):
     monkeypatch.setattr(nsio, "WRITE_BLOCK_CELLS", 7)
     ds, _ = generate(example_config(6, n=40, p=5), seed=2)
     paths = write_dataset(tmp_path, ds)
-    header, (ids, y, x) = nsio._read_table(paths["nodes"], nsio._node_codes)
+    header, (head, x) = nsio._read_table(paths["nodes"])
     assert header[:3] == ["node_id", "y", "x1"]
-    assert np.array_equal(ids, np.arange(1, ds.n + 1))
-    assert y.dtype == np.int64 and np.array_equal(y, ds.y)
+    assert head.dtype == np.int64 and head.shape == (ds.n, 2)
+    assert np.array_equal(head[:, 0], np.arange(1, ds.n + 1))
+    assert np.array_equal(head[:, 1], ds.y)
     assert x.dtype == np.int32 and x.flags.f_contiguous
     assert np.array_equal(x, ds.x)
+
+
+def test_integer_reader_holds_the_file_once(tmp_path):
+    # nodes.csv of n 4000, p 2000 one-digit codes: the file is about 15 MiB
+    # and the int32 x 30.5 MiB; a second copy of the file's bytes would take
+    # the read's peak past the size of x plus 1.5 times the file's
+    n, p = 4000, 2000
+    codes = np.random.default_rng(3).integers(1, 10, (n, p))
+    path = tmp_path / "nodes.csv"
+    header = "node_id,y," + ",".join(f"x{j}" for j in range(1, p + 1))
+    nsio._write_ints(path, header, np.r_[n, 9, np.full(p, 9)], n,
+                     lambda lo, hi: np.column_stack(
+                         [np.arange(lo + 1, hi + 1), codes[lo:hi, 0],
+                          codes[lo:hi]]))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        _, (head, x) = nsio._read_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.dtype == np.int32 and np.array_equal(x, codes)
+    assert peak < x.nbytes + 1.5 * size
 
 
 @pytest.mark.filterwarnings("error")

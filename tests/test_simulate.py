@@ -391,6 +391,23 @@ def test_config_round_trips_through_json():
         SimulationConfig(**least).to_dict()
 
 
+def test_fractional_recipe_levels_are_refused_and_whole_floats_kept():
+    # int() would truncate k 2.7 to a 2-level column without a word
+    with pytest.raises(ValidationError,
+                       match="column 2: k must be a whole number, not 2.7"):
+        generate(plain_config(columns={2: {"kind": "uniform", "k": 2.7}}))
+    with pytest.raises(ValidationError, match="column 3: parent must be"):
+        generate(plain_config(columns={3: {
+            "kind": "cond_x", "parent": 1.5, "table": [[0.5, 0.5]] * 2}}))
+    whole, as_int = (plain_config(columns={2: {"kind": "uniform", "k": k}})
+                     for k in (4.0, 4))
+    assert np.array_equal(generate(whole)[0].x, generate(as_int)[0].x)
+    blob = json.dumps(whole.to_dict())  # values are checked, not replaced
+    assert '"k": 4.0' in blob
+    assert json.dumps(SimulationConfig.from_dict(
+        json.loads(blob)).to_dict()) == blob
+
+
 def test_check_config_rejects_structural_problems():
     with pytest.raises(ValidationError):
         check_config(plain_config(model="frog"))
