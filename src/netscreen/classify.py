@@ -23,8 +23,10 @@ through edge-minus-gap weights. The last level's count is the degree minus
 the inner ones, so it is folded into the weights and never counted per node.
 type3 reads the inner counts of a block of equal-width link columns from the
 products of the targets' rows of the :class:`counts.Network` adjacencies, out
-of them and into them, with the block's labeled level indicators, in float32
-while exact, and contracts them in float64; type2 needs the degrees alone.
+of them and into them, with the block's labeled level indicators, in the
+adjacency's own type (int16 or float32 while exact for its degrees, see
+:mod:`counts`), and contracts them in float64; type2 needs the degrees
+alone.
 """
 
 from __future__ import annotations

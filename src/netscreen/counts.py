@@ -40,15 +40,23 @@ from scipy import sparse
 #     all cells:      sum of deg_{r2} over class r1,
 # so the last row, the last column and the corner are differences. A train
 # mask zeroes the indicators and the source rows of the nodes it leaves out,
-# and its degrees are the product of the adjacency with it. Products run in
-# float32 when n < FLOAT32_EXACT_N = 2^24: each entry of T is an integer
-# below n, so float32 holds it and every partial sum of its row exactly;
-# reductions over nodes run in float64, whose integer range (2^53) covers
-# the edge count. A block then costs O((k-1) B |E|) for the product plus
-# O(R (k-1)^2 B n) for the reductions, and the adjacency O(|E| + R n) once
-# per dataset. All tables come back as exact int64.
+# and its degrees are the product of the adjacency with it.
+#
+# Products run in the narrowest type that holds them exactly, chosen per
+# adjacency from its largest class-split degree D: int16 when D < 2^15, else
+# float32 when D < 2^24, else float64. Each entry of a product, T[i, r2, l, c]
+# here or a neighbour count of the classifier, adds ones and zeros: all its
+# addends are nonnegative, so no partial sum exceeds node i's class-r2
+# degree, and every partial sum is an integer the type holds exactly (float32
+# holds every integer up to 2^24). int16 moves half the bytes of float32
+# through the sparse product. Reductions over nodes run in float64, whose
+# integer range (2^53) covers the edge count. A block then costs
+# O((k-1) B |E|) for the product plus O(R (k-1)^2 B n) for the reductions,
+# and the adjacency O(|E| + R n) once per dataset. All tables come back as
+# exact int64.
 
-FLOAT32_EXACT_N = 2 ** 24  # float32 holds every integer up to this bound
+INT16_EXACT_DEGREE = 2 ** 15  # int16 holds every count below this bound
+FLOAT32_EXACT_DEGREE = 2 ** 24  # float32 holds every integer up to this bound
 
 
 def tally_marginals(y0: np.ndarray, xb0: np.ndarray, r: int, k: int) -> np.ndarray:
@@ -68,8 +76,10 @@ def tally_adjacency(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
     order lists the nodes class by class (stable in node id) and classes
     holds each class's slice of it. adjacency is one CSR (R n, n) matrix:
     row r2 n + i holds the destinations of class r2 of the edges out of
-    node order[i], in float32 when n < FLOAT32_EXACT_N. degrees (R, n) are
-    its row sums.
+    node order[i], in int16 when every degree is below INT16_EXACT_DEGREE,
+    else in float32 when below FLOAT32_EXACT_DEGREE, else in float64, so
+    that its products with 0/1 indicators are exact. degrees (R, n) are its
+    row sums.
     """
     n = y0.size
     order = np.argsort(y0, kind="stable")
@@ -78,10 +88,12 @@ def tally_adjacency(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     rows = y0[dst0] * n + rank[src0]
-    dtype = np.float32 if n < FLOAT32_EXACT_N else np.float64
+    deg = np.bincount(rows, minlength=r * n).reshape(r, n)
+    top = deg.max()
+    dtype = (np.int16 if top < INT16_EXACT_DEGREE else
+             np.float32 if top < FLOAT32_EXACT_DEGREE else np.float64)
     adjacency = sparse.csr_array(
         (np.ones(rows.size, dtype), (rows, dst0)), shape=(r * n, n))
-    deg = np.bincount(rows, minlength=r * n).reshape(r, n)
     return order, classes, adjacency, deg
 
 
@@ -91,7 +103,7 @@ def degrees(adjacency, mask=None) -> np.ndarray:
     order, classes, adj, deg = adjacency
     if mask is None:
         return deg
-    # each entry is an integer below n, so the product holds it exactly
+    # each entry is at most a degree, so the product holds it exactly
     return (adj @ mask.astype(adj.dtype)).reshape(len(classes), -1).astype(
         np.int64) * mask[order]
 

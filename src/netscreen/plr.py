@@ -40,7 +40,7 @@ from .counts import block_pair_tables, tally_edges, tally_marginals
 from .dataset import NodeDataset, column_codes, validate
 from .errors import DegeneracyError, ValidationError
 
-BLOCK_TARGET_CELLS = 5_000_000  # soft cap on B * R^2 * K^2 per tally block
+BLOCK_TARGET_CELLS = 5_000_000  # soft cap on B R^2 K^2 and B n (K-1) per block
 TABLE_CELL_LIMIT = 2 ** 24  # hard cap on R^2 * K^2 for any one column
 
 
@@ -145,10 +145,12 @@ def column_blocks(dataset: NodeDataset, cols):
     cols: 1-based column ids; positions index into cols. xb0 holds the
     block's (n, B) int64 0-based codes from :func:`dataset.column_codes`,
     the one form in which the kernels read codes. Blocks come width by
-    width, in the order of cols within a width, each small enough for the
-    tally size cap. Since every kernel reads its codes here, a column whose
-    tables would be too large is refused here too, before the first block
-    (:func:`check_table_cells`).
+    width, in the order of cols within a width. B columns of width K make
+    B (R K)^2 table cells and n-sized temporaries of B n (K-1) cells in the
+    edge tallies and the classifier's products; each count stays within
+    BLOCK_TARGET_CELLS, or B is 1. Since every kernel reads its codes here, a
+    column whose tables would be too large is refused here too, before the
+    first block (:func:`check_table_cells`).
     """
     cols, r = np.asarray(cols, dtype=np.int64), dataset.r_levels
     check_table_cells(dataset, cols)
@@ -156,7 +158,8 @@ def column_blocks(dataset: NodeDataset, cols):
     for k in np.unique(widths):
         k = int(k)
         sel = np.flatnonzero(widths == k)
-        step = min(64, max(1, BLOCK_TARGET_CELLS // (r * k) ** 2))
+        cells = max((r * k) ** 2, dataset.n * (k - 1))  # per column
+        step = min(64, max(1, BLOCK_TARGET_CELLS // cells))
         for lo in range(0, sel.size, step):
             part = sel[lo:lo + step]
             yield k, part, column_codes(dataset, cols[part]) - 1

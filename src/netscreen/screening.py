@@ -247,13 +247,23 @@ def _pearson_batch(dataset: NodeDataset, cols: np.ndarray):
     return chi, chi, df, "chi2", dict(lam=chi, df_self=df)
 
 
-def _asymptotic(dataset, statistic, cols):
-    """(raw, tail probability, ranking scores, rank_by, fields) of cols.
+def _joined(first, second):
+    """The statistic output of two runs of columns, one after the other."""
+    raw, chi2, df = (np.concatenate([a, b])
+                     for a, b in zip(first[:3], second[:3]))
+    fields = {key: np.concatenate([value, second[4][key]])
+              for key, value in first[4].items()}
+    return raw, chi2, df, first[3], fields
+
+
+def _asymptotic(dataset, cols, output):
+    """(raw, tail probability, ranking scores, rank_by, fields) of cols from
+    their statistic output.
 
     Equal widths rank by the raw statistic; mixed widths by -log10 of the
     chi-square tail.
     """
-    raw, chi2, df, rank_by, fields = statistic(dataset, cols)
+    raw, chi2, df, rank_by, fields = output
     p_asym = chi2_tail(chi2, df)
     if np.unique(dataset.k_levels[cols - 1]).size <= 1:
         return raw, p_asym, raw, rank_by, fields
@@ -269,7 +279,7 @@ def _screen(method, statistic, dataset, *, cutoff, d, alpha, seed,
         raise ValidationError(f"unknown interactions mode {interactions!r}")
     if perms < 0:
         raise ValidationError("perms must be nonnegative")
-    stage1 = None
+    stage1 = main_output = None
     if interactions != "none":
         if columns is not None:
             raise ValidationError(
@@ -281,8 +291,10 @@ def _screen(method, statistic, dataset, *, cutoff, d, alpha, seed,
             # stage 1: rank the stored main effects, pair up the leaders
             if top_m is not None and top_m < 0:
                 raise ValidationError("top_m must be nonnegative")
-            raw, _, scores, _, _ = _asymptotic(
-                dataset, statistic, np.arange(1, mains + 1))
+            main_cols = np.arange(1, mains + 1)
+            main_output = statistic(dataset, main_cols)
+            raw, _, scores, _, _ = _asymptotic(dataset, main_cols,
+                                               main_output)
             order = _ranking(scores, raw)
             m = min(top_m if top_m is not None else hard_cutoff(dataset.n),
                     mains)
@@ -303,8 +315,11 @@ def _screen(method, statistic, dataset, *, cutoff, d, alpha, seed,
         raise ValidationError(f"column index outside 1..{dataset.p}")
     if np.unique(cols).size != cols.size:
         raise ValidationError("duplicate column ids")
-    raw, p_asym, scores, rank_by, fields = _asymptotic(dataset, statistic,
-                                                       cols)
+    if main_output is None:
+        output = statistic(dataset, cols)
+    else:  # the mains lead cols and keep their stage 1 values
+        output = _joined(main_output, statistic(dataset, cols[mains:]))
+    raw, p_asym, scores, rank_by, fields = _asymptotic(dataset, cols, output)
     p_used, p_perm = p_asym, None
     if perms > 0:
         p_perm = permutation_pvalue(dataset, cols, perms, seed)

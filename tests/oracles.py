@@ -53,6 +53,18 @@ def oracle_counts(y, xcol, edges, r, k):
     }
 
 
+def oracle_edge_counts(y, xcol, edges, r, k):
+    """n_edges_yj of :func:`oracle_counts`, one edge at a time, for graphs
+    whose n (n - 1) ordered pairs are too many to walk."""
+    y = [int(v) for v in y]
+    xcol = [int(v) for v in xcol]
+    n_edges_yj = np.zeros((r, r, k, k), dtype=np.int64)
+    for s, t in edges:
+        s, t = int(s) - 1, int(t) - 1
+        n_edges_yj[y[s] - 1, y[t] - 1, xcol[s] - 1, xcol[t] - 1] += 1
+    return n_edges_yj
+
+
 def oracle_plr(y, xcol, edges):
     """(lam, lam_self, lam_network), each already divided by n.
 

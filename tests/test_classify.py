@@ -8,10 +8,12 @@ from netscreen.classify import (
     KINDS, ClassifierSpec, MetricsReport, _rank_auc, evaluate, fit, predict,
     predict_scores, screening_metrics,
 )
+from netscreen.counts import tally_edges
 from netscreen.screening import interaction_expand
 from netscreen.simulate import example_config, generate
 
-from oracles import oracle_classifier_scores, random_instance
+from oracles import (oracle_classifier_scores, oracle_edge_counts,
+                     random_instance)
 
 
 def as_dataset(y, x, edges, r, k):
@@ -109,8 +111,8 @@ def link_instance():
 def test_scores_independent_of_blocks_and_chunks(monkeypatch):
     clf, ds, targets = link_instance()
     default = predict_scores(clf, ds, targets)
-    # widths 3 and 2 at R = 3: 81 and 36 cells per column
-    monkeypatch.setattr(plr, "BLOCK_TARGET_CELLS", 100)
+    # widths 3 and 2 at R = 3, n = 60: n (K-1) = 120 and 60 cells per column
+    monkeypatch.setattr(plr, "BLOCK_TARGET_CELLS", 150)
     blocks = [part.size for _, part, _ in plr.column_blocks(ds, clf.cols_a)]
     assert set(blocks) == {1, 2}
     np.testing.assert_allclose(predict_scores(clf, ds, targets), default,
@@ -133,8 +135,10 @@ def test_node_term_sums_columns_in_fitted_order():
 
 
 def test_float64_products_give_the_same_scores(monkeypatch):
-    """A network fixes its product type when it is built, so the float64
-    side predicts on a freshly validated copy of the dataset."""
+    """A network fixes its product types when it is built, so the float32
+    and float64 sides, with the degree bounds lowered, predict on freshly
+    validated copies of the dataset; int16, float32 and float64 products
+    give the same score bytes."""
     clf, ds, targets = link_instance()
     dtypes = []
     build = counts.tally_adjacency
@@ -145,15 +149,60 @@ def test_float64_products_give_the_same_scores(monkeypatch):
         return out
 
     monkeypatch.setattr(counts, "tally_adjacency", spy)
-    single = predict_scores(clf, ds, targets)
-    monkeypatch.setattr(counts, "FLOAT32_EXACT_N", 0)
-    fresh = validate(NodeDataset(ds.y, ds.x, ds.edges, r_levels=ds.r_levels,
-                                 k_levels=ds.k_levels))
-    double = predict_scores(clf, fresh, targets)
+    scores = [predict_scores(clf, ds, targets)]
+    for int16_bound, float32_bound in ((0, counts.FLOAT32_EXACT_DEGREE),
+                                       (0, 0)):
+        monkeypatch.setattr(counts, "INT16_EXACT_DEGREE", int16_bound)
+        monkeypatch.setattr(counts, "FLOAT32_EXACT_DEGREE", float32_bound)
+        fresh = validate(NodeDataset(ds.y, ds.x, ds.edges,
+                                     r_levels=ds.r_levels,
+                                     k_levels=ds.k_levels))
+        scores.append(predict_scores(clf, fresh, targets))
     # the fit built ds's adjacency out of each node; each prediction builds
-    # the sides its dataset lacks: into ds's nodes, then both for the copy
-    assert dtypes == [np.float32] + [np.float64] * 2
-    assert single.tobytes() == double.tobytes()
+    # the sides its dataset lacks: into ds's nodes, then both for each copy
+    assert dtypes == [np.int16] + [np.float32] * 2 + [np.float64] * 2
+    assert scores[0].tobytes() == scores[1].tobytes() == scores[2].tobytes()
+
+
+def test_hub_past_the_int16_bound_keeps_exact_products(monkeypatch):
+    """One node links to 2^15 nodes of one class, all at level 1 of column
+    1 and all labeled, so the adjacency out of the nodes needs float32 while
+    the one into them stays int16. The edge tallies match the edge-walk
+    oracle, and a type3 fit and its scores keep the bytes of all-float64
+    products."""
+    rng = np.random.default_rng(48)
+    n, widths = 2 ** 15 + 40, (2, 3, 4)
+    y = np.full(n, 2)
+    y[:40] = np.r_[1, 2, rng.integers(1, 3, 38)]
+    hub = np.column_stack([np.ones(n - 40, dtype=np.int64),
+                           np.arange(41, n + 1)])  # node 1 to class 2
+    pairs = rng.integers(1, n + 1, size=(3000, 2))
+    edges = np.unique(np.r_[hub, pairs[pairs[:, 0] != pairs[:, 1]]], axis=0)
+    x = np.column_stack([rng.integers(1, w + 1, n) for w in widths])
+    x[40:, 0] = 1
+    ds = validate(NodeDataset(y=y, x=x, edges=edges, r_levels=2,
+                              k_levels=widths))
+    net = ds._network
+    assert net.out[2].dtype == np.float32
+    assert net.into[2].dtype == np.int16
+    for c, k in enumerate(widths):
+        xb0 = x[:, [c]].astype(np.int64) - 1
+        got = tally_edges(net.y0, net.src0, net.dst0, xb0, k, net.out)[0]
+        assert np.array_equal(got, oracle_edge_counts(y, x[:, c], edges,
+                                                      2, k))
+    spec = ClassifierSpec("type3", s_y=mains(1, 2, 3), s_a=mains(1, 2, 3))
+    mask = np.r_[rng.uniform(size=40) < 0.8, np.ones(n - 40, dtype=bool)]
+    targets = np.r_[1, rng.integers(1, n + 1, 300)]
+    narrow = predict_scores(fit(spec, ds, train_mask=mask), ds, targets)
+    assert np.isfinite(narrow).all()
+    monkeypatch.setattr(counts, "INT16_EXACT_DEGREE", 0)
+    monkeypatch.setattr(counts, "FLOAT32_EXACT_DEGREE", 0)
+    fresh = validate(NodeDataset(y=y, x=x, edges=edges, r_levels=2,
+                                 k_levels=widths))
+    wide = predict_scores(fit(spec, fresh, train_mask=mask), fresh, targets)
+    assert wide.tobytes() == narrow.tobytes()
+    assert fresh._network.out[2].dtype == np.float64
+    assert fresh._network.into[2].dtype == np.float64
 
 
 @pytest.mark.parametrize("example", range(1, 10))

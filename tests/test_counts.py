@@ -7,7 +7,7 @@ from netscreen.counts import (
     tally_marginals,
 )
 
-from oracles import oracle_counts, random_instance
+from oracles import oracle_counts, oracle_edge_counts, random_instance
 
 
 def as_dataset(y, x, edges, r, k):
@@ -150,30 +150,54 @@ def test_tally_edges_matches_oracle_across_shapes(r, k):
 
 
 def test_tally_edges_float64_products_give_the_same_tables(monkeypatch):
-    """Below the float32 bound the products run in float32; with the bound
-    lowered to 0 they run in float64 and the tables keep every byte."""
+    """Below the int16 degree bound the products run in int16; with the
+    bounds lowered they run in float32 and in float64, and every type gives
+    the bytes of the float64 tables, plain and masked, which match the
+    oracle."""
     rng = np.random.default_rng(13)
     n, p, r, k = 60, 9, 3, 4
     y = np.concatenate([np.arange(1, r + 1), rng.integers(1, r + 1, n - r)])
     x = rng.integers(1, k + 1, size=(n, p))
     edges = [(s + 1, t + 1) for s in range(n) for t in range(n)
              if s != t and rng.uniform() < 0.3]
+    mask = rng.uniform(size=n) < 0.7
     ds = as_dataset(y, x, edges, r, k)
     xb0 = x.astype(np.int64) - 1
     args = (ds._network.y0, ds._network.src0, ds._network.dst0)
-    narrow = tally_adjacency(*args, r)
-    single = tally_edges(*args, xb0, k, narrow)
-    monkeypatch.setattr(counts, "FLOAT32_EXACT_N", 0)
-    wide = tally_adjacency(*args, r)
-    double = tally_edges(*args, xb0, k, wide)
-    (_, _, narrow_adjacency, _), (_, _, wide_adjacency, _) = narrow, wide
-    assert narrow_adjacency.dtype == np.float32
-    assert wide_adjacency.dtype == np.float64
-    assert single.dtype == double.dtype == np.int64
-    assert single.tobytes() == double.tobytes()
+    # (int16 bound, float32 bound) that pick each type at this n
+    bounds = {np.int16: (counts.INT16_EXACT_DEGREE,
+                         counts.FLOAT32_EXACT_DEGREE),
+              np.float32: (0, counts.FLOAT32_EXACT_DEGREE),
+              np.float64: (0, 0)}
+    tables = {}
+    for dtype, (int16_bound, float32_bound) in bounds.items():
+        monkeypatch.setattr(counts, "INT16_EXACT_DEGREE", int16_bound)
+        monkeypatch.setattr(counts, "FLOAT32_EXACT_DEGREE", float32_bound)
+        adjacency = tally_adjacency(*args, r)
+        assert adjacency[2].dtype == dtype
+        tables[dtype] = (tally_edges(*args, xb0, k, adjacency),
+                         tally_edges(*args, xb0, k, adjacency, mask=mask),
+                         degrees(adjacency, mask))
+    double = tables[np.float64]
+    for table in tables.values():
+        for got, want in zip(table, double):
+            assert got.dtype == want.dtype == np.int64
+            assert got.tobytes() == want.tobytes()
+    masked_edges = [(s, t) for s, t in edges if mask[s - 1] and mask[t - 1]]
     for c in range(p):
         want = oracle_counts(y, x[:, c], edges, r, k)["n_edges_yj"]
-        assert np.array_equal(double[c], want)
+        assert np.array_equal(double[0][c], want)
+        want = oracle_counts(y, x[:, c], masked_edges, r, k)["n_edges_yj"]
+        assert np.array_equal(double[1][c], want)
+
+
+def test_edge_walk_oracle_matches_pair_walk():
+    rng = np.random.default_rng(15)
+    for _ in range(30):
+        y, x, edges, r, k = random_instance(rng)
+        assert np.array_equal(oracle_edge_counts(y, x[:, 0], edges, r, k),
+                              oracle_counts(y, x[:, 0], edges, r, k)[
+                                  "n_edges_yj"])
 
 
 def test_tally_adjacency_matches_edge_loop():

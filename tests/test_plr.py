@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,32 @@ def test_column_blocks_group_widths_in_column_order(monkeypatch):
         assert xb0.dtype == np.int64
         assert np.array_equal(xb0, x[:, cols[part] - 1] - 1)
     assert list(column_blocks(ds, [])) == []
+
+
+def test_block_width_bounds_the_n_sized_temporaries():
+    """64 columns of 64 levels at n 4000 would put 16M cells in each
+    n (K-1) B temporary of the edge tallies as one block; the width cap
+    keeps each under BLOCK_TARGET_CELLS, and the traced peak of a full
+    scoring pass far below the 300 MB the one block took."""
+    rng = np.random.default_rng(30)
+    n, p, k = 4000, 64, 64
+    x = np.asfortranarray(rng.integers(1, k + 1, (n, p)), dtype=np.int32)
+    edges = rng.integers(1, n + 1, (40_000, 2))
+    ds = validate(NodeDataset(
+        y=np.r_[1, 2, rng.integers(1, 3, n - 2)], x=x,
+        edges=np.unique(edges[edges[:, 0] != edges[:, 1]], axis=0),
+        k_levels=np.full(p, k)))
+    widths = [part.size for _, part, _ in column_blocks(ds, range(1, p + 1))]
+    assert sum(widths) == p
+    assert max(widths) * n * (k - 1) <= plr.BLOCK_TARGET_CELLS
+    ds._network.out  # built once per dataset, outside the traced pass
+    tracemalloc.start()
+    try:
+        batch_statistics(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
 
 
 def test_column_blocks_build_composite_codes():

@@ -1,10 +1,11 @@
+import json
 from itertools import combinations
 from operator import attrgetter
 
 import numpy as np
 import pytest
 
-from netscreen import NodeDataset, ValidationError, validate
+from netscreen import NodeDataset, ValidationError, screening, validate
 from netscreen.counts import tally_marginals
 from netscreen.dataset import discretize
 from netscreen.plr import chi2_tail
@@ -201,6 +202,29 @@ def test_interaction_screen_on_an_expanded_dataset(mode):
         wide = interaction_expand(ds, [tuple(map(int, first.split("&")))])
         got = screen(wide, interactions=mode, top_m=4)
         assert got.to_dict() == want.to_dict()
+
+
+def test_interaction_screen_scores_each_main_once(monkeypatch):
+    """The joint pass keeps stage 1's values of the stored mains and scores
+    only the composites; the result keeps the bytes of a screen of the
+    expanded dataset, which scores every column in one pass."""
+    ds, _ = generate(example_config(3, n=200, p=8), seed=6)
+    for screen, name in ((plr_sis, "_plr_batch"),
+                         (pc_sis, "_pearson_batch")):
+        calls, statistic = [], getattr(screening, name)
+
+        def spy(dataset, cols, statistic=statistic):
+            calls.append(cols.tolist())
+            return statistic(dataset, cols)
+
+        monkeypatch.setattr(screening, name, spy)
+        got = screen(ds, interactions="top", top_m=4, cutoff="hard")
+        p = len(got.feature_keys)
+        assert calls == [list(range(1, 9)), list(range(9, p + 1))]
+        pairs = [tuple(map(int, key.split("&")))
+                 for key in got.feature_keys[8:]]
+        want = screen(interaction_expand(ds, pairs), cutoff="hard")
+        assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
 
 
 def test_interaction_expand_rejects_bad_pairs():
