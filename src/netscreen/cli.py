@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .classify import KINDS, ClassifierSpec, evaluate, fit
-from .dataset import FeatureSet
+from .dataset import FeatureSet, seed_entropy
 from .errors import DegeneracyError, ValidationError
 from .experiment import experiment, null_calibration
 from .io import (experiment_long_csv, experiment_table, read_dataset,
@@ -285,6 +285,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        seed_entropy(args.seed)  # every command takes a seed
         return args.func(args)
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)

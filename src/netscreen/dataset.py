@@ -326,3 +326,23 @@ def discretize(values, k: int, scheme: str = "normal_quantile") -> np.ndarray:
     else:
         raise ValidationError(f"unknown discretization scheme {scheme!r}")
     return (np.searchsorted(edges, v, side="left") + 1).astype(np.int32)
+
+
+def seed_entropy(seed) -> tuple[int, ...]:
+    """The values of an int or tuple seed as a tuple of ints.
+
+    Every value must be a whole number >= 0: int() would truncate a fraction
+    to another seed's stream, and SeedSequence refuses a negative word. A
+    whole float such as 2.0 gives the stream of 2.
+    """
+    out = []
+    for value in seed if isinstance(seed, tuple) else (seed,):
+        try:
+            whole = int(value)
+        except (TypeError, ValueError, OverflowError):
+            whole = None
+        if whole is None or whole != value or whole < 0:
+            raise ValidationError(
+                f"a seed must be a whole number >= 0, not {value!r}")
+        out.append(whole)
+    return tuple(out)

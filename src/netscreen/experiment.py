@@ -204,6 +204,8 @@ def experiment(config, *, n: int | None = None, p: int | None = None,
                          p=config.p if p is None else p)
     if m_reps < 1:
         raise ValidationError("need at least one replication")
+    if threads < 1:
+        raise ValidationError(f"threads must be at least 1, not {threads}")
     options = {"methods": tuple(methods), "interactions": interactions,
                "cutoff": cutoff, "cutoff_d": cutoff_d,
                "cutoff_alpha": cutoff_alpha,

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .counts import block_pair_tables, tally_edges, tally_marginals
-from .dataset import NodeDataset, column_codes, validate
+from .dataset import NodeDataset, column_codes, seed_entropy, validate
 from .errors import DegeneracyError, ValidationError
 
 BLOCK_TARGET_CELLS = 5_000_000  # soft cap on B R^2 K^2 and B n (K-1) per block
@@ -191,6 +191,7 @@ def _column_totals(dataset: NodeDataset, cols, perms: int = 0,
     (seed, j, b); a tail is (1 + #{draws whose unnormalized total reaches
     the column's own}) / (perms + 1).
     """
+    entropy = seed_entropy(seed)
     cols = np.asarray([int(j) for j in cols], dtype=np.int64)
     bad = cols[(cols < 1) | (cols > dataset.p)]
     if bad.size:
@@ -210,7 +211,7 @@ def _column_totals(dataset: NodeDataset, cols, perms: int = 0,
         owner, draw = np.divmod(part, perms)  # entry i perms + b
         for c, (i, b) in enumerate(zip(owner.tolist(), draw.tolist())):
             rng = np.random.default_rng(
-                np.random.SeedSequence((seed, int(cols[i]), b)))
+                np.random.SeedSequence(entropy + (int(cols[i]), b)))
             xb0[:, c] = xb0[rng.permutation(dataset.n), c]
         s_perm, n_perm = _block_lambdas(dataset, xb0, k, tables)
         np.add.at(hits, owner, s_perm + n_perm >= observed[owner])

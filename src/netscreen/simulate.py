@@ -35,7 +35,12 @@ Recipes (dicts, JSON-friendly):
 
 All randomness flows through named SeedSequence streams keyed by (seed,
 stream, column), so any column or the network can be regenerated alone and
-results never depend on evaluation order.
+results never depend on evaluation order. A seed is an int or a tuple of
+ints, each a whole number >= 0. The response, network and noise each draw
+from default_rng(SeedSequence(...)). The columns draw from the same streams,
+but their states are computed for all columns in one vectorized pass
+(_keyed_streams), since building p SeedSequences one by one cost more than
+drawing from them.
 """
 
 from __future__ import annotations
@@ -46,13 +51,22 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 from scipy.special import expit
 
-from .dataset import FeatureSet, NodeDataset, discretize, validate
+from .dataset import (FeatureSet, NodeDataset, discretize, seed_entropy,
+                      validate)
 from .errors import ValidationError
 
 _STREAM_RESPONSE = 1
 _STREAM_COLUMN = 2
 _STREAM_NETWORK = 3
 _STREAM_NOISE = 4
+# SeedSequence's constants (numpy/random/bit_generator.pyx) and PCG64's
+# multiplier (numpy/random/src/pcg64/pcg64.h), for _keyed_streams
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+_PCG64_MULT = 0x2360ed051fc65da44385df649fccf645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 BLOCK_TARGET_PAIRS = 250_000  # soft cap on ordered pairs per network block
 MAX_PHI_TERMS = 20  # the link table has 2^(terms + 1) entries
@@ -135,7 +149,8 @@ class SimulationConfig:
         convert = {
             "n": int, "p": int, "r_levels": int, "gamma": float,
             "base_odds_same": float, "base_odds_diff": float, "bins": int,
-            "seed": int, "s_y": FeatureSet.from_keys,
+            "seed": lambda v: seed_entropy((v,))[0],  # one whole number
+            "s_y": FeatureSet.from_keys,
             "s_a": FeatureSet.from_keys,
             "default_column": _typed_recipe,
             "columns": lambda c: {int(j): _typed_recipe(r)
@@ -287,14 +302,92 @@ def check_config(config: SimulationConfig) -> None:
         raise ValidationError("bins must be at least 2")
 
 
-def _entropy(seed) -> tuple:
-    if isinstance(seed, tuple):
-        return tuple(int(v) for v in seed)
-    return (int(seed),)
-
-
 def _stream(entropy: tuple, *tail) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy + tail))
+
+
+def _keyed_streams(prefix: tuple, keys):
+    """For each key in turn, a Generator in the state of
+    ``default_rng(SeedSequence(prefix + (key,)))``, seeded for all keys in
+    one vectorized pass.
+
+    prefix holds ints >= 0; every key must lie in [0, 2^32), one entropy
+    word. This restates numpy's seeding, which its stream-compatibility
+    policy (NEP 19) keeps fixed:
+      - SeedSequence's word split (``_int_to_uint32_array``), pool mixing
+        (``mix_entropy``) and ``generate_state(4, uint64)`` from
+        numpy/random/bit_generator.pyx, run on arrays with one entry per
+        key, and
+      - PCG64's seeding (``pcg_setseq_128_srandom_r`` in
+        numpy/random/src/pcg64/pcg64.h): inc = initseq << 1 | 1 and
+        state = ((inc + initstate) * MULT + inc) mod 2^128.
+    Each state goes in through ``PCG64.state`` with no buffered 32-bit
+    half (has_uint32 = 0, uinteger = 0), as a fresh PCG64 starts.
+
+    Every key gets the same Generator object, reset to that key's state, so
+    a stream must be drawn completely before the next one is requested.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    if keys.size and not 0 <= keys.min() <= keys.max() < 1 << 32:
+        raise ValueError("stream keys must lie in [0, 2^32)")
+    words = [np.full(keys.size, w, dtype=np.uint32)
+             for v in prefix for w in _uint32_words(v)]
+    words.append(keys.astype(np.uint32))
+    hashmix = _hash_chain(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        out = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return out ^ out >> 16
+
+    zeros = np.zeros(keys.size, dtype=np.uint32)
+    pool = [hashmix(words[i] if i < len(words) else zeros)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state hashes the pool cyclically into 8 uint32 words
+    hash_out = _hash_chain(_INIT_B, _MULT_B)
+    state32 = [hash_out(pool[i % _POOL_SIZE]).astype(np.uint64)
+               for i in range(8)]
+    # uint32 words pair little-endian into (initstate hi, lo, initseq hi, lo)
+    seeds = np.column_stack([state32[i] | state32[i + 1] << 32
+                             for i in range(0, 8, 2)]).tolist()
+    bit_gen = np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
+    for s_hi, s_lo, q_hi, q_lo in seeds:
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        bit_gen.state = {"bit_generator": "PCG64",
+                         "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
+def _hash_chain(const: int, mult: int):
+    """SeedSequence's hashmix: each call xors in the hash constant, steps it
+    (const * mult mod 2^32), multiplies by it and xor-shifts by 16."""
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _uint32_words(value: int) -> list[int]:
+    """value's little-endian 32-bit words; 0 is one word."""
+    words = [value & _MASK32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
 
 
 def _sample_rows(rng, probs: np.ndarray, row_index: np.ndarray) -> np.ndarray:
@@ -341,8 +434,9 @@ def _draw_columns(config: SimulationConfig, entropy: tuple, y0):
     """(x codes, raw columns) of every column, each from its own stream."""
     x = np.empty((config.n, config.p), dtype=np.int32, order="F")
     raw = {}
-    for j in range(1, config.p + 1):
-        rng = _stream(entropy, _STREAM_COLUMN, j)
+    streams = _keyed_streams(entropy + (_STREAM_COLUMN,),
+                             range(1, config.p + 1))
+    for j, rng in enumerate(streams, start=1):
         codes, raw_j = _draw_column(config.recipe(j), config, rng, y0, x)
         x[:, j - 1] = codes
         if raw_j is not None:
@@ -353,7 +447,7 @@ def _draw_columns(config: SimulationConfig, entropy: tuple, y0):
 def gen_nnb(config: SimulationConfig, seed=None):
     """Response-first sampler: (y, x codes, raw continuous columns)."""
     check_config(config)
-    entropy = _entropy(config.seed if seed is None else seed)
+    entropy = seed_entropy(config.seed if seed is None else seed)
     y0 = _stream(entropy, _STREAM_RESPONSE).integers(
         0, config.r_levels, config.n)
     x, raw = _draw_columns(config, entropy, y0)
@@ -363,7 +457,7 @@ def gen_nnb(config: SimulationConfig, seed=None):
 def gen_nlr(config: SimulationConfig, seed=None):
     """Feature-first sampler with a logistic 2-level response."""
     check_config(config)
-    entropy = _entropy(config.seed if seed is None else seed)
+    entropy = seed_entropy(config.seed if seed is None else seed)
     n = config.n
     x, raw = _draw_columns(config, entropy, None)
     logits = np.zeros(n)
@@ -390,7 +484,7 @@ def gen_network(y, x, config: SimulationConfig, seed=None) -> np.ndarray:
     the same float comparison on the same uniform as coding every pair, so
     neither the candidate step nor the chunk size changes the edges.
     """
-    entropy = _entropy(config.seed if seed is None else seed)
+    entropy = seed_entropy(config.seed if seed is None else seed)
     rng = _stream(entropy, _STREAM_NETWORK)
     y = np.asarray(y)
     n = y.shape[0]
@@ -450,7 +544,7 @@ def perturb_network(edges, n: int, keep_prob: float, add_prob: float,
                     seed=None) -> np.ndarray:
     """Drop each link w.p. 1-keep_prob; add each absent ordered pair w.p.
     add_prob. Returns the rewired edge list, 1-based."""
-    entropy = _entropy(0 if seed is None else seed)
+    entropy = seed_entropy(0 if seed is None else seed)
     rng = _stream(entropy, _STREAM_NOISE)
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     kept = edges[rng.random(edges.shape[0]) < keep_prob]
@@ -479,7 +573,7 @@ def generate(config: SimulationConfig, seed=None):
     """
     seed = config.seed if seed is None else seed
     y, x, raw = (gen_nnb if config.model == "nnb" else gen_nlr)(config, seed)
-    entropy = _entropy(seed)
+    entropy = seed_entropy(seed)
     edges = gen_network(y, x, config, entropy)
     if config.noise is not None:
         keep, add = noise_rates(config.n, float(config.noise["s"]))

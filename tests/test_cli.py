@@ -260,6 +260,41 @@ def test_experiment_null_needs_two_reps(tmp_path, capsys):
         assert not (d / "null.json").exists()
 
 
+@pytest.mark.parametrize("args, seed", [
+    (["simulate", "--example", "3", "--n", "60", "--p", "8"], "-1"),
+    (["experiment", "--example", "3", "--n", "60", "--p", "8",
+      "--reps", "2"], "-3"),
+    (["experiment", "--example", "null", "--n", "60", "--reps", "2"], "-1"),
+    (["screen", "--perms", "3"], "-1"),
+    (["screen"], "-2"),
+    (["classify", "--split", "0.5", "--s-y", "1"], "-1"),
+    (["classify", "--s-y", "1"], "-2"),
+], ids=["simulate", "experiment", "null", "screen-perms", "screen",
+        "classify-split", "classify"])
+def test_negative_seeds_exit_3(tmp_path, capsys, args, seed):
+    d = simulate_dir(tmp_path, example="3", n=60, p=8)
+    if args[0] in ("screen", "classify"):
+        args = args + ["--nodes", str(d / "nodes.csv"),
+                       "--edges", str(d / "edges.csv")]
+    out = tmp_path / "out"
+    assert main(args + ["--seed", seed, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: a seed must be a whole number >= 0, not {seed}\n")
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_experiment_refuses_threads_below_one(tmp_path, capsys, threads):
+    d = tmp_path / "exp"
+    assert main(["experiment", "--example", "1", "--n", "40", "--p", "5",
+                 "--reps", "2", "--threads", threads, "--out", str(d)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: threads must be at least 1, not {threads}\n")
+    assert not (d / "report.timing.json").exists()
+    with pytest.raises(ValidationError, match="threads must be at least 1"):
+        experiment(1, n=40, p=5, m_reps=1, threads=0)
+
+
 def test_simulate_rejects_noise_rates_outside_unit_interval(tmp_path, capsys):
     code = main(["simulate", "--example", "5", "--n", "4", "--p", "5",
                  "--out", str(tmp_path / "d")])

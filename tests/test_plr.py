@@ -402,6 +402,20 @@ def test_negative_perms_rejected():
         permutation_pvalue(ds, [1], 0)
 
 
+def test_permutation_seeds_must_be_whole_and_nonnegative():
+    ds, _ = generate(example_config(1, n=60, p=4), seed=2)
+    for seed, named in ((2.5, "2.5"), (-1, "-1"), ((7, 1.9), "1.9")):
+        with pytest.raises(ValidationError, match=f"number >= 0, not {named}$"):
+            plr_statistic(ds, 1, perms=3, seed=seed)
+    with pytest.raises(ValidationError, match="not -4"):
+        permutation_pvalue(ds, [1, 2], 3, seed=-4)
+    # a whole float keeps the stream of its int
+    assert plr_statistic(ds, 1, perms=9, seed=2.0).p_perm == \
+        plr_statistic(ds, 1, perms=9, seed=2).p_perm
+    assert np.array_equal(permutation_pvalue(ds, [1, 3], 9, seed=(4.0, 1)),
+                          permutation_pvalue(ds, [1, 3], 9, seed=(4, 1)))
+
+
 def test_missing_response_level_raises():
     y = np.array([1, 2, 1, 2])
     x = np.array([[1], [2], [1], [2]])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +50,122 @@ def test_column_draws_do_not_depend_on_p():
     y2, x2, _ = gen_nnb(wide, seed=(9,))
     assert np.array_equal(y1, y2)
     assert np.array_equal(x1, x2[:, :4])
+
+
+# ------------------------------------------------- one-pass column seeding
+
+def stream_draws(rng):
+    """Draws of every kind the recipes use; the 32-bit integers come first
+    and last, so a stale buffered half would show in the next stream."""
+    return [rng.integers(0, 7, 9), rng.random(5), rng.normal(size=3),
+            rng.normal(np.array([-1.0, 1.0])[[0, 1, 1]], 0.5),
+            rng.permutation(10), rng.integers(0, 7, 3)]
+
+
+# prefixes of 1, 2 and 5 or more words, and ints that split into 2-4 words
+STREAM_PREFIXES = [(0,), (2**32 - 1,), (2**32,), (2**64 + 1,),
+                   (2**100 + 12345,), (7, 3), (7, 0, 2), (1, 2, 3, 4, 5, 6),
+                   (2**40, 0, 2**70 + 9, 2)]
+
+
+@pytest.mark.parametrize("prefix", STREAM_PREFIXES, ids=str)
+def test_keyed_streams_match_seed_sequence(prefix):
+    keys = [0, 1, 2, 2**32 - 1, 5]
+    streams = simulate._keyed_streams(prefix, keys)
+    for key, rng in zip(keys, streams, strict=True):
+        ref = np.random.default_rng(np.random.SeedSequence(prefix + (key,)))
+        for got, want in zip(stream_draws(rng), stream_draws(ref)):
+            assert np.array_equal(got, want), (prefix, key)
+
+
+def test_keyed_streams_refuse_keys_beyond_one_word():
+    for key in (-1, 2**32):
+        with pytest.raises(ValueError, match="stream keys"):
+            next(simulate._keyed_streams((7,), [1, key]))
+
+
+def per_column_reference(config, entropy, y0):
+    """_draw_columns with one SeedSequence stream per column."""
+    x = np.empty((config.n, config.p), dtype=np.int32, order="F")
+    raw = {}
+    for j in range(1, config.p + 1):
+        rng = simulate._stream(entropy, simulate._STREAM_COLUMN, j)
+        codes, raw_j = simulate._draw_column(config.recipe(j), config, rng,
+                                             y0, x)
+        x[:, j - 1] = codes
+        if raw_j is not None:
+            raw[j] = raw_j
+    return x, raw
+
+
+EVERY_RECIPE = plain_config(
+    n=90, p=9, r_levels=3, bins=5,
+    columns={1: {"kind": "uniform", "k": 3},
+             2: {"kind": "cond_x", "parent": 1,
+                 "table": [[0.2, 0.8], [0.5, 0.5], [0.9, 0.1]]},
+             3: {"kind": "cond_yx", "parent": 2,
+                 "table": [[[0.1, 0.2, 0.7], [0.3, 0.3, 0.4]],
+                           [[0.6, 0.2, 0.2], [0.2, 0.2, 0.6]],
+                           [[0.3, 0.4, 0.3], [0.5, 0.4, 0.1]]]},
+             4: {"kind": "normal", "mu": 0.5, "sigma": 2.0},
+             5: {"kind": "normal", "mu": [-1.0, 0.0, 1.5], "sigma": 0.7},
+             6: {"kind": "cond_y", "table": [[0.9, 0.1], [0.5, 0.5],
+                                             [0.1, 0.9]]},
+             7: {"kind": "bern", "p": 0.3}})
+DRAW_CASES = {f"ex{ex}-{model}": example_config(ex, n=70, p=12, model=model)
+              for ex in range(1, 10) for model in ("nnb", "nlr")
+              if (model == "nlr") == (ex == 9) or ex <= 3}
+DRAW_CASES["every-recipe"] = EVERY_RECIPE
+
+
+@pytest.mark.parametrize("seed", [(7, 0), (2**33 + 5, 3)], ids=str)
+@pytest.mark.parametrize("cfg", DRAW_CASES.values(), ids=DRAW_CASES)
+def test_draw_columns_match_per_column_streams(cfg, seed):
+    y0 = None
+    if cfg.model == "nnb":
+        y0 = simulate._stream(seed, simulate._STREAM_RESPONSE).integers(
+            0, cfg.r_levels, cfg.n)
+    x, raw = simulate._draw_columns(cfg, seed, y0)
+    want_x, want_raw = per_column_reference(cfg, seed, y0)
+    assert np.array_equal(x, want_x)
+    assert x.flags.f_contiguous
+    assert raw.keys() == want_raw.keys()
+    for j in raw:
+        assert np.array_equal(raw[j], want_raw[j])
+
+
+# ----------------------------------------------------------- seed values
+
+@pytest.mark.parametrize("seed", [-1, 2.5, (7, 1.9), (7, -2), float("nan"),
+                                  float("inf"), "3", [7, 1]], ids=repr)
+def test_seeds_must_be_whole_and_nonnegative(seed):
+    cfg = plain_config()
+    with pytest.raises(ValidationError, match="a seed must be a whole "
+                       "number >= 0, not "):
+        generate(cfg, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [2.5, -1, [7, 1]], ids=repr)
+def test_config_files_refuse_seeds_int_would_change(seed):
+    blob = dict(plain_config().to_dict(), seed=seed)
+    with pytest.raises(ValidationError, match=f"field 'seed' cannot be "
+                       rf"{re.escape(repr(seed))}$"):
+        SimulationConfig.from_dict(blob)
+    blob["seed"] = 3.0
+    assert SimulationConfig.from_dict(blob).seed == 3
+
+
+def test_whole_float_seeds_keep_their_streams():
+    cfg = example_config(1, n=40, p=5)
+    for whole, exact in ((2.0, 2), ((7.0, np.int64(1)), (7, 1))):
+        got, want = generate(cfg, seed=whole)[0], generate(cfg, seed=exact)[0]
+        assert np.array_equal(got.x, want.x)
+        assert np.array_equal(got.edges, want.edges)
+    edges = generate(cfg, seed=1)[0].edges
+    assert np.array_equal(perturb_network(edges, 40, 0.5, 0.01, 3.0),
+                          perturb_network(edges, 40, 0.5, 0.01, 3))
+    with pytest.raises(ValidationError, match="not -3"):
+        perturb_network(edges, 40, 0.5, 0.01, -3)
 
 
 # ------------------------------------------------------- sampling recipes
@@ -162,7 +279,7 @@ def pairwise_edges(y, x, cfg, seed):
     """The network drawn pair by pair: one uniform per loop-free ordered
     pair in source-row order, tested against expit of the pair's logit,
     summed term by term."""
-    rng = simulate._stream(simulate._entropy(seed), simulate._STREAM_NETWORK)
+    rng = simulate._stream(simulate.seed_entropy(seed), simulate._STREAM_NETWORK)
     n = len(y)
     u = rng.random(n * (n - 1))
     decay = cfg.gamma * math.log(n)
@@ -278,7 +395,7 @@ def test_perturb_network_is_seeded():
 def perturb_by_mask(edges, n, keep_prob, add_prob, seed):
     """The noise pass written with an n(n-1) presence mask and the array of
     every absent pair code: the reference for perturb_network."""
-    rng = simulate._stream(simulate._entropy(seed), simulate._STREAM_NOISE)
+    rng = simulate._stream(simulate.seed_entropy(seed), simulate._STREAM_NOISE)
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     kept = edges[rng.random(edges.shape[0]) < keep_prob]
     src0, dst0 = edges[:, 0] - 1, edges[:, 1] - 1
