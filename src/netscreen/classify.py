@@ -319,29 +319,20 @@ class MetricsReport:
 
     cmf: mean count of true features kept. imf: mean count of false features
     kept. cp: per true-feature fraction of runs keeping it, keyed by "j" or
-    "j&k". acc/auc summarize a classifier when one was evaluated.
+    "j&k".
     """
 
     cmf: float
     imf: float
     cp: dict[str, float]
     n_reps: int
-    acc: float | None = None
-    auc: float | None = None
 
     def to_dict(self) -> dict:
-        out = {"cmf": self.cmf, "imf": self.imf, "cp": dict(self.cp),
-               "n_reps": self.n_reps}
-        if self.acc is not None:
-            out["acc"] = self.acc
-        if self.auc is not None:
-            out["auc"] = self.auc
-        return out
+        return {"cmf": self.cmf, "imf": self.imf, "cp": dict(self.cp),
+                "n_reps": self.n_reps}
 
 
-def screening_metrics(selections, s_true: FeatureSet,
-                      acc: float | None = None,
-                      auc: float | None = None) -> MetricsReport:
+def screening_metrics(selections, s_true: FeatureSet) -> MetricsReport:
     """Aggregate kept-feature quality across replications.
 
     selections: iterable of FeatureSet (a ScreeningResult's selected works).
@@ -358,4 +349,4 @@ def screening_metrics(selections, s_true: FeatureSet,
     cmf = sum(len(s & truth) for s in sets) / m
     imf = sum(len(s - truth) for s in sets) / m
     cp = {key: sum(key in s for s in sets) / m for key in keys}
-    return MetricsReport(cmf=cmf, imf=imf, cp=cp, n_reps=m, acc=acc, auc=auc)
+    return MetricsReport(cmf=cmf, imf=imf, cp=cp, n_reps=m)

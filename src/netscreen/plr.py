@@ -49,8 +49,7 @@ class PlrStat:
     """Statistic value, its two parts, and reference-distribution tails.
 
     lam == lam_self + lam_network, all normalized per node. p_self and
-    p_network are upper chi-square tails of the doubled totals; p_perm is
-    filled only when a permutation test was run.
+    p_network are upper chi-square tails of the doubled totals.
     """
 
     lam: float
@@ -60,7 +59,6 @@ class PlrStat:
     df_network: int
     p_self: float
     p_network: float
-    p_perm: float | None = None
 
 
 def chi2_tail(stat, df):
@@ -165,6 +163,18 @@ def column_blocks(dataset: NodeDataset, cols):
             yield k, part, column_codes(dataset, cols[part]) - 1
 
 
+def column_ids(dataset: NodeDataset, cols) -> np.ndarray:
+    """cols as an int64 array of 1-based column ids, refusing any id that is
+    not an integer in 1..p (a float or a bool would silently name another
+    column)."""
+    ids = np.asarray(cols)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValidationError("column ids must be integers")
+    if ids.size and (ids.min() < 1 or ids.max() > dataset.p):
+        raise ValidationError(f"column index outside 1..{dataset.p}")
+    return ids.astype(np.int64)
+
+
 def check_table_cells(dataset: NodeDataset, cols) -> None:
     """Refuse a column (1-based id) whose (R, R, K_j, K_j) tally tables
     would exceed TABLE_CELL_LIMIT cells, as one stray large code makes them.
@@ -192,10 +202,7 @@ def _column_totals(dataset: NodeDataset, cols, perms: int = 0,
     the column's own}) / (perms + 1).
     """
     entropy = seed_entropy(seed)
-    cols = np.asarray([int(j) for j in cols], dtype=np.int64)
-    bad = cols[(cols < 1) | (cols > dataset.p)]
-    if bad.size:
-        raise IndexError(f"column {int(bad[0])} outside 1..{dataset.p}")
+    cols = column_ids(dataset, cols)
     tables = dataset._network.tables()
     if tables[0].min() == 0:
         missing = int(np.argmin(tables[0])) + 1
@@ -236,19 +243,13 @@ def degrees_of_freedom(r: int, k: int) -> tuple[int, int]:
     return (r - 1) * (k - 1), r * r * (k * k - 1)
 
 
-def plr_statistic(dataset: NodeDataset, j: int, *, perms: int = 0,
-                  seed: int = 0) -> PlrStat:
+def plr_statistic(dataset: NodeDataset, j: int) -> PlrStat:
     """Statistic of column j (1-based) with chi-square tail probabilities.
 
-    perms > 0 additionally runs a label permutation test with that many
-    draws and fills p_perm. Raises DegeneracyError when a declared response
-    level has no nodes.
+    Raises DegeneracyError when a declared response level has no nodes.
     """
     dataset = validate(dataset)
-    if perms < 0:
-        raise ValidationError("perms must be nonnegative")
-    totals, tails = _column_totals(dataset, [j], perms, seed)
-    s_tot, n_tot = totals[:, 0].tolist()
+    s_tot, n_tot = _column_totals(dataset, [j])[0][:, 0].tolist()
     df_self, df_net = degrees_of_freedom(dataset.r_levels,
                                          int(dataset.k_levels[j - 1]))
     return PlrStat(
@@ -259,7 +260,6 @@ def plr_statistic(dataset: NodeDataset, j: int, *, perms: int = 0,
         df_network=df_net,
         p_self=chi2_tail(2.0 * s_tot, df_self),
         p_network=chi2_tail(2.0 * n_tot, df_net),
-        p_perm=float(tails[0]) if perms else None,
     )
 
 

@@ -24,15 +24,16 @@ tail probability is at most alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .counts import tally_marginals
-from .dataset import FeatureSet, NodeDataset, pair_width, seal, validate
+from .dataset import (FeatureSet, NodeDataset, pair_width, seal,
+                      seed_entropy, validate)
 from .errors import ValidationError
-from .plr import (batch_statistics, chi2_tail, column_blocks,
+from .plr import (batch_statistics, chi2_tail, column_blocks, column_ids,
                   degrees_of_freedom, permutation_pvalue)
 
 DEGENERATE_TOL = 1e-8   # top score below this means nothing separates
@@ -48,7 +49,7 @@ class ScreeningResult:
     "j&k" key of each screened column). ranking holds screened column ids,
     best first; selected is the leading d_hat of them as a FeatureSet.
     c_star_hat sits between the last kept and the first dropped score when
-    those differ. stage1 counts the candidate pairs of an interaction screen.
+    those differ.
     """
 
     method: str
@@ -69,7 +70,6 @@ class ScreeningResult:
     df_network: np.ndarray | None = None
     p_value: np.ndarray | None = None
     p_perm: np.ndarray | None = None
-    stage1: dict | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         def arr(a, cast=float):
@@ -207,8 +207,6 @@ def _apply_cutoff(sorted_scores, p_sorted, cutoff, d, alpha, search_cap, n):
             raise ValidationError("hard cutoff must keep at least 1 feature")
         return min(want, sorted_scores.size), False, f"hard:{want}"
     if cutoff == "pvalue":
-        if p_sorted is None:
-            raise ValidationError("p-value cutoff needs tail probabilities")
         return (int(np.sum(p_sorted <= alpha)), False, f"pvalue:{alpha:g}")
     raise ValidationError(f"unknown cutoff {cutoff!r}")
 
@@ -274,12 +272,13 @@ def _asymptotic(dataset, cols, output):
 def _screen(method, statistic, dataset, *, cutoff, d, alpha, seed,
             interactions, top_m, search_cap, columns, perms=0):
     """Expand, score, rank and cut: the pipeline shared by every statistic."""
+    seed = seed_entropy((seed,))[0]  # one whole number >= 0, or refused
     dataset = validate(dataset)
     if interactions not in ("none", "top", "all"):
         raise ValidationError(f"unknown interactions mode {interactions!r}")
     if perms < 0:
         raise ValidationError("perms must be nonnegative")
-    stage1 = main_output = None
+    main_output = None
     if interactions != "none":
         if columns is not None:
             raise ValidationError(
@@ -300,19 +299,13 @@ def _screen(method, statistic, dataset, *, cutoff, d, alpha, seed,
                     mains)
             leaders = sorted(int(j) + 1 for j in order[:m])
             pairs = list(combinations(leaders, 2))
-        stage1 = {"pairs_screened": len(pairs)}
         dataset = interaction_expand(dataset, pairs)
 
     if columns is None:
         columns = range(1, dataset.p + 1)
-    cols = np.asarray(list(columns))
+    cols = column_ids(dataset, list(columns))
     if cols.size == 0:
         raise ValidationError("no columns to screen")
-    if cols.dtype.kind not in "iu":
-        raise ValidationError("column ids must be integers")
-    cols = cols.astype(np.int64)
-    if cols.min() < 1 or cols.max() > dataset.p:
-        raise ValidationError(f"column index outside 1..{dataset.p}")
     if np.unique(cols).size != cols.size:
         raise ValidationError("duplicate column ids")
     if main_output is None:
@@ -343,7 +336,7 @@ def _screen(method, statistic, dataset, *, cutoff, d, alpha, seed,
         cutoff=cut_desc,
         degenerate=degenerate,
         seed=seed,
-        p_value=p_asym, p_perm=p_perm, stage1=stage1, **fields)
+        p_value=p_asym, p_perm=p_perm, **fields)
 
 
 def plr_sis(dataset: NodeDataset, *, cutoff: str = "max_ratio",

@@ -51,8 +51,8 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 from scipy.special import expit
 
-from .dataset import (FeatureSet, NodeDataset, discretize, seed_entropy,
-                      validate)
+from .dataset import (CODE_MAX, FeatureSet, NodeDataset, discretize,
+                      seed_entropy, validate)
 from .errors import ValidationError
 
 _STREAM_RESPONSE = 1
@@ -163,7 +163,7 @@ class SimulationConfig:
                 value = d[f.name]
                 try:
                     kwargs[f.name] = convert.get(f.name, lambda v: v)(value)
-                except (TypeError, ValueError, AttributeError):
+                except (TypeError, ValueError, AttributeError, OverflowError):
                     raise ValidationError(
                         f"simulation config field {f.name!r} cannot be "
                         f"{value!r}") from None
@@ -189,10 +189,10 @@ def _recipe_width(recipe: dict, config: SimulationConfig) -> int:
         return 2
     if kind == "uniform":
         return int(recipe["k"])
-    if kind in ("cond_y", "cond_x"):
-        return len(recipe["table"][0])
-    if kind == "cond_yx":
-        return len(recipe["table"][0][0])
+    if kind in ("cond_y", "cond_yx", "cond_x"):
+        # the table's last axis holds the column's level probabilities
+        shape = np.asarray(recipe["table"], dtype=np.float64).shape
+        return shape[-1] if shape else 0
     if kind == "normal":
         return config.bins
     raise ValidationError(f"unknown column recipe kind {kind!r}")
@@ -200,7 +200,8 @@ def _recipe_width(recipe: dict, config: SimulationConfig) -> int:
 
 def _check_prob_rows(rows, what):
     arr = np.asarray(rows, dtype=np.float64)
-    if arr.min() < 0 or np.any(np.abs(arr.sum(axis=-1) - 1.0) > 1e-8):
+    # written to fail on NaN, which every comparison calls false
+    if not (arr.min() >= 0 and np.all(np.abs(arr.sum(axis=-1) - 1.0) <= 1e-8)):
         raise ValidationError(f"{what}: rows must be probability vectors")
     return arr
 
@@ -215,6 +216,10 @@ def check_config(config: SimulationConfig) -> None:
         raise ValidationError("need at least 2 response levels")
     if config.model == "nlr" and config.r_levels != 2:
         raise ValidationError("the logistic response model needs R = 2")
+    if not isinstance(config.response, dict):
+        raise ValidationError("the response must be an object")
+    if config.noise is not None and not isinstance(config.noise, dict):
+        raise ValidationError("noise must be an object")
     for j in config.columns:
         if not 1 <= j <= config.p:
             raise ValidationError(f"column recipe index {j} outside 1..{config.p}")
@@ -234,6 +239,9 @@ def check_config(config: SimulationConfig) -> None:
         width = _recipe_width(recipe, config)
         if width < 1:
             raise ValidationError(f"column {j} has no levels")
+        if width > CODE_MAX:
+            raise ValidationError(
+                f"column {j} has {width} levels, above {CODE_MAX}")
         if kind in ("cond_y", "cond_yx") and config.model == "nlr":
             raise ValidationError(
                 f"column {j} conditions on the response, which the "
@@ -271,9 +279,11 @@ def check_config(config: SimulationConfig) -> None:
     if config.model == "nlr":
         if config.response.get("kind") != "logistic":
             raise ValidationError("the nlr model needs a logistic response")
-        if not config.response.get("terms"):
+        terms = config.response.get("terms")
+        if not terms:
             raise ValidationError("the logistic response needs terms")
-        for cols, _ in config.response["terms"]:
+        _check_terms(terms)
+        for cols, _ in terms:
             for c in cols:
                 if not 1 <= int(c) <= config.p:
                     raise ValidationError(f"response term column {c} out of range")
@@ -290,7 +300,12 @@ def check_config(config: SimulationConfig) -> None:
             if not 1 <= int(c) <= config.p:
                 raise ValidationError(f"phi column {c} out of range")
     if config.noise is not None:
-        s = float(config.noise.get("s", 0))
+        s = config.noise.get("s", 0)
+        try:
+            s = float(s)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"noise exponent s must be a number, not {s!r}") from None
         if not 0 < s < 2:
             raise ValidationError("noise exponent s must be in (0, 2)")
         keep, add = noise_rates(config.n, s)
@@ -300,6 +315,19 @@ def check_config(config: SimulationConfig) -> None:
                 f" and add probability {add:.4g}; both must be in [0, 1]")
     if config.bins < 2:
         raise ValidationError("bins must be at least 2")
+
+
+def _check_terms(terms) -> None:
+    """Refuse logistic response terms that are not [column ids, number]
+    pairs, or whose ids are not whole numbers (int() would truncate)."""
+    try:
+        for cols, coef in terms:
+            float(coef)
+            if not all(int(c) == c for c in cols):
+                raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError("response terms must be [column ids, number] "
+                              f"pairs, not {terms!r}") from None
 
 
 def _stream(entropy: tuple, *tail) -> np.random.Generator:
@@ -419,15 +447,14 @@ def _draw_column(recipe, config, rng, y0, x):
         table = np.asarray(recipe["table"], dtype=np.float64)
         parent0 = x[:, int(recipe["parent"]) - 1].astype(np.int64) - 1
         return _sample_rows(rng, table, parent0), None
-    if kind == "normal":
-        mu = recipe["mu"]
-        if isinstance(mu, (list, tuple)):
-            raw = rng.normal(np.asarray(mu, dtype=np.float64)[y0],
-                             float(recipe["sigma"]))
-        else:
-            raw = rng.normal(float(mu), float(recipe["sigma"]), n)
-        return discretize(raw, config.bins, config.bin_scheme), raw
-    raise ValidationError(f"unknown column recipe kind {kind!r}")
+    # "normal", the one kind left once check_config has run
+    mu = recipe["mu"]
+    if isinstance(mu, (list, tuple)):
+        raw = rng.normal(np.asarray(mu, dtype=np.float64)[y0],
+                         float(recipe["sigma"]))
+    else:
+        raw = rng.normal(float(mu), float(recipe["sigma"]), n)
+    return discretize(raw, config.bins, config.bin_scheme), raw
 
 
 def _draw_columns(config: SimulationConfig, entropy: tuple, y0):

@@ -177,6 +177,8 @@ def test_simulate_from_config_file(tmp_path):
      "simulation config needs the field 'p'"),
     (lambda c: {**c, "n": "thirty"},
      "simulation config field 'n' cannot be 'thirty'"),
+    (lambda c: {**c, "n": float("inf")},
+     "simulation config field 'n' cannot be inf"),
     (lambda c: {**c, "default_column": {"kind": "bern"}},
      "column 5: a bern recipe needs 'p'"),
     (lambda c: {**c, "default_column": 5},
@@ -196,8 +198,37 @@ def test_simulate_from_config_file(tmp_path):
     (lambda c: {**c, "columns": {"3": {"kind": "cond_x", "parent": 1.5,
                                        "table": [[0.5, 0.5]] * 2}}},
      "column 3: parent must be a whole number, not 1.5"),
-], ids=["list", "no-name", "no-p", "word-n", "bern-without-p", "bare-recipe",
-        "word-p", "word-k", "word-table", "fractional-k", "fractional-parent"])
+    (lambda c: {**c, "columns": {"2": {"kind": "cond_y", "table": []}}},
+     "column 2 has no levels"),
+    (lambda c: {**c, "columns": {"2": {"kind": "cond_y",
+                                       "table": [0.5, 0.5]}}},
+     "column 2 table shape (2,) != (2, 2)"),
+    (lambda c: {**c, "columns": {"3": {"kind": "cond_yx", "parent": 1,
+                                       "table": [[0.5, 0.5]] * 2}}},
+     "column 3 table shape (2, 2) != (2, 2, 2)"),
+    (lambda c: {**c, "response": [1]}, "the response must be an object"),
+    (lambda c: {**c, "noise": [0.4]}, "noise must be an object"),
+    (lambda c: {**c, "noise": {"s": "x"}},
+     "noise exponent s must be a number, not 'x'"),
+    (lambda c: {**c, "model": "nlr", "columns": {},
+                "response": {"kind": "logistic", "terms": [[1, 2.0]]}},
+     "response terms must be [column ids, number] pairs, not [[1, 2.0]]"),
+    (lambda c: {**c, "model": "nlr", "columns": {},
+                "response": {"kind": "logistic", "terms": [[["a"], 2.0]]}},
+     "response terms must be [column ids, number] pairs, not "
+     "[[['a'], 2.0]]"),
+    (lambda c: {**c, "columns": {"2": {"kind": "uniform", "k": 1e30}}},
+     f"column 2 has {int(1e30)} levels, above 2147483647"),
+    (lambda c: {**c, "columns": {"2": {"kind": "uniform", "k": 3e9}}},
+     "column 2 has 3000000000 levels, above 2147483647"),
+    (lambda c: {**c, "columns": {"2": {"kind": "uniform", "k": 2 ** 31}}},
+     "column 2 has 2147483648 levels, above 2147483647"),
+], ids=["list", "no-name", "no-p", "word-n", "infinite-n", "bern-without-p",
+        "bare-recipe", "word-p", "word-k", "word-table", "fractional-k",
+        "fractional-parent", "empty-table", "flat-cond-y-table",
+        "flat-cond-yx-table", "list-response", "list-noise", "word-noise-s",
+        "bare-term", "word-term-column", "huge-k", "k-past-int32",
+        "k-at-2^31"])
 def test_simulate_rejects_malformed_config_files(tmp_path, capsys, edit,
                                                  message):
     cfg_path = tmp_path / "cfg.json"

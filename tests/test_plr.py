@@ -208,7 +208,7 @@ def test_batch_agrees_with_per_column():
     sub, _, _ = batch_statistics(ds, columns=[5, 2])
     assert sub[0] == lam[4] and sub[1] == lam[1]
 
-    with pytest.raises(IndexError):
+    with pytest.raises(ValidationError, match="outside 1..9"):
         batch_statistics(ds, columns=[0])
 
 
@@ -334,10 +334,11 @@ def test_permutation_pvalue_is_deterministic():
     p2 = permutation_pvalue(ds, [1, 2, 3], 40, seed=5)
     assert p1.tobytes() == p2.tobytes()
     # each column's tail is its own: alone, in another order, or through
-    # plr_statistic, it does not move
+    # plr_sis, it does not move
     for j in (1, 2, 3):
         assert permutation_pvalue(ds, [j], 40, seed=5)[0] == p1[j - 1]
-        assert plr_statistic(ds, j, perms=40, seed=5).p_perm == p1[j - 1]
+        assert plr_sis(ds, perms=40, seed=5, columns=[j], cutoff="hard",
+                       d=1).p_perm[0] == p1[j - 1]
     assert np.array_equal(permutation_pvalue(ds, [3, 1, 2], 40, seed=5),
                           p1[[2, 0, 1]])
     # a different seed reshuffles
@@ -350,8 +351,8 @@ def test_permutation_tails_frozen_values():
     """p_perm as the per-column draws gave it before the draws of all
     columns shared one walk."""
     y, x, edges, r, k = random_instance(np.random.default_rng(26), n_max=10)
-    stat = plr_statistic(as_dataset(y, x, edges, r, k), 1, perms=40, seed=5)
-    assert stat.p_perm == 12 / 41
+    tail = permutation_pvalue(as_dataset(y, x, edges, r, k), [1], 40, seed=5)
+    assert tail.tolist() == [12 / 41]
 
 
 def test_permutation_pvalue_independent_of_batching(monkeypatch):
@@ -382,7 +383,8 @@ def test_one_shared_table_build_per_call(monkeypatch):
 
     monkeypatch.setattr(counts, "tally_adjacency", counted)
     for call in (lambda ds: batch_statistics(ds),
-                 lambda ds: plr_statistic(ds, 2, perms=9),
+                 lambda ds: plr_statistic(ds, 2),
+                 lambda ds: permutation_pvalue(ds, [2], 9),
                  lambda ds: permutation_pvalue(ds, [1, 2, 3], 9),
                  lambda ds: plr_sis(ds, perms=9)):
         ds = mixed_instance(np.random.default_rng(26))
@@ -396,8 +398,8 @@ def test_one_shared_table_build_per_call(monkeypatch):
 def test_negative_perms_rejected():
     ds = four_node_dataset()
     with pytest.raises(ValidationError, match="perms must be nonnegative"):
-        plr_statistic(ds, 1, perms=-2)
-    assert plr_statistic(ds, 1, perms=0).p_perm is None
+        plr_sis(ds, perms=-2)
+    assert plr_sis(ds, perms=0, cutoff="hard", d=1).p_perm is None
     with pytest.raises(ValidationError, match="n_perms must be positive"):
         permutation_pvalue(ds, [1], 0)
 
@@ -406,12 +408,15 @@ def test_permutation_seeds_must_be_whole_and_nonnegative():
     ds, _ = generate(example_config(1, n=60, p=4), seed=2)
     for seed, named in ((2.5, "2.5"), (-1, "-1"), ((7, 1.9), "1.9")):
         with pytest.raises(ValidationError, match=f"number >= 0, not {named}$"):
-            plr_statistic(ds, 1, perms=3, seed=seed)
+            permutation_pvalue(ds, [1], 3, seed=seed)
     with pytest.raises(ValidationError, match="not -4"):
         permutation_pvalue(ds, [1, 2], 3, seed=-4)
     # a whole float keeps the stream of its int
-    assert plr_statistic(ds, 1, perms=9, seed=2.0).p_perm == \
-        plr_statistic(ds, 1, perms=9, seed=2).p_perm
+    assert np.array_equal(permutation_pvalue(ds, [1], 9, seed=2.0),
+                          permutation_pvalue(ds, [1], 9, seed=2))
+    assert np.array_equal(
+        plr_sis(ds, perms=9, seed=2.0, cutoff="hard", d=1).p_perm,
+        plr_sis(ds, perms=9, seed=2, cutoff="hard", d=1).p_perm)
     assert np.array_equal(permutation_pvalue(ds, [1, 3], 9, seed=(4.0, 1)),
                           permutation_pvalue(ds, [1, 3], 9, seed=(4, 1)))
 
@@ -427,12 +432,32 @@ def test_missing_response_level_raises():
 
 def test_column_index_bounds():
     ds = four_node_dataset()
-    with pytest.raises(IndexError):
+    with pytest.raises(ValidationError, match="outside 1..1"):
         plr_statistic(ds, 0)
-    with pytest.raises(IndexError):
+    with pytest.raises(ValidationError, match="outside 1..1"):
         plr_statistic(ds, 2)
     with pytest.raises(ValueError):
         permutation_pvalue(ds, [1], 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ds: batch_statistics(ds, [2.7]), "must be integers"),
+    (lambda ds: permutation_pvalue(ds, [True], 3), "must be integers"),
+    (lambda ds: plr_statistic(ds, 2.9), "must be integers"),
+    (lambda ds: batch_statistics(ds, [1, 5]), "outside 1..4"),
+    (lambda ds: permutation_pvalue(ds, [-1], 3), "outside 1..4"),
+], ids=["fraction", "bool", "scalar-fraction", "past-p", "negative"])
+def test_column_ids_are_checked_before_scoring(monkeypatch, call, message):
+    """A float or bool id would name another column once truncated; every
+    entry refuses it, and an id outside 1..p, before any block is scored."""
+    ds, _ = generate(example_config(1, n=60, p=4), seed=2)
+
+    def no_scoring(*args):
+        raise AssertionError("scored a column")
+
+    monkeypatch.setattr(plr, "_block_lambdas", no_scoring)
+    with pytest.raises(ValidationError, match=message):
+        call(ds)
 
 
 def test_null_calibration_at_three_response_levels():

@@ -381,9 +381,10 @@ def test_empty_column_list_is_rejected(screen):
 @pytest.mark.parametrize("columns, message", [
     ([1, 1], "duplicate column ids"),
     ([2.7], "column ids must be integers"),
+    ([True], "column ids must be integers"),
     ([0], "column index outside 1..3"),
     ([2, 4], "column index outside 1..3"),
-], ids=["duplicate", "non-integer", "zero", "past-p"])
+], ids=["duplicate", "non-integer", "bool", "zero", "past-p"])
 def test_malformed_column_ids_are_rejected(screen, columns, message):
     rng = np.random.default_rng(40)
     ds = random_wide(rng, n=30, p=3)
@@ -411,6 +412,34 @@ def test_negative_perms_rejected():
     ds = random_wide(np.random.default_rng(37), n=30, p=3)
     with pytest.raises(ValidationError, match="perms must be nonnegative"):
         plr_sis(ds, perms=-2)
+
+
+@pytest.mark.parametrize("screen, options, named", [
+    (plr_sis, {"seed": -1}, "-1"),
+    (pc_sis, {"seed": 2.5}, "2.5"),
+    (plr_sis, {"perms": 2, "seed": (4, 1)}, r"\(4, 1\)"),
+    (pc_sis, {"seed": "3"}, "'3'"),
+], ids=["negative", "fraction", "tuple", "string"])
+def test_screen_seed_is_one_whole_number(monkeypatch, screen, options,
+                                         named):
+    """The recorded seed is checked before anything is scored."""
+    ds = random_wide(np.random.default_rng(37), n=30, p=3)
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("scored a column")
+
+    monkeypatch.setattr(screening, "_plr_batch", no_scoring)
+    monkeypatch.setattr(screening, "_pearson_batch", no_scoring)
+    with pytest.raises(ValidationError, match=f"number >= 0, not {named}$"):
+        screen(ds, **options)
+
+
+def test_screen_records_a_whole_float_seed_as_its_int():
+    ds = random_wide(np.random.default_rng(37), n=30, p=3)
+    for screen in (plr_sis, pc_sis):
+        res = screen(ds, seed=2.0)
+        assert res.seed == 2 and isinstance(res.seed, int)
+        assert res.to_dict() == screen(ds, seed=2).to_dict()
 
 
 def test_mixed_widths_rank_by_tail_probability():
@@ -444,12 +473,12 @@ def test_interaction_screen_selects_true_composites():
 def test_interaction_modes_route_candidate_pairs():
     rng = np.random.default_rng(39)
     ds = random_wide(rng, n=40, p=5)
+    # 5 mains, then the candidate pairs: all 10, or the 3 of the top 3
     res = plr_sis(ds, interactions="all", cutoff="hard", d=3)
-    assert res.stage1 == {"pairs_screened": 10}
     assert len(res.feature_keys) == 15
     res = plr_sis(ds, interactions="top", top_m=3, cutoff="hard", d=3)
-    assert res.stage1 == {"pairs_screened": 3}
-    assert plr_sis(ds, cutoff="hard", d=3).stage1 is None
+    assert len(res.feature_keys) == 8
+    assert len(plr_sis(ds, cutoff="hard", d=3).feature_keys) == 5
     for screen in (plr_sis, pc_sis):
         with pytest.raises(ValidationError):
             screen(ds, interactions="both")
@@ -458,11 +487,10 @@ def test_interaction_modes_route_candidate_pairs():
         with pytest.raises(ValidationError):
             screen(ds, interactions="top", top_m=-1)
     res = pc_sis(ds, interactions="all", cutoff="hard", d=3)
-    assert res.stage1 == {"pairs_screened": 10}
     assert len(res.feature_keys) == 15
     res = pc_sis(ds, interactions="top", top_m=3, cutoff="hard", d=3)
-    assert res.stage1 == {"pairs_screened": 3}
     assert len(res.feature_keys) == 8
+    assert len(pc_sis(ds, cutoff="hard", d=3).feature_keys) == 5
     # stage 1 pairs up the leaders of each screen's own main-effect ranking
     for screen in (plr_sis, pc_sis):
         leaders = sorted(screen(ds, cutoff="hard", d=3).ranking[:3].tolist())

@@ -552,6 +552,66 @@ def test_check_config_rejects_structural_problems():
         check_config(plain_config(phi=((1, 0.1),) * 21))
 
 
+LOGISTIC = {"kind": "logistic", "terms": [[[1], 1.0]]}
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"columns": {2: {"kind": "poisson"}}},
+     "unknown column recipe kind 'poisson'"),
+    ({"r_levels": 1}, "need at least 2 response levels"),
+    ({"model": "nlr", "r_levels": 3, "response": LOGISTIC},
+     "the logistic response model needs R = 2"),
+    ({"columns": {2: {"kind": "uniform", "k": 0}}}, "column 2 has no levels"),
+    ({"columns": {2: {"kind": "uniform", "k": 2 ** 31}}},
+     "column 2 has 2147483648 levels, above 2147483647"),
+    ({"columns": {1: {"kind": "cond_y", "table": [[0.5, 0.5]] * 3}}},
+     r"column 1 table shape \(3, 2\) != \(2, 2\)"),
+    ({"columns": {1: {"kind": "cond_y",
+                      "table": [[float("nan")] * 2] * 2}}},
+     "column 1: rows must be probability vectors"),
+    ({"columns": {2: {"kind": "bern", "p": 1.5}}}, "column 2: p outside"),
+    ({"model": "nlr", "response": LOGISTIC,
+      "columns": {2: {"kind": "normal", "mu": [0.0, 1.0], "sigma": 1.0}}},
+     "column 2: per-response means need the nnb model"),
+    ({"columns": {2: {"kind": "normal", "mu": [0.0, 1.0, 2.0],
+                      "sigma": 1.0}}},
+     "column 2: need one mean per response level"),
+    ({"columns": {2: {"kind": "normal", "mu": 0.0, "sigma": 0.0}}},
+     "column 2: sigma must be positive"),
+    ({"model": "nlr"}, "the nlr model needs a logistic response"),
+    ({"model": "nlr", "response": {"kind": "logistic"}},
+     "the logistic response needs terms"),
+    ({"model": "nlr", "response": {"kind": "logistic", "terms": [[1, 2.0]]}},
+     r"response terms must be \[column ids, number\] pairs"),
+    ({"model": "nlr", "response": {"kind": "logistic",
+                                   "terms": [[[1.5], 2.0]]}},
+     r"response terms must be \[column ids, number\] pairs"),
+    ({"model": "nlr", "response": {"kind": "logistic",
+                                   "terms": [[[float("inf")], 2.0]]}},
+     r"response terms must be \[column ids, number\] pairs"),
+    ({"model": "nlr", "response": {"kind": "logistic",
+                                   "terms": [[[4], 2.0]]}},
+     "response term column 4 out of range"),
+    ({"model": "nlr", "response": LOGISTIC,
+      "columns": {1: {"kind": "uniform", "k": 3}}},
+     "response term column 1 must be 2-level"),
+    ({"response": LOGISTIC}, "the nnb model needs a uniform response"),
+    ({"response": [1]}, "the response must be an object"),
+    ({"noise": [0.4]}, "noise must be an object"),
+    ({"noise": {"s": None}}, "noise exponent s must be a number, not None"),
+    ({"bins": 1}, "bins must be at least 2"),
+], ids=["unknown-kind", "one-level", "nlr-three-levels", "no-levels",
+        "width-past-int32", "table-shape", "nan-table", "bern-p",
+        "nlr-mean-list", "mean-count", "sigma", "nlr-uniform-response",
+        "no-terms", "bare-term", "fractional-term-column",
+        "infinite-term-column", "term-column-range", "wide-term-column",
+        "nnb-logistic-response", "list-response", "list-noise",
+        "noise-s-none", "one-bin"])
+def test_check_config_refusals(overrides, message):
+    with pytest.raises(ValidationError, match=message):
+        check_config(plain_config(**overrides))
+
+
 def test_continuous_columns_are_binned_and_raw_is_kept():
     cfg = example_config(8, n=200, p=8)
     ds, extras = generate(cfg, seed=4)

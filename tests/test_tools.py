@@ -1,0 +1,44 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def test_quartile_range_interpolates_like_numpy():
+    # numpy.percentile([1, 2, 3, 4, 10], [25, 75]) is [2, 4]
+    assert bench_pairs.quartile_range([10, 1, 3, 2, 4]) == 2.0
+    # [1.75, 3.25] for four values
+    assert bench_pairs.quartile_range([4, 3, 2, 1]) == 1.5
+    assert bench_pairs.quartile_range([7.0]) == 0.0
+
+
+def test_pair_summary_on_canned_runs():
+    parent = [{"ops_per_s": v, "setup_s": s} for v, s in
+              ((10.0, 0.30), (11.0, 0.25), (12.0, 0.32), (9.0, 0.28),
+               (10.5, 0.35))]
+    change = [{"ops_per_s": v, "setup_s": s} for v, s in
+              ((13.0, 0.29), (10.0, 0.26), (14.0, 0.31), (12.0, 0.28),
+               (15.0, 0.30))]
+    rows = bench_pairs.summarize(parent, change, [("ops_per_s", "higher"),
+                                                  ("setup_s", "lower")])
+    ops, setup = rows
+    # ops: parent sorted 9, 10, 10.5, 11, 12 -> median 10.5, IQR 11 - 10
+    assert (ops["parent_median"], ops["change_median"]) == (10.5, 13.0)
+    assert ops["parent_iqr"] == 1.0
+    assert (ops["wins"], ops["pairs"]) == (4, 5)  # pair 2 went 11 -> 10
+    assert not ops["unresolved"]  # gap 2.5 > IQR 1
+    # setup: lower is better; the tie at 0.28 is no win
+    assert setup["parent_median"] == 0.30 and setup["change_median"] == 0.29
+    assert setup["parent_iqr"] == pytest.approx(0.32 - 0.28)
+    assert setup["wins"] == 3
+    assert setup["unresolved"]  # gap 0.01 <= IQR 0.04
+    table = bench_pairs.format_rows(rows).splitlines()
+    assert len(table) == 3
+    assert table[1].split()[:5] == ["ops_per_s", "10.5", "13", "1", "4/5"]
+    assert table[2].endswith("unresolved")
+    assert not table[1].endswith("unresolved")

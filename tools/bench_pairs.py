@@ -1,0 +1,141 @@
+"""Alternating, CPU-pinned parent/change pairs of one perfbench workload.
+
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seed S
+
+Checks out both revisions with ``git worktree add --detach`` under a
+temporary directory. Pair i runs ``perfbench/run.py --workload W --seed S+i
+--trace 0`` once in each checkout, for the run_seconds (20) of the change's
+BENCHMARK.json, the parent first in even pairs and the change first in odd
+ones. Every child is pinned to the highest CPU this process may use, since
+unpinned runs on a small VM switch between a fast and a slow mode. Then, for
+every end-to-end metric that BENCHMARK.json declares, it prints the parent
+and change medians, the parent's interquartile range, the pairs the change
+won, and "unresolved" when that range is at least the gap between the
+medians. The worktrees are removed at the end, also after a failure.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def quartile_range(values) -> float:
+    """Upper minus lower quartile (linear interpolation, as numpy's
+    default percentile); 0 for fewer than two values."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def summarize(parent_runs, change_runs, metrics) -> list[dict]:
+    """One row per (name, better) in metrics from paired runs.
+
+    parent_runs[i] and change_runs[i] map metric names to values for pair
+    i. The change wins a pair when its value is strictly better, lower or
+    higher as better says.
+    """
+    rows = []
+    for name, better in metrics:
+        parent = [run[name] for run in parent_runs]
+        change = [run[name] for run in change_runs]
+        sign = 1.0 if better == "lower" else -1.0
+        p_med, c_med = statistics.median(parent), statistics.median(change)
+        iqr = quartile_range(parent)
+        rows.append({
+            "metric": name, "better": better,
+            "parent_median": p_med, "change_median": c_med,
+            "parent_iqr": iqr,
+            "wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
+            "pairs": len(parent),
+            "unresolved": iqr >= abs(c_med - p_med),
+        })
+    return rows
+
+
+def format_rows(rows) -> str:
+    lines = [f"{'metric':<12} {'parent':>10} {'change':>10} "
+             f"{'parent IQR':>10} {'wins':>6}"]
+    for row in rows:
+        lines.append(
+            f"{row['metric']:<12} {row['parent_median']:>10.4g} "
+            f"{row['change_median']:>10.4g} {row['parent_iqr']:>10.4g} "
+            f"{row['wins']:>3}/{row['pairs']}"
+            + ("  unresolved" if row["unresolved"] else ""))
+    return "\n".join(lines)
+
+
+def run_side(checkout: Path, workload: str, seed: int, seconds: float,
+             cpu: int) -> dict:
+    """End-to-end metric values of one untraced run in checkout."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if proc.returncode == 0 and lines else {}
+    if not result.get("correct"):
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} failed "
+                           f"(exit {proc.returncode}):\n{proc.stderr}")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    if args.pairs < 1 or args.seed < 0:
+        parser.error("need --pairs >= 1 and --seed >= 0")
+    cpu = max(os.sched_getaffinity(0))
+
+    tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
+    sides = {"parent": tmp / "parent", "change": tmp / "change"}
+    try:
+        for side, path in sides.items():
+            subprocess.run(["git", "worktree", "add", "--quiet", "--detach",
+                            str(path), getattr(args, side)],
+                           cwd=ROOT, check=True)
+        spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
+        metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+        seconds = spec["run_seconds"]
+        runs = {"parent": [], "change": []}
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change",
+                                                             "parent")
+            for side in order:
+                runs[side].append(run_side(sides[side], args.workload,
+                                           args.seed + i, seconds, cpu))
+            print(f"pair {i + 1} seed {args.seed + i} ({order[0]} first): "
+                  + ", ".join(f"{name} {runs['parent'][i][name]:.4g}"
+                              f"->{runs['change'][i][name]:.4g}"
+                              for name, _ in metrics), flush=True)
+        print(f"\n{args.workload}, {args.pairs} pairs, seeds {args.seed}"
+              f"..{args.seed + args.pairs - 1}, CPU {cpu}, {seconds:g} s runs")
+        print(format_rows(summarize(runs["parent"], runs["change"],
+                                    metrics)))
+    finally:
+        for path in sides.values():
+            if path.exists():
+                subprocess.run(["git", "worktree", "remove", "--force",
+                                str(path)], cwd=ROOT)
+        subprocess.run(["git", "worktree", "prune"], cwd=ROOT)
+        shutil.rmtree(tmp, ignore_errors=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
