@@ -24,6 +24,7 @@ tail probability is at most alpha.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -202,9 +203,7 @@ def _apply_cutoff(sorted_scores, p_sorted, cutoff, d, alpha, search_cap, n):
         elif isinstance(d, str):
             want = hard_cutoff(n, d)
         else:
-            want = int(d)
-        if want < 1:
-            raise ValidationError("hard cutoff must keep at least 1 feature")
+            want = d
         return min(want, sorted_scores.size), False, f"hard:{want}"
     if cutoff == "pvalue":
         return (int(np.sum(p_sorted <= alpha)), False, f"pvalue:{alpha:g}")
@@ -273,6 +272,20 @@ def _screen(method, statistic, dataset, *, cutoff, d, alpha, seed,
             interactions, top_m, search_cap, columns, perms=0):
     """Expand, score, rank and cut: the pipeline shared by every statistic."""
     seed = seed_entropy((seed,))[0]  # one whole number >= 0, or refused
+    if not (isinstance(alpha, numbers.Real) and 0 < alpha <= 1):
+        raise ValidationError(f"alpha must be a number in (0, 1], not "
+                              f"{alpha!r}")
+    if isinstance(d, str):
+        if d not in ("n_over_log_n", "n_minus_1"):
+            raise ValidationError(f"unknown hard cutoff mode {d!r}")
+    elif d is not None:
+        d = _whole(d, "d")
+        if d < 1:
+            raise ValidationError("hard cutoff must keep at least 1 feature")
+    if top_m is not None:
+        top_m = _whole(top_m, "top_m")
+        if top_m < 0:
+            raise ValidationError("top_m must be nonnegative")
     dataset = validate(dataset)
     if interactions not in ("none", "top", "all"):
         raise ValidationError(f"unknown interactions mode {interactions!r}")
@@ -288,8 +301,6 @@ def _screen(method, statistic, dataset, *, cutoff, d, alpha, seed,
             pairs = list(combinations(range(1, mains + 1), 2))
         else:
             # stage 1: rank the stored main effects, pair up the leaders
-            if top_m is not None and top_m < 0:
-                raise ValidationError("top_m must be nonnegative")
             main_cols = np.arange(1, mains + 1)
             main_output = statistic(dataset, main_cols)
             raw, _, scores, _, _ = _asymptotic(dataset, main_cols,
@@ -337,6 +348,14 @@ def _screen(method, statistic, dataset, *, cutoff, d, alpha, seed,
         degenerate=degenerate,
         seed=seed,
         p_value=p_asym, p_perm=p_perm, **fields)
+
+
+def _whole(value, name: str) -> int:
+    """value as an int, refused unless it is a whole number (not a bool)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or value % 1):  # NaN and infinities leave a NaN remainder
+        raise ValidationError(f"{name} must be a whole number, not {value!r}")
+    return int(value)
 
 
 def plr_sis(dataset: NodeDataset, *, cutoff: str = "max_ratio",

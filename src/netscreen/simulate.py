@@ -29,9 +29,15 @@ Recipes (dicts, JSON-friendly):
                                              response r
   {"kind": "cond_yx", "parent": j, "table"}  table[r-1][parent level - 1]
   {"kind": "cond_x", "parent": j, "table"}   table[parent level - 1]
-  {"kind": "normal", "mu": m, "sigma": s}    continuous; mu may be a
-                                             per-response list (nnb only);
-                                             stored as quantile-binned codes
+  {"kind": "normal", "mu": m, "sigma": s}    continuous, stored as
+                                             quantile-binned codes; mu is a
+                                             number, or a flat list of R
+                                             numbers, one per response
+                                             level (nnb only)
+
+check_config parses each distinct recipe object once, at the first column
+that uses it, and returns the config in typed form (CheckedConfig); the
+samplers read only that.
 
 All randomness flows through named SeedSequence streams keyed by (seed,
 stream, column), so any column or the network can be regenerated alone and
@@ -46,6 +52,7 @@ drawing from them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -73,7 +80,8 @@ MAX_PHI_TERMS = 20  # the link table has 2^(terms + 1) entries
 RECIPE_FIELDS = {"bern": ("p",), "uniform": ("k",), "cond_y": ("table",),
                  "cond_yx": ("parent", "table"), "cond_x": ("parent", "table"),
                  "normal": ("mu", "sigma")}
-# the type each recipe value must convert to
+# the one conversion of each recipe value, shared by from_dict and
+# check_config
 RECIPE_VALUES = {"p": float, "k": int, "parent": int, "sigma": float,
                  "mu": lambda mu: np.asarray(mu, dtype=np.float64),
                  "table": lambda table: np.asarray(table, dtype=np.float64)}
@@ -108,11 +116,10 @@ class SimulationConfig:
         pairs = sorted(set(self.s_y.pairs) | set(self.s_a.pairs))
         return FeatureSet(tuple(mains), tuple(pairs))
 
-    def recipe(self, j: int) -> dict:
-        return self.columns.get(j, self.default_column)
-
     def column_width(self, j: int) -> int:
-        return _recipe_width(self.recipe(j), self)
+        if not 1 <= j <= self.p:
+            raise ValidationError(f"column {j} outside 1..{self.p}")
+        return int(check_config(self).widths[j - 1])
 
     def to_dict(self) -> dict:
         def key_str(key):
@@ -183,31 +190,26 @@ def _typed_recipe(recipe):
     return recipe
 
 
-def _recipe_width(recipe: dict, config: SimulationConfig) -> int:
-    kind = recipe.get("kind")
-    if kind == "bern":
-        return 2
-    if kind == "uniform":
-        return int(recipe["k"])
-    if kind in ("cond_y", "cond_yx", "cond_x"):
-        # the table's last axis holds the column's level probabilities
-        shape = np.asarray(recipe["table"], dtype=np.float64).shape
-        return shape[-1] if shape else 0
-    if kind == "normal":
-        return config.bins
-    raise ValidationError(f"unknown column recipe kind {kind!r}")
+@dataclass(frozen=True, eq=False)
+class CheckedConfig:
+    """check_config's parse of config: recipes[j - 1] is column j's (kind,
+    width, converted values), one tuple per recipe object; terms (logistic
+    response) and phi hold ((0-based column ids), float coefficient); noise
+    is (keep, add) or None."""
+
+    config: SimulationConfig
+    recipes: tuple
+    widths: np.ndarray
+    terms: tuple
+    phi: tuple
+    noise: tuple | None
 
 
-def _check_prob_rows(rows, what):
-    arr = np.asarray(rows, dtype=np.float64)
-    # written to fail on NaN, which every comparison calls false
-    if not (arr.min() >= 0 and np.all(np.abs(arr.sum(axis=-1) - 1.0) <= 1e-8)):
-        raise ValidationError(f"{what}: rows must be probability vectors")
-    return arr
-
-
-def check_config(config: SimulationConfig) -> None:
-    """Raise ValidationError on structural problems, before any sampling."""
+def check_config(config) -> CheckedConfig:
+    """config parsed for the samplers, or ValidationError on structural
+    problems; a CheckedConfig, which every sampler also takes, passes as is."""
+    if isinstance(config, CheckedConfig):
+        return config
     if config.model not in ("nnb", "nlr"):
         raise ValidationError(f"unknown model {config.model!r}")
     if config.n < 2 or config.p < 1:
@@ -223,82 +225,36 @@ def check_config(config: SimulationConfig) -> None:
     for j in config.columns:
         if not 1 <= j <= config.p:
             raise ValidationError(f"column recipe index {j} outside 1..{config.p}")
+    parsed, recipes = {}, []  # parsed: id(recipe) -> its parse
     for j in range(1, config.p + 1):
-        recipe = config.recipe(j)
-        if not isinstance(recipe, dict):
-            raise ValidationError(f"column {j}: a recipe must be an object")
-        kind = recipe.get("kind")
-        for key in RECIPE_FIELDS.get(kind, ()):
-            if key not in recipe:
-                raise ValidationError(
-                    f"column {j}: a {kind} recipe needs {key!r}")
-        for key in ("k", "parent"):  # int() would truncate a fraction
-            if key in recipe and float(recipe[key]) % 1:
-                raise ValidationError(f"column {j}: {key} must be a whole "
-                                      f"number, not {recipe[key]!r}")
-        width = _recipe_width(recipe, config)
-        if width < 1:
-            raise ValidationError(f"column {j} has no levels")
-        if width > CODE_MAX:
-            raise ValidationError(
-                f"column {j} has {width} levels, above {CODE_MAX}")
-        if kind in ("cond_y", "cond_yx") and config.model == "nlr":
-            raise ValidationError(
-                f"column {j} conditions on the response, which the "
-                "logistic model generates last")
-        if kind in ("cond_y", "cond_yx", "cond_x"):
-            # table rows are indexed by the response, the parent's level,
-            # or both, and hold the column's level probabilities
-            want = (config.r_levels,) if kind != "cond_x" else ()
-            if kind != "cond_y":
-                parent = int(recipe["parent"])
-                if not 1 <= parent < j:
-                    raise ValidationError(f"column {j} needs a parent with "
-                                          f"smaller index, got {parent}")
-                want += (config.column_width(parent),)
-            want += (width,)
-            table = np.asarray(recipe["table"], dtype=np.float64)
-            if table.shape != want:
-                raise ValidationError(
-                    f"column {j} table shape {table.shape} != {want}")
-            _check_prob_rows(table, f"column {j}")
-        elif kind == "bern":
-            if not 0.0 <= float(recipe["p"]) <= 1.0:
-                raise ValidationError(f"column {j}: p outside [0, 1]")
-        elif kind == "normal":
-            mu = recipe["mu"]
-            if isinstance(mu, (list, tuple)):
-                if config.model == "nlr":
-                    raise ValidationError(
-                        f"column {j}: per-response means need the nnb model")
-                if len(mu) != config.r_levels:
-                    raise ValidationError(
-                        f"column {j}: need one mean per response level")
-            if not float(recipe["sigma"]) > 0:
-                raise ValidationError(f"column {j}: sigma must be positive")
+        recipe = config.columns.get(j, config.default_column)
+        if id(recipe) not in parsed:
+            parsed[id(recipe)] = _parse_recipe(recipe, j, config, recipes)
+        recipes.append(parsed[id(recipe)])
+    widths = np.array([width for _, width, _ in recipes], dtype=np.int64)
+    terms = ()
     if config.model == "nlr":
         if config.response.get("kind") != "logistic":
             raise ValidationError("the nlr model needs a logistic response")
-        terms = config.response.get("terms")
-        if not terms:
+        if not config.response.get("terms"):
             raise ValidationError("the logistic response needs terms")
-        _check_terms(terms)
-        for cols, _ in terms:
-            for c in cols:
-                if not 1 <= int(c) <= config.p:
-                    raise ValidationError(f"response term column {c} out of range")
-                if config.column_width(int(c)) != 2:
-                    raise ValidationError(
-                        f"response term column {c} must be 2-level")
+        terms = _logistic_terms(config.response["terms"], widths)
     elif config.response.get("kind") != "uniform":
         raise ValidationError("the nnb model needs a uniform response")
     if len(config.phi) > MAX_PHI_TERMS:
         raise ValidationError(f"at most {MAX_PHI_TERMS} phi terms")
-    for key, _ in config.phi:
+    phi = []
+    for key, coef in config.phi:
         cols = key if isinstance(key, tuple) else (key,)
         for c in cols:
             if not 1 <= int(c) <= config.p:
                 raise ValidationError(f"phi column {c} out of range")
+        phi.append((tuple(int(c) - 1 for c in cols),
+                    _finite(coef, "a phi coefficient")))
+    _finite(config.gamma, "gamma")
+    for name in ("base_odds_same", "base_odds_diff"):
+        _finite(getattr(config, name), name, positive=True)
+    noise = None
     if config.noise is not None:
         s = config.noise.get("s", 0)
         try:
@@ -308,26 +264,113 @@ def check_config(config: SimulationConfig) -> None:
                 f"noise exponent s must be a number, not {s!r}") from None
         if not 0 < s < 2:
             raise ValidationError("noise exponent s must be in (0, 2)")
-        keep, add = noise_rates(config.n, s)
+        keep, add = noise = noise_rates(config.n, s)
         if not (0 <= keep <= 1 and 0 <= add <= 1):
             raise ValidationError(
                 f"noise s={s} at n={config.n} gives keep probability {keep:.4g}"
                 f" and add probability {add:.4g}; both must be in [0, 1]")
     if config.bins < 2:
         raise ValidationError("bins must be at least 2")
+    return CheckedConfig(config, tuple(recipes), widths, terms, tuple(phi),
+                         noise)
 
 
-def _check_terms(terms) -> None:
-    """Refuse logistic response terms that are not [column ids, number]
-    pairs, or whose ids are not whole numbers (int() would truncate)."""
-    try:
-        for cols, coef in terms:
-            float(coef)
-            if not all(int(c) == c for c in cols):
-                raise ValueError
+def _parse_recipe(recipe, j: int, config: SimulationConfig, earlier: list):
+    """(kind, width, converted values) of a recipe whose first column is j;
+    earlier holds the parses of columns 1..j-1."""
+    if not isinstance(recipe, dict):
+        raise ValidationError(f"column {j}: a recipe must be an object")
+    kind = recipe.get("kind")
+    if kind not in RECIPE_FIELDS:
+        raise ValidationError(f"unknown column recipe kind {kind!r}")
+    values = {}
+    for key in RECIPE_FIELDS[kind]:
+        if key not in recipe:
+            raise ValidationError(f"column {j}: a {kind} recipe needs {key!r}")
+        value = recipe[key]
+        try:  # int() would truncate a fraction
+            whole = key not in ("k", "parent") or float(value) % 1 == 0
+            values[key] = RECIPE_VALUES[key](value) if whole else None
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(
+                f"column {j}: {key} cannot be {value!r}") from None
+        if not whole:
+            raise ValidationError(
+                f"column {j}: {key} must be a whole number, not {value!r}")
+    width = {"bern": 2, "uniform": values.get("k"),
+             "normal": config.bins}.get(kind)
+    if width is None:  # a table's last axis holds the level probabilities
+        width = values["table"].shape[-1] if values["table"].ndim else 0
+    if width < 1:
+        raise ValidationError(f"column {j} has no levels")
+    if width > CODE_MAX:
+        raise ValidationError(f"column {j} has {width} levels, above {CODE_MAX}")
+    if kind in ("cond_y", "cond_yx") and config.model == "nlr":
+        raise ValidationError(
+            f"column {j} conditions on the response, which the "
+            "logistic model generates last")
+    if kind in ("cond_y", "cond_yx", "cond_x"):
+        # table rows are indexed by the response, the parent's level,
+        # or both, and hold the column's level probabilities
+        want = (config.r_levels,) if kind != "cond_x" else ()
+        if kind != "cond_y":
+            parent = values["parent"]
+            if not 1 <= parent < j:
+                raise ValidationError(f"column {j} needs a parent with "
+                                      f"smaller index, got {parent}")
+            want += (earlier[parent - 1][1],)
+        want, table = want + (width,), values["table"]
+        if table.shape != want:
+            raise ValidationError(
+                f"column {j} table shape {table.shape} != {want}")
+        # written to fail on NaN, which every comparison calls false
+        if not (table.min() >= 0
+                and np.all(np.abs(table.sum(axis=-1) - 1.0) <= 1e-8)):
+            raise ValidationError(
+                f"column {j}: rows must be probability vectors")
+    elif kind == "bern" and not 0.0 <= values["p"] <= 1.0:
+        raise ValidationError(f"column {j}: p outside [0, 1]")
+    elif kind == "normal":
+        mu = values["mu"]
+        if mu.ndim and config.model == "nlr":
+            raise ValidationError(
+                f"column {j}: per-response means need the nnb model")
+        if mu.ndim and mu.shape != (config.r_levels,):
+            raise ValidationError(
+                f"column {j}: need one mean per response level")
+        if not values["sigma"] > 0:
+            raise ValidationError(f"column {j}: sigma must be positive")
+    return kind, width, values
+
+
+def _finite(value, what: str, positive: bool = False) -> float:
+    """value as a float, refused unless it is a finite number (and
+    positive, if asked)."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+            and (value > 0 or not positive)):
+        raise ValidationError(f"{what} must be a finite "
+                              f"{'positive ' * positive}number, not {value!r}")
+    return float(value)
+
+
+def _logistic_terms(terms, widths: np.ndarray) -> tuple:
+    """Logistic response terms as ((0-based column ids), coefficient)."""
+    try:  # ids must be whole numbers, which int() would truncate
+        parsed = tuple((tuple(int(c) - 1 for c in cols), float(coef))
+                       for cols, coef in terms)
+        if not all(int(c) == c for cols, _ in terms for c in cols):
+            raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ValidationError("response terms must be [column ids, number] "
                               f"pairs, not {terms!r}") from None
+    for (cols, _), (ids, _) in zip(terms, parsed):
+        for c, i in zip(cols, ids):
+            if not 0 <= i < widths.size:
+                raise ValidationError(f"response term column {c} out of range")
+            if widths[i] != 2:
+                raise ValidationError(
+                    f"response term column {c} must be 2-level")
+    return parsed
 
 
 def _stream(entropy: tuple, *tail) -> np.random.Generator:
@@ -426,79 +469,76 @@ def _sample_rows(rng, probs: np.ndarray, row_index: np.ndarray) -> np.ndarray:
 
 
 def _draw_column(recipe, config, rng, y0, x):
-    """(codes 1..K, raw-or-None) for one column; x holds earlier columns."""
-    kind = recipe["kind"]
+    """(codes 1..K, raw-or-None) for one column from its parsed recipe; x
+    holds earlier columns."""
+    kind, _, v = recipe
     n = config.n
     if kind == "bern":
-        q = float(recipe["p"])
-        return (rng.random(n) < q).astype(np.int32) + 1, None
+        return (rng.random(n) < v["p"]).astype(np.int32) + 1, None
     if kind == "uniform":
-        return rng.integers(0, int(recipe["k"]), n).astype(np.int32) + 1, None
+        return rng.integers(0, v["k"], n).astype(np.int32) + 1, None
     if kind == "cond_y":
-        table = np.asarray(recipe["table"], dtype=np.float64)
-        return _sample_rows(rng, table, y0), None
+        return _sample_rows(rng, v["table"], y0), None
     if kind == "cond_yx":
-        table = np.asarray(recipe["table"], dtype=np.float64)
-        r, pw, width = table.shape
-        parent0 = x[:, int(recipe["parent"]) - 1].astype(np.int64) - 1
-        return _sample_rows(rng, table.reshape(r * pw, width),
+        r, pw, width = v["table"].shape
+        parent0 = x[:, v["parent"] - 1].astype(np.int64) - 1
+        return _sample_rows(rng, v["table"].reshape(r * pw, width),
                             y0 * pw + parent0), None
     if kind == "cond_x":
-        table = np.asarray(recipe["table"], dtype=np.float64)
-        parent0 = x[:, int(recipe["parent"]) - 1].astype(np.int64) - 1
-        return _sample_rows(rng, table, parent0), None
-    # "normal", the one kind left once check_config has run
-    mu = recipe["mu"]
-    if isinstance(mu, (list, tuple)):
-        raw = rng.normal(np.asarray(mu, dtype=np.float64)[y0],
-                         float(recipe["sigma"]))
-    else:
-        raw = rng.normal(float(mu), float(recipe["sigma"]), n)
+        parent0 = x[:, v["parent"] - 1].astype(np.int64) - 1
+        return _sample_rows(rng, v["table"], parent0), None
+    # "normal", the one kind left
+    mu = v["mu"]
+    raw = (rng.normal(mu[y0], v["sigma"]) if mu.ndim
+           else rng.normal(mu, v["sigma"], n))
     return discretize(raw, config.bins, config.bin_scheme), raw
 
 
-def _draw_columns(config: SimulationConfig, entropy: tuple, y0):
+def _draw_columns(checked: CheckedConfig, entropy: tuple, y0):
     """(x codes, raw columns) of every column, each from its own stream."""
+    config = checked.config
     x = np.empty((config.n, config.p), dtype=np.int32, order="F")
     raw = {}
     streams = _keyed_streams(entropy + (_STREAM_COLUMN,),
                              range(1, config.p + 1))
-    for j, rng in enumerate(streams, start=1):
-        codes, raw_j = _draw_column(config.recipe(j), config, rng, y0, x)
+    for j, (recipe, rng) in enumerate(zip(checked.recipes, streams), 1):
+        codes, raw_j = _draw_column(recipe, config, rng, y0, x)
         x[:, j - 1] = codes
         if raw_j is not None:
             raw[j] = raw_j
     return x, raw
 
 
-def gen_nnb(config: SimulationConfig, seed=None):
+def gen_nnb(config, seed=None):
     """Response-first sampler: (y, x codes, raw continuous columns)."""
-    check_config(config)
+    checked = check_config(config)
+    config = checked.config
     entropy = seed_entropy(config.seed if seed is None else seed)
     y0 = _stream(entropy, _STREAM_RESPONSE).integers(
         0, config.r_levels, config.n)
-    x, raw = _draw_columns(config, entropy, y0)
+    x, raw = _draw_columns(checked, entropy, y0)
     return (y0 + 1).astype(np.int32), x, raw
 
 
-def gen_nlr(config: SimulationConfig, seed=None):
+def gen_nlr(config, seed=None):
     """Feature-first sampler with a logistic 2-level response."""
-    check_config(config)
+    checked = check_config(config)
+    config = checked.config
     entropy = seed_entropy(config.seed if seed is None else seed)
     n = config.n
-    x, raw = _draw_columns(config, entropy, None)
+    x, raw = _draw_columns(checked, entropy, None)
     logits = np.zeros(n)
-    for cols, coef in config.response["terms"]:
+    for cols, coef in checked.terms:
         term = np.ones(n)
         for c in cols:
-            term = term * (x[:, int(c) - 1] - 1)
-        logits += float(coef) * term
+            term = term * (x[:, c] - 1)
+        logits += coef * term
     u = _stream(entropy, _STREAM_RESPONSE).random(n)
     y = (u < expit(logits)).astype(np.int32) + 1
     return y, x, raw
 
 
-def gen_network(y, x, config: SimulationConfig, seed=None) -> np.ndarray:
+def gen_network(y, x, config, seed=None) -> np.ndarray:
     """Directed edges (E, 2), 1-based, one Bernoulli draw per ordered pair.
 
     Each pair's agreement code (bit 0: same response, bit i: phi term i
@@ -511,6 +551,8 @@ def gen_network(y, x, config: SimulationConfig, seed=None) -> np.ndarray:
     the same float comparison on the same uniform as coding every pair, so
     neither the candidate step nor the chunk size changes the edges.
     """
+    checked = check_config(config)
+    config = checked.config
     entropy = seed_entropy(config.seed if seed is None else seed)
     rng = _stream(entropy, _STREAM_NETWORK)
     y = np.asarray(y)
@@ -518,16 +560,14 @@ def gen_network(y, x, config: SimulationConfig, seed=None) -> np.ndarray:
     decay = config.gamma * math.log(n)
     w_same = math.log(config.base_odds_same) - decay
     w_diff = math.log(config.base_odds_diff) - decay
-    terms = [[x[:, int(c) - 1] for c in (key if isinstance(key, tuple)
-                                         else (key,))]
-             for key, _ in config.phi]
+    terms = [[x[:, c] for c in cols] for cols, _ in checked.phi]
     table_codes = np.arange(2 << len(terms))
     # sum each code's logit term by term, in the order of the pairwise
     # formula, so every table entry is the float that formula gives
     logit = np.where((table_codes & 1) == 1, w_same, w_diff)
-    for i, (_, coef) in enumerate(config.phi):
+    for i, (_, coef) in enumerate(checked.phi):
         bit = ((table_codes >> (i + 1)) & 1).astype(bool)
-        logit = logit + float(coef) * bit
+        logit = logit + coef * bit
     prob = expit(logit)
     top = prob.max()
 
@@ -596,19 +636,18 @@ def generate(config: SimulationConfig, seed=None):
     extras carries "raw" (dict of continuous columns before binning) and
     "true_features". seed overrides config.seed; a tuple seed opens a
     distinct stream family, which the replication harness uses. The
-    sampler (gen_nnb or gen_nlr) checks the config before any draw.
+    config is checked once, before any draw.
     """
+    checked = check_config(config)
+    config = checked.config
     seed = config.seed if seed is None else seed
-    y, x, raw = (gen_nnb if config.model == "nnb" else gen_nlr)(config, seed)
+    y, x, raw = (gen_nnb if config.model == "nnb" else gen_nlr)(checked, seed)
     entropy = seed_entropy(seed)
-    edges = gen_network(y, x, config, entropy)
-    if config.noise is not None:
-        keep, add = noise_rates(config.n, float(config.noise["s"]))
-        edges = perturb_network(edges, config.n, keep, add, entropy)
-    widths = np.asarray([config.column_width(j)
-                         for j in range(1, config.p + 1)], dtype=np.int64)
+    edges = gen_network(y, x, checked, entropy)
+    if checked.noise is not None:
+        edges = perturb_network(edges, config.n, *checked.noise, entropy)
     dataset = validate(NodeDataset(y, x, edges, r_levels=config.r_levels,
-                                   k_levels=widths))
+                                   k_levels=checked.widths))
     return dataset, {"raw": raw, "true_features": config.true_features()}
 
 

@@ -125,6 +125,10 @@ def test_cutoff_arguments(tmp_path, capsys):
                  "--reps", "1", "--cutoff", "pvalue:abc",
                  "--out", str(tmp_path / "e")]) == 3
     capsys.readouterr()
+    for bad in ("pvalue:nan", "pvalue:0", "pvalue:1.5", "hard:0"):
+        assert main(["screen", *data, "--cutoff", bad]) == 3
+    assert "alpha must be a number in (0, 1], not nan" in \
+        capsys.readouterr().err.splitlines()[0]
 
 
 def test_screen_rejects_negative_perms(tmp_path, capsys):
@@ -223,12 +227,24 @@ def test_simulate_from_config_file(tmp_path):
      "column 2 has 3000000000 levels, above 2147483647"),
     (lambda c: {**c, "columns": {"2": {"kind": "uniform", "k": 2 ** 31}}},
      "column 2 has 2147483648 levels, above 2147483647"),
+    (lambda c: {**c, "default_column": {"kind": "normal", "sigma": 1.0,
+                                        "mu": [[0.0, 1.0], [0.0, 1.0]]}},
+     "column 5: need one mean per response level"),
+    (lambda c: {**c, "base_odds_same": 0},
+     "base_odds_same must be a finite positive number, not 0.0"),
+    (lambda c: {**c, "base_odds_diff": -1},
+     "base_odds_diff must be a finite positive number, not -1.0"),
+    (lambda c: {**c, "gamma": float("nan")},
+     "gamma must be a finite number, not nan"),
+    (lambda c: {**c, "phi": [["3", float("nan")], ["4", 0.4]]},
+     "a phi coefficient must be a finite number, not nan"),
 ], ids=["list", "no-name", "no-p", "word-n", "infinite-n", "bern-without-p",
         "bare-recipe", "word-p", "word-k", "word-table", "fractional-k",
         "fractional-parent", "empty-table", "flat-cond-y-table",
         "flat-cond-yx-table", "list-response", "list-noise", "word-noise-s",
         "bare-term", "word-term-column", "huge-k", "k-past-int32",
-        "k-at-2^31"])
+        "k-at-2^31", "nested-mean-rows", "zero-base-odds",
+        "negative-base-odds", "nan-gamma", "nan-phi-coefficient"])
 def test_simulate_rejects_malformed_config_files(tmp_path, capsys, edit,
                                                  message):
     cfg_path = tmp_path / "cfg.json"

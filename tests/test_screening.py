@@ -434,6 +434,60 @@ def test_screen_seed_is_one_whole_number(monkeypatch, screen, options,
         screen(ds, **options)
 
 
+@pytest.mark.parametrize("screen, options, message", [
+    (plr_sis, {"cutoff": "pvalue", "alpha": float("nan")}, "alpha .*nan"),
+    (pc_sis, {"alpha": 0}, "alpha .*0"),
+    (plr_sis, {"alpha": 1.5}, "alpha .*1.5"),
+    (pc_sis, {"alpha": "0.1"}, "alpha .*'0.1'"),
+    (plr_sis, {"cutoff": "hard", "d": 2.5},
+     "d must be a whole number, not 2.5"),
+    (pc_sis, {"cutoff": "hard", "d": True},
+     "d must be a whole number, not True"),
+    (plr_sis, {"cutoff": "hard", "d": float("inf")},
+     "d must be a whole number, not inf"),
+    (pc_sis, {"cutoff": "hard", "d": 0},
+     "hard cutoff must keep at least 1 feature"),
+    (plr_sis, {"cutoff": "hard", "d": "n_plus_1"},
+     "unknown hard cutoff mode 'n_plus_1'"),
+    (plr_sis, {"interactions": "top", "top_m": 1.5},
+     "top_m must be a whole number, not 1.5"),
+    (pc_sis, {"interactions": "top", "top_m": True},
+     "top_m must be a whole number, not True"),
+    (plr_sis, {"interactions": "top", "top_m": float("nan")},
+     "top_m must be a whole number, not nan"),
+    (pc_sis, {"interactions": "top", "top_m": -1},
+     "top_m must be nonnegative"),
+], ids=["nan-alpha", "zero-alpha", "alpha-above-1", "word-alpha",
+        "fractional-d", "bool-d", "infinite-d", "zero-d", "unknown-d-mode",
+        "fractional-top-m", "bool-top-m", "nan-top-m", "negative-top-m"])
+def test_screen_options_are_checked_before_scoring(monkeypatch, screen,
+                                                   options, message):
+    ds = random_wide(np.random.default_rng(37), n=30, p=3)
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("scored a column")
+
+    monkeypatch.setattr(screening, "_plr_batch", no_scoring)
+    monkeypatch.setattr(screening, "_pearson_batch", no_scoring)
+    with pytest.raises(ValidationError, match=message):
+        screen(ds, **options)
+
+
+def test_whole_float_screen_options_keep_their_results():
+    ds = random_wide(np.random.default_rng(38), n=40, p=5)
+    for screen in (plr_sis, pc_sis):
+        for whole, as_int in (({"cutoff": "hard", "d": 2.0},
+                               {"cutoff": "hard", "d": 2}),
+                              ({"interactions": "top", "top_m": 3.0},
+                               {"interactions": "top", "top_m": 3}),
+                              ({"cutoff": "hard", "d": np.int64(3)},
+                               {"cutoff": "hard", "d": 3})):
+            assert screen(ds, **whole).to_dict() == \
+                screen(ds, **as_int).to_dict()
+        res = screen(ds, cutoff="pvalue", alpha=1)
+        assert res.d_hat == 5 and res.cutoff == "pvalue:1"
+
+
 def test_screen_records_a_whole_float_seed_as_its_int():
     ds = random_wide(np.random.default_rng(37), n=30, p=3)
     for screen in (plr_sis, pc_sis):

@@ -86,11 +86,12 @@ def test_keyed_streams_refuse_keys_beyond_one_word():
 
 def per_column_reference(config, entropy, y0):
     """_draw_columns with one SeedSequence stream per column."""
+    recipes = check_config(config).recipes
     x = np.empty((config.n, config.p), dtype=np.int32, order="F")
     raw = {}
     for j in range(1, config.p + 1):
         rng = simulate._stream(entropy, simulate._STREAM_COLUMN, j)
-        codes, raw_j = simulate._draw_column(config.recipe(j), config, rng,
+        codes, raw_j = simulate._draw_column(recipes[j - 1], config, rng,
                                              y0, x)
         x[:, j - 1] = codes
         if raw_j is not None:
@@ -112,10 +113,18 @@ EVERY_RECIPE = plain_config(
              6: {"kind": "cond_y", "table": [[0.9, 0.1], [0.5, 0.5],
                                              [0.1, 0.9]]},
              7: {"kind": "bern", "p": 0.3}})
+# columns 3..8 share one cond_x recipe whose parent is an explicit column
+DEFAULT_COND_X = plain_config(
+    n=80, p=8, columns={1: {"kind": "uniform", "k": 3},
+                        2: {"kind": "bern", "p": 0.4}},
+    default_column={"kind": "cond_x", "parent": 1,
+                    "table": [[0.1, 0.2, 0.7], [0.5, 0.5, 0.0],
+                              [0.3, 0.3, 0.4]]})
 DRAW_CASES = {f"ex{ex}-{model}": example_config(ex, n=70, p=12, model=model)
               for ex in range(1, 10) for model in ("nnb", "nlr")
               if (model == "nlr") == (ex == 9) or ex <= 3}
 DRAW_CASES["every-recipe"] = EVERY_RECIPE
+DRAW_CASES["default-cond-x"] = DEFAULT_COND_X
 
 
 @pytest.mark.parametrize("seed", [(7, 0), (2**33 + 5, 3)], ids=str)
@@ -125,13 +134,73 @@ def test_draw_columns_match_per_column_streams(cfg, seed):
     if cfg.model == "nnb":
         y0 = simulate._stream(seed, simulate._STREAM_RESPONSE).integers(
             0, cfg.r_levels, cfg.n)
-    x, raw = simulate._draw_columns(cfg, seed, y0)
+    x, raw = simulate._draw_columns(check_config(cfg), seed, y0)
     want_x, want_raw = per_column_reference(cfg, seed, y0)
     assert np.array_equal(x, want_x)
     assert x.flags.f_contiguous
     assert raw.keys() == want_raw.keys()
     for j in raw:
         assert np.array_equal(raw[j], want_raw[j])
+
+
+def test_default_cond_x_recipe_generates():
+    ds, _ = generate(DEFAULT_COND_X, seed=3)
+    assert ds.k_levels.tolist() == [3, 2, 3, 3, 3, 3, 3, 3]
+    # parent level 2 never draws level 3
+    assert not np.any((ds.x[:, 0] == 2)[:, None] & (ds.x[:, 2:] == 3))
+
+
+@pytest.mark.parametrize("parent", [3, 4, 8])
+def test_default_cond_x_parent_at_or_after_first_default_is_refused(parent):
+    cfg = plain_config(p=8, columns={1: {"kind": "bern", "p": 0.5},
+                                     2: {"kind": "bern", "p": 0.5}},
+                       default_column={"kind": "cond_x", "parent": parent,
+                                       "table": [[0.5, 0.5]] * 2})
+    with pytest.raises(ValidationError,
+                       match=f"^column 3 needs a parent with smaller index, "
+                             f"got {parent}$"):
+        check_config(cfg)
+
+
+def test_each_recipe_object_is_parsed_once(monkeypatch):
+    calls = []
+    parse = simulate._parse_recipe
+
+    def counted(recipe, j, *args):
+        calls.append(j)
+        return parse(recipe, j, *args)
+
+    monkeypatch.setattr(simulate, "_parse_recipe", counted)
+    cfg = example_config(1, n=50, p=1000)
+    checked = check_config(cfg)
+    # four explicit recipes, then the default at its first column
+    assert calls == [1, 2, 3, 4, 5]
+    assert all(checked.recipes[j] is checked.recipes[4]
+               for j in range(5, 1000))
+    assert checked.widths.tolist() == [2] * 1000
+    calls.clear()
+    shared = {"kind": "uniform", "k": 3}
+    check_config(plain_config(p=6, columns={2: shared, 5: shared},
+                              default_column=shared))
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("ex, model", [(3, "nnb"), (5, "nnb"), (8, "nnb"),
+                                       (3, "nlr"), (9, "nlr")])
+def test_samplers_read_only_the_checked_config(ex, model):
+    """generate on a CheckedConfig whose config lost every recipe, term,
+    phi key and noise field draws the dataset of the full config."""
+    from dataclasses import replace
+
+    cfg = example_config(ex, n=60, p=8, model=model, seed=4)
+    checked = check_config(cfg)
+    bare = replace(checked, config=replace(
+        cfg, columns=None, default_column=None, response=None, phi=None,
+        noise=None))
+    want, _ = generate(cfg)
+    got, _ = generate(bare)
+    for name in ("y", "x", "edges", "k_levels"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 # ----------------------------------------------------------- seed values
@@ -469,6 +538,9 @@ def test_example_configs_cover_designed_scenarios():
     ex6 = example_config(6, n=100, p=10)
     assert ex6.column_width(1) == 4
     assert ex6.column_width(9) == 4
+    for j in (0, -1, ex6.p + 1):  # not an index into the widths
+        with pytest.raises(ValidationError, match=f"column {j} outside"):
+            ex6.column_width(j)
 
     ex7 = example_config(7, n=100, p=10)
     assert ex7.r_levels == 4
@@ -600,13 +672,32 @@ LOGISTIC = {"kind": "logistic", "terms": [[[1], 1.0]]}
     ({"noise": [0.4]}, "noise must be an object"),
     ({"noise": {"s": None}}, "noise exponent s must be a number, not None"),
     ({"bins": 1}, "bins must be at least 2"),
+    ({"columns": {2: {"kind": "normal", "mu": [[0.0, 1.0]] * 2,
+                      "sigma": 1.0}}},
+     "column 2: need one mean per response level"),
+    ({"columns": {2: {"kind": "bern", "p": "abc"}}},
+     "column 2: p cannot be 'abc'"),
+    ({"columns": {2: {"kind": "uniform", "k": None}}},
+     "column 2: k cannot be None"),
+    ({"columns": {2: {"kind": "normal", "mu": "a", "sigma": 1.0}}},
+     "column 2: mu cannot be 'a'"),
+    ({"base_odds_same": 0}, "base_odds_same must be a finite positive "
+                            "number, not 0$"),
+    ({"base_odds_diff": -1}, "base_odds_diff must be a finite positive "
+                             "number, not -1$"),
+    ({"gamma": float("nan")}, "gamma must be a finite number, not nan"),
+    ({"gamma": "0.5"}, "gamma must be a finite number, not '0.5'"),
+    ({"phi": ((1, float("nan")),)},
+     "a phi coefficient must be a finite number, not nan"),
 ], ids=["unknown-kind", "one-level", "nlr-three-levels", "no-levels",
         "width-past-int32", "table-shape", "nan-table", "bern-p",
         "nlr-mean-list", "mean-count", "sigma", "nlr-uniform-response",
         "no-terms", "bare-term", "fractional-term-column",
         "infinite-term-column", "term-column-range", "wide-term-column",
         "nnb-logistic-response", "list-response", "list-noise",
-        "noise-s-none", "one-bin"])
+        "noise-s-none", "one-bin", "nested-mean-rows", "word-p", "none-k",
+        "word-mu", "zero-base-odds", "negative-base-odds", "nan-gamma",
+        "word-gamma", "nan-phi-coefficient"])
 def test_check_config_refusals(overrides, message):
     with pytest.raises(ValidationError, match=message):
         check_config(plain_config(**overrides))

@@ -18,27 +18,41 @@ def test_quartile_range_interpolates_like_numpy():
 
 
 def test_pair_summary_on_canned_runs():
-    parent = [{"ops_per_s": v, "setup_s": s} for v, s in
-              ((10.0, 0.30), (11.0, 0.25), (12.0, 0.32), (9.0, 0.28),
-               (10.5, 0.35))]
-    change = [{"ops_per_s": v, "setup_s": s} for v, s in
-              ((13.0, 0.29), (10.0, 0.26), (14.0, 0.31), (12.0, 0.28),
-               (15.0, 0.30))]
-    rows = bench_pairs.summarize(parent, change, [("ops_per_s", "higher"),
-                                                  ("setup_s", "lower")])
-    ops, setup = rows
+    parent = [{"ops_per_s": v, "setup_s": s, "op_p50_ms": t,
+               "peak_rss_mb": 100.0} for v, s, t in
+              ((10.0, 0.30, 50.0), (11.0, 0.25, 52.0), (12.0, 0.32, 48.0),
+               (9.0, 0.28, 51.0), (10.5, 0.35, 49.0))]
+    change = [{"ops_per_s": v, "setup_s": s, "op_p50_ms": t,
+               "peak_rss_mb": m} for v, s, t, m in
+              ((13.0, 0.29, 61.0, 111.0), (10.0, 0.26, 62.0, 110.5),
+               (14.0, 0.31, 60.0, 111.5), (12.0, 0.28, 63.0, 111.0),
+               (15.0, 0.30, 64.0, 112.0))]
+    rows = bench_pairs.summarize(parent, change, [
+        ("ops_per_s", "higher", 0.25), ("setup_s", "lower", 0.25),
+        ("op_p50_ms", "lower", 0.25), ("peak_rss_mb", "lower", 0.1)])
+    ops, setup, p50, rss = rows
     # ops: parent sorted 9, 10, 10.5, 11, 12 -> median 10.5, IQR 11 - 10
     assert (ops["parent_median"], ops["change_median"]) == (10.5, 13.0)
     assert ops["parent_iqr"] == 1.0
     assert (ops["wins"], ops["pairs"]) == (4, 5)  # pair 2 went 11 -> 10
     assert not ops["unresolved"]  # gap 2.5 > IQR 1
+    assert not ops["beyond_bound"]  # better, not worse
     # setup: lower is better; the tie at 0.28 is no win
     assert setup["parent_median"] == 0.30 and setup["change_median"] == 0.29
     assert setup["parent_iqr"] == pytest.approx(0.32 - 0.28)
     assert setup["wins"] == 3
     assert setup["unresolved"]  # gap 0.01 <= IQR 0.04
+    assert not setup["beyond_bound"]
+    # p50 50 -> 62 is 24% worse, inside its 25% bound
+    assert (p50["parent_median"], p50["change_median"]) == (50.0, 62.0)
+    assert p50["wins"] == 0 and not p50["unresolved"]
+    assert not p50["beyond_bound"]
+    # peak 100 -> 111 is 11% worse, beyond its 10% bound
+    assert rss["change_median"] == 111.0 and rss["beyond_bound"]
     table = bench_pairs.format_rows(rows).splitlines()
-    assert len(table) == 3
+    assert len(table) == 5
     assert table[1].split()[:5] == ["ops_per_s", "10.5", "13", "1", "4/5"]
     assert table[2].endswith("unresolved")
     assert not table[1].endswith("unresolved")
+    assert table[3].split()[-1] == "0/5"
+    assert table[4].endswith("0/5  beyond bound")

@@ -10,8 +10,11 @@ ones. Every child is pinned to the highest CPU this process may use, since
 unpinned runs on a small VM switch between a fast and a slow mode. Then, for
 every end-to-end metric that BENCHMARK.json declares, it prints the parent
 and change medians, the parent's interquartile range, the pairs the change
-won, and "unresolved" when that range is at least the gap between the
-medians. The worktrees are removed at the end, also after a failure.
+won, "unresolved" when that range is at least the gap between the
+medians, and "beyond bound" when the change's median is worse than the
+parent's by more than the metric's bound, a fraction of the parent's median
+(the benchmark's no-regression rule). The worktrees are removed at the end,
+also after a failure.
 """
 
 from __future__ import annotations
@@ -39,14 +42,16 @@ def quartile_range(values) -> float:
 
 
 def summarize(parent_runs, change_runs, metrics) -> list[dict]:
-    """One row per (name, better) in metrics from paired runs.
+    """One row per (name, better, bound) in metrics from paired runs.
 
     parent_runs[i] and change_runs[i] map metric names to values for pair
     i. The change wins a pair when its value is strictly better, lower or
-    higher as better says.
+    higher as better says. A row is beyond its bound when the change's
+    median is worse than the parent's by more than bound times the
+    parent's median.
     """
     rows = []
-    for name, better in metrics:
+    for name, better, bound in metrics:
         parent = [run[name] for run in parent_runs]
         change = [run[name] for run in change_runs]
         sign = 1.0 if better == "lower" else -1.0
@@ -59,6 +64,7 @@ def summarize(parent_runs, change_runs, metrics) -> list[dict]:
             "wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change)),
             "pairs": len(parent),
             "unresolved": iqr >= abs(c_med - p_med),
+            "beyond_bound": sign * (c_med - p_med) > bound * abs(p_med),
         })
     return rows
 
@@ -71,7 +77,8 @@ def format_rows(rows) -> str:
             f"{row['metric']:<12} {row['parent_median']:>10.4g} "
             f"{row['change_median']:>10.4g} {row['parent_iqr']:>10.4g} "
             f"{row['wins']:>3}/{row['pairs']}"
-            + ("  unresolved" if row["unresolved"] else ""))
+            + ("  unresolved" if row["unresolved"] else "")
+            + ("  beyond bound" if row["beyond_bound"] else ""))
     return "\n".join(lines)
 
 
@@ -110,7 +117,8 @@ def main(argv=None) -> int:
                             str(path), getattr(args, side)],
                            cwd=ROOT, check=True)
         spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
-        metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+        metrics = [(m["name"], m["better"], m["bound"])
+                   for m in spec["end_to_end"]]
         seconds = spec["run_seconds"]
         runs = {"parent": [], "change": []}
         for i in range(args.pairs):
@@ -122,7 +130,7 @@ def main(argv=None) -> int:
             print(f"pair {i + 1} seed {args.seed + i} ({order[0]} first): "
                   + ", ".join(f"{name} {runs['parent'][i][name]:.4g}"
                               f"->{runs['change'][i][name]:.4g}"
-                              for name, _ in metrics), flush=True)
+                              for name, _, _ in metrics), flush=True)
         print(f"\n{args.workload}, {args.pairs} pairs, seeds {args.seed}"
               f"..{args.seed + args.pairs - 1}, CPU {cpu}, {seconds:g} s runs")
         print(format_rows(summarize(runs["parent"], runs["change"],
