@@ -7,6 +7,7 @@ use 0-based views where that makes the array math direct.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,8 +104,7 @@ class NodeDataset:
         self.feature_names = (
             tuple(feature_names) if feature_names is not None else None)
         self.r_levels = r_levels
-        self.k_levels = (
-            np.asarray(k_levels, dtype=np.int64) if k_levels is not None else None)
+        self.k_levels = k_levels  # validate makes it an int64 array
         self.composite_pairs = dict(composite_pairs or {})
         self._validated = False
 
@@ -150,7 +150,8 @@ def validate(dataset: NodeDataset) -> NodeDataset:
             f"response label {int(y[bad - 1])} at node {bad} outside 1..R")
     y = y.astype(np.int32)
     r_obs = int(y.max())
-    r_levels = dataset.r_levels if dataset.r_levels is not None else r_obs
+    r_levels = (whole(dataset.r_levels, "r_levels")
+                if dataset.r_levels is not None else r_obs)
     if r_levels < r_obs:
         raise ValidationError(
             f"declared level count R={r_levels} below observed maximum {r_obs}")
@@ -162,9 +163,9 @@ def validate(dataset: NodeDataset) -> NodeDataset:
         raise ValidationError("feature matrix must be n x s")
     s = x.shape[1]  # stored columns
     if not np.issubdtype(x.dtype, np.integer):
-        whole = np.isfinite(x) & (x == np.floor(x))
-        if not whole.all():
-            j = int(np.argmin(whole.all(axis=0))) + 1
+        integral = np.isfinite(x) & (x == np.floor(x))
+        if not integral.all():
+            j = int(np.argmin(integral.all(axis=0))) + 1
             raise ValidationError(
                 f"feature labels must be integers in column {j}")
     col_min = x.min(axis=0) if s else np.empty(0, np.int32)
@@ -179,7 +180,12 @@ def validate(dataset: NodeDataset) -> NodeDataset:
     x = np.asfortranarray(x, dtype=np.int32)
     p = s + len(dataset.composite_pairs)
     if dataset.k_levels is not None:
-        k_levels = np.asarray(dataset.k_levels, dtype=np.int64)
+        k_levels = np.asarray(dataset.k_levels)
+        if k_levels.dtype.kind not in "iu":  # bools, fractions, words
+            k_levels = np.reshape([whole(k, "a k_levels entry")
+                                   for k in k_levels.ravel().tolist()],
+                                  k_levels.shape)
+        k_levels = k_levels.astype(np.int64, copy=False)
         if k_levels.shape != (p,):
             raise ValidationError("k_levels length must equal column count")
         if s and np.any(k_levels[:s] < col_max):
@@ -328,21 +334,21 @@ def discretize(values, k: int, scheme: str = "normal_quantile") -> np.ndarray:
     return (np.searchsorted(edges, v, side="left") + 1).astype(np.int32)
 
 
-def seed_entropy(seed) -> tuple[int, ...]:
-    """The values of an int or tuple seed as a tuple of ints.
+def whole(value, name: str, low: int | None = None) -> int:
+    """value as an int, refused unless it is a whole number, not a bool,
+    and at least low when low is given. A whole float such as 3.0 gives 3;
+    int() would truncate a fraction without a word."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or value % 1  # NaN and infinities leave a NaN remainder
+            or (low is not None and value < low)):
+        bound = "" if low is None else f" >= {low}"
+        raise ValidationError(
+            f"{name} must be a whole number{bound}, not {value!r}")
+    return int(value)
 
-    Every value must be a whole number >= 0: int() would truncate a fraction
-    to another seed's stream, and SeedSequence refuses a negative word. A
-    whole float such as 2.0 gives the stream of 2.
-    """
-    out = []
-    for value in seed if isinstance(seed, tuple) else (seed,):
-        try:
-            whole = int(value)
-        except (TypeError, ValueError, OverflowError):
-            whole = None
-        if whole is None or whole != value or whole < 0:
-            raise ValidationError(
-                f"a seed must be a whole number >= 0, not {value!r}")
-        out.append(whole)
-    return tuple(out)
+
+def seed_entropy(seed) -> tuple[int, ...]:
+    """The values of an int or tuple seed as a tuple of ints, each a whole
+    number >= 0 (:func:`whole`): SeedSequence refuses a negative word."""
+    return tuple(whole(value, "a seed", low=0)
+                 for value in (seed if isinstance(seed, tuple) else (seed,)))

@@ -32,7 +32,7 @@ import numpy as np
 
 from .counts import tally_marginals
 from .dataset import (FeatureSet, NodeDataset, pair_width, seal,
-                      seed_entropy, validate)
+                      seed_entropy, validate, whole)
 from .errors import ValidationError
 from .plr import (batch_statistics, chi2_tail, column_blocks, column_ids,
                   degrees_of_freedom, permutation_pvalue)
@@ -279,11 +279,11 @@ def _screen(method, statistic, dataset, *, cutoff, d, alpha, seed,
         if d not in ("n_over_log_n", "n_minus_1"):
             raise ValidationError(f"unknown hard cutoff mode {d!r}")
     elif d is not None:
-        d = _whole(d, "d")
+        d = whole(d, "d")
         if d < 1:
             raise ValidationError("hard cutoff must keep at least 1 feature")
     if top_m is not None:
-        top_m = _whole(top_m, "top_m")
+        top_m = whole(top_m, "top_m")
         if top_m < 0:
             raise ValidationError("top_m must be nonnegative")
     dataset = validate(dataset)
@@ -348,14 +348,6 @@ def _screen(method, statistic, dataset, *, cutoff, d, alpha, seed,
         degenerate=degenerate,
         seed=seed,
         p_value=p_asym, p_perm=p_perm, **fields)
-
-
-def _whole(value, name: str) -> int:
-    """value as an int, refused unless it is a whole number (not a bool)."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or value % 1):  # NaN and infinities leave a NaN remainder
-        raise ValidationError(f"{name} must be a whole number, not {value!r}")
-    return int(value)
 
 
 def plr_sis(dataset: NodeDataset, *, cutoff: str = "max_ratio",

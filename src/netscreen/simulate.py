@@ -35,9 +35,9 @@ Recipes (dicts, JSON-friendly):
                                              numbers, one per response
                                              level (nnb only)
 
-check_config parses each distinct recipe object once, at the first column
-that uses it, and returns the config in typed form (CheckedConfig); the
-samplers read only that.
+A SimulationConfig checks itself when it is made. It parses each distinct
+recipe object once, at the first column that uses it, and keeps the parse
+beside its fields. The samplers read only that parse.
 
 All randomness flows through named SeedSequence streams keyed by (seed,
 stream, column), so any column or the network can be regenerated alone and
@@ -59,7 +59,7 @@ import numpy as np
 from scipy.special import expit
 
 from .dataset import (CODE_MAX, FeatureSet, NodeDataset, discretize,
-                      seed_entropy, validate)
+                      seed_entropy, validate, whole)
 from .errors import ValidationError
 
 _STREAM_RESPONSE = 1
@@ -80,16 +80,27 @@ MAX_PHI_TERMS = 20  # the link table has 2^(terms + 1) entries
 RECIPE_FIELDS = {"bern": ("p",), "uniform": ("k",), "cond_y": ("table",),
                  "cond_yx": ("parent", "table"), "cond_x": ("parent", "table"),
                  "normal": ("mu", "sigma")}
-# the one conversion of each recipe value, shared by from_dict and
-# check_config
-RECIPE_VALUES = {"p": float, "k": int, "parent": int, "sigma": float,
+# the conversion of each recipe value but the whole numbers k and parent
+RECIPE_VALUES = {"p": float, "sigma": float,
                  "mu": lambda mu: np.asarray(mu, dtype=np.float64),
                  "table": lambda table: np.asarray(table, dtype=np.float64)}
 
 
 @dataclass(frozen=True, eq=False)
 class SimulationConfig:
-    """Complete description of one synthetic setting."""
+    """Complete description of one synthetic setting, checked when made.
+
+    A made config holds ints in n, p, r_levels, bins and seed, and floats in
+    gamma and the base odds. Its parse sits in the fields after seed:
+    recipes[j - 1] is column j's (kind, width, converted values), one tuple
+    per recipe object; widths holds every column's level count; terms (the
+    logistic response) and phi_terms hold ((0-based column ids), float
+    coefficient); noise_rates is (keep, add) or None. The samplers read only
+    these. Recipe values stay as given, so to_dict echoes them.
+
+    Editing a made config's dicts in place is not seen by the parse; use
+    dataclasses.replace to change a config, which checks it again.
+    """
 
     name: str
     model: str
@@ -110,21 +121,96 @@ class SimulationConfig:
     bins: int = 4
     bin_scheme: str = "normal_quantile"
     seed: int = 0
+    recipes: tuple = field(init=False, repr=False)
+    widths: np.ndarray = field(init=False, repr=False)
+    terms: tuple = field(init=False, repr=False)
+    phi_terms: tuple = field(init=False, repr=False)
+    noise_rates: tuple | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        """Check every field and store the parse, or raise ValidationError
+        naming what is wrong."""
+        def put(**values):
+            for name, value in values.items():
+                object.__setattr__(self, name, value)
+
+        put(n=whole(self.n, "n"), p=whole(self.p, "p"),
+            r_levels=whole(self.r_levels, "r_levels"),
+            bins=whole(self.bins, "bins"), seed=seed_entropy((self.seed,))[0])
+        if self.model not in ("nnb", "nlr"):
+            raise ValidationError(f"unknown model {self.model!r}")
+        if self.n < 2 or self.p < 1:
+            raise ValidationError("need n >= 2 nodes and p >= 1 columns")
+        if self.r_levels < 2:
+            raise ValidationError("need at least 2 response levels")
+        if self.model == "nlr" and self.r_levels != 2:
+            raise ValidationError("the logistic response model needs R = 2")
+        if not isinstance(self.response, dict):
+            raise ValidationError("the response must be an object")
+        if self.noise is not None and not isinstance(self.noise, dict):
+            raise ValidationError("noise must be an object")
+        for j in self.columns:
+            if not 1 <= whole(j, "a column recipe index") <= self.p:
+                raise ValidationError(
+                    f"column recipe index {j} outside 1..{self.p}")
+        parsed, recipes = {}, []  # parsed: id(recipe) -> its parse
+        for j in range(1, self.p + 1):
+            recipe = self.columns.get(j, self.default_column)
+            if id(recipe) not in parsed:
+                parsed[id(recipe)] = _parse_recipe(recipe, j, self, recipes)
+            recipes.append(parsed[id(recipe)])
+        widths = np.array([width for _, width, _ in recipes], dtype=np.int64)
+        widths.flags.writeable = False
+        terms = ()
+        if self.model == "nlr":
+            if self.response.get("kind") != "logistic":
+                raise ValidationError("the nlr model needs a logistic response")
+            if not self.response.get("terms"):
+                raise ValidationError("the logistic response needs terms")
+            terms = _logistic_terms(self.response["terms"], widths)
+        elif self.response.get("kind") != "uniform":
+            raise ValidationError("the nnb model needs a uniform response")
+        if len(self.phi) > MAX_PHI_TERMS:
+            raise ValidationError(f"at most {MAX_PHI_TERMS} phi terms")
+        phi_terms = []
+        for key, coef in self.phi:
+            cols = [whole(c, "a phi column")
+                    for c in (key if isinstance(key, tuple) else (key,))]
+            for c in cols:
+                if not 1 <= c <= self.p:
+                    raise ValidationError(f"phi column {c} out of range")
+            phi_terms.append((tuple(c - 1 for c in cols),
+                              _finite(coef, "a phi coefficient")))
+        put(gamma=_finite(self.gamma, "gamma"),
+            **{name: _finite(getattr(self, name), name, positive=True)
+               for name in ("base_odds_same", "base_odds_diff")})
+        noise = None
+        if self.noise is not None:
+            s = self.noise.get("s", 0)
+            try:
+                s = float(s)
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"noise exponent s must be a number, not {s!r}") from None
+            if not 0 < s < 2:
+                raise ValidationError("noise exponent s must be in (0, 2)")
+            keep, add = noise = noise_rates(self.n, s)
+            if not (0 <= keep <= 1 and 0 <= add <= 1):
+                raise ValidationError(
+                    f"noise s={s} at n={self.n} gives keep probability "
+                    f"{keep:.4g} and add probability {add:.4g}; both must be "
+                    "in [0, 1]")
+        if self.bins < 2:
+            raise ValidationError("bins must be at least 2")
+        put(recipes=tuple(recipes), widths=widths, terms=terms,
+            phi_terms=tuple(phi_terms), noise_rates=noise)
 
     def true_features(self) -> FeatureSet:
         mains = sorted(set(self.s_y.mains) | set(self.s_a.mains))
         pairs = sorted(set(self.s_y.pairs) | set(self.s_a.pairs))
         return FeatureSet(tuple(mains), tuple(pairs))
 
-    def column_width(self, j: int) -> int:
-        if not 1 <= j <= self.p:
-            raise ValidationError(f"column {j} outside 1..{self.p}")
-        return int(check_config(self).widths[j - 1])
-
     def to_dict(self) -> dict:
-        def key_str(key):
-            return f"{key[0]}&{key[1]}" if isinstance(key, tuple) else str(key)
-
         return {
             "name": self.name, "model": self.model,
             "n": self.n, "p": self.p, "r_levels": self.r_levels,
@@ -132,7 +218,8 @@ class SimulationConfig:
             "default_column": self.default_column,
             "response": self.response,
             "s_y": list(self.s_y.keys()), "s_a": list(self.s_a.keys()),
-            "phi": [[key_str(k), float(c)] for k, c in self.phi],
+            "phi": [["&".join(str(c + 1) for c in cols), coef]
+                    for cols, coef in self.phi_terms],
             "gamma": self.gamma,
             "base_odds_same": self.base_odds_same,
             "base_odds_diff": self.base_odds_diff,
@@ -143,34 +230,33 @@ class SimulationConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "SimulationConfig":
         """The config of a to_dict-shaped mapping; an absent optional field
-        takes its dataclass default."""
+        takes its dataclass default. Only JSON's shapes are converted here:
+        string column ids and phi keys ("j" or "j&k") to ints, and key lists
+        to FeatureSets. The values are checked as the config is made."""
         if not isinstance(d, dict):
             raise ValidationError("a simulation config must be a JSON object")
 
-        def key_of(s):
-            if isinstance(s, str) and "&" in s:
-                a, b = s.split("&")
-                return (int(a), int(b))
-            return int(s)
+        def key_of(s):  # a number is left to the checks
+            if not isinstance(s, str):
+                return s
+            ids = tuple(int(c) for c in s.split("&"))
+            return ids if len(ids) > 1 else ids[0]
 
         convert = {
-            "n": int, "p": int, "r_levels": int, "gamma": float,
-            "base_odds_same": float, "base_odds_diff": float, "bins": int,
-            "seed": lambda v: seed_entropy((v,))[0],  # one whole number
             "s_y": FeatureSet.from_keys,
             "s_a": FeatureSet.from_keys,
-            "default_column": _typed_recipe,
-            "columns": lambda c: {int(j): _typed_recipe(r)
-                                  for j, r in c.items()},
-            "phi": lambda phi: tuple((key_of(k), float(c)) for k, c in phi),
+            "columns": lambda c: {int(j): r for j, r in c.items()},
+            "phi": lambda phi: tuple((key_of(k), c) for k, c in phi),
         }
         kwargs = {}
         for f in fields(cls):
+            if not f.init:  # the parse, made with the config
+                continue
             if f.name in d:
                 value = d[f.name]
                 try:
                     kwargs[f.name] = convert.get(f.name, lambda v: v)(value)
-                except (TypeError, ValueError, AttributeError, OverflowError):
+                except (TypeError, ValueError, AttributeError):
                     raise ValidationError(
                         f"simulation config field {f.name!r} cannot be "
                         f"{value!r}") from None
@@ -178,101 +264,6 @@ class SimulationConfig:
                 raise ValidationError(
                     f"simulation config needs the field {f.name!r}")
         return cls(**kwargs)
-
-
-def _typed_recipe(recipe):
-    """recipe as given, once each value in it converts to its type
-    (RECIPE_VALUES); a recipe that is no object, or lacks a value, is left
-    for :func:`check_config` to name."""
-    if isinstance(recipe, dict):
-        for key in RECIPE_VALUES.keys() & recipe.keys():
-            RECIPE_VALUES[key](recipe[key])
-    return recipe
-
-
-@dataclass(frozen=True, eq=False)
-class CheckedConfig:
-    """check_config's parse of config: recipes[j - 1] is column j's (kind,
-    width, converted values), one tuple per recipe object; terms (logistic
-    response) and phi hold ((0-based column ids), float coefficient); noise
-    is (keep, add) or None."""
-
-    config: SimulationConfig
-    recipes: tuple
-    widths: np.ndarray
-    terms: tuple
-    phi: tuple
-    noise: tuple | None
-
-
-def check_config(config) -> CheckedConfig:
-    """config parsed for the samplers, or ValidationError on structural
-    problems; a CheckedConfig, which every sampler also takes, passes as is."""
-    if isinstance(config, CheckedConfig):
-        return config
-    if config.model not in ("nnb", "nlr"):
-        raise ValidationError(f"unknown model {config.model!r}")
-    if config.n < 2 or config.p < 1:
-        raise ValidationError("need n >= 2 nodes and p >= 1 columns")
-    if config.r_levels < 2:
-        raise ValidationError("need at least 2 response levels")
-    if config.model == "nlr" and config.r_levels != 2:
-        raise ValidationError("the logistic response model needs R = 2")
-    if not isinstance(config.response, dict):
-        raise ValidationError("the response must be an object")
-    if config.noise is not None and not isinstance(config.noise, dict):
-        raise ValidationError("noise must be an object")
-    for j in config.columns:
-        if not 1 <= j <= config.p:
-            raise ValidationError(f"column recipe index {j} outside 1..{config.p}")
-    parsed, recipes = {}, []  # parsed: id(recipe) -> its parse
-    for j in range(1, config.p + 1):
-        recipe = config.columns.get(j, config.default_column)
-        if id(recipe) not in parsed:
-            parsed[id(recipe)] = _parse_recipe(recipe, j, config, recipes)
-        recipes.append(parsed[id(recipe)])
-    widths = np.array([width for _, width, _ in recipes], dtype=np.int64)
-    terms = ()
-    if config.model == "nlr":
-        if config.response.get("kind") != "logistic":
-            raise ValidationError("the nlr model needs a logistic response")
-        if not config.response.get("terms"):
-            raise ValidationError("the logistic response needs terms")
-        terms = _logistic_terms(config.response["terms"], widths)
-    elif config.response.get("kind") != "uniform":
-        raise ValidationError("the nnb model needs a uniform response")
-    if len(config.phi) > MAX_PHI_TERMS:
-        raise ValidationError(f"at most {MAX_PHI_TERMS} phi terms")
-    phi = []
-    for key, coef in config.phi:
-        cols = key if isinstance(key, tuple) else (key,)
-        for c in cols:
-            if not 1 <= int(c) <= config.p:
-                raise ValidationError(f"phi column {c} out of range")
-        phi.append((tuple(int(c) - 1 for c in cols),
-                    _finite(coef, "a phi coefficient")))
-    _finite(config.gamma, "gamma")
-    for name in ("base_odds_same", "base_odds_diff"):
-        _finite(getattr(config, name), name, positive=True)
-    noise = None
-    if config.noise is not None:
-        s = config.noise.get("s", 0)
-        try:
-            s = float(s)
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"noise exponent s must be a number, not {s!r}") from None
-        if not 0 < s < 2:
-            raise ValidationError("noise exponent s must be in (0, 2)")
-        keep, add = noise = noise_rates(config.n, s)
-        if not (0 <= keep <= 1 and 0 <= add <= 1):
-            raise ValidationError(
-                f"noise s={s} at n={config.n} gives keep probability {keep:.4g}"
-                f" and add probability {add:.4g}; both must be in [0, 1]")
-    if config.bins < 2:
-        raise ValidationError("bins must be at least 2")
-    return CheckedConfig(config, tuple(recipes), widths, terms, tuple(phi),
-                         noise)
 
 
 def _parse_recipe(recipe, j: int, config: SimulationConfig, earlier: list):
@@ -288,15 +279,14 @@ def _parse_recipe(recipe, j: int, config: SimulationConfig, earlier: list):
         if key not in recipe:
             raise ValidationError(f"column {j}: a {kind} recipe needs {key!r}")
         value = recipe[key]
-        try:  # int() would truncate a fraction
-            whole = key not in ("k", "parent") or float(value) % 1 == 0
-            values[key] = RECIPE_VALUES[key](value) if whole else None
+        if key not in RECIPE_VALUES:  # k or parent
+            values[key] = whole(value, f"column {j}: {key}")
+            continue
+        try:
+            values[key] = RECIPE_VALUES[key](value)
         except (TypeError, ValueError, OverflowError):
             raise ValidationError(
                 f"column {j}: {key} cannot be {value!r}") from None
-        if not whole:
-            raise ValidationError(
-                f"column {j}: {key} must be a whole number, not {value!r}")
     width = {"bern": 2, "uniform": values.get("k"),
              "normal": config.bins}.get(kind)
     if width is None:  # a table's last axis holds the level probabilities
@@ -355,12 +345,10 @@ def _finite(value, what: str, positive: bool = False) -> float:
 
 def _logistic_terms(terms, widths: np.ndarray) -> tuple:
     """Logistic response terms as ((0-based column ids), coefficient)."""
-    try:  # ids must be whole numbers, which int() would truncate
-        parsed = tuple((tuple(int(c) - 1 for c in cols), float(coef))
-                       for cols, coef in terms)
-        if not all(int(c) == c for cols, _ in terms for c in cols):
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):
+    try:  # whole()'s ValidationError is a ValueError
+        parsed = tuple((tuple(whole(c, "a term column") - 1 for c in cols),
+                        float(coef)) for cols, coef in terms)
+    except (TypeError, ValueError):
         raise ValidationError("response terms must be [column ids, number] "
                               f"pairs, not {terms!r}") from None
     for (cols, _), (ids, _) in zip(terms, parsed):
@@ -494,14 +482,13 @@ def _draw_column(recipe, config, rng, y0, x):
     return discretize(raw, config.bins, config.bin_scheme), raw
 
 
-def _draw_columns(checked: CheckedConfig, entropy: tuple, y0):
+def _draw_columns(config: SimulationConfig, entropy: tuple, y0):
     """(x codes, raw columns) of every column, each from its own stream."""
-    config = checked.config
     x = np.empty((config.n, config.p), dtype=np.int32, order="F")
     raw = {}
     streams = _keyed_streams(entropy + (_STREAM_COLUMN,),
                              range(1, config.p + 1))
-    for j, (recipe, rng) in enumerate(zip(checked.recipes, streams), 1):
+    for j, (recipe, rng) in enumerate(zip(config.recipes, streams), 1):
         codes, raw_j = _draw_column(recipe, config, rng, y0, x)
         x[:, j - 1] = codes
         if raw_j is not None:
@@ -509,26 +496,22 @@ def _draw_columns(checked: CheckedConfig, entropy: tuple, y0):
     return x, raw
 
 
-def gen_nnb(config, seed=None):
+def gen_nnb(config: SimulationConfig, seed=None):
     """Response-first sampler: (y, x codes, raw continuous columns)."""
-    checked = check_config(config)
-    config = checked.config
     entropy = seed_entropy(config.seed if seed is None else seed)
     y0 = _stream(entropy, _STREAM_RESPONSE).integers(
         0, config.r_levels, config.n)
-    x, raw = _draw_columns(checked, entropy, y0)
+    x, raw = _draw_columns(config, entropy, y0)
     return (y0 + 1).astype(np.int32), x, raw
 
 
-def gen_nlr(config, seed=None):
+def gen_nlr(config: SimulationConfig, seed=None):
     """Feature-first sampler with a logistic 2-level response."""
-    checked = check_config(config)
-    config = checked.config
     entropy = seed_entropy(config.seed if seed is None else seed)
     n = config.n
-    x, raw = _draw_columns(checked, entropy, None)
+    x, raw = _draw_columns(config, entropy, None)
     logits = np.zeros(n)
-    for cols, coef in checked.terms:
+    for cols, coef in config.terms:
         term = np.ones(n)
         for c in cols:
             term = term * (x[:, c] - 1)
@@ -538,7 +521,7 @@ def gen_nlr(config, seed=None):
     return y, x, raw
 
 
-def gen_network(y, x, config, seed=None) -> np.ndarray:
+def gen_network(y, x, config: SimulationConfig, seed=None) -> np.ndarray:
     """Directed edges (E, 2), 1-based, one Bernoulli draw per ordered pair.
 
     Each pair's agreement code (bit 0: same response, bit i: phi term i
@@ -551,8 +534,6 @@ def gen_network(y, x, config, seed=None) -> np.ndarray:
     the same float comparison on the same uniform as coding every pair, so
     neither the candidate step nor the chunk size changes the edges.
     """
-    checked = check_config(config)
-    config = checked.config
     entropy = seed_entropy(config.seed if seed is None else seed)
     rng = _stream(entropy, _STREAM_NETWORK)
     y = np.asarray(y)
@@ -560,12 +541,12 @@ def gen_network(y, x, config, seed=None) -> np.ndarray:
     decay = config.gamma * math.log(n)
     w_same = math.log(config.base_odds_same) - decay
     w_diff = math.log(config.base_odds_diff) - decay
-    terms = [[x[:, c] for c in cols] for cols, _ in checked.phi]
+    terms = [[x[:, c] for c in cols] for cols, _ in config.phi_terms]
     table_codes = np.arange(2 << len(terms))
     # sum each code's logit term by term, in the order of the pairwise
     # formula, so every table entry is the float that formula gives
     logit = np.where((table_codes & 1) == 1, w_same, w_diff)
-    for i, (_, coef) in enumerate(checked.phi):
+    for i, (_, coef) in enumerate(config.phi_terms):
         bit = ((table_codes >> (i + 1)) & 1).astype(bool)
         logit = logit + coef * bit
     prob = expit(logit)
@@ -635,19 +616,16 @@ def generate(config: SimulationConfig, seed=None):
 
     extras carries "raw" (dict of continuous columns before binning) and
     "true_features". seed overrides config.seed; a tuple seed opens a
-    distinct stream family, which the replication harness uses. The
-    config is checked once, before any draw.
+    distinct stream family, which the replication harness uses.
     """
-    checked = check_config(config)
-    config = checked.config
     seed = config.seed if seed is None else seed
-    y, x, raw = (gen_nnb if config.model == "nnb" else gen_nlr)(checked, seed)
+    y, x, raw = (gen_nnb if config.model == "nnb" else gen_nlr)(config, seed)
     entropy = seed_entropy(seed)
-    edges = gen_network(y, x, checked, entropy)
-    if checked.noise is not None:
-        edges = perturb_network(edges, config.n, *checked.noise, entropy)
+    edges = gen_network(y, x, config, entropy)
+    if config.noise_rates is not None:
+        edges = perturb_network(edges, config.n, *config.noise_rates, entropy)
     dataset = validate(NodeDataset(y, x, edges, r_levels=config.r_levels,
-                                   k_levels=checked.widths))
+                                   k_levels=config.widths))
     return dataset, {"raw": raw, "true_features": config.true_features()}
 
 

@@ -179,24 +179,19 @@ def test_simulate_from_config_file(tmp_path):
      "simulation config needs the field 'name'"),
     (lambda c: {k: v for k, v in c.items() if k != "p"},
      "simulation config needs the field 'p'"),
-    (lambda c: {**c, "n": "thirty"},
-     "simulation config field 'n' cannot be 'thirty'"),
-    (lambda c: {**c, "n": float("inf")},
-     "simulation config field 'n' cannot be inf"),
+    (lambda c: {**c, "n": "thirty"}, "n must be a whole number, not 'thirty'"),
+    (lambda c: {**c, "n": float("inf")}, "n must be a whole number, not inf"),
     (lambda c: {**c, "default_column": {"kind": "bern"}},
      "column 5: a bern recipe needs 'p'"),
     (lambda c: {**c, "default_column": 5},
      "column 5: a recipe must be an object"),
     (lambda c: {**c, "default_column": {"kind": "bern", "p": "abc"}},
-     "simulation config field 'default_column' cannot be "
-     "{'kind': 'bern', 'p': 'abc'}"),
+     "column 5: p cannot be 'abc'"),
     (lambda c: {**c, "columns": {"2": {"kind": "uniform", "k": "x"}}},
-     "simulation config field 'columns' cannot be "
-     "{'2': {'k': 'x', 'kind': 'uniform'}}"),
+     "column 2: k must be a whole number, not 'x'"),
     (lambda c: {**c, "columns": {"2": {"kind": "cond_y",
                                        "table": [[0.5, "half"]] * 2}}},
-     "simulation config field 'columns' cannot be "
-     "{'2': {'kind': 'cond_y', 'table': [[0.5, 'half'], [0.5, 'half']]}}"),
+     "column 2: table cannot be [[0.5, 'half'], [0.5, 'half']]"),
     (lambda c: {**c, "columns": {"2": {"kind": "uniform", "k": 2.7}}},
      "column 2: k must be a whole number, not 2.7"),
     (lambda c: {**c, "columns": {"3": {"kind": "cond_x", "parent": 1.5,
@@ -231,20 +226,29 @@ def test_simulate_from_config_file(tmp_path):
                                         "mu": [[0.0, 1.0], [0.0, 1.0]]}},
      "column 5: need one mean per response level"),
     (lambda c: {**c, "base_odds_same": 0},
-     "base_odds_same must be a finite positive number, not 0.0"),
+     "base_odds_same must be a finite positive number, not 0"),
     (lambda c: {**c, "base_odds_diff": -1},
-     "base_odds_diff must be a finite positive number, not -1.0"),
+     "base_odds_diff must be a finite positive number, not -1"),
     (lambda c: {**c, "gamma": float("nan")},
      "gamma must be a finite number, not nan"),
     (lambda c: {**c, "phi": [["3", float("nan")], ["4", 0.4]]},
      "a phi coefficient must be a finite number, not nan"),
+    (lambda c: {**c, "phi": [[3.7, 0.4], ["4", 0.4]]},
+     "a phi column must be a whole number, not 3.7"),
+    (lambda c: {**c, "phi": [[True, 0.4]]},
+     "a phi column must be a whole number, not True"),
+    (lambda c: {**c, "n": 60.7}, "n must be a whole number, not 60.7"),
+    (lambda c: {**c, "r_levels": 2.9},
+     "r_levels must be a whole number, not 2.9"),
 ], ids=["list", "no-name", "no-p", "word-n", "infinite-n", "bern-without-p",
         "bare-recipe", "word-p", "word-k", "word-table", "fractional-k",
         "fractional-parent", "empty-table", "flat-cond-y-table",
         "flat-cond-yx-table", "list-response", "list-noise", "word-noise-s",
         "bare-term", "word-term-column", "huge-k", "k-past-int32",
         "k-at-2^31", "nested-mean-rows", "zero-base-odds",
-        "negative-base-odds", "nan-gamma", "nan-phi-coefficient"])
+        "negative-base-odds", "nan-gamma", "nan-phi-coefficient",
+        "fractional-phi-column", "bool-phi-column", "fractional-n",
+        "fractional-r-levels"])
 def test_simulate_rejects_malformed_config_files(tmp_path, capsys, edit,
                                                  message):
     cfg_path = tmp_path / "cfg.json"
@@ -402,6 +406,34 @@ def test_malformed_metadata_exits_3(tmp_path, capsys):
         write_json(d / "metadata.json", content)
         assert main(["screen", *files]) == 3
         assert f"{d / 'metadata.json'}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, edit, message", [
+    ("r_levels", 2.5, "r_levels must be a whole number, not 2.5"),
+    ("r_levels", "2", "r_levels must be a whole number, not '2'"),
+    ("k_levels", [2.7] + [2] * 5, "a k_levels entry must be a whole number, "
+     "not 2.7"),
+    ("k_levels", [True] * 6, "a k_levels entry must be a whole number, "
+     "not True"),
+], ids=["fractional-r", "word-r", "fractional-k", "bool-k"])
+def test_declared_level_counts_must_be_whole(tmp_path, capsys, key, edit,
+                                             message):
+    """A declared level count is a whole number: int() would truncate a
+    fraction, and a whole float is read as its int."""
+    d = simulate_dir(tmp_path, n=60, p=6)
+    files = ["--nodes", str(d / "nodes.csv"), "--edges", str(d / "edges.csv"),
+             "--metadata", str(d / "metadata.json")]
+    meta = read_json(d / "metadata.json")
+    assert main(["screen", *files, "--out", str(tmp_path / "want.json")]) == 0
+    write_json(d / "metadata.json", {**meta, key: edit})
+    assert main(["screen", *files]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    whole = {"r_levels": float(meta["r_levels"]),
+             "k_levels": [float(k) for k in meta["k_levels"]]}
+    write_json(d / "metadata.json", {**meta, key: whole[key]})
+    assert main(["screen", *files, "--out", str(tmp_path / "got.json")]) == 0
+    assert (tmp_path / "got.json").read_bytes() == \
+        (tmp_path / "want.json").read_bytes()
 
 
 def test_cells_beyond_int64_exit_3(tmp_path, capsys):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from netscreen import FeatureSet, ValidationError, simulate
 from netscreen.io import write_dataset
 from netscreen.dataset import discretize
 from netscreen.simulate import (
-    SimulationConfig, check_config, example_config, gen_network, gen_nlr,
-    gen_nnb, generate, noise_rates, perturb_network,
+    SimulationConfig, example_config, gen_network, gen_nlr, gen_nnb, generate,
+    noise_rates, perturb_network,
 )
 
 
@@ -86,13 +87,12 @@ def test_keyed_streams_refuse_keys_beyond_one_word():
 
 def per_column_reference(config, entropy, y0):
     """_draw_columns with one SeedSequence stream per column."""
-    recipes = check_config(config).recipes
     x = np.empty((config.n, config.p), dtype=np.int32, order="F")
     raw = {}
     for j in range(1, config.p + 1):
         rng = simulate._stream(entropy, simulate._STREAM_COLUMN, j)
-        codes, raw_j = simulate._draw_column(recipes[j - 1], config, rng,
-                                             y0, x)
+        codes, raw_j = simulate._draw_column(config.recipes[j - 1], config,
+                                             rng, y0, x)
         x[:, j - 1] = codes
         if raw_j is not None:
             raw[j] = raw_j
@@ -134,7 +134,7 @@ def test_draw_columns_match_per_column_streams(cfg, seed):
     if cfg.model == "nnb":
         y0 = simulate._stream(seed, simulate._STREAM_RESPONSE).integers(
             0, cfg.r_levels, cfg.n)
-    x, raw = simulate._draw_columns(check_config(cfg), seed, y0)
+    x, raw = simulate._draw_columns(cfg, seed, y0)
     want_x, want_raw = per_column_reference(cfg, seed, y0)
     assert np.array_equal(x, want_x)
     assert x.flags.f_contiguous
@@ -152,14 +152,13 @@ def test_default_cond_x_recipe_generates():
 
 @pytest.mark.parametrize("parent", [3, 4, 8])
 def test_default_cond_x_parent_at_or_after_first_default_is_refused(parent):
-    cfg = plain_config(p=8, columns={1: {"kind": "bern", "p": 0.5},
-                                     2: {"kind": "bern", "p": 0.5}},
-                       default_column={"kind": "cond_x", "parent": parent,
-                                       "table": [[0.5, 0.5]] * 2})
     with pytest.raises(ValidationError,
                        match=f"^column 3 needs a parent with smaller index, "
                              f"got {parent}$"):
-        check_config(cfg)
+        plain_config(p=8, columns={1: {"kind": "bern", "p": 0.5},
+                                   2: {"kind": "bern", "p": 0.5}},
+                     default_column={"kind": "cond_x", "parent": parent,
+                                     "table": [[0.5, 0.5]] * 2})
 
 
 def test_each_recipe_object_is_parsed_once(monkeypatch):
@@ -172,33 +171,29 @@ def test_each_recipe_object_is_parsed_once(monkeypatch):
 
     monkeypatch.setattr(simulate, "_parse_recipe", counted)
     cfg = example_config(1, n=50, p=1000)
-    checked = check_config(cfg)
     # four explicit recipes, then the default at its first column
     assert calls == [1, 2, 3, 4, 5]
-    assert all(checked.recipes[j] is checked.recipes[4]
-               for j in range(5, 1000))
-    assert checked.widths.tolist() == [2] * 1000
+    assert all(cfg.recipes[j] is cfg.recipes[4] for j in range(5, 1000))
+    assert cfg.widths.tolist() == [2] * 1000
+    calls.clear()
+    generate(replace(cfg, n=30, p=20))  # replace parses; generate does not
+    assert calls == [1, 2, 3, 4, 5]
     calls.clear()
     shared = {"kind": "uniform", "k": 3}
-    check_config(plain_config(p=6, columns={2: shared, 5: shared},
-                              default_column=shared))
+    plain_config(p=6, columns={2: shared, 5: shared}, default_column=shared)
     assert calls == [1]
 
 
 @pytest.mark.parametrize("ex, model", [(3, "nnb"), (5, "nnb"), (8, "nnb"),
                                        (3, "nlr"), (9, "nlr")])
 def test_samplers_read_only_the_checked_config(ex, model):
-    """generate on a CheckedConfig whose config lost every recipe, term,
-    phi key and noise field draws the dataset of the full config."""
-    from dataclasses import replace
-
+    """generate on a made config whose recipes, response terms, phi keys
+    and noise field were blanked draws the dataset of the full config."""
     cfg = example_config(ex, n=60, p=8, model=model, seed=4)
-    checked = check_config(cfg)
-    bare = replace(checked, config=replace(
-        cfg, columns=None, default_column=None, response=None, phi=None,
-        noise=None))
     want, _ = generate(cfg)
-    got, _ = generate(bare)
+    for name in ("columns", "default_column", "response", "phi", "noise"):
+        object.__setattr__(cfg, name, None)
+    got, _ = generate(cfg)
     for name in ("y", "x", "edges", "k_levels"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
 
@@ -217,8 +212,8 @@ def test_seeds_must_be_whole_and_nonnegative(seed):
 @pytest.mark.parametrize("seed", [2.5, -1, [7, 1]], ids=repr)
 def test_config_files_refuse_seeds_int_would_change(seed):
     blob = dict(plain_config().to_dict(), seed=seed)
-    with pytest.raises(ValidationError, match=f"field 'seed' cannot be "
-                       rf"{re.escape(repr(seed))}$"):
+    with pytest.raises(ValidationError, match="a seed must be a whole number "
+                       rf">= 0, not {re.escape(repr(seed))}$"):
         SimulationConfig.from_dict(blob)
     blob["seed"] = 3.0
     assert SimulationConfig.from_dict(blob).seed == 3
@@ -500,11 +495,11 @@ def test_perturb_network_matches_mask_reference(n, add_prob):
 def test_check_config_rejects_noise_rates_outside_unit_interval():
     # s = 1.5 gives keep probability 1 - n^0.5 < 0: every link would drop
     with pytest.raises(ValidationError, match="keep probability"):
-        check_config(plain_config(noise={"s": 1.5}))
+        plain_config(noise={"s": 1.5})
     # s = 0.4 at n = 4 gives add probability 10 * 4^-1.6 > 1
     with pytest.raises(ValidationError, match="add probability"):
-        check_config(example_config(5, n=4, p=5))
-    check_config(example_config(5, n=5, p=5))  # 10 * 5^-1.6 < 1
+        example_config(5, n=4, p=5)
+    example_config(5, n=5, p=5)  # 10 * 5^-1.6 < 1
 
 
 def test_noisy_example_stays_valid():
@@ -536,18 +531,14 @@ def test_example_configs_cover_designed_scenarios():
     assert ex3.columns[2]["parent"] == 1
 
     ex6 = example_config(6, n=100, p=10)
-    assert ex6.column_width(1) == 4
-    assert ex6.column_width(9) == 4
-    for j in (0, -1, ex6.p + 1):  # not an index into the widths
-        with pytest.raises(ValidationError, match=f"column {j} outside"):
-            ex6.column_width(j)
+    assert ex6.widths.tolist() == [4] * 10
 
     ex7 = example_config(7, n=100, p=10)
     assert ex7.r_levels == 4
 
     ex8 = example_config(8, n=100, p=10)
     assert ex8.columns[5]["mu"] == [-1.0, 1.0]
-    assert ex8.column_width(5) == 4
+    assert ex8.widths[5 - 1] == 4
 
     ex9 = example_config(9, n=100, p=10)
     assert ex9.model == "nlr"
@@ -580,6 +571,22 @@ def test_config_round_trips_through_json():
         SimulationConfig(**least).to_dict()
 
 
+def test_made_config_holds_ints_and_floats():
+    cfg = plain_config(n=60.0, p=np.int64(3), r_levels=2.0, bins=5.0,
+                       seed=7.0, gamma=1, base_odds_same=2, phi=((3.0, 1),))
+    for name in ("n", "p", "r_levels", "bins", "seed"):
+        assert type(getattr(cfg, name)) is int, name
+    for name in ("gamma", "base_odds_same", "base_odds_diff"):
+        assert type(getattr(cfg, name)) is float, name
+    assert cfg.phi_terms == (((2,), 1.0),)
+    want = plain_config(n=60, p=3, bins=5, seed=7, gamma=1.0,
+                        base_odds_same=2.0, phi=((3, 1.0),))
+    assert json.dumps(cfg.to_dict()) == json.dumps(want.to_dict())
+    assert np.array_equal(generate(cfg)[0].edges, generate(want)[0].edges)
+    with pytest.raises(ValidationError, match="need n >= 2"):
+        replace(cfg, n=1)  # replace checks the changed config
+
+
 def test_fractional_recipe_levels_are_refused_and_whole_floats_kept():
     # int() would truncate k 2.7 to a 2-level column without a word
     with pytest.raises(ValidationError,
@@ -599,29 +606,29 @@ def test_fractional_recipe_levels_are_refused_and_whole_floats_kept():
 
 def test_check_config_rejects_structural_problems():
     with pytest.raises(ValidationError):
-        check_config(plain_config(model="frog"))
+        plain_config(model="frog")
     with pytest.raises(ValidationError):
-        check_config(plain_config(n=1))
+        plain_config(n=1)
     with pytest.raises(ValidationError):
-        check_config(plain_config(columns={9: {"kind": "bern", "p": 0.5}}))
+        plain_config(columns={9: {"kind": "bern", "p": 0.5}})
     # the logistic model generates y last, so columns cannot condition on it
     with pytest.raises(ValidationError):
-        check_config(plain_config(
+        plain_config(
             model="nlr",
             columns={1: {"kind": "cond_y", "table": [[0.5, 0.5], [0.5, 0.5]]}},
-            response={"kind": "logistic", "terms": [[[2], 1.0]]}))
+            response={"kind": "logistic", "terms": [[[2], 1.0]]})
     with pytest.raises(ValidationError):  # parent must come earlier
-        check_config(plain_config(columns={
-            2: {"kind": "cond_x", "parent": 3, "table": [[0.5, 0.5], [0.5, 0.5]]}}))
+        plain_config(columns={
+            2: {"kind": "cond_x", "parent": 3, "table": [[0.5, 0.5], [0.5, 0.5]]}})
     with pytest.raises(ValidationError):  # rows must be probabilities
-        check_config(plain_config(columns={
-            1: {"kind": "cond_y", "table": [[0.7, 0.7], [0.5, 0.5]]}}))
+        plain_config(columns={
+            1: {"kind": "cond_y", "table": [[0.7, 0.7], [0.5, 0.5]]}})
     with pytest.raises(ValidationError):
-        check_config(plain_config(noise={"s": 0.0}))
+        plain_config(noise={"s": 0.0})
     with pytest.raises(ValidationError):
-        check_config(plain_config(phi=((7, 0.4),)))
+        plain_config(phi=((7, 0.4),))
     with pytest.raises(ValidationError, match="phi terms"):
-        check_config(plain_config(phi=((1, 0.1),) * 21))
+        plain_config(phi=((1, 0.1),) * 21)
 
 
 LOGISTIC = {"kind": "logistic", "terms": [[[1], 1.0]]}
@@ -678,7 +685,7 @@ LOGISTIC = {"kind": "logistic", "terms": [[[1], 1.0]]}
     ({"columns": {2: {"kind": "bern", "p": "abc"}}},
      "column 2: p cannot be 'abc'"),
     ({"columns": {2: {"kind": "uniform", "k": None}}},
-     "column 2: k cannot be None"),
+     "column 2: k must be a whole number, not None"),
     ({"columns": {2: {"kind": "normal", "mu": "a", "sigma": 1.0}}},
      "column 2: mu cannot be 'a'"),
     ({"base_odds_same": 0}, "base_odds_same must be a finite positive "
@@ -689,6 +696,11 @@ LOGISTIC = {"kind": "logistic", "terms": [[[1], 1.0]]}
     ({"gamma": "0.5"}, "gamma must be a finite number, not '0.5'"),
     ({"phi": ((1, float("nan")),)},
      "a phi coefficient must be a finite number, not nan"),
+    ({"phi": ((1, 0.4), (3.7, 0.4))},
+     "a phi column must be a whole number, not 3.7"),
+    ({"phi": ((True, 0.4),)}, "a phi column must be a whole number, not True"),
+    ({"n": 60.7}, "n must be a whole number, not 60.7"),
+    ({"r_levels": 2.9}, "r_levels must be a whole number, not 2.9"),
 ], ids=["unknown-kind", "one-level", "nlr-three-levels", "no-levels",
         "width-past-int32", "table-shape", "nan-table", "bern-p",
         "nlr-mean-list", "mean-count", "sigma", "nlr-uniform-response",
@@ -697,10 +709,11 @@ LOGISTIC = {"kind": "logistic", "terms": [[[1], 1.0]]}
         "nnb-logistic-response", "list-response", "list-noise",
         "noise-s-none", "one-bin", "nested-mean-rows", "word-p", "none-k",
         "word-mu", "zero-base-odds", "negative-base-odds", "nan-gamma",
-        "word-gamma", "nan-phi-coefficient"])
+        "word-gamma", "nan-phi-coefficient", "fractional-phi-column",
+        "bool-phi-column", "fractional-n", "fractional-r-levels"])
 def test_check_config_refusals(overrides, message):
     with pytest.raises(ValidationError, match=message):
-        check_config(plain_config(**overrides))
+        plain_config(**overrides)
 
 
 def test_continuous_columns_are_binned_and_raw_is_kept():

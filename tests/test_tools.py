@@ -1,12 +1,21 @@
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
-_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
-bench_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_pairs)
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _load("bench_pairs")
+digests = _load("digests")
 
 
 def test_quartile_range_interpolates_like_numpy():
@@ -56,3 +65,37 @@ def test_pair_summary_on_canned_runs():
     assert not table[1].endswith("unresolved")
     assert table[3].split()[-1] == "0/5"
     assert table[4].endswith("0/5  beyond bound")
+
+
+def test_report_prints_one_table_per_workload():
+    metric = [("ops_per_s", "higher", 0.25)]
+    better = bench_pairs.summarize([{"ops_per_s": 10.0}] * 3,
+                                   [{"ops_per_s": 12.0}] * 3, metric)
+    worse = bench_pairs.summarize([{"ops_per_s": 10.0}] * 3,
+                                  [{"ops_per_s": 7.0}] * 3, metric)
+    text = bench_pairs.format_report(
+        [("replicate_ex1", better), ("simulate_io", worse)], pairs=3,
+        seed=21, cpu=1, seconds=20)
+    first, second = text.split("\n\n")
+    assert first.splitlines()[0] == \
+        "replicate_ex1, 3 pairs, seeds 21..23, CPU 1, 20 s runs"
+    assert first.splitlines()[2].split()[:5] == [
+        "ops_per_s", "10", "12", "0", "3/3"]
+    assert not first.endswith("beyond bound")
+    assert second.splitlines()[0].startswith("simulate_io, 3 pairs")
+    assert second.endswith("0/3  beyond bound")
+
+
+def test_digests_repeat_on_a_two_entry_grid():
+    names = ("generate/ex8-nnb/n80-p12-seed(5,3)", "screen/top")
+    entries = [entry for entry in digests.grid() if entry[0] in names]
+    assert [name for name, _ in entries] == list(names)
+    lines = digests.digest_lines(entries)
+    assert lines == digests.digest_lines(entries)
+    assert lines == sorted(lines)
+    # five generate arrays and one screen.json
+    assert [line.split()[0] for line in lines] == [
+        f"generate/ex8-nnb/n80-p12-seed(5,3)/{part}"
+        for part in ("edges", "raw", "widths", "x", "y")] + [
+        "screen/top/screen.json"]
+    assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)

@@ -1,31 +1,34 @@
-"""Alternating, CPU-pinned parent/change pairs of one perfbench workload.
+"""Alternating, CPU-pinned parent/change pairs of perfbench workloads.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seed S
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W [W ...] \
+        --pairs N --seed S
 
-Checks out both revisions with ``git worktree add --detach`` under a
-temporary directory. Pair i runs ``perfbench/run.py --workload W --seed S+i
---trace 0`` once in each checkout, for the run_seconds (20) of the change's
-BENCHMARK.json, the parent first in even pairs and the change first in odd
-ones. Every child is pinned to the highest CPU this process may use, since
-unpinned runs on a small VM switch between a fast and a slow mode. Then, for
-every end-to-end metric that BENCHMARK.json declares, it prints the parent
-and change medians, the parent's interquartile range, the pairs the change
-won, "unresolved" when that range is at least the gap between the
-medians, and "beyond bound" when the change's median is worse than the
-parent's by more than the metric's bound, a fraction of the parent's median
-(the benchmark's no-regression rule). The worktrees are removed at the end,
-also after a failure.
+Extracts both revisions with ``git archive`` into a temporary directory.
+For each workload W in turn, pair i runs ``perfbench/run.py --workload W
+--seed S+i --trace 0`` once in each checkout, for the run_seconds (20) of
+the change's BENCHMARK.json, the parent first in even pairs and the change
+first in odd ones. Every child is pinned to the highest CPU this process may
+use, since unpinned runs on a small VM switch between a fast and a slow
+mode. Then, one table per workload, for every end-to-end metric that
+BENCHMARK.json declares, it prints the parent and change medians, the
+parent's interquartile range, the pairs the change won, "unresolved" when
+that range is at least the gap between the medians, and "beyond bound" when
+the change's median is worse than the parent's by more than the metric's
+bound, a fraction of the parent's median (the benchmark's no-regression
+rule). The checkouts are removed at the end, also after a failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -82,6 +85,23 @@ def format_rows(rows) -> str:
     return "\n".join(lines)
 
 
+def format_report(tables, pairs: int, seed: int, cpu: int,
+                  seconds: float) -> str:
+    """One titled table per (workload, rows) in tables."""
+    return "\n\n".join(
+        f"{workload}, {pairs} pairs, seeds {seed}..{seed + pairs - 1}, "
+        f"CPU {cpu}, {seconds:g} s runs\n{format_rows(rows)}"
+        for workload, rows in tables)
+
+
+def export(rev: str, path: Path) -> None:
+    """The files of revision rev under path."""
+    tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(path, filter="data")
+
+
 def run_side(checkout: Path, workload: str, seed: int, seconds: float,
              cpu: int) -> dict:
     """End-to-end metric values of one untraced run in checkout."""
@@ -101,7 +121,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, nargs="+")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
@@ -113,34 +133,30 @@ def main(argv=None) -> int:
     sides = {"parent": tmp / "parent", "change": tmp / "change"}
     try:
         for side, path in sides.items():
-            subprocess.run(["git", "worktree", "add", "--quiet", "--detach",
-                            str(path), getattr(args, side)],
-                           cwd=ROOT, check=True)
+            export(getattr(args, side), path)
         spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
         metrics = [(m["name"], m["better"], m["bound"])
                    for m in spec["end_to_end"]]
         seconds = spec["run_seconds"]
-        runs = {"parent": [], "change": []}
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change",
-                                                             "parent")
-            for side in order:
-                runs[side].append(run_side(sides[side], args.workload,
-                                           args.seed + i, seconds, cpu))
-            print(f"pair {i + 1} seed {args.seed + i} ({order[0]} first): "
-                  + ", ".join(f"{name} {runs['parent'][i][name]:.4g}"
-                              f"->{runs['change'][i][name]:.4g}"
-                              for name, _, _ in metrics), flush=True)
-        print(f"\n{args.workload}, {args.pairs} pairs, seeds {args.seed}"
-              f"..{args.seed + args.pairs - 1}, CPU {cpu}, {seconds:g} s runs")
-        print(format_rows(summarize(runs["parent"], runs["change"],
-                                    metrics)))
+        tables = []
+        for workload in args.workload:
+            runs = {"parent": [], "change": []}
+            for i in range(args.pairs):
+                order = (("parent", "change") if i % 2 == 0
+                         else ("change", "parent"))
+                for side in order:
+                    runs[side].append(run_side(sides[side], workload,
+                                               args.seed + i, seconds, cpu))
+                print(f"{workload} pair {i + 1} seed {args.seed + i} "
+                      f"({order[0]} first): "
+                      + ", ".join(f"{name} {runs['parent'][i][name]:.4g}"
+                                  f"->{runs['change'][i][name]:.4g}"
+                                  for name, _, _ in metrics), flush=True)
+            tables.append((workload, summarize(runs["parent"],
+                                               runs["change"], metrics)))
+        print("\n" + format_report(tables, args.pairs, args.seed, cpu,
+                                   seconds))
     finally:
-        for path in sides.values():
-            if path.exists():
-                subprocess.run(["git", "worktree", "remove", "--force",
-                                str(path)], cwd=ROOT)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT)
         shutil.rmtree(tmp, ignore_errors=True)
     return 0
 
