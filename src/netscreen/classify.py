@@ -121,7 +121,7 @@ def fit(spec: ClassifierSpec, dataset: NodeDataset,
     cols_y = _resolve_columns(dataset, spec.s_y)
     cols_a = _resolve_columns(dataset, spec.s_a) if spec.kind == "type3" else ()
 
-    y0 = dataset._network.y0[mask]
+    y0 = dataset.network.y0[mask]
     n_y = np.bincount(y0, minlength=r).astype(np.float64)
     log_prior = np.log((n_y + alpha) / (y0.size + alpha * r))
 
@@ -143,7 +143,7 @@ def fit(spec: ClassifierSpec, dataset: NodeDataset,
         return clf
 
     # link tables over ordered pairs with both endpoints in the mask
-    network, inside = dataset._network, None if mask.all() else mask
+    network, inside = dataset.network, None if mask.all() else mask
     _, p0, e0 = network.tables(inside)
     pi0 = (e0 + alpha) / (p0 + 2 * alpha)
     clf.log_pi0 = np.log(pi0)
@@ -193,10 +193,10 @@ def predict_scores(clf: NetworkClassifier, dataset: NodeDataset,
 
     # each target's class-r2 neighbours out of it and into it (rows t R + r2
     # of sides), the labeled ones' counts, a one and its own cell in shared
-    network, mask = dataset._network, clf.train_mask
+    network, mask = dataset.network, clf.train_mask
     y0 = network.y0
-    ids = (np.argsort(network.out[0])[t0, None] + n * np.arange(r)).ravel()
-    sides = [network.out[2][ids], network.into[2][ids]]
+    ids = (network.out.rank[t0, None] + n * np.arange(r)).ravel()
+    sides = [network.out.matrix[ids], network.into.matrix[ids]]
     known = mask.astype(sides[0].dtype)
     own = np.zeros((t0.size, r))
     own[mask[t0], y0[t0[mask[t0]]]] = 1.0

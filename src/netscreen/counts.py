@@ -12,6 +12,7 @@ overflows 32 bits beyond n of about 65k). Table axes are 0-based: entry
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
@@ -69,17 +70,20 @@ def tally_marginals(y0: np.ndarray, xb0: np.ndarray, r: int, k: int) -> np.ndarr
     return flat.reshape(b, r, k)
 
 
-def tally_adjacency(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
-                    r: int):
-    """(order, classes, adjacency, degrees) that :func:`tally_edges` reads.
+Adjacency = namedtuple("Adjacency", "order rank classes matrix deg")
 
-    order lists the nodes class by class (stable in node id) and classes
-    holds each class's slice of it. adjacency is one CSR (R n, n) matrix:
-    row r2 n + i holds the destinations of class r2 of the edges out of
-    node order[i], in int16 when every degree is below INT16_EXACT_DEGREE,
-    else in float32 when below FLOAT32_EXACT_DEGREE, else in float64, so
-    that its products with 0/1 indicators are exact. degrees (R, n) are its
-    row sums.
+
+def tally_adjacency(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
+                    r: int) -> Adjacency:
+    """The (order, rank, classes, matrix, deg) that :func:`tally_edges` reads.
+
+    order lists the nodes class by class (stable in node id), rank is its
+    inverse and classes holds each class's slice of it. matrix is one CSR
+    (R n, n) adjacency: row r2 n + i holds the destinations of class r2 of
+    the edges out of node order[i], in int16 when every degree is below
+    INT16_EXACT_DEGREE, else in float32 when below FLOAT32_EXACT_DEGREE,
+    else in float64, so that its products with 0/1 indicators are exact.
+    deg (R, n) are its row sums.
     """
     n = y0.size
     order = np.argsort(y0, kind="stable")
@@ -92,20 +96,20 @@ def tally_adjacency(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
     top = deg.max()
     dtype = (np.int16 if top < INT16_EXACT_DEGREE else
              np.float32 if top < FLOAT32_EXACT_DEGREE else np.float64)
-    adjacency = sparse.csr_array(
+    matrix = sparse.csr_array(
         (np.ones(rows.size, dtype), (rows, dst0)), shape=(r * n, n))
-    return order, classes, adjacency, deg
+    return Adjacency(order, rank, classes, matrix, deg)
 
 
-def degrees(adjacency, mask=None) -> np.ndarray:
-    """The (R, n) int64 degrees of a :func:`tally_adjacency` result; with a
-    boolean (n,) mask, of the edges between the nodes it selects only."""
-    order, classes, adj, deg = adjacency
+def degrees(adjacency: Adjacency, mask=None) -> np.ndarray:
+    """The (R, n) int64 degrees of an :class:`Adjacency`; with a boolean
+    (n,) mask, of the edges between the nodes it selects only."""
     if mask is None:
-        return deg
+        return adjacency.deg
     # each entry is at most a degree, so the product holds it exactly
-    return (adj @ mask.astype(adj.dtype)).reshape(len(classes), -1).astype(
-        np.int64) * mask[order]
+    links = adjacency.matrix @ mask.astype(adjacency.matrix.dtype)
+    return (links.reshape(len(adjacency.classes), -1).astype(np.int64)
+            * mask[adjacency.order])
 
 
 def tally_edges(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
@@ -113,12 +117,12 @@ def tally_edges(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
                 mask=None) -> np.ndarray:
     """Linked-pair tallies, shape (B, R, R, k, k), from 0-based codes.
 
-    adjacency is :func:`tally_adjacency` of y0, src0 and dst0, which the
+    adjacency is the :class:`Adjacency` of y0, src0 and dst0, which the
     kernel reads only through it (they stay in the signature because
     perfbench/spans.py sizes each call by them). A boolean (n,) mask counts
     only the edges between the nodes it selects.
     """
-    order, classes, adj, _ = adjacency
+    order, classes, adj = adjacency.order, adjacency.classes, adjacency.matrix
     r = len(classes)
     n, b = xb0.shape
     deg = degrees(adjacency, mask)
@@ -158,9 +162,10 @@ def block_pair_tables(n_yj_block: np.ndarray) -> np.ndarray:
 
 
 class Network:
-    """A sealed dataset's 0-based responses y0 and edge endpoints src0 and
-    dst0, and the :func:`tally_adjacency` of its edges (out) and of the
-    reversed edges (into), each built the first time a kernel reads it."""
+    """0-based responses y0 (a sealed dataset's, or any class code of its
+    nodes) and edge endpoints src0 and dst0, and the :class:`Adjacency` of
+    the edges (out) and of the reversed edges (into), each built the first
+    time a kernel reads it."""
 
     def __init__(self, y0, src0, dst0, r: int):
         self.y0, self.src0, self.dst0, self.r = y0, src0, dst0, r
@@ -180,6 +185,6 @@ class Network:
         sources of class r1, so it takes no pass over the edges."""
         y0 = self.y0 if mask is None else self.y0[mask]
         n_y = np.bincount(y0, minlength=self.r)
-        deg, classes = degrees(self.out, mask), self.out[1]
+        deg, classes = degrees(self.out, mask), self.out.classes
         n_edges_y = np.stack([deg[:, rows].sum(axis=1) for rows in classes])
         return n_y, np.outer(n_y, n_y) - np.diag(n_y), n_edges_y

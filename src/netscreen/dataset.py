@@ -31,8 +31,9 @@ class FeatureSet:
     pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        mains = tuple(int(j) for j in self.mains)
-        pairs = tuple((int(j), int(k)) for j, k in self.pairs)
+        mains = tuple(whole(j, "a feature id") for j in self.mains)
+        pairs = tuple((whole(j, "a pair id"), whole(k, "a pair id"))
+                      for j, k in self.pairs)
         if len(set(mains)) != len(mains) or len(set(pairs)) != len(pairs):
             raise ValidationError("duplicate entries in feature set")
         for j, k in pairs:
@@ -52,7 +53,7 @@ class FeatureSet:
                 elif isinstance(key, tuple):
                     pairs.append(key)
                 else:
-                    mains.append(int(key))
+                    mains.append(int(key) if isinstance(key, str) else key)
             except (TypeError, ValueError) as err:
                 raise ValidationError(
                     f"malformed feature key {key!r}; use j or j&k") from err
@@ -94,6 +95,8 @@ class NodeDataset:
         its stored source pair (j, k); a composite (added by interaction
         expansion) is only this entry, and :func:`column_codes` builds its
         codes from the sources
+    network : the read-only counts.Network of the 0-based responses and
+        edge endpoints, set by :func:`seal`
     """
 
     def __init__(self, y, x, edges, feature_names=None, r_levels=None,
@@ -107,9 +110,6 @@ class NodeDataset:
         self.k_levels = k_levels  # validate makes it an int64 array
         self.composite_pairs = dict(composite_pairs or {})
         self._validated = False
-
-    # Populated by seal(): _network, the counts.Network of the 0-based
-    # responses and edge endpoints, with edges sorted by (src, dst).
 
     @property
     def n(self) -> int:
@@ -305,7 +305,7 @@ def seal(dataset: NodeDataset, network: Network) -> NodeDataset:
     array is made read-only, so an expansion can share y, x, edges and the
     network with its parent.
     """
-    dataset._network = network
+    dataset.network = network
     for arr in (dataset.y, dataset.x, dataset.edges, network.y0,
                 network.src0, network.dst0, dataset.k_levels):
         arr.flags.writeable = False

@@ -93,12 +93,13 @@ def _cross_difference(a, b, c, d):
     return (ab - cd) + (_product_error(a, b, ab) - _product_error(c, d, cd))
 
 
-def _block_lambdas(dataset, xb0, k, tables):
+def _block_lambdas(network, tables, xb0, k):
     """Total (unnormalized) statistic parts for a block of 0-based columns.
 
-    xb0: (n, B) level codes 0..k-1; tables: :meth:`counts.Network.tables`.
-    Returns (self_totals, network_totals), each (B,) float64. Both are sums
-    of per-cell log ratios of the refined fit to the null:
+    network: a :class:`counts.Network`, and tables its
+    :meth:`~counts.Network.tables`, which give n and R; xb0: (n, B) level
+    codes 0..k-1. Returns (self_totals, network_totals), each (B,) float64.
+    Both are sums of per-cell log ratios of the refined fit to the null:
 
         self:    n_yj log(n_yj n / (n_j n_y))
         network: e log(p1 / p0) + (m - e) log((1 - p1) / (1 - p0))
@@ -113,16 +114,16 @@ def _block_lambdas(dataset, xb0, k, tables):
     skipped, so p0 = 0 or 1 never enters a logarithm. Each column sums its
     own cells in one fixed order, whatever the block.
     """
-    r, n, net = dataset.r_levels, dataset.n, dataset._network
     n_y, n_pairs_y, n_edges_y = tables
-    nyj = tally_marginals(net.y0, xb0, r, k)
+    n, r = n_y.sum(), n_y.size
+    nyj = tally_marginals(network.y0, xb0, r, k)
     null = nyj.sum(axis=1)[:, None, :] * n_y[:, None]  # n_j n_y
     rise = np.zeros(nyj.shape)
     np.divide(nyj * n - null, null, out=rise, where=nyj > 0)
     self_tot = (nyj * np.log1p(rise)).sum(axis=(1, 2))
 
-    e = tally_edges(net.y0, net.src0, net.dst0, xb0, k, net.out).astype(
-        np.float64)
+    e = tally_edges(network.y0, network.src0, network.dst0, xb0, k,
+                    network.out).astype(np.float64)
     m = block_pair_tables(nyj).astype(np.float64)
     pairs = n_pairs_y[:, :, None, None].astype(np.float64)
     links = n_edges_y[:, :, None, None].astype(np.float64)
@@ -203,7 +204,7 @@ def _column_totals(dataset: NodeDataset, cols, perms: int = 0,
     """
     entropy = seed_entropy(seed)
     cols = column_ids(dataset, cols)
-    tables = dataset._network.tables()
+    tables = dataset.network.tables()
     if tables[0].min() == 0:
         missing = int(np.argmin(tables[0])) + 1
         raise DegeneracyError(
@@ -211,7 +212,7 @@ def _column_totals(dataset: NodeDataset, cols, perms: int = 0,
             "reference distribution is undefined")
     totals = np.zeros((2, cols.size))
     for k, part, xb0 in column_blocks(dataset, cols):
-        totals[:, part] = _block_lambdas(dataset, xb0, k, tables)
+        totals[:, part] = _block_lambdas(dataset.network, tables, xb0, k)
     observed = totals[0] + totals[1]
     hits = np.zeros(cols.size, dtype=np.int64)
     for k, part, xb0 in column_blocks(dataset, np.repeat(cols, perms)):
@@ -220,7 +221,7 @@ def _column_totals(dataset: NodeDataset, cols, perms: int = 0,
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy + (int(cols[i]), b)))
             xb0[:, c] = xb0[rng.permutation(dataset.n), c]
-        s_perm, n_perm = _block_lambdas(dataset, xb0, k, tables)
+        s_perm, n_perm = _block_lambdas(dataset.network, tables, xb0, k)
         np.add.at(hits, owner, s_perm + n_perm >= observed[owner])
     return totals, (1.0 + hits) / (perms + 1.0)
 

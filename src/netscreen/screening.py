@@ -144,7 +144,7 @@ def interaction_expand(dataset: NodeDataset, pairs) -> NodeDataset:
     new: each new trailing column id maps to its pair in composite_pairs.
     """
     dataset = validate(dataset)
-    pairs = [(int(a), int(b)) for a, b in pairs]
+    pairs = [(whole(a, "a pair id"), whole(b, "a pair id")) for a, b in pairs]
     if len(set(pairs)) != len(pairs):
         raise ValidationError("duplicate interaction pair")
     have = set(dataset.composite_pairs.values())
@@ -163,7 +163,7 @@ def interaction_expand(dataset: NodeDataset, pairs) -> NodeDataset:
     return seal(NodeDataset(dataset.y, dataset.x, dataset.edges, names,
                             dataset.r_levels,
                             np.concatenate([dataset.k_levels, widths]),
-                            composite), dataset._network)
+                            composite), dataset.network)
 
 
 def feature_key(dataset: NodeDataset, j: int) -> str:
@@ -228,7 +228,7 @@ def _plr_batch(dataset: NodeDataset, cols: np.ndarray):
 
 def _pearson_batch(dataset: NodeDataset, cols: np.ndarray):
     """Pearson chi-square of response against each column, network ignored."""
-    r, y0 = dataset.r_levels, dataset._network.y0
+    r, y0 = dataset.r_levels, dataset.network.y0
     n_y = np.bincount(y0, minlength=r).astype(np.float64)
     widths = dataset.k_levels[cols - 1]
     chi = np.zeros(cols.size)

@@ -153,6 +153,11 @@ class SimulationConfig:
             if not 1 <= whole(j, "a column recipe index") <= self.p:
                 raise ValidationError(
                     f"column recipe index {j} outside 1..{self.p}")
+        for role, ids in (("s_y", self.s_y), ("s_a", self.s_a)):
+            for c in ids.mains + sum(ids.pairs, ()):
+                if not 1 <= c <= self.p:
+                    raise ValidationError(
+                        f"{role} column {c} outside 1..{self.p}")
         parsed, recipes = {}, []  # parsed: id(recipe) -> its parse
         for j in range(1, self.p + 1):
             recipe = self.columns.get(j, self.default_column)
@@ -186,12 +191,7 @@ class SimulationConfig:
                for name in ("base_odds_same", "base_odds_diff")})
         noise = None
         if self.noise is not None:
-            s = self.noise.get("s", 0)
-            try:
-                s = float(s)
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"noise exponent s must be a number, not {s!r}") from None
+            s = _finite(self.noise.get("s", 0), "noise exponent s")
             if not 0 < s < 2:
                 raise ValidationError("noise exponent s must be in (0, 2)")
             keep, add = noise = noise_rates(self.n, s)

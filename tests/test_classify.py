@@ -145,7 +145,7 @@ def test_float64_products_give_the_same_scores(monkeypatch):
 
     def spy(*args):
         out = build(*args)
-        dtypes.append(out[2].dtype)
+        dtypes.append(out.matrix.dtype)
         return out
 
     monkeypatch.setattr(counts, "tally_adjacency", spy)
@@ -182,9 +182,9 @@ def test_hub_past_the_int16_bound_keeps_exact_products(monkeypatch):
     x[40:, 0] = 1
     ds = validate(NodeDataset(y=y, x=x, edges=edges, r_levels=2,
                               k_levels=widths))
-    net = ds._network
-    assert net.out[2].dtype == np.float32
-    assert net.into[2].dtype == np.int16
+    net = ds.network
+    assert net.out.matrix.dtype == np.float32
+    assert net.into.matrix.dtype == np.int16
     for c, k in enumerate(widths):
         xb0 = x[:, [c]].astype(np.int64) - 1
         got = tally_edges(net.y0, net.src0, net.dst0, xb0, k, net.out)[0]
@@ -201,8 +201,8 @@ def test_hub_past_the_int16_bound_keeps_exact_products(monkeypatch):
                                  k_levels=widths))
     wide = predict_scores(fit(spec, fresh, train_mask=mask), fresh, targets)
     assert wide.tobytes() == narrow.tobytes()
-    assert fresh._network.out[2].dtype == np.float64
-    assert fresh._network.into[2].dtype == np.float64
+    assert fresh.network.out.matrix.dtype == np.float64
+    assert fresh.network.into.matrix.dtype == np.float64
 
 
 @pytest.mark.parametrize("example", range(1, 10))

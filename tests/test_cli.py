@@ -208,7 +208,13 @@ def test_simulate_from_config_file(tmp_path):
     (lambda c: {**c, "response": [1]}, "the response must be an object"),
     (lambda c: {**c, "noise": [0.4]}, "noise must be an object"),
     (lambda c: {**c, "noise": {"s": "x"}},
-     "noise exponent s must be a number, not 'x'"),
+     "noise exponent s must be a finite number, not 'x'"),
+    (lambda c: {**c, "noise": {"s": "0.4"}},
+     "noise exponent s must be a finite number, not '0.4'"),
+    (lambda c: {**c, "s_y": [1.5, 2.9]},
+     "simulation config field 's_y' cannot be [1.5, 2.9]"),
+    (lambda c: {**c, "s_a": [9]}, "s_a column 9 outside 1..5"),
+    (lambda c: {**c, "s_a": ["3&9"]}, "s_a column 9 outside 1..5"),
     (lambda c: {**c, "model": "nlr", "columns": {},
                 "response": {"kind": "logistic", "terms": [[1, 2.0]]}},
      "response terms must be [column ids, number] pairs, not [[1, 2.0]]"),
@@ -244,6 +250,7 @@ def test_simulate_from_config_file(tmp_path):
         "bare-recipe", "word-p", "word-k", "word-table", "fractional-k",
         "fractional-parent", "empty-table", "flat-cond-y-table",
         "flat-cond-yx-table", "list-response", "list-noise", "word-noise-s",
+        "numeral-noise-s", "fractional-s-y", "s-a-past-p", "s-a-pair-past-p",
         "bare-term", "word-term-column", "huge-k", "k-past-int32",
         "k-at-2^31", "nested-mean-rows", "zero-base-odds",
         "negative-base-odds", "nan-gamma", "nan-phi-coefficient",

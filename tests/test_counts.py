@@ -22,7 +22,7 @@ def test_marginal_and_edge_counts_match_oracle():
         y, x, edges, r, k = random_instance(rng)
         ds = as_dataset(y, x, edges, r, k)
         want = oracle_counts(y, x[:, 0], edges, r, k)
-        net = ds._network
+        net = ds.network
         y0, src0, dst0 = net.y0, net.src0, net.dst0
         xb0 = ds.x.astype(np.int64) - 1
         n_yj = tally_marginals(y0, xb0, r, k)[0]
@@ -35,7 +35,7 @@ def test_marginal_and_edge_counts_match_oracle():
         assert np.array_equal(e_y, want["n_edges_y"])
         assert np.array_equal(e_yj, want["n_edges_yj"])
         # every refined table collapses back to its coarse counterpart
-        n_y, pairs_y, edges_y = ds._network.tables()
+        n_y, pairs_y, edges_y = ds.network.tables()
         pairs_yj = block_pair_tables(n_yj[None])[0]
         assert np.array_equal(n_yj.sum(axis=1), n_y)
         assert np.array_equal(pairs_yj.sum(axis=(2, 3)), pairs_y)
@@ -52,7 +52,7 @@ def test_pair_counts_product_identity():
         ds = as_dataset(y, x, edges, r, k)
         want = oracle_counts(y, x[:, 0], edges, r, k)
         xb0 = ds.x.astype(np.int64) - 1
-        n_yj = tally_marginals(ds._network.y0, xb0, r, k)[0]
+        n_yj = tally_marginals(ds.network.y0, xb0, r, k)[0]
         n_pairs_yj = block_pair_tables(n_yj[None])[0]
         assert np.array_equal(n_pairs_yj.sum(axis=(2, 3)), want["n_pairs_y"])
         assert np.array_equal(n_pairs_yj, want["n_pairs_yj"])
@@ -66,7 +66,7 @@ def test_response_pair_tables():
         y, x, edges, r, k = random_instance(rng)
         ds = as_dataset(y, x, edges, r, k)
         want = oracle_counts(y, x[:, 0], edges, r, k)
-        got = ds._network.tables()
+        got = ds.network.tables()
         for have, key in zip(got, ("n_y", "n_pairs_y", "n_edges_y")):
             assert have.dtype == np.int64
             assert np.array_equal(have, want[key])
@@ -77,7 +77,7 @@ def test_response_pair_tables():
         inner = [(rank[s - 1], rank[t - 1]) for s, t in edges
                  if mask[s - 1] and mask[t - 1]]
         want = oracle_counts(y[keep], x[keep, 0], inner, r, k)
-        got = ds._network.tables(mask)
+        got = ds.network.tables(mask)
         for have, key in zip(got, ("n_y", "n_pairs_y", "n_edges_y")):
             assert np.array_equal(have, want[key])
 
@@ -92,7 +92,7 @@ def test_blocked_tallies_equal_per_column_counts():
              if s != t and rng.uniform() < 0.2]
     ds = as_dataset(y.astype(np.int32), x, edges, r, k)
     xb0 = ds.x.astype(np.int64) - 1  # (n, p) 0-based codes
-    args = (ds._network.y0, ds._network.src0, ds._network.dst0)
+    args = (ds.network.y0, ds.network.src0, ds.network.dst0)
     marg = tally_marginals(args[0], xb0, r, k)
     edge = tally_edges(*args, xb0, k, tally_adjacency(*args, r))
     assert marg.shape == (p, r, k)
@@ -128,7 +128,7 @@ def test_tally_edges_matches_oracle_across_shapes(r, k):
         edges = [(s + 1, t + 1) for s in range(3, n) for t in range(3, n)
                  if s != t and rng.uniform() < density]
         ds = as_dataset(y, x, edges, r, k)
-        net = ds._network
+        net = ds.network
         y0, src0, dst0 = net.y0, net.src0, net.dst0
         adjacency = tally_adjacency(y0, src0, dst0, r)
         block = tally_edges(y0, src0, dst0, xb0, k, adjacency)
@@ -163,7 +163,7 @@ def test_tally_edges_float64_products_give_the_same_tables(monkeypatch):
     mask = rng.uniform(size=n) < 0.7
     ds = as_dataset(y, x, edges, r, k)
     xb0 = x.astype(np.int64) - 1
-    args = (ds._network.y0, ds._network.src0, ds._network.dst0)
+    args = (ds.network.y0, ds.network.src0, ds.network.dst0)
     # (int16 bound, float32 bound) that pick each type at this n
     bounds = {np.int16: (counts.INT16_EXACT_DEGREE,
                          counts.FLOAT32_EXACT_DEGREE),
@@ -174,7 +174,7 @@ def test_tally_edges_float64_products_give_the_same_tables(monkeypatch):
         monkeypatch.setattr(counts, "INT16_EXACT_DEGREE", int16_bound)
         monkeypatch.setattr(counts, "FLOAT32_EXACT_DEGREE", float32_bound)
         adjacency = tally_adjacency(*args, r)
-        assert adjacency[2].dtype == dtype
+        assert adjacency.matrix.dtype == dtype
         tables[dtype] = (tally_edges(*args, xb0, k, adjacency),
                          tally_edges(*args, xb0, k, adjacency, mask=mask),
                          degrees(adjacency, mask))
@@ -209,22 +209,23 @@ def test_tally_adjacency_matches_edge_loop():
         y, x, edges, r, k = random_instance(rng)
         ds = as_dataset(y, x, edges, r, k)
         n = len(y)
-        net = ds._network
+        net = ds.network
         for links, src0, dst0 in ((edges, net.src0, net.dst0),
                                   ([(d, s) for s, d in edges], net.dst0,
                                    net.src0)):
-            order, classes, adjacency, degrees = tally_adjacency(
-                net.y0, src0, dst0, r)
+            adjacency = tally_adjacency(net.y0, src0, dst0, r)
+            order = adjacency.order
             assert np.array_equal(order, np.argsort(y, kind="stable"))
-            assert [y[order[rows]].tolist() for rows in classes] == [
+            assert np.array_equal(adjacency.rank, np.argsort(order))
+            assert [y[order[rows]].tolist() for rows in adjacency.classes] == [
                 [c] * int(np.sum(y == c)) for c in range(1, r + 1)]
             want = np.zeros((r, n, n), dtype=np.int64)
-            rank = np.argsort(order)
             for s, d in links:
-                want[y[d - 1] - 1, rank[s - 1], d - 1] += 1
-            assert adjacency.shape == (r * n, n)
-            assert np.array_equal(adjacency.toarray(), want.reshape(r * n, n))
-            assert np.array_equal(degrees, want.sum(axis=2))
+                want[y[d - 1] - 1, adjacency.rank[s - 1], d - 1] += 1
+            assert adjacency.matrix.shape == (r * n, n)
+            assert np.array_equal(adjacency.matrix.toarray(),
+                                  want.reshape(r * n, n))
+            assert np.array_equal(adjacency.deg, want.sum(axis=2))
 
 
 def test_adjacency_rows_matches_edge_loop():
@@ -246,11 +247,11 @@ def test_adjacency_rows_matches_edge_loop():
                     want[i, 0, y[d] - 1, d] += 1
                 if d == t:
                     want[i, 1, y[s] - 1, s] += 1
-        sides = (ds._network.out, ds._network.into)
-        pos = np.argsort(sides[0][0])[targets]
+        sides = (ds.network.out, ds.network.into)
+        pos = sides[0].rank[targets]
         rows = (pos[:, None] + n * np.arange(r)).ravel()
         for a, side in enumerate(sides):
-            got = side[2][rows].toarray().reshape(targets.size, r, n)
+            got = side.matrix[rows].toarray().reshape(targets.size, r, n)
             assert np.array_equal(got, want[:, a])
             assert np.array_equal(degrees(side, known)[:, pos].T,
                                   (want[:, a] @ known) * known[targets, None])
@@ -262,7 +263,7 @@ def test_counts_ignore_declared_but_unseen_levels():
     x = np.array([[1], [2], [2], [1]])
     ds = validate(NodeDataset(y=y, x=x, edges=np.array([[1, 2]]),
                               k_levels=[4]))
-    n_yj = tally_marginals(ds._network.y0, ds.x.astype(np.int64) - 1,
+    n_yj = tally_marginals(ds.network.y0, ds.x.astype(np.int64) - 1,
                            ds.r_levels, int(ds.k_levels[0]))[0]
     assert n_yj.shape == (2, 4)
     assert n_yj[:, 2:].sum() == 0

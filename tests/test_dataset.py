@@ -32,6 +32,9 @@ class TestFeatureSet:
         fs = FeatureSet.from_keys([4, "7", (1, 2)])
         assert fs.mains == (4, 7)
         assert fs.pairs == ((1, 2),)
+        # whole floats and numpy ints are the columns they name
+        assert FeatureSet.from_keys([2.0, np.int64(3), (1.0, 4)]) == \
+            FeatureSet((2, 3), ((1, 4),))
 
     def test_membership(self):
         fs = FeatureSet((1,), ((2, 3),))
@@ -53,6 +56,20 @@ class TestFeatureSet:
 
     def test_len(self):
         assert len(FeatureSet((1, 2), ((3, 4),))) == 3
+
+    @pytest.mark.parametrize("make, bad", [
+        (lambda: FeatureSet((1.5, 2.9)), "1.5"),
+        (lambda: FeatureSet((True, 2.7)), "True"),
+        (lambda: FeatureSet((), ((1.9, 3),)), "1.9"),
+        (lambda: FeatureSet((), ((1, False),)), "False"),
+        (lambda: FeatureSet.from_keys([1.5, 2.9]), "1.5"),
+        (lambda: FeatureSet.from_keys([(True, 3)]), "True"),
+    ], ids=["fractional-mains", "bool-main", "fractional-pair",
+            "bool-pair", "fractional-keys", "bool-pair-key"])
+    def test_ids_must_be_whole_numbers(self, make, bad):
+        """A fraction or a bool would name another column once truncated."""
+        with pytest.raises(ValidationError, match=f"not {bad}$"):
+            make()
 
 
 class TestValidate:
@@ -233,8 +250,8 @@ class TestValidate:
                                       edges=edges))
             want = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
             assert np.array_equal(ds.edges, want)
-            assert np.array_equal(ds._network.src0, want[:, 0] - 1)
-            assert np.array_equal(ds._network.dst0, want[:, 1] - 1)
+            assert np.array_equal(ds.network.src0, want[:, 0] - 1)
+            assert np.array_equal(ds.network.dst0, want[:, 1] - 1)
             # with two edges repeated, the first in sorted order is named
             twice = edges[rng.choice(len(edges), size=2, replace=False)]
             first = twice[np.lexsort((twice[:, 1], twice[:, 0]))][0]
@@ -270,7 +287,7 @@ def test_data_path_builds_no_network(monkeypatch, tmp_path):
     paths = write_dataset(tmp_path / "d", ds, extras)
     back, _ = read_dataset(paths["nodes"], paths["edges"], paths["metadata"])
     wide = interaction_expand(validate(back), [(1, 2), (3, 4)])
-    assert wide._network is back._network
+    assert wide.network is back.network
     assert builds == []
 
 

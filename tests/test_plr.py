@@ -108,7 +108,7 @@ def test_noise_columns_match_high_precision_values():
     noise = range(5, 13)  # ex1's true features are columns 1..4
     got = batch_statistics(ds, noise)
     for pos, j in enumerate(noise):
-        net = ds._network
+        net = ds.network
         node, link = precise_parts(
             net.y0, ds.x[:, j - 1].astype(np.int64) - 1, net.src0, net.dst0,
             ds.r_levels, int(ds.k_levels[j - 1]), mpmath)
@@ -261,7 +261,7 @@ def test_block_width_bounds_the_n_sized_temporaries():
     widths = [part.size for _, part, _ in column_blocks(ds, range(1, p + 1))]
     assert sum(widths) == p
     assert max(widths) * n * (k - 1) <= plr.BLOCK_TARGET_CELLS
-    ds._network.out  # built once per dataset, outside the traced pass
+    ds.network.out  # built once per dataset, outside the traced pass
     tracemalloc.start()
     try:
         batch_statistics(ds)
@@ -368,6 +368,31 @@ def test_permutation_pvalue_on_constant_column_is_one():
     x = np.ones((6, 1), dtype=np.int64)
     ds = as_dataset(y, x, [(1, 2), (3, 4)], 2, 1)
     assert permutation_pvalue(ds, [1], 19, seed=0).tolist() == [1.0]
+
+
+@pytest.mark.parametrize("relabel", ["merge", "permute"])
+def test_walk_scores_a_relabeled_network_without_its_dataset(relabel):
+    """A Network on another class code of the same nodes and links (ex7's
+    four classes merged in pairs, or permuted) has the tables of a dataset
+    validated with that code as its response, and the walk on it, given
+    only that network, its tables and the codes, gives that dataset's
+    batch_statistics totals bit for bit."""
+    ds, _ = generate(example_config(7, n=300, p=12), seed=5)
+    ds = interaction_expand(ds, [(1, 2), (3, 4)])  # widths 2 and 4
+    net = ds.network
+    code = net.y0 // 2 if relabel == "merge" else np.array([2, 0, 3, 1])[
+        net.y0]
+    relabeled = counts.Network(code, net.src0, net.dst0, int(code.max()) + 1)
+    other = validate(NodeDataset(code + 1, ds.x, ds.edges,
+                                 composite_pairs=ds.composite_pairs))
+    tables = relabeled.tables()
+    for got, want in zip(tables, other.network.tables()):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    _, lam_self, lam_net = batch_statistics(other)
+    for k, part, xb0 in column_blocks(ds, range(1, ds.p + 1)):
+        self_tot, net_tot = plr._block_lambdas(relabeled, tables, xb0, k)
+        assert (self_tot / other.n).tobytes() == lam_self[part].tobytes()
+        assert (net_tot / other.n).tobytes() == lam_net[part].tobytes()
 
 
 def test_one_shared_table_build_per_call(monkeypatch):

@@ -21,7 +21,7 @@ from oracles import oracle_pearson, random_instance
 def joint_tally(ds, j):
     """(R, K_j) tally of response level by level of column j (1-based)."""
     xb0 = ds.column(j).astype(np.int64)[:, None] - 1
-    return tally_marginals(ds._network.y0, xb0, ds.r_levels,
+    return tally_marginals(ds.network.y0, xb0, ds.r_levels,
                            int(ds.k_levels[j - 1]))[0]
 
 
@@ -144,8 +144,8 @@ def test_interaction_expand_equals_full_validation():
         assert got.feature_names == want.feature_names
         assert got.r_levels == want.r_levels
         assert got.composite_pairs == want.composite_pairs
-        for attr in ("y", "x", "edges", "k_levels", "_network.y0",
-                     "_network.src0", "_network.dst0"):
+        for attr in ("y", "x", "edges", "k_levels", "network.y0",
+                     "network.src0", "network.dst0"):
             a, b = attrgetter(attr)(got), attrgetter(attr)(want)
             assert a.dtype == b.dtype and a.shape == b.shape, attr
             assert np.array_equal(a, b), attr
@@ -237,6 +237,12 @@ def test_interaction_expand_rejects_bad_pairs():
         interaction_expand(ds, [(1, 2), (1, 2)])
     with pytest.raises(ValidationError):
         interaction_expand(ds, [(1, 5)])
+    # truncated, either would expand as composite 1&3
+    for pair, bad in (((1.9, 3), "1.9"), ((True, 3), "True")):
+        with pytest.raises(ValidationError, match=f"pair id must be a whole "
+                           f"number, not {bad}$"):
+            interaction_expand(ds, [pair])
+    assert interaction_expand(ds, [(1.0, 3)]).composite_pairs == {5: (1, 3)}
     out = interaction_expand(ds, [(1, 2)])
     with pytest.raises(ValidationError):
         interaction_expand(out, [(2, 5)])  # composites cannot be re-paired

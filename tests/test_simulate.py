@@ -677,7 +677,12 @@ LOGISTIC = {"kind": "logistic", "terms": [[[1], 1.0]]}
     ({"response": LOGISTIC}, "the nnb model needs a uniform response"),
     ({"response": [1]}, "the response must be an object"),
     ({"noise": [0.4]}, "noise must be an object"),
-    ({"noise": {"s": None}}, "noise exponent s must be a number, not None"),
+    ({"noise": {"s": None}},
+     "noise exponent s must be a finite number, not None"),
+    ({"noise": {"s": "0.4"}},
+     "noise exponent s must be a finite number, not '0.4'"),
+    ({"s_y": FeatureSet((0,))}, "s_y column 0 outside 1..3"),
+    ({"s_a": FeatureSet((1,), ((2, 4),))}, "s_a column 4 outside 1..3"),
     ({"bins": 1}, "bins must be at least 2"),
     ({"columns": {2: {"kind": "normal", "mu": [[0.0, 1.0]] * 2,
                       "sigma": 1.0}}},
@@ -707,7 +712,8 @@ LOGISTIC = {"kind": "logistic", "terms": [[[1], 1.0]]}
         "no-terms", "bare-term", "fractional-term-column",
         "infinite-term-column", "term-column-range", "wide-term-column",
         "nnb-logistic-response", "list-response", "list-noise",
-        "noise-s-none", "one-bin", "nested-mean-rows", "word-p", "none-k",
+        "noise-s-none", "numeral-noise-s", "s-y-zero", "s-a-pair-past-p",
+        "one-bin", "nested-mean-rows", "word-p", "none-k",
         "word-mu", "zero-base-odds", "negative-base-odds", "nan-gamma",
         "word-gamma", "nan-phi-coefficient", "fractional-phi-column",
         "bool-phi-column", "fractional-n", "fractional-r-levels"])

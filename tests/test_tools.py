@@ -87,15 +87,23 @@ def test_report_prints_one_table_per_workload():
 
 
 def test_digests_repeat_on_a_two_entry_grid():
-    names = ("generate/ex8-nnb/n80-p12-seed(5,3)", "screen/top")
+    names = ("generate/ex8-nnb/n80-p12-seed(5,3)", "screen/top",
+             "classify/predict_scores", "classify/type3-split0.7-auc")
     entries = [entry for entry in digests.grid() if entry[0] in names]
     assert [name for name, _ in entries] == list(names)
     lines = digests.digest_lines(entries)
     assert lines == digests.digest_lines(entries)
     assert lines == sorted(lines)
-    # five generate arrays and one screen.json
+    # six score arrays, one classify.json, five generate arrays and one
+    # screen.json
     assert [line.split()[0] for line in lines] == [
+        f"classify/predict_scores/{kind}-{mask}"
+        for kind in ("type1", "type2", "type3")
+        for mask in ("all", "train0.7")] + [
+        "classify/type3-split0.7-auc/classify.json"] + [
         f"generate/ex8-nnb/n80-p12-seed(5,3)/{part}"
         for part in ("edges", "raw", "widths", "x", "y")] + [
         "screen/top/screen.json"]
+    # the three kinds' scores differ, and so do the two fits of each
+    assert len({line.split()[1] for line in lines}) == len(lines)
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)

@@ -11,7 +11,11 @@ Prints one sorted ``name sha256`` line per output:
   - report.json, long.csv and table.txt of ``experiment --example 1..9``
     (n 120, p 25, 2 reps);
   - screen.json of ``screen`` with --method plr and pc, --interactions top,
-    --cutoff pvalue:0.01, --cutoff hard:5 and --perms 5 on an ex3 dataset.
+    --cutoff pvalue:0.01, --cutoff hard:5 and --perms 5 on an ex3 dataset;
+  - on the same ex3 dataset expanded by its true pairs, the
+    ``predict_scores`` arrays of type1, type2 and type3 fitted on every node
+    and on a 70% train mask, and the JSON of ``classify --split 0.7 --auc``
+    for each kind.
 Run it on two checkouts and ``diff`` the outputs. Each array digest covers
 its dtype and shape as well as its bytes.
 """
@@ -27,8 +31,10 @@ from pathlib import Path
 
 import numpy as np
 
+from netscreen.classify import KINDS, ClassifierSpec, fit, predict_scores
 from netscreen.cli import main as cli
 from netscreen.io import write_json
+from netscreen.screening import interaction_expand
 from netscreen.simulate import example_config, generate
 
 MODELS = [(ex, "nlr" if ex == 9 else "nnb") for ex in range(1, 10)] + [
@@ -38,6 +44,8 @@ SCREENS = {"plr": ["--method", "plr"], "pc": ["--method", "pc"],
            "top": ["--interactions", "top"],
            "pvalue": ["--cutoff", "pvalue:0.01"],
            "hard5": ["--cutoff", "hard:5"], "perms5": ["--perms", "5"]}
+EX3 = example_config(3, n=150, p=12, seed=1)  # the screens' and fits' data
+SPLIT = 0.7
 
 
 def _array_bytes(a) -> bytes:
@@ -82,15 +90,41 @@ def experimented(ex: int, tmp: Path) -> dict:
     return _files(tmp, ("report.json", "long.csv", "table.txt"))
 
 
-def screened(options, tmp: Path) -> dict:
+def _ex3_files(tmp: Path) -> list[str]:
+    """Write EX3's dataset under tmp; return the options that read it."""
     data = tmp / "data"
-    _run(["simulate", "--example", "3", "--n", "150", "--p", "12",
-          "--seed", "1", "--out", str(data)])
-    _run(["screen", "--nodes", str(data / "nodes.csv"),
-          "--edges", str(data / "edges.csv"),
-          "--metadata", str(data / "metadata.json"), *options,
+    _run(["simulate", "--example", "3", "--n", str(EX3.n), "--p", str(EX3.p),
+          "--seed", str(EX3.seed), "--out", str(data)])
+    return ["--nodes", str(data / "nodes.csv"),
+            "--edges", str(data / "edges.csv"),
+            "--metadata", str(data / "metadata.json")]
+
+
+def screened(options, tmp: Path) -> dict:
+    _run(["screen", *_ex3_files(tmp), *options,
           "--out", str(tmp / "screen.json")])
     return _files(tmp, ("screen.json",))
+
+
+def predicted() -> dict:
+    """predict_scores of every kind on EX3 expanded by its true pairs, fitted
+    on every node and on a SPLIT train mask drawn as ``classify --split``
+    draws it."""
+    ds = interaction_expand(generate(EX3)[0], EX3.true_features().pairs)
+    rng = np.random.default_rng(np.random.SeedSequence((EX3.seed, 97)))
+    masks = {"all": None, f"train{SPLIT}": rng.random(ds.n) < SPLIT}
+    return {f"{kind}-{label}": _array_bytes(predict_scores(
+                fit(ClassifierSpec(kind, s_y=EX3.s_y, s_a=EX3.s_a), ds, mask),
+                ds))
+            for kind in KINDS for label, mask in masks.items()}
+
+
+def classified(kind: str, tmp: Path) -> dict:
+    _run(["classify", *_ex3_files(tmp), "--kind", kind,
+          "--s-y", ",".join(EX3.s_y.keys()), "--s-a", ",".join(EX3.s_a.keys()),
+          "--split", str(SPLIT), "--auc", "--seed", str(EX3.seed),
+          "--out", str(tmp / "classify.json")])
+    return _files(tmp, ("classify.json",))
 
 
 def grid() -> list:
@@ -110,6 +144,10 @@ def grid() -> list:
     for name, options in SCREENS.items():
         entries.append((f"screen/{name}",
                         lambda tmp, o=options: screened(o, tmp)))
+    entries.append(("classify/predict_scores", lambda tmp: predicted()))
+    for kind in KINDS:
+        entries.append((f"classify/{kind}-split{SPLIT}-auc",
+                        lambda tmp, kind=kind: classified(kind, tmp)))
     return entries
 
 
