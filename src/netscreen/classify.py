@@ -23,7 +23,9 @@ through edge-minus-gap weights. The last level's count is the degree minus
 the inner ones, so it is folded into the weights and never counted per node.
 type3 reads the inner counts of a block of equal-width link columns from the
 products of the targets' rows of the :class:`counts.Network` adjacencies, out
-of them and into them, with the block's labeled level indicators, in the
+of them and into them (rows in node order: target t's class-r2 neighbours
+are row t + n r2, so no class reordering is needed), with the block's
+labeled level indicators, in the
 adjacency's own type (int16 or float32 while exact for its degrees, see
 :mod:`counts`), and contracts them in float64; type2 needs the degrees
 alone.
@@ -195,7 +197,7 @@ def predict_scores(clf: NetworkClassifier, dataset: NodeDataset,
     # of sides), the labeled ones' counts, a one and its own cell in shared
     network, mask = dataset.network, clf.train_mask
     y0 = network.y0
-    ids = (network.out.rank[t0, None] + n * np.arange(r)).ravel()
+    ids = (t0[:, None] + n * np.arange(r)).ravel()
     sides = [network.out.matrix[ids], network.into.matrix[ids]]
     known = mask.astype(sides[0].dtype)
     own = np.zeros((t0.size, r))

@@ -4,7 +4,8 @@ Every statistic and classifier score in the package is a function of these
 tables. Feature tables come from blocked tallies, one block of same-width
 columns per call; pair counts from a closed-form product identity, never
 from iterating node pairs; edge tallies from one sparse-dense product per
-block with the class-split CSR adjacency of the dataset's :class:`Network`.
+block with the node-order CSR adjacency of the dataset's :class:`Network`,
+and every class sum from dense products with class one-hots and weights.
 All tables are 64-bit integers (ordered-pair totals reach n(n-1), which
 overflows 32 bits beyond n of about 65k). Table axes are 0-based: entry
 [r-1, k-1] holds the tally of response level r with feature level k.
@@ -22,83 +23,101 @@ from scipy import sparse
 # ---- blocked tallies over groups of same-width columns ----
 # One call covers a block of B columns that share the level count k. xb0
 # holds 0-based level codes, one column per feature in the block; y0 the
-# 0-based responses; src0/dst0 the 0-based edge endpoints.
+# 0-based responses; src0/dst0 the 0-based edge endpoints. I is the
+# (n, (k-1) B) indicator matrix of the inner levels l < k-1, laid out
+# (node, level, column), and C the (R, n) class one-hot, C[r, i] = [y_i = r].
+#
+# Marginals: n_yj[c, r, l] = (C I)[r, (l, c)] at the inner levels; the last
+# level is n_y minus them.
 #
 # Edge tallies: tally_adjacency stacks, in one CSR matrix built by one COO
 # to CSR conversion, the adjacencies A_{r2} of the edges whose destination
-# has class r2, each with its rows listed class by class, so the sources of
-# each class r1 are one contiguous row range; its row sums are the degrees.
-# Each node's neighbours of class r2 at level l of column c are
-# T[i, r2, l, c] = (A_{r2} I_{l,c})[i], where I_{l,c} indicates the nodes at
-# that level: one product per block covers every class, all B columns and
-# every level but the last, which is the degree minus the others. Then
-#     E[r1, r2, l, m] = sum of T[i, r2, m, c] over i with y_i = r1, x_ic = l,
-# summed only over the inner cells l, m < k-1; the rest follow from margins:
-#     row l < k-1:    sum over m of E[.., l, m] = sum of deg_{r2}[i] over the
-#                     sources i of class r1 at level l;
-#     column m < k-1: sum over l of E[.., l, m] = sum of T[i, r2, m, c] over
-#                     the sources i of class r1;
-#     all cells:      sum of deg_{r2} over class r1,
-# so the last row, the last column and the corner are differences. A train
-# mask zeroes the indicators and the source rows of the nodes it leaves out,
-# and its degrees are the product of the adjacency with it.
+# has class r2, rows in node order: row r2 n + i holds node i's class-r2
+# out-neighbours. Its row sums are the degrees deg[r2, i]; each node's
+# in-degree by source class, indeg[r1, u], comes with it. Both are one
+# bincount over the edges. Each node's neighbours of class r2 at level m of
+# column c are T[i, r2, m, c] = (A_{r2} I)[i, (m, c)]: one sparse product
+# per block covers every class, all B columns and every level but the last.
+# Then
+#     E[r1, r2, l, m] = sum of T[i, r2, m, c] over i with y_i = r1, x_ic = l
+# is summed only over the inner cells l, m < k-1; the rest follow from
+# margins, which are sums of class weights over the nodes at a level:
+#     row l < k-1:    sum over m of E[.., l, m] = sum over i at level l of
+#                     [y_i = r1] deg[r2, i];
+#     column m < k-1: sum over l of E[.., l, m] = sum over u at level m of
+#                     [y_u = r2] indeg[r1, u] (each edge counted at its
+#                     destination);
+#     all cells:      sum of deg[r2] over class r1,
+# so the last row, the last column and the corner are differences. The
+# 2 R^2 weight rows form one (2 R^2, n) matrix, so all margins are one dense
+# product with I. The inner cells are C times the elementwise products
+# I[i, (l, c)] T[i, r2, m, c], taken over chunks of nodes so that the
+# temporary stays within NODE_CHUNK_CELLS, or within 4 nodes' products when
+# one node's pass it (fewer bytes than the block's int64 tables, R >= 2).
+# A train mask zeroes
+# the indicators of the nodes it leaves out; its degrees are the product of
+# the adjacency with the mask, its in-degrees that of the transposed
+# adjacency with the masked class one-hot.
 #
-# Products run in the narrowest type that holds them exactly, chosen per
-# adjacency from its largest class-split degree D: int16 when D < 2^15, else
-# float32 when D < 2^24, else float64. Each entry of a product, T[i, r2, l, c]
-# here or a neighbour count of the classifier, adds ones and zeros: all its
-# addends are nonnegative, so no partial sum exceeds node i's class-r2
-# degree, and every partial sum is an integer the type holds exactly (float32
-# holds every integer up to 2^24). int16 moves half the bytes of float32
-# through the sparse product. Reductions over nodes run in float64, whose
-# integer range (2^53) covers the edge count. A block then costs
-# O((k-1) B |E|) for the product plus O(R (k-1)^2 B n) for the reductions,
-# and the adjacency O(|E| + R n) once per dataset. All tables come back as
-# exact int64.
+# Exactness. Products with the adjacency run in the narrowest type that
+# holds them exactly, chosen per adjacency from its largest class-split
+# degree D: int16 when D < 2^15, else float32 when D < 2^24, else float64.
+# Each entry of T, or a neighbour count of the classifier, adds ones and
+# zeros: all its addends are nonnegative, so no partial sum exceeds node i's
+# class-r2 degree, and every partial sum is an integer the type holds
+# (float32 holds every integer up to 2^24). I T stays exact in that type,
+# since one factor is 0 or 1. int16 moves half the bytes of float32 through
+# the sparse product. A masked in-degree can exceed D, so its product runs
+# in float64. The dense products add nonnegative integers whose totals are
+# at most n (marginals) or E, the edge count (edge tallies). They run in
+# float32 while that bound is below FLOAT32_EXACT_DEGREE, else in float64,
+# whose integer range (2^53) covers it. Every partial sum then lies between
+# 0 and the total, so each addition is exact in any order: the tables are
+# the same bits whatever the BLAS library, its thread count or its
+# blocking. A block costs O((k-1) B E) for the sparse product plus
+# O(R^2 (k-1)^2 B n) for the dense ones, and the adjacency O(E + R n) once
+# per dataset. All tables come back as exact int64.
 
 INT16_EXACT_DEGREE = 2 ** 15  # int16 holds every count below this bound
 FLOAT32_EXACT_DEGREE = 2 ** 24  # float32 holds every integer up to this bound
+NODE_CHUNK_CELLS = 2 ** 18  # inner-cell products per node chunk: 1 MB of float32
 
 
 def tally_marginals(y0: np.ndarray, xb0: np.ndarray, r: int, k: int) -> np.ndarray:
     """Joint (response, level) tallies, shape (B, R, k), from 0-based codes."""
-    b = xb0.shape[1]
-    codes = y0[:, None] * k + xb0
-    codes = codes + np.arange(b, dtype=np.int64) * (r * k)
-    # bincount ignores element order, so the F-ordered codes need no copy
-    flat = np.bincount(codes.ravel(order="K"), minlength=b * r * k)
-    return flat.reshape(b, r, k)
+    n, b = xb0.shape
+    total = _sum_type(n)
+    out = np.empty((b, r, k), dtype=np.int64)
+    inner = _classes(y0, r, total) @ _indicators(xb0, k, total)
+    out[:, :, :-1] = inner.reshape(r, k - 1, b).transpose(2, 0, 1)
+    out[:, :, -1] = np.bincount(y0, minlength=r) - out[:, :, :-1].sum(axis=2)
+    return out
 
 
-Adjacency = namedtuple("Adjacency", "order rank classes matrix deg")
+Adjacency = namedtuple("Adjacency", "matrix deg indeg")
 
 
 def tally_adjacency(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
                     r: int) -> Adjacency:
-    """The (order, rank, classes, matrix, deg) that :func:`tally_edges` reads.
+    """The (matrix, deg, indeg) that :func:`tally_edges` reads.
 
-    order lists the nodes class by class (stable in node id), rank is its
-    inverse and classes holds each class's slice of it. matrix is one CSR
-    (R n, n) adjacency: row r2 n + i holds the destinations of class r2 of
-    the edges out of node order[i], in int16 when every degree is below
+    matrix is one CSR (R n, n) adjacency in node order: row r2 n + i holds
+    node i's out-neighbours of class r2, in int16 when every degree is below
     INT16_EXACT_DEGREE, else in float32 when below FLOAT32_EXACT_DEGREE,
     else in float64, so that its products with 0/1 indicators are exact.
-    deg (R, n) are its row sums.
+    deg (R, n) are its row sums, deg[r2, i]; indeg (R, n) counts each node's
+    in-neighbours by class, indeg[r1, u].
     """
     n = y0.size
-    order = np.argsort(y0, kind="stable")
-    ends = np.cumsum(np.bincount(y0, minlength=r))
-    classes = [slice(lo, hi) for lo, hi in zip(np.r_[0, ends[:-1]], ends)]
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    rows = y0[dst0] * n + rank[src0]
+    rows = y0[dst0] * n + src0
     deg = np.bincount(rows, minlength=r * n).reshape(r, n)
+    indeg = np.bincount(y0[src0] * n + dst0, minlength=r * n).reshape(r, n)
     top = deg.max()
     dtype = (np.int16 if top < INT16_EXACT_DEGREE else
              np.float32 if top < FLOAT32_EXACT_DEGREE else np.float64)
     matrix = sparse.csr_array(
         (np.ones(rows.size, dtype), (rows, dst0)), shape=(r * n, n))
-    return Adjacency(order, rank, classes, matrix, deg)
+    return Adjacency(matrix, deg, indeg)
 
 
 def degrees(adjacency: Adjacency, mask=None) -> np.ndarray:
@@ -108,8 +127,41 @@ def degrees(adjacency: Adjacency, mask=None) -> np.ndarray:
         return adjacency.deg
     # each entry is at most a degree, so the product holds it exactly
     links = adjacency.matrix @ mask.astype(adjacency.matrix.dtype)
-    return (links.reshape(len(adjacency.classes), -1).astype(np.int64)
-            * mask[adjacency.order])
+    return links.reshape(-1, mask.size).astype(np.int64) * mask
+
+
+def _in_degrees(adjacency: Adjacency, y0: np.ndarray, mask) -> np.ndarray:
+    """The (R, n) int64 in-degrees by source class of an
+    :class:`Adjacency` of the classes y0; with a boolean (n,) mask, of the
+    edges between the nodes it selects only. The masked product runs in
+    float64: the matrix type is exact for out-degrees, not in-degrees."""
+    if mask is None:
+        return adjacency.indeg
+    r = adjacency.deg.shape[0]
+    sources = np.zeros((mask.size, r))
+    sources[mask, y0[mask]] = 1.0
+    links = adjacency.matrix.T @ np.tile(sources, (r, 1))
+    return links.T.astype(np.int64) * mask
+
+
+def _sum_type(bound: int):
+    """float32 when every integer up to bound is exact in it, else float64."""
+    return np.float32 if bound < FLOAT32_EXACT_DEGREE else np.float64
+
+
+def _classes(y0: np.ndarray, r: int, dtype) -> np.ndarray:
+    """The (R, n) class one-hot of y0, in dtype."""
+    return (y0 == np.arange(r)[:, None]).astype(dtype)
+
+
+def _indicators(xb0: np.ndarray, k: int, dtype) -> np.ndarray:
+    """(n, (k-1) B) indicators of the inner levels of the (n, B) codes xb0,
+    laid out (node, level, column), in dtype."""
+    n, b = xb0.shape
+    lev = np.empty((n, k - 1, b), dtype=dtype)
+    for level in range(k - 1):
+        np.equal(xb0, level, out=lev[:, level])
+    return lev.reshape(n, -1)
 
 
 def tally_edges(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
@@ -117,37 +169,47 @@ def tally_edges(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
                 mask=None) -> np.ndarray:
     """Linked-pair tallies, shape (B, R, R, k, k), from 0-based codes.
 
-    adjacency is the :class:`Adjacency` of y0, src0 and dst0, which the
-    kernel reads only through it (they stay in the signature because
-    perfbench/spans.py sizes each call by them). A boolean (n,) mask counts
-    only the edges between the nodes it selects.
+    adjacency is the :class:`Adjacency` of y0, src0 and dst0; the kernel
+    reads the edges only through it (src0 and dst0 stay in the signature
+    because perfbench/spans.py sizes each call by them). A boolean (n,) mask
+    counts only the edges between the nodes it selects.
     """
-    order, classes, adj = adjacency.order, adjacency.classes, adjacency.matrix
-    r = len(classes)
+    adj = adjacency.matrix
+    r = adjacency.deg.shape[0]
     n, b = xb0.shape
-    deg = degrees(adjacency, mask)
-    # indicators of the inner levels, laid out (node, level, column)
-    lev = (xb0[:, None, :] == np.arange(k - 1)[:, None]).astype(adj.dtype)
+    total = _sum_type(adj.nnz)
+    deg = degrees(adjacency, mask).astype(total)
+    indeg = _in_degrees(adjacency, y0, mask).astype(total)
+    lev = _indicators(xb0, k, adj.dtype)
     if mask is not None:
-        lev *= mask[:, None, None]
-    lev = lev.reshape(n, -1)
-    src = lev[order].reshape(n, k - 1, b)
-    hit = (adj @ lev).reshape(r, n, k - 1, b)
-    if mask is not None:
-        hit *= mask[order][:, None, None]
+        lev *= mask[:, None]
+    one = _classes(y0, r, total)
+    # class weights [y_i = r1] deg[r2, i], then [y_u = r2] indeg[r1, u]
+    weights = np.stack([one[:, None] * deg, indeg[:, None] * one])
+    margins = (weights.reshape(-1, n) @ lev).astype(np.int64)
+    rows, cols = margins.reshape(2, r, r, k - 1, b).transpose(0, 4, 1, 2, 3)
+    # inner cells: sums by source class of source indicator times neighbours
+    hit = (adj @ lev).reshape(r, n, 1, k - 1, b)
+    src = lev.reshape(n, k - 1, 1, b)
+    cells = (k - 1) ** 2 * b
+    # at least 4 nodes: numpy sums a one-node chunk without BLAS, about 15
+    # times slower, which matters once one node's products pass the target
+    step = max(4, NODE_CHUNK_CELLS // max(r * cells, 1))
+    part = np.empty((r, min(step, n), k - 1, k - 1, b), dtype=total)
+    inner = np.zeros((r, r, cells), dtype=total)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        chunk = part[:, :hi - lo]
+        np.multiply(src[lo:hi], hit[:, lo:hi], out=chunk)
+        inner += one[:, lo:hi] @ chunk.reshape(r, hi - lo, cells)
     out = np.empty((b, r, r, k, k), dtype=np.int64)
-    for r2 in range(r):
-        for r1, rows in enumerate(classes):
-            s, h, d = src[rows], hit[r2, rows], deg[r2, rows]
-            inner = np.einsum("ilb,imb->blm", s, h, dtype=np.float64)
-            row_tot = np.einsum("ilb,i->bl", s, d, dtype=np.float64)
-            col_tot = h.sum(axis=0, dtype=np.float64).T
-            cell = out[:, r1, r2]
-            cell[:, :-1, :-1] = inner
-            cell[:, :-1, -1] = row_tot - inner.sum(axis=2)
-            cell[:, -1, :-1] = col_tot - inner.sum(axis=1)
-            cell[:, -1, -1] = (d.sum() - row_tot.sum(axis=1)
-                               - col_tot.sum(axis=1) + inner.sum(axis=(1, 2)))
+    cell = out[..., :-1, :-1]
+    cell[...] = inner.reshape(r, r, k - 1, k - 1, b).transpose(4, 1, 0, 2, 3)
+    out[..., :-1, -1] = rows - cell.sum(axis=4)
+    out[..., -1, :-1] = cols - cell.sum(axis=3)
+    corner = weights[0].sum(axis=2).astype(np.int64)
+    out[..., -1, -1] = (corner - rows.sum(axis=3) - cols.sum(axis=3)
+                        + cell.sum(axis=(3, 4)))
     return out
 
 
@@ -185,6 +247,6 @@ class Network:
         sources of class r1, so it takes no pass over the edges."""
         y0 = self.y0 if mask is None else self.y0[mask]
         n_y = np.bincount(y0, minlength=self.r)
-        deg, classes = degrees(self.out, mask), self.out.classes
-        n_edges_y = np.stack([deg[:, rows].sum(axis=1) for rows in classes])
+        n_edges_y = _classes(self.y0, self.r, np.int64) @ degrees(
+            self.out, mask).T
         return n_y, np.outer(n_y, n_y) - np.diag(n_y), n_edges_y

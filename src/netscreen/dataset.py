@@ -70,8 +70,8 @@ class FeatureSet:
         if isinstance(item, str):
             return item in self.keys()
         if isinstance(item, tuple):
-            return tuple(item) in self.pairs
-        return int(item) in self.mains
+            return tuple(whole(j, "a pair id") for j in item) in self.pairs
+        return whole(item, "a feature id") in self.mains
 
 
 class NodeDataset:

@@ -256,6 +256,8 @@ class SimulationConfig:
                 value = d[f.name]
                 try:
                     kwargs[f.name] = convert.get(f.name, lambda v: v)(value)
+                except ValidationError:  # it names the id at fault
+                    raise
                 except (TypeError, ValueError, AttributeError):
                     raise ValidationError(
                         f"simulation config field {f.name!r} cannot be "

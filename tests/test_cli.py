@@ -212,7 +212,7 @@ def test_simulate_from_config_file(tmp_path):
     (lambda c: {**c, "noise": {"s": "0.4"}},
      "noise exponent s must be a finite number, not '0.4'"),
     (lambda c: {**c, "s_y": [1.5, 2.9]},
-     "simulation config field 's_y' cannot be [1.5, 2.9]"),
+     "a feature id must be a whole number, not 1.5"),
     (lambda c: {**c, "s_a": [9]}, "s_a column 9 outside 1..5"),
     (lambda c: {**c, "s_a": ["3&9"]}, "s_a column 9 outside 1..5"),
     (lambda c: {**c, "model": "nlr", "columns": {},

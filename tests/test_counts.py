@@ -191,6 +191,46 @@ def test_tally_edges_float64_products_give_the_same_tables(monkeypatch):
         assert np.array_equal(double[1][c], want)
 
 
+def test_float64_sums_give_the_same_tables(monkeypatch):
+    """The class sums run in float32 while the edge count is below the
+    float32 bound; with the bound lowered after the int16 adjacency is
+    built, they run in float64 over the same int16 products, and the
+    marginal and edge tables, plain and masked, keep their bytes."""
+    rng = np.random.default_rng(16)
+    n, p, r, k = 80, 7, 3, 3
+    y = np.concatenate([np.arange(1, r + 1), rng.integers(1, r + 1, n - r)])
+    x = rng.integers(1, k + 1, size=(n, p))
+    edges = [(s + 1, t + 1) for s in range(n) for t in range(n)
+             if s != t and rng.uniform() < 0.25]
+    mask = rng.uniform(size=n) < 0.7
+    ds = as_dataset(y, x, edges, r, k)
+    xb0 = x.astype(np.int64) - 1
+    args = (ds.network.y0, ds.network.src0, ds.network.dst0)
+    adjacency = tally_adjacency(*args, r)
+    assert adjacency.matrix.dtype == np.int16
+
+    def tables():
+        return (tally_marginals(args[0], xb0, r, k),
+                tally_marginals(args[0][mask], xb0[mask], r, k),
+                tally_edges(*args, xb0, k, adjacency),
+                tally_edges(*args, xb0, k, adjacency, mask=mask))
+
+    single = tables()
+    assert counts._sum_type(len(edges)) == np.float32
+    monkeypatch.setattr(counts, "FLOAT32_EXACT_DEGREE", 0)
+    assert counts._sum_type(len(edges)) == np.float64
+    for got, want in zip(tables(), single):
+        assert got.dtype == want.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
+    masked_edges = [(s, t) for s, t in edges if mask[s - 1] and mask[t - 1]]
+    for c in range(p):
+        want = oracle_counts(y, x[:, c], edges, r, k)
+        assert np.array_equal(single[0][c], want["n_yj"])
+        assert np.array_equal(single[2][c], want["n_edges_yj"])
+        want = oracle_counts(y, x[:, c], masked_edges, r, k)["n_edges_yj"]
+        assert np.array_equal(single[3][c], want)
+
+
 def test_edge_walk_oracle_matches_pair_walk():
     rng = np.random.default_rng(15)
     for _ in range(30):
@@ -201,9 +241,10 @@ def test_edge_walk_oracle_matches_pair_walk():
 
 
 def test_tally_adjacency_matches_edge_loop():
-    """Nodes listed class by class; row r2 n + i holds the class-r2
-    destinations of the edges out of node order[i]; degrees are row sums.
-    The reversed edge list gives the sources of the edges into each node."""
+    """Rows in node order: row r2 n + i holds node i's class-r2 destinations
+    of the edges out of it; deg are the row sums and indeg counts each
+    node's sources by class. The reversed edge list gives the sources of the
+    edges into each node."""
     rng = np.random.default_rng(14)
     for _ in range(30):
         y, x, edges, r, k = random_instance(rng)
@@ -214,24 +255,23 @@ def test_tally_adjacency_matches_edge_loop():
                                   ([(d, s) for s, d in edges], net.dst0,
                                    net.src0)):
             adjacency = tally_adjacency(net.y0, src0, dst0, r)
-            order = adjacency.order
-            assert np.array_equal(order, np.argsort(y, kind="stable"))
-            assert np.array_equal(adjacency.rank, np.argsort(order))
-            assert [y[order[rows]].tolist() for rows in adjacency.classes] == [
-                [c] * int(np.sum(y == c)) for c in range(1, r + 1)]
             want = np.zeros((r, n, n), dtype=np.int64)
+            indeg = np.zeros((r, n), dtype=np.int64)
             for s, d in links:
-                want[y[d - 1] - 1, adjacency.rank[s - 1], d - 1] += 1
+                want[y[d - 1] - 1, s - 1, d - 1] += 1
+                indeg[y[s - 1] - 1, d - 1] += 1
             assert adjacency.matrix.shape == (r * n, n)
             assert np.array_equal(adjacency.matrix.toarray(),
                                   want.reshape(r * n, n))
             assert np.array_equal(adjacency.deg, want.sum(axis=2))
+            assert np.array_equal(adjacency.indeg, indeg)
 
 
 def test_adjacency_rows_matches_edge_loop():
-    """The network's rows out of and into each target by class, on unsorted
-    targets with repeats, equal a literal loop over the edges; its masked
-    degrees count only the edges between known nodes."""
+    """The network's rows out of and into each target by class, read at
+    t + n r2 as predict_scores reads them, on unsorted targets with repeats,
+    equal a literal loop over the edges; its masked degrees count only the
+    edges between known nodes."""
     rng = np.random.default_rng(12)
     for trial in range(30):
         y, x, edges, r, k = random_instance(rng)
@@ -248,13 +288,14 @@ def test_adjacency_rows_matches_edge_loop():
                 if d == t:
                     want[i, 1, y[s] - 1, s] += 1
         sides = (ds.network.out, ds.network.into)
-        pos = sides[0].rank[targets]
-        rows = (pos[:, None] + n * np.arange(r)).ravel()
+        rows = (targets[:, None] + n * np.arange(r)).ravel()
         for a, side in enumerate(sides):
             got = side.matrix[rows].toarray().reshape(targets.size, r, n)
             assert np.array_equal(got, want[:, a])
-            assert np.array_equal(degrees(side, known)[:, pos].T,
+            assert np.array_equal(degrees(side, known)[:, targets].T,
                                   (want[:, a] @ known) * known[targets, None])
+            assert np.array_equal(side.indeg[:, targets].T,
+                                  want[:, 1 - a].sum(axis=2))
 
 
 def test_counts_ignore_declared_but_unseen_levels():

@@ -43,6 +43,17 @@ class TestFeatureSet:
         assert (2, 3) in fs
         assert "2&3" in fs
         assert 2 not in fs
+        # a whole number of any type names its column, as every id path
+        assert np.int64(1) in fs and 1.0 in fs
+        assert (2.0, np.int64(3)) in fs
+
+    @pytest.mark.parametrize("item, bad", [
+        (1.9, "1.9"), (True, "True"), ((1.9, 3), "1.9"), ((2, True), "True")])
+    def test_membership_refuses_what_is_not_an_id(self, item, bad):
+        # int() would truncate 1.9 to 1 and read True as 1
+        with pytest.raises(ValidationError,
+                           match=f"must be a whole number, not {bad}"):
+            item in FeatureSet((1,), ((2, 3),))
 
     def test_pair_order_enforced(self):
         with pytest.raises(ValidationError):

@@ -74,16 +74,31 @@ def test_report_prints_one_table_per_workload():
     worse = bench_pairs.summarize([{"ops_per_s": 10.0}] * 3,
                                   [{"ops_per_s": 7.0}] * 3, metric)
     text = bench_pairs.format_report(
-        [("replicate_ex1", better), ("simulate_io", worse)], pairs=3,
+        [("replicate_ex1", better, "BLAS OPENBLAS_NUM_THREADS=1"),
+         ("simulate_io", worse, "BLAS none set")], pairs=3,
         seed=21, cpu=1, seconds=20)
     first, second = text.split("\n\n")
-    assert first.splitlines()[0] == \
-        "replicate_ex1, 3 pairs, seeds 21..23, CPU 1, 20 s runs"
+    assert first.splitlines()[0] == (
+        "replicate_ex1, 3 pairs, seeds 21..23, CPU 1, 20 s runs, "
+        "BLAS OPENBLAS_NUM_THREADS=1")
     assert first.splitlines()[2].split()[:5] == [
         "ops_per_s", "10", "12", "0", "3/3"]
     assert not first.endswith("beyond bound")
     assert second.splitlines()[0].startswith("simulate_io, 3 pairs")
     assert second.endswith("0/3  beyond bound")
+
+
+def test_blas_line_names_each_side_once():
+    one = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+    two = {"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "2"}
+    assert bench_pairs.blas_text([one, one], [one, dict(one)]) == \
+        "BLAS OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1"
+    assert bench_pairs.blas_text([one, two], [one]) == (
+        "BLAS parent OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1; "
+        "OMP_NUM_THREADS=2 OPENBLAS_NUM_THREADS=2, "
+        "change OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1")
+    assert bench_pairs.blas_text([None], [{}]) == \
+        "BLAS parent not recorded, change none set"
 
 
 def test_digests_repeat_on_a_two_entry_grid():

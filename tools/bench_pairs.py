@@ -9,7 +9,10 @@ For each workload W in turn, pair i runs ``perfbench/run.py --workload W
 the change's BENCHMARK.json, the parent first in even pairs and the change
 first in odd ones. Every child is pinned to the highest CPU this process may
 use, since unpinned runs on a small VM switch between a fast and a slow
-mode. Then, one table per workload, for every end-to-end metric that
+mode. Each child's record in .perfbench_out gives the BLAS thread
+settings it ran with (run.py caps them at the CPUs a process may use, so
+pinned children run BLAS on one thread); each table's header names them.
+Then, one table per workload, for every end-to-end metric that
 BENCHMARK.json declares, it prints the parent and change medians, the
 parent's interquartile range, the pairs the change won, "unresolved" when
 that range is at least the gap between the medians, and "beyond bound" when
@@ -85,13 +88,28 @@ def format_rows(rows) -> str:
     return "\n".join(lines)
 
 
+def blas_text(parent_envs, change_envs) -> str:
+    """The BLAS thread settings of the runs of both sides, each a mapping
+    of *_NUM_THREADS variables to values (None when a run recorded none),
+    as one line: the settings once when both sides ran the same ones."""
+    def side(envs):
+        seen = {" ".join(f"{var}={val}" for var, val in sorted(env.items()))
+                if env is not None else "not recorded" for env in envs}
+        return "; ".join(sorted(seen)) or "none set"
+
+    parent, change = side(parent_envs), side(change_envs)
+    if parent == change:
+        return f"BLAS {parent}"
+    return f"BLAS parent {parent}, change {change}"
+
+
 def format_report(tables, pairs: int, seed: int, cpu: int,
                   seconds: float) -> str:
-    """One titled table per (workload, rows) in tables."""
+    """One titled table per (workload, rows, blas line) in tables."""
     return "\n\n".join(
         f"{workload}, {pairs} pairs, seeds {seed}..{seed + pairs - 1}, "
-        f"CPU {cpu}, {seconds:g} s runs\n{format_rows(rows)}"
-        for workload, rows in tables)
+        f"CPU {cpu}, {seconds:g} s runs, {blas}\n{format_rows(rows)}"
+        for workload, rows, blas in tables)
 
 
 def export(rev: str, path: Path) -> None:
@@ -103,8 +121,9 @@ def export(rev: str, path: Path) -> None:
 
 
 def run_side(checkout: Path, workload: str, seed: int, seconds: float,
-             cpu: int) -> dict:
-    """End-to-end metric values of one untraced run in checkout."""
+             cpu: int) -> tuple[dict, dict | None]:
+    """End-to-end metric values of one untraced run in checkout, and the
+    BLAS thread settings its record gives (None if it has none)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
@@ -114,7 +133,10 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float,
     if not result.get("correct"):
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} failed "
                            f"(exit {proc.returncode}):\n{proc.stderr}")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    record = checkout / ".perfbench_out" / f"{workload}-seed{seed}-trace0.json"
+    env = json.loads(record.read_text()).get("env", {})
+    return ({name: m["value"] for name, m in result["metrics"].items()},
+            env.get("blas_threads"))
 
 
 def main(argv=None) -> int:
@@ -141,19 +163,23 @@ def main(argv=None) -> int:
         tables = []
         for workload in args.workload:
             runs = {"parent": [], "change": []}
+            blas = {"parent": [], "change": []}
             for i in range(args.pairs):
                 order = (("parent", "change") if i % 2 == 0
                          else ("change", "parent"))
                 for side in order:
-                    runs[side].append(run_side(sides[side], workload,
-                                               args.seed + i, seconds, cpu))
+                    values, env = run_side(sides[side], workload,
+                                           args.seed + i, seconds, cpu)
+                    runs[side].append(values)
+                    blas[side].append(env)
                 print(f"{workload} pair {i + 1} seed {args.seed + i} "
                       f"({order[0]} first): "
                       + ", ".join(f"{name} {runs['parent'][i][name]:.4g}"
                                   f"->{runs['change'][i][name]:.4g}"
                                   for name, _, _ in metrics), flush=True)
-            tables.append((workload, summarize(runs["parent"],
-                                               runs["change"], metrics)))
+            tables.append((workload,
+                           summarize(runs["parent"], runs["change"], metrics),
+                           blas_text(blas["parent"], blas["change"])))
         print("\n" + format_report(tables, args.pairs, args.seed, cpu,
                                    seconds))
     finally:
