@@ -25,10 +25,9 @@ type3 reads the inner counts of a block of equal-width link columns from the
 products of the targets' rows of the :class:`counts.Network` adjacencies, out
 of them and into them (rows in node order: target t's class-r2 neighbours
 are row t + n r2, so no class reordering is needed), with the block's
-labeled level indicators, in the
-adjacency's own type (int16 or float32 while exact for its degrees, see
-:mod:`counts`), and contracts them in float64; type2 needs the degrees
-alone.
+labeled level indicators, in the adjacency's own type (int16 or float32
+while exact for its degrees, see :mod:`counts`), and contracts them in
+float64; type2 needs the degrees alone.
 """
 
 from __future__ import annotations
