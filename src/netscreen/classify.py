@@ -21,13 +21,12 @@ labeled census dotted with the gap cells, once per column and target level,
 less the target's own cell when it is labeled; the neighbour counts enter
 through edge-minus-gap weights. The last level's count is the degree minus
 the inner ones, so it is folded into the weights and never counted per node.
+type2 reads the labeled neighbours from :meth:`counts.Network.degrees`.
 type3 reads the inner counts of a block of equal-width link columns from the
-products of the targets' rows of the :class:`counts.Network` adjacencies, out
-of them and into them (rows in node order: target t's class-r2 neighbours
-are row t + n r2, so no class reordering is needed), with the block's
-labeled level indicators, in the adjacency's own type (int16 or float32
-while exact for its degrees, see :mod:`counts`), and contracts them in
-float64; type2 needs the degrees alone.
+products of the targets' rows of the network's adjacencies, out of them and
+into them (target t's class-r2 neighbours are row t + n r2), with the block's
+labeled level indicators, in the adjacency's own type (exact for its
+degrees, see :mod:`counts`), and contracts them in float64.
 """
 
 from __future__ import annotations
@@ -36,7 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counts import block_pair_tables, tally_edges, tally_marginals
+from .counts import (_indicators, block_pair_tables, tally_edges,
+                     tally_marginals)
 from .dataset import FeatureSet, NodeDataset, validate
 from .errors import ValidationError
 from .plr import column_blocks
@@ -51,7 +51,7 @@ class ClassifierSpec:
 
     s_y: features for the per-node term. s_a: features for the link
     corrections, used by type3 only. smoothing: additive cell smoothing,
-    must be positive so all logs stay finite.
+    must be positive and finite so all logs and scores stay finite.
     """
 
     kind: str
@@ -62,8 +62,9 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown classifier kind {self.kind!r}")
-        if not self.smoothing > 0:
-            raise ValidationError("smoothing must be positive")
+        if not 0 < self.smoothing < np.inf:
+            raise ValidationError(f"smoothing must be a positive finite "
+                                  f"number, not {self.smoothing!r}")
 
 
 @dataclass
@@ -156,7 +157,7 @@ def fit(spec: ClassifierSpec, dataset: NodeDataset,
     for k, part, xb0 in column_blocks(dataset, cols):
         block = cols[part].tolist()
         edges = tally_edges(network.y0, network.src0, network.dst0, xb0, k,
-                            network.out, mask=inside)
+                            network, mask=inside)
         pairs = block_pair_tables(np.stack([n_yj[col] for col in block]))
         for col, ej, pj in zip(block, edges, pairs):
             pij = (ej + alpha) / (pj + 2 * alpha)
@@ -177,11 +178,7 @@ def predict_scores(clf: NetworkClassifier, dataset: NodeDataset,
     for col, k in clf.k_widths.items():
         if col > dataset.p or int(dataset.k_levels[col - 1]) != k:
             raise ValidationError(f"column {col} widths differ from the fit")
-    t0 = np.arange(n) if targets is None \
-        else np.asarray(targets, dtype=np.int64) - 1
-    if t0.size and (t0.min() < 0 or t0.max() >= n):
-        raise ValidationError(f"target node outside 1..{n}")
-
+    t0 = _target_ids(targets, n)
     scores = np.tile(clf.log_prior, (t0.size, 1))
     # every target's codes, column by column (int32 holds any stored code)
     levels = np.empty((len(clf.cols_y), t0.size), dtype=np.int32)
@@ -192,17 +189,15 @@ def predict_scores(clf: NetworkClassifier, dataset: NodeDataset,
     if clf.spec.kind == "type1":
         return scores
 
-    # each target's class-r2 neighbours out of it and into it (rows t R + r2
-    # of sides), the labeled ones' counts, a one and its own cell in shared
+    # labeled neighbours out of and into each target by class, a one and its
+    # own labeled cell
     network, mask = dataset.network, clf.train_mask
     y0 = network.y0
-    ids = (t0[:, None] + n * np.arange(r)).ravel()
-    sides = [network.out.matrix[ids], network.into.matrix[ids]]
-    known = mask.astype(sides[0].dtype)
+    out, into = network.degrees(None if mask.all() else mask)
     own = np.zeros((t0.size, r))
     own[mask[t0], y0[t0[mask[t0]]]] = 1.0
-    degrees = np.column_stack([(side @ known).reshape(-1, r) for side in sides])
-    shared = np.column_stack([degrees, np.ones(t0.size), own])
+    shared = np.column_stack([out[:, t0].T, into[:, t0].T, np.ones(t0.size),
+                              own])
     census = np.bincount(y0[mask], minlength=r)[None, :, None]
     scores += shared @ _link_weights(clf.log_pi0[None, :, :, None, None],
                                      clf.log_gap0[None, :, :, None, None],
@@ -210,6 +205,8 @@ def predict_scores(clf: NetworkClassifier, dataset: NodeDataset,
     if clf.spec.kind == "type2":
         return scores
 
+    ids = (t0[:, None] + n * np.arange(r)).ravel()  # rows t + n r2
+    sides = [network.out[ids], network.into[ids]]
     cols = np.asarray(clf.cols_a, dtype=np.int64)
     for k, part, xb0 in column_blocks(dataset, cols):
         block = cols[part]
@@ -218,9 +215,9 @@ def predict_scores(clf: NetworkClassifier, dataset: NodeDataset,
             np.stack([clf.dlog_gap[col] for col in block.tolist()]),
             tally_marginals(y0[mask], xb0[mask], r, k))
         inner = weights.shape[1] - shared.shape[1]
-        # inner level indicators of the labeled nodes, (node, column, level)
-        lev = (xb0[:, :, None] == np.arange(k - 1)) * known[:, None, None]
-        lev = lev.reshape(n, -1)
+        # inner level indicators of the labeled nodes, (node, level, column)
+        lev = _indicators(xb0, k, sides[0].dtype)
+        lev *= mask[:, None]
         at = xb0[t0]  # each target's own level
         # targets in chunks, so that every temporary stays a few MB
         step = max(1, CHUNK_CELLS // weights[:, 0].size)
@@ -231,7 +228,7 @@ def predict_scores(clf: NetworkClassifier, dataset: NodeDataset,
             hits = np.empty((block.size, m, 2, r, k - 1))
             for side, nbrs in enumerate(sides):
                 hits[:, :, side] = (nbrs[r * lo:r * rows.stop] @ lev).reshape(
-                    m, r, block.size, k - 1).transpose(2, 0, 1, 3)
+                    m, r, k - 1, block.size).transpose(3, 0, 1, 2)
             hits = hits.reshape(block.size, m, -1)
             terms = np.matmul(shared[rows], weights[:, inner:])
             terms += np.matmul(hits, weights[:, :inner])
@@ -240,6 +237,20 @@ def predict_scores(clf: NetworkClassifier, dataset: NodeDataset,
                 + at[rows].T
             scores[rows] += terms.reshape(-1, r)[pick].sum(axis=0)
     return scores
+
+
+def _target_ids(targets, n: int) -> np.ndarray:
+    """0-based ids of the 1-based targets, default every node, refusing any
+    id that is not an integer in 1..n (a float or a bool would silently name
+    another node), as :func:`plr.column_ids` does for columns."""
+    if targets is None:
+        return np.arange(n)
+    ids = np.asarray(targets)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValidationError("target ids must be integers")
+    if ids.size and (ids.min() < 1 or ids.max() > n):
+        raise ValidationError(f"target node outside 1..{n}")
+    return ids.astype(np.int64) - 1
 
 
 def _link_weights(edge, gap, census):
@@ -299,8 +310,7 @@ def evaluate(clf: NetworkClassifier, dataset: NodeDataset, targets=None,
     ties count half. It is NaN when the targets are single-class.
     """
     dataset = validate(dataset)
-    t0 = np.arange(dataset.n) if targets is None \
-        else np.asarray(targets, dtype=np.int64) - 1
+    t0 = _target_ids(targets, dataset.n)
     if not t0.size:
         raise ValidationError("no targets to evaluate")
     scores = predict_scores(clf, dataset, t0 + 1)

@@ -13,7 +13,6 @@ overflows 32 bits beyond n of about 65k). Table axes are 0-based: entry
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import cached_property
 
 import numpy as np
@@ -33,12 +32,12 @@ from scipy import sparse
 # Edge tallies: tally_adjacency stacks, in one CSR matrix built by one COO
 # to CSR conversion, the adjacencies A_{r2} of the edges whose destination
 # has class r2, rows in node order: row r2 n + i holds node i's class-r2
-# out-neighbours. Its row sums are the degrees deg[r2, i]; each node's
-# in-degree by source class, indeg[r1, u], comes with it. Both are one
-# bincount over the edges. Each node's neighbours of class r2 at level m of
-# column c are T[i, r2, m, c] = (A_{r2} I)[i, (m, c)]: one sparse product
-# per block covers every class, all B columns and every level but the last.
-# Then
+# out-neighbours. Network.degrees gives its row sums deg[r2, i] and each
+# node's in-neighbours by class, indeg[r1, u], the row sums of the same
+# stack over the reversed edges; each is one bincount over the edges. Each
+# node's neighbours of class r2 at level m of column c are
+# T[i, r2, m, c] = (A_{r2} I)[i, (m, c)]: one sparse product per block
+# covers every class, all B columns and every level but the last. Then
 #     E[r1, r2, l, m] = sum of T[i, r2, m, c] over i with y_i = r1, x_ic = l
 # is summed only over the inner cells l, m < k-1; the rest follow from
 # margins, which are sums of class weights over the nodes at a level:
@@ -54,21 +53,20 @@ from scipy import sparse
 # I[i, (l, c)] T[i, r2, m, c], taken over chunks of nodes so that the
 # temporary stays within NODE_CHUNK_CELLS, or within 4 nodes' products when
 # one node's pass it (fewer bytes than the block's int64 tables, R >= 2).
-# A train mask zeroes
-# the indicators of the nodes it leaves out; its degrees are the product of
-# the adjacency with the mask, its in-degrees that of the transposed
-# adjacency with the masked class one-hot.
+# A train mask zeroes the indicators and the class one-hot of the nodes it
+# leaves out, and its degrees count the masked-in neighbours only: the
+# product of each side's adjacency with the mask.
 #
 # Exactness. Products with the adjacency run in the narrowest type that
 # holds them exactly, chosen per adjacency from its largest class-split
 # degree D: int16 when D < 2^15, else float32 when D < 2^24, else float64.
-# Each entry of T, or a neighbour count of the classifier, adds ones and
-# zeros: all its addends are nonnegative, so no partial sum exceeds node i's
-# class-r2 degree, and every partial sum is an integer the type holds
-# (float32 holds every integer up to 2^24). I T stays exact in that type,
-# since one factor is 0 or 1. int16 moves half the bytes of float32 through
-# the sparse product. A masked in-degree can exceed D, so its product runs
-# in float64. The dense products add nonnegative integers whose totals are
+# Each entry of T, a masked degree, or a neighbour count of the classifier,
+# adds ones and zeros along one row: all its addends are nonnegative, so no
+# partial sum exceeds that row's sum, at most D of the row's own side, and
+# every partial sum is an integer the type holds (float32 holds every
+# integer up to 2^24). I T stays exact in that type, since one factor is 0
+# or 1. int16 moves half the bytes of float32 through the sparse product.
+# The dense products add nonnegative integers whose totals are
 # at most n (marginals) or E, the edge count (edge tallies). They run in
 # float32 while that bound is below FLOAT32_EXACT_DEGREE, else in float64,
 # whose integer range (2^53) covers it. Every partial sum then lies between
@@ -94,54 +92,19 @@ def tally_marginals(y0: np.ndarray, xb0: np.ndarray, r: int, k: int) -> np.ndarr
     return out
 
 
-Adjacency = namedtuple("Adjacency", "matrix deg indeg")
-
-
 def tally_adjacency(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
-                    r: int) -> Adjacency:
-    """The (matrix, deg, indeg) that :func:`tally_edges` reads.
-
-    matrix is one CSR (R n, n) adjacency in node order: row r2 n + i holds
-    node i's out-neighbours of class r2, in int16 when every degree is below
+                    r: int) -> sparse.csr_array:
+    """The CSR (R n, n) adjacency in node order: row r2 n + i holds node i's
+    out-neighbours of class r2, in int16 when every row sum is below
     INT16_EXACT_DEGREE, else in float32 when below FLOAT32_EXACT_DEGREE,
-    else in float64, so that its products with 0/1 indicators are exact.
-    deg (R, n) are its row sums, deg[r2, i]; indeg (R, n) counts each node's
-    in-neighbours by class, indeg[r1, u].
-    """
+    else in float64, so that its products with 0/1 vectors are exact."""
     n = y0.size
     rows = y0[dst0] * n + src0
-    deg = np.bincount(rows, minlength=r * n).reshape(r, n)
-    indeg = np.bincount(y0[src0] * n + dst0, minlength=r * n).reshape(r, n)
-    top = deg.max()
+    top = np.bincount(rows, minlength=r * n).max()
     dtype = (np.int16 if top < INT16_EXACT_DEGREE else
              np.float32 if top < FLOAT32_EXACT_DEGREE else np.float64)
-    matrix = sparse.csr_array(
+    return sparse.csr_array(
         (np.ones(rows.size, dtype), (rows, dst0)), shape=(r * n, n))
-    return Adjacency(matrix, deg, indeg)
-
-
-def degrees(adjacency: Adjacency, mask=None) -> np.ndarray:
-    """The (R, n) int64 degrees of an :class:`Adjacency`; with a boolean
-    (n,) mask, of the edges between the nodes it selects only."""
-    if mask is None:
-        return adjacency.deg
-    # each entry is at most a degree, so the product holds it exactly
-    links = adjacency.matrix @ mask.astype(adjacency.matrix.dtype)
-    return links.reshape(-1, mask.size).astype(np.int64) * mask
-
-
-def _in_degrees(adjacency: Adjacency, y0: np.ndarray, mask) -> np.ndarray:
-    """The (R, n) int64 in-degrees by source class of an
-    :class:`Adjacency` of the classes y0; with a boolean (n,) mask, of the
-    edges between the nodes it selects only. The masked product runs in
-    float64: the matrix type is exact for out-degrees, not in-degrees."""
-    if mask is None:
-        return adjacency.indeg
-    r = adjacency.deg.shape[0]
-    sources = np.zeros((mask.size, r))
-    sources[mask, y0[mask]] = 1.0
-    links = adjacency.matrix.T @ np.tile(sources, (r, 1))
-    return links.T.astype(np.int64) * mask
 
 
 def _sum_type(bound: int):
@@ -165,25 +128,25 @@ def _indicators(xb0: np.ndarray, k: int, dtype) -> np.ndarray:
 
 
 def tally_edges(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
-                xb0: np.ndarray, k: int, adjacency, *,
+                xb0: np.ndarray, k: int, network, *,
                 mask=None) -> np.ndarray:
     """Linked-pair tallies, shape (B, R, R, k, k), from 0-based codes.
 
-    adjacency is the :class:`Adjacency` of y0, src0 and dst0; the kernel
-    reads the edges only through it (src0 and dst0 stay in the signature
-    because perfbench/spans.py sizes each call by them). A boolean (n,) mask
-    counts only the edges between the nodes it selects.
+    network is the :class:`Network` of y0, src0 and dst0; the kernel reads
+    the edges only through it (src0 and dst0 stay in the signature because
+    perfbench/spans.py sizes each call by them). A boolean (n,) mask counts
+    only the edges between the nodes it selects.
     """
-    adj = adjacency.matrix
-    r = adjacency.deg.shape[0]
+    adj = network.out
+    r = network.r
     n, b = xb0.shape
     total = _sum_type(adj.nnz)
-    deg = degrees(adjacency, mask).astype(total)
-    indeg = _in_degrees(adjacency, y0, mask).astype(total)
+    deg, indeg = (side.astype(total) for side in network.degrees(mask))
+    one = _classes(y0, r, total)
     lev = _indicators(xb0, k, adj.dtype)
     if mask is not None:
         lev *= mask[:, None]
-    one = _classes(y0, r, total)
+        one *= mask
     # class weights [y_i = r1] deg[r2, i], then [y_u = r2] indeg[r1, u]
     weights = np.stack([one[:, None] * deg, indeg[:, None] * one])
     margins = (weights.reshape(-1, n) @ lev).astype(np.int64)
@@ -225,7 +188,7 @@ def block_pair_tables(n_yj_block: np.ndarray) -> np.ndarray:
 
 class Network:
     """0-based responses y0 (a sealed dataset's, or any class code of its
-    nodes) and edge endpoints src0 and dst0, and the :class:`Adjacency` of
+    nodes) and edge endpoints src0 and dst0; the :func:`tally_adjacency` of
     the edges (out) and of the reversed edges (into), each built the first
     time a kernel reads it."""
 
@@ -240,13 +203,31 @@ class Network:
     def into(self):
         return tally_adjacency(self.y0, self.dst0, self.src0, self.r)
 
+    @cached_property
+    def _degrees(self):
+        n = self.y0.size
+        return tuple(np.bincount(self.y0[dst] * n + src, minlength=self.r * n)
+                     .reshape(self.r, n)
+                     for src, dst in ((self.src0, self.dst0),
+                                      (self.dst0, self.src0)))
+
+    def degrees(self, mask=None):
+        """(out, into), each (R, n) int64: every node's out-neighbours and
+        in-neighbours, counted by the neighbour's class; with a boolean (n,)
+        mask, only the neighbours it selects."""
+        if mask is None:
+            return self._degrees
+        return tuple((side @ mask.astype(side.dtype)).reshape(self.r, -1)
+                     .astype(np.int64) for side in (self.out, self.into))
+
     def tables(self, mask=None):
         """(n_y, n_pairs_y, n_edges_y): the feature-free tables of the nodes
         a boolean (n,) mask selects (default all) and the edges between
-        them; n_edges_y[r1, r2] sums the class-r2 :func:`degrees` of the
+        them; n_edges_y[r1, r2] sums the class-r2 out-:meth:`degrees` of the
         sources of class r1, so it takes no pass over the edges."""
-        y0 = self.y0 if mask is None else self.y0[mask]
+        out, y0 = self.degrees(mask)[0], self.y0
+        if mask is not None:
+            out, y0 = out[:, mask], y0[mask]
         n_y = np.bincount(y0, minlength=self.r)
-        n_edges_y = _classes(self.y0, self.r, np.int64) @ degrees(
-            self.out, mask).T
+        n_edges_y = _classes(y0, self.r, np.int64) @ out.T
         return n_y, np.outer(n_y, n_y) - np.diag(n_y), n_edges_y

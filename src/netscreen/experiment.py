@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .classify import KINDS, ClassifierSpec, evaluate, fit, screening_metrics
-from .dataset import FeatureSet
+from .dataset import FeatureSet, whole
 from .errors import ValidationError
 from .plr import degrees_of_freedom, plr_statistic
 from .screening import interaction_expand, pc_sis, plr_sis
@@ -199,6 +199,7 @@ def experiment(config, *, n: int | None = None, p: int | None = None,
     else:
         config = replace(config, n=config.n if n is None else n,
                          p=config.p if p is None else p)
+    m_reps, threads = whole(m_reps, "m_reps"), whole(threads, "threads")
     if m_reps < 1:
         raise ValidationError("need at least one replication")
     if threads < 1:
@@ -237,6 +238,7 @@ def null_calibration(n: int = 500, reps: int = 2000, seed: int = 0, *,
     network with no phi terms), and collects the doubled statistic totals.
     Under the reference, their means sit at the degrees of freedom.
     """
+    reps = whole(reps, "reps")
     if reps < 2:
         raise ValidationError("null calibration needs reps >= 2")
     config = SimulationConfig(name="null", model="nnb", n=n, p=1,

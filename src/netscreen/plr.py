@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .counts import block_pair_tables, tally_edges, tally_marginals
-from .dataset import NodeDataset, column_codes, seed_entropy, validate
+from .dataset import NodeDataset, column_codes, seed_entropy, validate, whole
 from .errors import DegeneracyError, ValidationError
 
 BLOCK_TARGET_CELLS = 5_000_000  # soft cap on B R^2 K^2 and B n (K-1) per block
@@ -123,7 +123,7 @@ def _block_lambdas(network, tables, xb0, k):
     self_tot = (nyj * np.log1p(rise)).sum(axis=(1, 2))
 
     e = tally_edges(network.y0, network.src0, network.dst0, xb0, k,
-                    network.out).astype(np.float64)
+                    network).astype(np.float64)
     m = block_pair_tables(nyj).astype(np.float64)
     pairs = n_pairs_y[:, :, None, None].astype(np.float64)
     links = n_edges_y[:, :, None, None].astype(np.float64)
@@ -273,6 +273,7 @@ def permutation_pvalue(dataset: NodeDataset, columns, n_perms: int,
     passes over the columns.
     """
     dataset = validate(dataset)
+    n_perms = whole(n_perms, "n_perms")
     if n_perms < 1:
         raise ValidationError("n_perms must be positive")
     return _column_totals(dataset, columns, n_perms, seed)[1]

@@ -286,11 +286,14 @@ def _screen(method, statistic, dataset, *, cutoff, d, alpha, seed,
         top_m = whole(top_m, "top_m")
         if top_m < 0:
             raise ValidationError("top_m must be nonnegative")
+    if search_cap is not None:
+        search_cap = whole(search_cap, "search_cap", low=1)
+    perms = whole(perms, "perms")
+    if perms < 0:
+        raise ValidationError("perms must be nonnegative")
     dataset = validate(dataset)
     if interactions not in ("none", "top", "all"):
         raise ValidationError(f"unknown interactions mode {interactions!r}")
-    if perms < 0:
-        raise ValidationError("perms must be nonnegative")
     main_output = None
     if interactions != "none":
         if columns is not None:

@@ -139,16 +139,16 @@ def test_float64_products_give_the_same_scores(monkeypatch):
     and float64 sides, with the degree bounds lowered, predict on freshly
     validated copies of the dataset; int16, float32 and float64 products
     give the same score bytes."""
-    clf, ds, targets = link_instance()
     dtypes = []
     build = counts.tally_adjacency
 
     def spy(*args):
         out = build(*args)
-        dtypes.append(out.matrix.dtype)
+        dtypes.append(out.dtype)
         return out
 
     monkeypatch.setattr(counts, "tally_adjacency", spy)
+    clf, ds, targets = link_instance()
     scores = [predict_scores(clf, ds, targets)]
     for int16_bound, float32_bound in ((0, counts.FLOAT32_EXACT_DEGREE),
                                        (0, 0)):
@@ -158,9 +158,10 @@ def test_float64_products_give_the_same_scores(monkeypatch):
                                      r_levels=ds.r_levels,
                                      k_levels=ds.k_levels))
         scores.append(predict_scores(clf, fresh, targets))
-    # the fit built ds's adjacency out of each node; each prediction builds
-    # the sides its dataset lacks: into ds's nodes, then both for each copy
-    assert dtypes == [np.int16] + [np.float32] * 2 + [np.float64] * 2
+    # the masked fit built both of ds's sides, out of each node for the
+    # tallies and into each node for the masked degrees; each prediction
+    # builds the sides its dataset lacks: none for ds, both for each copy
+    assert dtypes == [np.int16] * 2 + [np.float32] * 2 + [np.float64] * 2
     assert scores[0].tobytes() == scores[1].tobytes() == scores[2].tobytes()
 
 
@@ -183,11 +184,11 @@ def test_hub_past_the_int16_bound_keeps_exact_products(monkeypatch):
     ds = validate(NodeDataset(y=y, x=x, edges=edges, r_levels=2,
                               k_levels=widths))
     net = ds.network
-    assert net.out.matrix.dtype == np.float32
-    assert net.into.matrix.dtype == np.int16
+    assert net.out.dtype == np.float32
+    assert net.into.dtype == np.int16
     for c, k in enumerate(widths):
         xb0 = x[:, [c]].astype(np.int64) - 1
-        got = tally_edges(net.y0, net.src0, net.dst0, xb0, k, net.out)[0]
+        got = tally_edges(net.y0, net.src0, net.dst0, xb0, k, net)[0]
         assert np.array_equal(got, oracle_edge_counts(y, x[:, c], edges,
                                                       2, k))
     spec = ClassifierSpec("type3", s_y=mains(1, 2, 3), s_a=mains(1, 2, 3))
@@ -201,8 +202,8 @@ def test_hub_past_the_int16_bound_keeps_exact_products(monkeypatch):
                                  k_levels=widths))
     wide = predict_scores(fit(spec, fresh, train_mask=mask), fresh, targets)
     assert wide.tobytes() == narrow.tobytes()
-    assert fresh.network.out.matrix.dtype == np.float64
-    assert fresh.network.into.matrix.dtype == np.float64
+    assert fresh.network.out.dtype == np.float64
+    assert fresh.network.into.dtype == np.float64
 
 
 @pytest.mark.parametrize("example", range(1, 10))
@@ -305,6 +306,29 @@ def test_spec_rejects_bad_arguments():
         ClassifierSpec("type4")
     with pytest.raises(ValidationError):
         ClassifierSpec("type1", smoothing=0.0)
+    for smoothing in (np.inf, np.nan, -1.0):
+        with pytest.raises(ValidationError,
+                           match="smoothing must be a positive finite"):
+            ClassifierSpec("type1", smoothing=smoothing)
+
+
+@pytest.mark.parametrize("targets", [
+    [1.5], [2, 2.25], [1.0], [True], np.array([1, np.nan]), ["1"],
+], ids=["fraction", "mixed", "whole-float", "bool", "nan", "string"])
+def test_target_ids_are_integers(targets):
+    """A float or bool target id is refused by predict_scores and evaluate,
+    where it used to be truncated (1.5 scored node 1); numpy integer ids of
+    any width name the same nodes as Python ints."""
+    y, x, edges, r, k = random_instance(np.random.default_rng(45), p=2)
+    ds = as_dataset(y, x, edges, r, k)
+    for kind in KINDS:
+        clf = fit(ClassifierSpec(kind, s_y=mains(1), s_a=mains(2)), ds)
+        for call in (predict_scores, evaluate):
+            with pytest.raises(ValidationError,
+                               match="target ids must be integers"):
+                call(clf, ds, targets)
+        assert predict_scores(clf, ds, [2, 1]).tobytes() == \
+            predict_scores(clf, ds, np.array([2, 1], dtype=np.uint8)).tobytes()
 
 
 def test_predict_scores_checks_dataset_shape():

@@ -12,7 +12,8 @@ import netscreen
 from netscreen import NodeDataset, ValidationError, validate
 from netscreen import io as nsio
 from netscreen.cli import main
-from netscreen.experiment import ExperimentReport, experiment
+from netscreen.experiment import (ExperimentReport, experiment,
+                                  null_calibration)
 from netscreen.io import read_dataset, read_json, write_dataset, write_json
 from netscreen.screening import interaction_expand
 from netscreen.simulate import example_config, generate
@@ -138,6 +139,34 @@ def test_screen_rejects_negative_perms(tmp_path, capsys):
                  "--out", str(tmp_path / "s.json")]) == 3
     assert "perms must be nonnegative" in capsys.readouterr().err
     assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_screen_refuses_search_cap_below_one(tmp_path, capsys, cap):
+    """A cap below one used to keep a single feature and exit 0."""
+    d = simulate_dir(tmp_path, n=200)
+    out = tmp_path / "s.json"
+    assert main(["screen", "--nodes", str(d / "nodes.csv"),
+                 "--edges", str(d / "edges.csv"), "--search-cap", cap,
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: search_cap must be a whole number >= 1, not {cap}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("smoothing", ["inf", "nan", "0", "-1"])
+def test_classify_refuses_smoothing_that_is_not_positive_and_finite(
+        tmp_path, capsys, smoothing):
+    """An infinite smoothing used to exit 0 with NaN scores and write a
+    non-JSON Infinity."""
+    d = simulate_dir(tmp_path)
+    out = tmp_path / "c.json"
+    assert main(["classify", "--nodes", str(d / "nodes.csv"),
+                 "--edges", str(d / "edges.csv"), "--s-y", "1",
+                 "--smoothing", smoothing, "--out", str(out)]) == 3
+    assert "smoothing must be a positive finite number" in \
+        capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_degenerate_data_exits_4(tmp_path, capsys):
@@ -351,6 +380,18 @@ def test_experiment_refuses_threads_below_one(tmp_path, capsys, threads):
     assert not (d / "report.timing.json").exists()
     with pytest.raises(ValidationError, match="threads must be at least 1"):
         experiment(1, n=40, p=5, m_reps=1, threads=0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: experiment(1, n=40, p=5, m_reps=2.5), "m_reps"),
+    (lambda: experiment(1, n=40, p=5, m_reps=1, threads=1.5), "threads"),
+    (lambda: experiment(1, n=40, p=5, m_reps=True), "m_reps"),
+    (lambda: null_calibration(n=40, reps=2.5), "reps"),
+], ids=["m_reps", "threads", "m_reps-bool", "null-reps"])
+def test_experiment_counts_are_whole_numbers(call, message):
+    with pytest.raises(ValidationError,
+                       match=f"^{message} must be a whole number, not "):
+        call()
 
 
 def test_simulate_rejects_noise_rates_outside_unit_interval(tmp_path, capsys):

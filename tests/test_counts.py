@@ -3,8 +3,7 @@ import pytest
 
 from netscreen import NodeDataset, counts, validate
 from netscreen.counts import (
-    block_pair_tables, degrees, tally_adjacency, tally_edges,
-    tally_marginals,
+    Network, block_pair_tables, tally_adjacency, tally_edges, tally_marginals,
 )
 
 from oracles import oracle_counts, oracle_edge_counts, random_instance
@@ -29,8 +28,7 @@ def test_marginal_and_edge_counts_match_oracle():
         assert np.array_equal(n_yj.sum(axis=1), want["n_y"])
         assert np.array_equal(n_yj.sum(axis=0), want["n_j"])
         assert np.array_equal(n_yj, want["n_yj"])
-        e_yj = tally_edges(y0, src0, dst0, xb0, k,
-                           tally_adjacency(y0, src0, dst0, r))[0]
+        e_yj = tally_edges(y0, src0, dst0, xb0, k, net)[0]
         e_y = e_yj.sum(axis=(2, 3))
         assert np.array_equal(e_y, want["n_edges_y"])
         assert np.array_equal(e_yj, want["n_edges_yj"])
@@ -94,7 +92,7 @@ def test_blocked_tallies_equal_per_column_counts():
     xb0 = ds.x.astype(np.int64) - 1  # (n, p) 0-based codes
     args = (ds.network.y0, ds.network.src0, ds.network.dst0)
     marg = tally_marginals(args[0], xb0, r, k)
-    edge = tally_edges(*args, xb0, k, tally_adjacency(*args, r))
+    edge = tally_edges(*args, xb0, k, ds.network)
     assert marg.shape == (p, r, k)
     assert edge.shape == (p, r, r, k, k)
     assert edge.dtype == np.int64
@@ -111,7 +109,7 @@ def test_tally_edges_matches_oracle_across_shapes(r, k):
 
     The block mixes a column over all k levels, one that never shows its top
     level, and one stuck at level k; the graphs are edgeless, or leave the
-    first three nodes isolated. One prebuilt adjacency serves both halves of
+    first three nodes isolated. One network serves both halves of
     the block, and, with a train mask, the block against the oracle on the
     edges between the masked-in nodes, as the type3 classifier tallies them.
     """
@@ -130,18 +128,17 @@ def test_tally_edges_matches_oracle_across_shapes(r, k):
         ds = as_dataset(y, x, edges, r, k)
         net = ds.network
         y0, src0, dst0 = net.y0, net.src0, net.dst0
-        adjacency = tally_adjacency(y0, src0, dst0, r)
-        block = tally_edges(y0, src0, dst0, xb0, k, adjacency)
+        block = tally_edges(y0, src0, dst0, xb0, k, net)
         assert block.shape == (3, r, r, k, k)
         halves = np.concatenate([
-            tally_edges(y0, src0, dst0, xb0[:, :2], k, adjacency),
-            tally_edges(y0, src0, dst0, xb0[:, 2:], k, adjacency)])
+            tally_edges(y0, src0, dst0, xb0[:, :2], k, net),
+            tally_edges(y0, src0, dst0, xb0[:, 2:], k, net)])
         mask = rng.uniform(size=n) < 0.6
         masked_edges = [(s, t) for s, t in edges if mask[s - 1] and mask[t - 1]]
-        masked = tally_edges(y0, src0, dst0, xb0, k, adjacency, mask=mask)
+        masked = tally_edges(y0, src0, dst0, xb0, k, net, mask=mask)
         for c in range(3):
             want = oracle_counts(y, x[:, c], edges, r, k)["n_edges_yj"]
-            alone = tally_edges(y0, src0, dst0, xb0[:, [c]], k, adjacency)
+            alone = tally_edges(y0, src0, dst0, xb0[:, [c]], k, net)
             assert np.array_equal(block[c], want)
             assert np.array_equal(alone[0], want)
             assert np.array_equal(halves[c], want)
@@ -152,8 +149,8 @@ def test_tally_edges_matches_oracle_across_shapes(r, k):
 def test_tally_edges_float64_products_give_the_same_tables(monkeypatch):
     """Below the int16 degree bound the products run in int16; with the
     bounds lowered they run in float32 and in float64, and every type gives
-    the bytes of the float64 tables, plain and masked, which match the
-    oracle."""
+    the bytes of the float64 tables, plain and masked, and of the masked
+    degrees; the tables match the oracle."""
     rng = np.random.default_rng(13)
     n, p, r, k = 60, 9, 3, 4
     y = np.concatenate([np.arange(1, r + 1), rng.integers(1, r + 1, n - r)])
@@ -173,11 +170,11 @@ def test_tally_edges_float64_products_give_the_same_tables(monkeypatch):
     for dtype, (int16_bound, float32_bound) in bounds.items():
         monkeypatch.setattr(counts, "INT16_EXACT_DEGREE", int16_bound)
         monkeypatch.setattr(counts, "FLOAT32_EXACT_DEGREE", float32_bound)
-        adjacency = tally_adjacency(*args, r)
-        assert adjacency.matrix.dtype == dtype
-        tables[dtype] = (tally_edges(*args, xb0, k, adjacency),
-                         tally_edges(*args, xb0, k, adjacency, mask=mask),
-                         degrees(adjacency, mask))
+        network = Network(*args, r)
+        tables[dtype] = (tally_edges(*args, xb0, k, network),
+                         tally_edges(*args, xb0, k, network, mask=mask),
+                         *network.degrees(mask))
+        assert network.out.dtype == network.into.dtype == dtype
     double = tables[np.float64]
     for table in tables.values():
         for got, want in zip(table, double):
@@ -206,14 +203,14 @@ def test_float64_sums_give_the_same_tables(monkeypatch):
     ds = as_dataset(y, x, edges, r, k)
     xb0 = x.astype(np.int64) - 1
     args = (ds.network.y0, ds.network.src0, ds.network.dst0)
-    adjacency = tally_adjacency(*args, r)
-    assert adjacency.matrix.dtype == np.int16
+    network = ds.network
+    assert network.out.dtype == network.into.dtype == np.int16
 
     def tables():
         return (tally_marginals(args[0], xb0, r, k),
                 tally_marginals(args[0][mask], xb0[mask], r, k),
-                tally_edges(*args, xb0, k, adjacency),
-                tally_edges(*args, xb0, k, adjacency, mask=mask))
+                tally_edges(*args, xb0, k, network),
+                tally_edges(*args, xb0, k, network, mask=mask))
 
     single = tables()
     assert counts._sum_type(len(edges)) == np.float32
@@ -242,36 +239,36 @@ def test_edge_walk_oracle_matches_pair_walk():
 
 def test_tally_adjacency_matches_edge_loop():
     """Rows in node order: row r2 n + i holds node i's class-r2 destinations
-    of the edges out of it; deg are the row sums and indeg counts each
-    node's sources by class. The reversed edge list gives the sources of the
-    edges into each node."""
+    of the edges out of it. The reversed edge list gives the sources of the
+    edges into each node. The network's unmasked degrees are the row sums
+    of each side, and each node's in-neighbours by class are the row sums
+    of the other."""
     rng = np.random.default_rng(14)
     for _ in range(30):
         y, x, edges, r, k = random_instance(rng)
         ds = as_dataset(y, x, edges, r, k)
         n = len(y)
         net = ds.network
-        for links, src0, dst0 in ((edges, net.src0, net.dst0),
-                                  ([(d, s) for s, d in edges], net.dst0,
-                                   net.src0)):
+        for a, (links, src0, dst0) in enumerate((
+                (edges, net.src0, net.dst0),
+                ([(d, s) for s, d in edges], net.dst0, net.src0))):
             adjacency = tally_adjacency(net.y0, src0, dst0, r)
             want = np.zeros((r, n, n), dtype=np.int64)
             indeg = np.zeros((r, n), dtype=np.int64)
             for s, d in links:
                 want[y[d - 1] - 1, s - 1, d - 1] += 1
                 indeg[y[s - 1] - 1, d - 1] += 1
-            assert adjacency.matrix.shape == (r * n, n)
-            assert np.array_equal(adjacency.matrix.toarray(),
-                                  want.reshape(r * n, n))
-            assert np.array_equal(adjacency.deg, want.sum(axis=2))
-            assert np.array_equal(adjacency.indeg, indeg)
+            assert adjacency.shape == (r * n, n)
+            assert np.array_equal(adjacency.toarray(), want.reshape(r * n, n))
+            assert np.array_equal(net.degrees()[a], want.sum(axis=2))
+            assert np.array_equal(net.degrees()[1 - a], indeg)
 
 
 def test_adjacency_rows_matches_edge_loop():
     """The network's rows out of and into each target by class, read at
     t + n r2 as predict_scores reads them, on unsorted targets with repeats,
     equal a literal loop over the edges; its masked degrees count only the
-    edges between known nodes."""
+    known neighbours, of known and unknown targets alike."""
     rng = np.random.default_rng(12)
     for trial in range(30):
         y, x, edges, r, k = random_instance(rng)
@@ -287,15 +284,41 @@ def test_adjacency_rows_matches_edge_loop():
                     want[i, 0, y[d] - 1, d] += 1
                 if d == t:
                     want[i, 1, y[s] - 1, s] += 1
-        sides = (ds.network.out, ds.network.into)
+        net = ds.network
         rows = (targets[:, None] + n * np.arange(r)).ravel()
-        for a, side in enumerate(sides):
-            got = side.matrix[rows].toarray().reshape(targets.size, r, n)
+        for a, side in enumerate((net.out, net.into)):
+            got = side[rows].toarray().reshape(targets.size, r, n)
             assert np.array_equal(got, want[:, a])
-            assert np.array_equal(degrees(side, known)[:, targets].T,
-                                  (want[:, a] @ known) * known[targets, None])
-            assert np.array_equal(side.indeg[:, targets].T,
+            assert np.array_equal(net.degrees(known)[a][:, targets].T,
+                                  want[:, a] @ known)
+            assert np.array_equal(net.degrees()[1 - a][:, targets].T,
                                   want[:, 1 - a].sum(axis=2))
+
+
+@pytest.mark.parametrize("share", [1.0, 0.7, 0.05])
+def test_network_degrees_match_edge_loop(share):
+    """Network.degrees counts each node's out-neighbours and in-neighbours
+    by the neighbour's class, over all of them and over the neighbours a
+    mask of 100%, 70% or 5% of the nodes selects, as a loop over the edges
+    does; an all-true mask gives the unmasked counts."""
+    rng = np.random.default_rng(int(100 * share))
+    for _ in range(20):
+        y, x, edges, r, k = random_instance(rng)
+        ds = as_dataset(y, x, edges, r, k)
+        n = len(y)
+        mask = rng.uniform(size=n) < share
+        want = np.zeros((2, 2, r, n), dtype=np.int64)  # [masked, side]
+        for s, d in edges:
+            s, d = s - 1, d - 1
+            for m, keep in enumerate((np.ones(n, dtype=bool), mask)):
+                want[m, 0, y[d] - 1, s] += keep[d]
+                want[m, 1, y[s] - 1, d] += keep[s]
+        for m, got in enumerate((ds.network.degrees(),
+                                 ds.network.degrees(mask))):
+            assert all(side.dtype == np.int64 for side in got)
+            assert np.array_equal(np.stack(got), want[m])
+        full = ds.network.degrees(np.ones(n, dtype=bool))
+        assert np.array_equal(np.stack(full), want[0])
 
 
 def test_counts_ignore_declared_but_unseen_levels():

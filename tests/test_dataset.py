@@ -318,3 +318,17 @@ def test_screens_and_classifier_build_each_side_once(monkeypatch):
     fit(ClassifierSpec("type3", s_y=plr.selected, s_a=plr.selected), wide,
         train_mask=np.arange(ds.n) % 3 > 0)
     assert builds == ["out", "in"]
+
+
+def test_unmasked_screens_and_type2_build_no_side_into_nodes(monkeypatch):
+    """plr_sis and pc_sis build the adjacency out of each node alone; a
+    type2 fit on every node and its evaluation read the network's unmasked
+    degrees, bincounts over the edges, and build no adjacency at all."""
+    ds, _ = generate(example_config(3, n=120, p=8), seed=4)
+    builds = spy_builds(monkeypatch)
+    clf = fit(ClassifierSpec("type2", s_y=FeatureSet((1, 2))), ds)
+    evaluate(clf, ds, auc=True)
+    assert builds == []
+    plr_sis(ds, interactions="top", top_m=4)
+    pc_sis(ds)
+    assert builds == ["out"]

@@ -8,7 +8,7 @@ import pytest
 from netscreen import NodeDataset, ValidationError, screening, validate
 from netscreen.counts import tally_marginals
 from netscreen.dataset import discretize
-from netscreen.plr import chi2_tail
+from netscreen.plr import chi2_tail, permutation_pvalue
 from netscreen.screening import (
     feature_key, hard_cutoff, interaction_expand, max_ratio_cutoff, pc_sis,
     plr_sis,
@@ -418,6 +418,49 @@ def test_negative_perms_rejected():
     ds = random_wide(np.random.default_rng(37), n=30, p=3)
     with pytest.raises(ValidationError, match="perms must be nonnegative"):
         plr_sis(ds, perms=-2)
+
+
+@pytest.mark.parametrize("screen, options, message", [
+    (plr_sis, {"search_cap": 0},
+     "search_cap must be a whole number >= 1, not 0"),
+    (pc_sis, {"search_cap": -3},
+     "search_cap must be a whole number >= 1, not -3"),
+    (plr_sis, {"search_cap": 2.5},
+     "search_cap must be a whole number >= 1, not 2.5"),
+    (pc_sis, {"search_cap": True},
+     "search_cap must be a whole number >= 1, not True"),
+    (plr_sis, {"search_cap": "x"},
+     "search_cap must be a whole number >= 1, not 'x'"),
+    (plr_sis, {"perms": 2.5}, "perms must be a whole number, not 2.5"),
+    (plr_sis, {"perms": True}, "perms must be a whole number, not True"),
+], ids=["cap-zero", "cap-negative", "cap-fraction", "cap-bool", "cap-word",
+        "perms-fraction", "perms-bool"])
+def test_screen_counts_are_whole_numbers(monkeypatch, screen, options,
+                                         message):
+    """search_cap and perms are refused before anything is scored, not
+    truncated, counted as 1 or failed on later; whole floats are taken."""
+    ds = random_wide(np.random.default_rng(37), n=30, p=3)
+    kept = plr_sis(ds, search_cap=2).d_hat
+    assert plr_sis(ds, search_cap=2.0).d_hat == kept
+    assert plr_sis(ds, perms=3.0, cutoff="hard", d=1).p_perm.shape == (3,)
+
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("scored a column")
+
+    monkeypatch.setattr(screening, "_plr_batch", no_scoring)
+    monkeypatch.setattr(screening, "_pearson_batch", no_scoring)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        screen(ds, **options)
+
+
+@pytest.mark.parametrize("n_perms", [2.5, True, "3"])
+def test_permutation_pvalue_refuses_a_fractional_draw_count(n_perms):
+    ds = random_wide(np.random.default_rng(37), n=30, p=3)
+    with pytest.raises(ValidationError,
+                       match="n_perms must be a whole number, not "):
+        permutation_pvalue(ds, [1], n_perms)
+    assert permutation_pvalue(ds, [1], 3.0).tobytes() == \
+        permutation_pvalue(ds, [1], 3).tobytes()
 
 
 @pytest.mark.parametrize("screen, options, named", [

@@ -109,16 +109,17 @@ def test_digests_repeat_on_a_two_entry_grid():
     lines = digests.digest_lines(entries)
     assert lines == digests.digest_lines(entries)
     assert lines == sorted(lines)
-    # six score arrays, one classify.json, five generate arrays and one
+    # nine score arrays, one classify.json, five generate arrays and one
     # screen.json
     assert [line.split()[0] for line in lines] == [
         f"classify/predict_scores/{kind}-{mask}"
         for kind in ("type1", "type2", "type3")
-        for mask in ("all", "train0.7")] + [
+        for mask in ("all", "train0.7", "train0.7-heldout")] + [
         "classify/type3-split0.7-auc/classify.json"] + [
         f"generate/ex8-nnb/n80-p12-seed(5,3)/{part}"
         for part in ("edges", "raw", "widths", "x", "y")] + [
         "screen/top/screen.json"]
-    # the three kinds' scores differ, and so do the two fits of each
+    # the three kinds' scores differ, and so do the two fits of each and
+    # the held-out subset of the split fit's scores
     assert len({line.split()[1] for line in lines}) == len(lines)
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)

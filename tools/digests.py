@@ -14,8 +14,9 @@ Prints one sorted ``name sha256`` line per output:
     --cutoff pvalue:0.01, --cutoff hard:5 and --perms 5 on an ex3 dataset;
   - on the same ex3 dataset expanded by its true pairs, the
     ``predict_scores`` arrays of type1, type2 and type3 fitted on every node
-    and on a 70% train mask, and the JSON of ``classify --split 0.7 --auc``
-    for each kind.
+    and on a 70% train mask, the latter on every node and on the held-out
+    nodes alone, and the JSON of ``classify --split 0.7 --auc`` for each
+    kind.
 Run it on two checkouts and ``diff`` the outputs. Each array digest covers
 its dtype and shape as well as its bytes.
 """
@@ -109,14 +110,21 @@ def screened(options, tmp: Path) -> dict:
 def predicted() -> dict:
     """predict_scores of every kind on EX3 expanded by its true pairs, fitted
     on every node and on a SPLIT train mask drawn as ``classify --split``
-    draws it."""
+    draws it; the split fit also scores its held-out nodes alone."""
     ds = interaction_expand(generate(EX3)[0], EX3.true_features().pairs)
     rng = np.random.default_rng(np.random.SeedSequence((EX3.seed, 97)))
     masks = {"all": None, f"train{SPLIT}": rng.random(ds.n) < SPLIT}
-    return {f"{kind}-{label}": _array_bytes(predict_scores(
-                fit(ClassifierSpec(kind, s_y=EX3.s_y, s_a=EX3.s_a), ds, mask),
-                ds))
-            for kind in KINDS for label, mask in masks.items()}
+    out = {}
+    for kind in KINDS:
+        spec = ClassifierSpec(kind, s_y=EX3.s_y, s_a=EX3.s_a)
+        for label, mask in masks.items():
+            clf = fit(spec, ds, mask)
+            out[f"{kind}-{label}"] = _array_bytes(predict_scores(clf, ds))
+            if mask is not None:
+                held = np.flatnonzero(~mask) + 1
+                out[f"{kind}-{label}-heldout"] = _array_bytes(
+                    predict_scores(clf, ds, held))
+    return out
 
 
 def classified(kind: str, tmp: Path) -> dict:
