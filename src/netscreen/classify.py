@@ -39,6 +39,7 @@ from .counts import (_indicators, block_pair_tables, tally_edges,
                      tally_marginals)
 from .dataset import FeatureSet, NodeDataset, validate
 from .errors import ValidationError
+from .io import record_dict
 from .plr import column_blocks
 
 KINDS = ("type1", "type2", "type3")
@@ -339,8 +340,7 @@ class MetricsReport:
     n_reps: int
 
     def to_dict(self) -> dict:
-        return {"cmf": self.cmf, "imf": self.imf, "cp": dict(self.cp),
-                "n_reps": self.n_reps}
+        return record_dict(self)
 
 
 def screening_metrics(selections, s_true: FeatureSet) -> MetricsReport:

@@ -8,8 +8,6 @@ the thread count; threads never change numbers, only wall time.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from pathlib import Path
 
@@ -19,17 +17,10 @@ from .classify import KINDS, ClassifierSpec, evaluate, fit
 from .dataset import FeatureSet, seed_entropy
 from .errors import DegeneracyError, ValidationError
 from .experiment import experiment, null_calibration
-from .io import (experiment_long_csv, experiment_table, read_dataset,
-                 read_json, write_dataset, write_json)
+from .io import (experiment_long_csv, experiment_table, json_text,
+                 read_dataset, read_json, write_dataset, write_json)
 from .screening import hard_cutoff, interaction_expand, pc_sis, plr_sis
 from .simulate import SimulationConfig, example_config, generate
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("NETSCREEN_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _parse_cutoff(text: str):
@@ -59,13 +50,12 @@ def _parse_features(text: str) -> FeatureSet:
 
 
 def _emit(payload: dict, out) -> None:
-    """Sorted, indented JSON of payload to the file out, else to stdout."""
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """The JSON of payload to the file out, else to stdout."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        write_json(out, payload)
         print(out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(json_text(payload))
 
 
 def cmd_simulate(args) -> int:
@@ -195,7 +185,7 @@ def cmd_experiment(args) -> int:
         model=args.model, interactions=args.interactions, cutoff=cutoff,
         cutoff_d=d, cutoff_alpha=alpha, classify_true=classifiers,
         threads=args.threads)
-    (out / "report.json").write_text(report.to_json(), encoding="utf-8")
+    write_json(out / "report.json", report.to_dict())
     write_json(out / "report.timing.json", report.timing)
     (out / "table.txt").write_text(experiment_table(report), encoding="utf-8")
     (out / "long.csv").write_text(experiment_long_csv(report),
@@ -272,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["auto", "none", "top", "all"], default="auto")
     exp.add_argument("--classifiers", default=",".join(KINDS),
                      help="comma-separated kinds, or 'none'")
-    exp.add_argument("--threads", type=int, default=_default_threads())
+    exp.add_argument("--threads", type=int, default=1)
     exp.add_argument("--out", required=True, help="output directory")
     exp.set_defaults(func=cmd_experiment)
     return parser

@@ -99,12 +99,14 @@ def tally_adjacency(y0: np.ndarray, src0: np.ndarray, dst0: np.ndarray,
     INT16_EXACT_DEGREE, else in float32 when below FLOAT32_EXACT_DEGREE,
     else in float64, so that its products with 0/1 vectors are exact."""
     n = y0.size
-    rows = y0[dst0] * n + src0
-    top = np.bincount(rows, minlength=r * n).max()
-    dtype = (np.int16 if top < INT16_EXACT_DEGREE else
-             np.float32 if top < FLOAT32_EXACT_DEGREE else np.float64)
-    return sparse.csr_array(
-        (np.ones(rows.size, dtype), (rows, dst0)), shape=(r * n, n))
+    adj = sparse.csr_array((np.ones(src0.size, np.int16),
+                            (y0[dst0] * n + src0, dst0)), shape=(r * n, n))
+    # a sealed edge list has no duplicates, so a row's length is its sum
+    top = np.diff(adj.indptr).max(initial=0)
+    if top >= INT16_EXACT_DEGREE:
+        adj.data = adj.data.astype(
+            np.float32 if top < FLOAT32_EXACT_DEGREE else np.float64)
+    return adj
 
 
 def _sum_type(bound: int):

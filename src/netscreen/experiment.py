@@ -13,7 +13,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from . import __version__
 from .classify import KINDS, ClassifierSpec, evaluate, fit, screening_metrics
 from .dataset import FeatureSet, whole
 from .errors import ValidationError
+from .io import json_text, record_dict, record_kwargs
 from .plr import degrees_of_freedom, plr_statistic
 from .screening import interaction_expand, pc_sis, plr_sis
 from .simulate import SimulationConfig, example_config, generate
@@ -41,26 +42,18 @@ class ExperimentReport:
     replications: list
     metrics: dict
     true_fit: dict | None = None
-    timing: dict | None = None  # in-memory only, never serialized
+    # in memory only: wall time never serializes
+    timing: dict | None = field(default=None, metadata={"json": False})
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.version, "name": self.name, "model": self.model,
-            "n": self.n, "p": self.p, "m_reps": self.m_reps,
-            "seed": self.seed, "config": self.config,
-            "replications": self.replications, "metrics": self.metrics,
-            "true_fit": self.true_fit,
-        }
+        return record_dict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json_text(self.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
-        return cls(version=d["version"], name=d["name"], model=d["model"],
-                   n=d["n"], p=d["p"], m_reps=d["m_reps"], seed=d["seed"],
-                   config=d["config"], replications=d["replications"],
-                   metrics=d["metrics"], true_fit=d.get("true_fit"))
+        return cls(**record_kwargs(cls, d, "experiment report"))
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentReport":

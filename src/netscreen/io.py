@@ -33,20 +33,26 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import (CODE_MAX, NodeDataset, column_codes, discretize,
-                      validate)
+from .dataset import (CODE_MAX, FeatureSet, NodeDataset, column_codes,
+                      discretize, validate)
 from .errors import ValidationError
 
 WRITE_BLOCK_CELLS = 1 << 16  # cells per row block, read or written
 
 
+def json_text(obj) -> str:
+    """obj in the format of every JSON artifact: sorted keys, two-space
+    indent, one final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def write_json(path, obj) -> None:
-    Path(path).write_text(
-        json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json_text(obj), encoding="utf-8")
 
 
 def read_json(path):
@@ -54,6 +60,59 @@ def read_json(path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as err:  # malformed JSON or UTF-8
         raise ValidationError(f"{path}: not a JSON file ({err})") from err
+
+
+# ---- result records ----
+# A record is a dataclass whose JSON holds its init fields by name, less
+# those marked metadata={"json": False}. record_dict writes them and
+# record_kwargs reads them back; a field whose JSON shape differs from its
+# value's gets a conversion of its own in the record's to_dict or from_dict.
+
+def _json_fields(record) -> list:
+    """The fields of a dataclass record, or its class, that its JSON holds."""
+    return [f for f in fields(record)
+            if f.init and f.metadata.get("json", True)]
+
+
+def _plain(value):
+    """numpy arrays and scalars as lists and Python scalars, tuples as lists,
+    a FeatureSet as its keys; any other value as it is."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, FeatureSet):
+        return list(value.keys())
+    return list(value) if isinstance(value, tuple) else value
+
+
+def record_dict(record, **shapes) -> dict:
+    """The JSON fields of a dataclass record by name, each through its
+    conversion in shapes, else through _plain."""
+    return {f.name: shapes.get(f.name, _plain)(getattr(record, f.name))
+            for f in _json_fields(record)}
+
+
+def record_kwargs(cls, d, what: str, **shapes) -> dict:
+    """The keyword arguments of a record of class cls from d, a mapping in
+    the shape of its record_dict: each JSON field that d holds, through its
+    conversion in shapes. An absent field takes its default; a missing
+    required field, a d that is not a dict or a value its conversion cannot
+    take is a ValidationError that names what, the kind of record."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"a {what} must be a JSON object")
+    kwargs = {}
+    for f in _json_fields(cls):
+        if f.name in d:
+            value = d[f.name]
+            try:
+                kwargs[f.name] = shapes.get(f.name, lambda v: v)(value)
+            except ValidationError:  # it names the value at fault
+                raise
+            except (TypeError, ValueError, AttributeError):
+                raise ValidationError(
+                    f"{what} field {f.name!r} cannot be {value!r}") from None
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValidationError(f"{what} needs the field {f.name!r}")
+    return kwargs
 
 
 def write_dataset(out_dir, dataset: NodeDataset, extras: dict | None = None,

@@ -34,6 +34,7 @@ from .counts import tally_marginals
 from .dataset import (FeatureSet, NodeDataset, pair_width, seal,
                       seed_entropy, validate, whole)
 from .errors import ValidationError
+from .io import record_dict
 from .plr import (batch_statistics, chi2_tail, column_blocks, column_ids,
                   degrees_of_freedom, permutation_pvalue)
 
@@ -73,29 +74,7 @@ class ScreeningResult:
     p_perm: np.ndarray | None = None
 
     def to_dict(self) -> dict:
-        def arr(a, cast=float):
-            return None if a is None else [cast(v) for v in a]
-
-        return {
-            "method": self.method,
-            "feature_keys": list(self.feature_keys),
-            "scores": arr(self.scores),
-            "ranking": arr(self.ranking, int),
-            "d_hat": int(self.d_hat),
-            "c_star_hat": float(self.c_star_hat),
-            "selected": list(self.selected.keys()),
-            "rank_by": self.rank_by,
-            "cutoff": self.cutoff,
-            "degenerate": bool(self.degenerate),
-            "seed": int(self.seed),
-            "lam": arr(self.lam),
-            "lam_self": arr(self.lam_self),
-            "lam_network": arr(self.lam_network),
-            "df_self": arr(self.df_self, int),
-            "df_network": arr(self.df_network, int),
-            "p_value": arr(self.p_value),
-            "p_perm": arr(self.p_perm),
-        }
+        return record_dict(self)
 
 
 def hard_cutoff(n: int, mode: str = "n_over_log_n") -> int:
@@ -126,7 +105,7 @@ def max_ratio_cutoff(sorted_scores, search_cap: int | None = None) -> int:
         raise ValidationError("top score must be positive")
     m = s.size - 1
     if search_cap is not None:
-        m = max(1, min(m, int(search_cap)))
+        m = min(m, whole(search_cap, "search_cap", low=1))
     num, den = s[:m], s[1:m + 1]
     ratios = np.full(m, np.inf)
     ok = den > RATIO_EPS * s[0]
@@ -205,32 +184,32 @@ def _apply_cutoff(sorted_scores, p_sorted, cutoff, d, alpha, search_cap, n):
         else:
             want = d
         return min(want, sorted_scores.size), False, f"hard:{want}"
-    if cutoff == "pvalue":
-        return (int(np.sum(p_sorted <= alpha)), False, f"pvalue:{alpha:g}")
-    raise ValidationError(f"unknown cutoff {cutoff!r}")
+    return int(np.sum(p_sorted <= alpha)), False, f"pvalue:{alpha:g}"
 
 
 # ---- statistics ----
-# Each maps (dataset, cols) -- cols 1-based, int64 -- to (raw, chi2, df,
-# rank_by, fields): the per-column statistic, its chi-square reference value
-# and degrees of freedom, the ranking label used when all widths agree, and
-# the ScreeningResult fields it fills.
+# Each maps (dataset, cols) -- cols 1-based, int64 -- to one dict of
+# per-column arrays keyed by name: "chi2" and "df", the chi-square reference
+# value and its degrees of freedom, and the ScreeningResult fields it fills,
+# among them "lam", the statistic that equal widths rank by.
 
-def _plr_batch(dataset: NodeDataset, cols: np.ndarray):
+RANK_LABEL = {"plr": "lambda", "pc": "chi2"}  # rank_by when widths agree
+
+
+def _plr_batch(dataset: NodeDataset, cols: np.ndarray) -> dict:
     """Network pseudo-likelihood ratio statistic of each column."""
     lam, lam_self, lam_net = batch_statistics(dataset, cols)
     df_self, df_net = degrees_of_freedom(dataset.r_levels,
                                          dataset.k_levels[cols - 1])
-    return (lam, 2.0 * dataset.n * lam, df_self + df_net, "lambda",
-            dict(lam=lam, lam_self=lam_self, lam_network=lam_net,
-                 df_self=df_self, df_network=df_net))
+    return dict(chi2=2.0 * dataset.n * lam, df=df_self + df_net, lam=lam,
+                lam_self=lam_self, lam_network=lam_net, df_self=df_self,
+                df_network=df_net)
 
 
-def _pearson_batch(dataset: NodeDataset, cols: np.ndarray):
+def _pearson_batch(dataset: NodeDataset, cols: np.ndarray) -> dict:
     """Pearson chi-square of response against each column, network ignored."""
     r, y0 = dataset.r_levels, dataset.network.y0
     n_y = np.bincount(y0, minlength=r).astype(np.float64)
-    widths = dataset.k_levels[cols - 1]
     chi = np.zeros(cols.size)
     for k, part, xb0 in column_blocks(dataset, cols):
         nyj = tally_marginals(y0, xb0, r, k).astype(np.float64)
@@ -240,38 +219,26 @@ def _pearson_batch(dataset: NodeDataset, cols: np.ndarray):
         np.divide((nyj - expected) ** 2, expected, out=dev,
                   where=expected > 0)
         chi[part] = dev.sum(axis=(1, 2))
-    df = (r - 1) * (widths - 1)
-    return chi, chi, df, "chi2", dict(lam=chi, df_self=df)
+    df = (r - 1) * (dataset.k_levels[cols - 1] - 1)
+    return dict(chi2=chi, df=df, lam=chi, df_self=df)
 
 
-def _joined(first, second):
-    """The statistic output of two runs of columns, one after the other."""
-    raw, chi2, df = (np.concatenate([a, b])
-                     for a, b in zip(first[:3], second[:3]))
-    fields = {key: np.concatenate([value, second[4][key]])
-              for key, value in first[4].items()}
-    return raw, chi2, df, first[3], fields
-
-
-def _asymptotic(dataset, cols, output):
-    """(raw, tail probability, ranking scores, rank_by, fields) of cols from
-    their statistic output.
-
-    Equal widths rank by the raw statistic; mixed widths by -log10 of the
-    chi-square tail.
-    """
-    raw, chi2, df, rank_by, fields = output
-    p_asym = chi2_tail(chi2, df)
+def _asymptotic(method, dataset, cols, stats):
+    """(tail probability, ranking scores, rank_by) of cols from their
+    statistic dict: equal widths rank by lam, mixed widths by -log10 of the
+    chi-square tail."""
+    p_asym = chi2_tail(stats["chi2"], stats["df"])
     if np.unique(dataset.k_levels[cols - 1]).size <= 1:
-        return raw, p_asym, raw, rank_by, fields
-    scores = -np.log10(np.maximum(p_asym, P_FLOOR))
-    return raw, p_asym, scores, "pvalue", fields
+        return p_asym, stats["lam"], RANK_LABEL[method]
+    return p_asym, -np.log10(np.maximum(p_asym, P_FLOOR)), "pvalue"
 
 
 def _screen(method, statistic, dataset, *, cutoff, d, alpha, seed,
             interactions, top_m, search_cap, columns, perms=0):
     """Expand, score, rank and cut: the pipeline shared by every statistic."""
     seed = seed_entropy((seed,))[0]  # one whole number >= 0, or refused
+    if cutoff not in ("max_ratio", "hard", "pvalue"):
+        raise ValidationError(f"unknown cutoff {cutoff!r}")
     if not (isinstance(alpha, numbers.Real) and 0 < alpha <= 1):
         raise ValidationError(f"alpha must be a number in (0, 1], not "
                               f"{alpha!r}")
@@ -294,7 +261,7 @@ def _screen(method, statistic, dataset, *, cutoff, d, alpha, seed,
     dataset = validate(dataset)
     if interactions not in ("none", "top", "all"):
         raise ValidationError(f"unknown interactions mode {interactions!r}")
-    main_output = None
+    main_stats = None
     if interactions != "none":
         if columns is not None:
             raise ValidationError(
@@ -305,10 +272,9 @@ def _screen(method, statistic, dataset, *, cutoff, d, alpha, seed,
         else:
             # stage 1: rank the stored main effects, pair up the leaders
             main_cols = np.arange(1, mains + 1)
-            main_output = statistic(dataset, main_cols)
-            raw, _, scores, _, _ = _asymptotic(dataset, main_cols,
-                                               main_output)
-            order = _ranking(scores, raw)
+            main_stats = statistic(dataset, main_cols)
+            _, scores, _ = _asymptotic(method, dataset, main_cols, main_stats)
+            order = _ranking(scores, main_stats["lam"])
             m = min(top_m if top_m is not None else hard_cutoff(dataset.n),
                     mains)
             leaders = sorted(int(j) + 1 for j in order[:m])
@@ -322,22 +288,24 @@ def _screen(method, statistic, dataset, *, cutoff, d, alpha, seed,
         raise ValidationError("no columns to screen")
     if np.unique(cols).size != cols.size:
         raise ValidationError("duplicate column ids")
-    if main_output is None:
-        output = statistic(dataset, cols)
+    if main_stats is None:
+        stats = statistic(dataset, cols)
     else:  # the mains lead cols and keep their stage 1 values
-        output = _joined(main_output, statistic(dataset, cols[mains:]))
-    raw, p_asym, scores, rank_by, fields = _asymptotic(dataset, cols, output)
+        stats = {key: np.concatenate([main_stats[key], value])
+                 for key, value in statistic(dataset, cols[mains:]).items()}
+    p_asym, scores, rank_by = _asymptotic(method, dataset, cols, stats)
     p_used, p_perm = p_asym, None
     if perms > 0:
         p_perm = permutation_pvalue(dataset, cols, perms, seed)
         scores = -np.log10(np.maximum(p_perm, P_FLOOR))
         rank_by, p_used = "permutation", p_perm
 
-    order = _ranking(scores, raw)
+    order = _ranking(scores, stats["lam"])
     sorted_scores = scores[order]
     d_hat, degenerate, cut_desc = _apply_cutoff(
         sorted_scores, p_used[order], cutoff, d, alpha, search_cap, dataset.n)
     keys = [feature_key(dataset, int(j)) for j in cols]
+    del stats["chi2"], stats["df"]  # the rest are ScreeningResult fields
     return ScreeningResult(
         method=method,
         feature_keys=tuple(keys),
@@ -350,7 +318,7 @@ def _screen(method, statistic, dataset, *, cutoff, d, alpha, seed,
         cutoff=cut_desc,
         degenerate=degenerate,
         seed=seed,
-        p_value=p_asym, p_perm=p_perm, **fields)
+        p_value=p_asym, p_perm=p_perm, **stats)
 
 
 def plr_sis(dataset: NodeDataset, *, cutoff: str = "max_ratio",

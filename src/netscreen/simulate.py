@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -61,6 +61,7 @@ from scipy.special import expit
 from .dataset import (CODE_MAX, FeatureSet, NodeDataset, discretize,
                       seed_entropy, validate, whole)
 from .errors import ValidationError
+from .io import record_dict, record_kwargs
 
 _STREAM_RESPONSE = 1
 _STREAM_COLUMN = 2
@@ -211,21 +212,14 @@ class SimulationConfig:
         return FeatureSet(tuple(mains), tuple(pairs))
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name, "model": self.model,
-            "n": self.n, "p": self.p, "r_levels": self.r_levels,
-            "columns": {str(j): r for j, r in sorted(self.columns.items())},
-            "default_column": self.default_column,
-            "response": self.response,
-            "s_y": list(self.s_y.keys()), "s_a": list(self.s_a.keys()),
-            "phi": [["&".join(str(c + 1) for c in cols), coef]
-                    for cols, coef in self.phi_terms],
-            "gamma": self.gamma,
-            "base_odds_same": self.base_odds_same,
-            "base_odds_diff": self.base_odds_diff,
-            "noise": self.noise, "bins": self.bins,
-            "bin_scheme": self.bin_scheme, "seed": self.seed,
-        }
+        """The init fields in the shapes from_dict reads: string column
+        ids, key lists for s_y and s_a, and phi as [key, coefficient] pairs
+        with "j" or "j&k" keys."""
+        return record_dict(
+            self,
+            columns=lambda c: {str(j): r for j, r in sorted(c.items())},
+            phi=lambda _: [["&".join(str(c + 1) for c in cols), coef]
+                           for cols, coef in self.phi_terms])
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimulationConfig":
@@ -233,39 +227,17 @@ class SimulationConfig:
         takes its dataclass default. Only JSON's shapes are converted here:
         string column ids and phi keys ("j" or "j&k") to ints, and key lists
         to FeatureSets. The values are checked as the config is made."""
-        if not isinstance(d, dict):
-            raise ValidationError("a simulation config must be a JSON object")
-
         def key_of(s):  # a number is left to the checks
             if not isinstance(s, str):
                 return s
             ids = tuple(int(c) for c in s.split("&"))
             return ids if len(ids) > 1 else ids[0]
 
-        convert = {
-            "s_y": FeatureSet.from_keys,
-            "s_a": FeatureSet.from_keys,
-            "columns": lambda c: {int(j): r for j, r in c.items()},
-            "phi": lambda phi: tuple((key_of(k), c) for k, c in phi),
-        }
-        kwargs = {}
-        for f in fields(cls):
-            if not f.init:  # the parse, made with the config
-                continue
-            if f.name in d:
-                value = d[f.name]
-                try:
-                    kwargs[f.name] = convert.get(f.name, lambda v: v)(value)
-                except ValidationError:  # it names the id at fault
-                    raise
-                except (TypeError, ValueError, AttributeError):
-                    raise ValidationError(
-                        f"simulation config field {f.name!r} cannot be "
-                        f"{value!r}") from None
-            elif f.default is MISSING and f.default_factory is MISSING:
-                raise ValidationError(
-                    f"simulation config needs the field {f.name!r}")
-        return cls(**kwargs)
+        return cls(**record_kwargs(
+            cls, d, "simulation config",
+            s_y=FeatureSet.from_keys, s_a=FeatureSet.from_keys,
+            columns=lambda c: {int(j): r for j, r in c.items()},
+            phi=lambda phi: tuple((key_of(k), c) for k, c in phi)))
 
 
 def _parse_recipe(recipe, j: int, config: SimulationConfig, earlier: list):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +12,12 @@ import pytest
 import netscreen
 from netscreen import NodeDataset, ValidationError, validate
 from netscreen import io as nsio
+from netscreen.classify import screening_metrics
 from netscreen.cli import main
 from netscreen.experiment import (ExperimentReport, experiment,
                                   null_calibration)
 from netscreen.io import read_dataset, read_json, write_dataset, write_json
-from netscreen.screening import interaction_expand
+from netscreen.screening import interaction_expand, plr_sis
 from netscreen.simulate import example_config, generate
 
 
@@ -311,13 +313,12 @@ def test_experiment_command_writes_reports(tmp_path, capsys):
     assert (d / "report.timing.json").exists()
 
 
-def test_experiment_outputs_ignore_thread_count(tmp_path, monkeypatch, capsys):
+def test_experiment_outputs_ignore_thread_count(tmp_path, capsys):
     args = ["experiment", "--example", "1", "--n", "40", "--p", "5",
             "--reps", "3", "--seed", "3"]
     d1, d2 = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out", str(d1), "--threads", "1"]) == 0
-    monkeypatch.setenv("NETSCREEN_THREADS", "2")
-    assert main(args + ["--out", str(d2)]) == 0
+    assert main(args + ["--out", str(d2), "--threads", "2"]) == 0
     capsys.readouterr()
     assert (d1 / "report.json").read_bytes() == (d2 / "report.json").read_bytes()
     assert (d1 / "long.csv").read_bytes() == (d2 / "long.csv").read_bytes()
@@ -651,6 +652,34 @@ def test_report_json_round_trip():
     assert back.to_json() == rep.to_json()
     assert back.metrics == rep.metrics
     assert back.timing is None  # wall time never serializes
+
+
+def test_records_write_every_field_they_read(tmp_path):
+    """Each record's JSON holds exactly its init fields, less the report's
+    wall time, and the report reads back to the same bytes."""
+    config = example_config(3, n=60, p=6)
+    ds, extras = generate(config, seed=2)
+    report = experiment(config, m_reps=2, seed=4, classify_true=())
+    records = {
+        "screen": (plr_sis(ds, interactions="top", perms=3), set()),
+        "metrics": (screening_metrics([extras["true_features"]],
+                                      config.true_features()), set()),
+        "config": (config, set()),
+        "report": (report, {"timing"}),
+    }
+    for name, (record, unwritten) in records.items():
+        want = {f.name for f in fields(record) if f.init} - unwritten
+        assert set(record.to_dict()) == want, name
+    assert ExperimentReport.from_dict(report.to_dict()).to_json() == \
+        report.to_json()
+    write_json(tmp_path / "report.json", report.to_dict())
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == \
+        report.to_json()
+    blob = report.to_dict()
+    del blob["name"]
+    with pytest.raises(ValidationError,
+                       match="^experiment report needs the field 'name'$"):
+        ExperimentReport.from_dict(blob)
 
 
 # ------------------------------------------------- malformed and odd CSVs

@@ -61,6 +61,17 @@ def test_max_ratio_search_cap():
     assert max_ratio_cutoff(scores) == 3
     # capping the scan hides the big drop after position 3
     assert max_ratio_cutoff(scores, search_cap=2) == 2
+    assert max_ratio_cutoff(scores, search_cap=2.0) == 2
+
+
+@pytest.mark.parametrize("cap", [2.5, 0, -3, True, "2"])
+def test_max_ratio_search_cap_is_a_whole_number_of_at_least_one(cap):
+    """A fractional cap is not truncated, and 0, negatives and bools are
+    not scanned as one ratio."""
+    with pytest.raises(ValidationError,
+                       match=f"^search_cap must be a whole number >= 1, "
+                       f"not {cap!r}$"):
+        max_ratio_cutoff([10.0, 9.0, 8.0, 0.8, 0.75, 0.74], search_cap=cap)
 
 
 def test_hard_cutoff():
@@ -506,9 +517,12 @@ def test_screen_seed_is_one_whole_number(monkeypatch, screen, options,
      "top_m must be a whole number, not nan"),
     (pc_sis, {"interactions": "top", "top_m": -1},
      "top_m must be nonnegative"),
+    (plr_sis, {"cutoff": "bogus"}, "^unknown cutoff 'bogus'$"),
+    (pc_sis, {"cutoff": "maxratio"}, "^unknown cutoff 'maxratio'$"),
 ], ids=["nan-alpha", "zero-alpha", "alpha-above-1", "word-alpha",
         "fractional-d", "bool-d", "infinite-d", "zero-d", "unknown-d-mode",
-        "fractional-top-m", "bool-top-m", "nan-top-m", "negative-top-m"])
+        "fractional-top-m", "bool-top-m", "nan-top-m", "negative-top-m",
+        "unknown-cutoff", "cli-cutoff-name"])
 def test_screen_options_are_checked_before_scoring(monkeypatch, screen,
                                                    options, message):
     ds = random_wide(np.random.default_rng(37), n=30, p=3)
