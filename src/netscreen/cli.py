@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .classify import KINDS, ClassifierSpec, evaluate, fit
-from .dataset import FeatureSet, seed_entropy
+from .dataset import STREAMS, FeatureSet, seed_entropy, stream
 from .errors import DegeneracyError, ValidationError
 from .experiment import experiment, null_calibration
 from .io import (experiment_long_csv, experiment_table, json_text,
@@ -134,8 +134,8 @@ def cmd_classify(args) -> int:
     if args.split is not None:
         if not 0.0 < args.split < 1.0:
             raise ValidationError("--split takes the training fraction in (0,1)")
-        rng = np.random.default_rng(np.random.SeedSequence((args.seed, 97)))
-        train_mask = rng.random(dataset.n) < args.split
+        train_mask = (stream(args.seed, STREAMS["split"]).random(dataset.n)
+                      < args.split)
         if not train_mask.any() or train_mask.all():
             raise ValidationError("split left the train or test side empty")
         targets = np.flatnonzero(~train_mask) + 1

@@ -219,17 +219,21 @@ class Network:
         mask, only the neighbours it selects."""
         if mask is None:
             return self._degrees
-        return tuple((side @ mask.astype(side.dtype)).reshape(self.r, -1)
-                     .astype(np.int64) for side in (self.out, self.into))
+        return self._masked(self.out, mask), self._masked(self.into, mask)
+
+    def _masked(self, side, mask):
+        return (side @ mask.astype(side.dtype)).reshape(self.r, -1).astype(
+            np.int64)
 
     def tables(self, mask=None):
         """(n_y, n_pairs_y, n_edges_y): the feature-free tables of the nodes
         a boolean (n,) mask selects (default all) and the edges between
         them; n_edges_y[r1, r2] sums the class-r2 out-:meth:`degrees` of the
-        sources of class r1, so it takes no pass over the edges."""
-        out, y0 = self.degrees(mask)[0], self.y0
+        sources of class r1: no pass over the edges, and under a mask no
+        adjacency into the nodes."""
+        out, y0 = self._degrees[0], self.y0
         if mask is not None:
-            out, y0 = out[:, mask], y0[mask]
+            out, y0 = self._masked(self.out, mask)[:, mask], y0[mask]
         n_y = np.bincount(y0, minlength=self.r)
         n_edges_y = _classes(y0, self.r, np.int64) @ out.T
         return n_y, np.outer(n_y, n_y) - np.diag(n_y), n_edges_y

@@ -3,6 +3,12 @@
 All public indices are 1-based: response levels are 1..R, feature levels in
 column j are 1..K_j, node ids and column ids count from 1. Internal helpers
 use 0-based views where that makes the array math direct.
+
+Every random draw comes from the stream ``default_rng(SeedSequence(seed +
+key))`` of a seed, an int or a tuple of whole numbers >= 0, and a key that
+starts with an id from STREAMS, so any column, the network or one permutation
+draw can be regenerated alone. :func:`streams` seeds many keys in one pass,
+as building SeedSequences one by one costs more than drawing from them.
 """
 
 from __future__ import annotations
@@ -17,6 +23,19 @@ from .counts import Network
 from .errors import ValidationError
 
 CODE_MAX = np.iinfo(np.int32).max  # every column's codes fit int32
+# The stream ids. Column j is keyed (2, j), draw b of its permutation (id, j,
+# b). The permutation id is the largest one-word key: a (seed, rep) seed puts
+# rep in the word of an int seed's id, and no replication index reaches it.
+STREAMS = {"response": 1, "column": 2, "network": 3, "noise": 4, "split": 97,
+           "permutation": 2**32 - 1}
+# SeedSequence's constants (numpy/random/bit_generator.pyx) and PCG64's
+# multiplier (numpy/random/src/pcg64/pcg64.h), for streams
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+_PCG64_MULT = 0x2360ed051fc65da44385df649fccf645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -352,3 +371,86 @@ def seed_entropy(seed) -> tuple[int, ...]:
     number >= 0 (:func:`whole`): SeedSequence refuses a negative word."""
     return tuple(whole(value, "a seed", low=0)
                  for value in (seed if isinstance(seed, tuple) else (seed,)))
+
+
+def stream(seed, *key) -> np.random.Generator:
+    """The Generator of the stream that seed and key (ints >= 0) name."""
+    return np.random.default_rng(
+        np.random.SeedSequence(seed_entropy(seed) + key))
+
+
+def streams(seed, keys):
+    """For each key in turn, a Generator in the state of ``stream(seed,
+    *key)``, seeded for all keys in one vectorized pass.
+
+    keys holds one int per key or one row of ints per key; every key word
+    must lie in [0, 2^32), one entropy word. This restates numpy's seeding,
+    which its stream-compatibility policy (NEP 19) keeps fixed:
+      - SeedSequence's word split (``_int_to_uint32_array``), pool mixing
+        (``mix_entropy``) and ``generate_state(4, uint64)`` from
+        numpy/random/bit_generator.pyx, run on arrays with one entry per
+        key, and
+      - PCG64's seeding (``pcg_setseq_128_srandom_r`` in
+        numpy/random/src/pcg64/pcg64.h): inc = initseq << 1 | 1 and
+        state = ((inc + initstate) * MULT + inc) mod 2^128.
+    Each state goes in through ``PCG64.state`` with no buffered 32-bit
+    half (has_uint32 = 0, uinteger = 0), as a fresh PCG64 starts.
+
+    Every key gets the same Generator object, reset to that key's state, so
+    a stream must be drawn completely before the next one is requested.
+    """
+    keys = np.atleast_2d(np.asarray(keys, dtype=np.int64).T).T  # key rows
+    if keys.size and not 0 <= keys.min() <= keys.max() < 1 << 32:
+        raise ValueError("stream keys must lie in [0, 2^32)")
+    # each seed value's little-endian 32-bit words; 0 is one word
+    words = [np.full(len(keys), v >> shift & _MASK32, dtype=np.uint32)
+             for v in seed_entropy(seed)
+             for shift in range(0, max(v.bit_length(), 1), 32)]
+    words.extend(keys.T.astype(np.uint32))
+    hashmix = _hash_chain(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        out = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return out ^ out >> 16
+
+    zeros = np.zeros(len(keys), dtype=np.uint32)
+    pool = [hashmix(words[i] if i < len(words) else zeros)
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state hashes the pool cyclically into 8 uint32 words
+    hash_out = _hash_chain(_INIT_B, _MULT_B)
+    state32 = [hash_out(pool[i % _POOL_SIZE]).astype(np.uint64)
+               for i in range(8)]
+    # uint32 words pair little-endian into (initstate hi, lo, initseq hi, lo)
+    seeds = np.column_stack([state32[i] | state32[i + 1] << 32
+                             for i in range(0, 8, 2)]).tolist()
+    bit_gen = np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
+    for s_hi, s_lo, q_hi, q_lo in seeds:
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        bit_gen.state = {"bit_generator": "PCG64",
+                         "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
+def _hash_chain(const: int, mult: int):
+    """SeedSequence's hashmix: each call xors in the hash constant, steps it
+    (const * mult mod 2^32), multiplies by it and xor-shifts by 16."""
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    return hashmix
+

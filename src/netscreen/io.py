@@ -95,12 +95,16 @@ def record_kwargs(cls, d, what: str, **shapes) -> dict:
     """The keyword arguments of a record of class cls from d, a mapping in
     the shape of its record_dict: each JSON field that d holds, through its
     conversion in shapes. An absent field takes its default; a missing
-    required field, a d that is not a dict or a value its conversion cannot
-    take is a ValidationError that names what, the kind of record."""
+    required field, an unknown key, a d that is not a dict or a value its
+    conversion cannot take is a ValidationError naming the record kind what."""
     if not isinstance(d, dict):
         raise ValidationError(f"a {what} must be a JSON object")
+    known = _json_fields(cls)
+    unknown = sorted(map(str, d.keys() - {f.name for f in known}))
+    if unknown:
+        raise ValidationError(f"{what} has no field {unknown[0]!r}")
     kwargs = {}
-    for f in _json_fields(cls):
+    for f in known:
         if f.name in d:
             value = d[f.name]
             try:

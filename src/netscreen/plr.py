@@ -37,7 +37,8 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .counts import block_pair_tables, tally_edges, tally_marginals
-from .dataset import NodeDataset, column_codes, seed_entropy, validate, whole
+from .dataset import (STREAMS, NodeDataset, column_codes, seed_entropy,
+                      streams, validate, whole)
 from .errors import DegeneracyError, ValidationError
 
 BLOCK_TARGET_CELLS = 5_000_000  # soft cap on B R^2 K^2 and B n (K-1) per block
@@ -198,11 +199,11 @@ def _column_totals(dataset: NodeDataset, cols, perms: int = 0,
     """((2, B) self and network totals, permutation tails) of cols (1-based).
 
     The columns block by block, then perms permuted copies of each, every
-    draw one more column of its width. Draw b of column j is seeded by
-    (seed, j, b); a tail is (1 + #{draws whose unnormalized total reaches
-    the column's own}) / (perms + 1).
+    draw one more column of its width. Draw b of column j permutes by the
+    stream keyed (j, b) under the permutation id; a tail is (1 + #{draws
+    whose unnormalized total reaches the column's own}) / (perms + 1).
     """
-    entropy = seed_entropy(seed)
+    prefix = seed_entropy(seed) + (STREAMS["permutation"],)
     cols = column_ids(dataset, cols)
     tables = dataset.network.tables()
     if tables[0].min() == 0:
@@ -217,9 +218,8 @@ def _column_totals(dataset: NodeDataset, cols, perms: int = 0,
     hits = np.zeros(cols.size, dtype=np.int64)
     for k, part, xb0 in column_blocks(dataset, np.repeat(cols, perms)):
         owner, draw = np.divmod(part, perms)  # entry i perms + b
-        for c, (i, b) in enumerate(zip(owner.tolist(), draw.tolist())):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy + (int(cols[i]), b)))
+        keys = np.column_stack([cols[owner], draw])
+        for c, rng in enumerate(streams(prefix, keys)):
             xb0[:, c] = xb0[rng.permutation(dataset.n), c]
         s_perm, n_perm = _block_lambdas(dataset.network, tables, xb0, k)
         np.add.at(hits, owner, s_perm + n_perm >= observed[owner])

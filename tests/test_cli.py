@@ -18,7 +18,7 @@ from netscreen.experiment import (ExperimentReport, experiment,
                                   null_calibration)
 from netscreen.io import read_dataset, read_json, write_dataset, write_json
 from netscreen.screening import interaction_expand, plr_sis
-from netscreen.simulate import example_config, generate
+from netscreen.simulate import SimulationConfig, example_config, generate
 
 
 def simulate_dir(tmp_path, example="1", n=60, p=8, seed=1):
@@ -277,6 +277,8 @@ def test_simulate_from_config_file(tmp_path):
     (lambda c: {**c, "n": 60.7}, "n must be a whole number, not 60.7"),
     (lambda c: {**c, "r_levels": 2.9},
      "r_levels must be a whole number, not 2.9"),
+    (lambda c: {**{k: v for k, v in c.items() if k != "gamma"}, "gama": 0.9},
+     "simulation config has no field 'gama'"),
 ], ids=["list", "no-name", "no-p", "word-n", "infinite-n", "bern-without-p",
         "bare-recipe", "word-p", "word-k", "word-table", "fractional-k",
         "fractional-parent", "empty-table", "flat-cond-y-table",
@@ -286,7 +288,7 @@ def test_simulate_from_config_file(tmp_path):
         "k-at-2^31", "nested-mean-rows", "zero-base-odds",
         "negative-base-odds", "nan-gamma", "nan-phi-coefficient",
         "fractional-phi-column", "bool-phi-column", "fractional-n",
-        "fractional-r-levels"])
+        "fractional-r-levels", "misspelled-field"])
 def test_simulate_rejects_malformed_config_files(tmp_path, capsys, edit,
                                                  message):
     cfg_path = tmp_path / "cfg.json"
@@ -680,6 +682,23 @@ def test_records_write_every_field_they_read(tmp_path):
     with pytest.raises(ValidationError,
                        match="^experiment report needs the field 'name'$"):
         ExperimentReport.from_dict(blob)
+
+
+def test_records_refuse_keys_of_no_field():
+    """A key that names no JSON field of the record is refused by name, not
+    dropped: a misspelled field would otherwise run on its default, and
+    timing is never part of a report's JSON."""
+    config = example_config(1, n=50, p=5)
+    blob = {**config.to_dict(), "gama": 0.9}
+    del blob["gamma"]
+    with pytest.raises(ValidationError,
+                       match="^simulation config has no field 'gama'$"):
+        SimulationConfig.from_dict(blob)
+    report = experiment(config, m_reps=1, seed=1, classify_true=())
+    for key in ("extra", "timing"):
+        with pytest.raises(ValidationError,
+                           match=f"^experiment report has no field '{key}'$"):
+            ExperimentReport.from_dict({**report.to_dict(), key: None})
 
 
 # ------------------------------------------------- malformed and odd CSVs

@@ -332,3 +332,15 @@ def test_unmasked_screens_and_type2_build_no_side_into_nodes(monkeypatch):
     plr_sis(ds, interactions="top", top_m=4)
     pc_sis(ds)
     assert builds == ["out"]
+
+
+def test_masked_type2_fit_builds_no_side_into_nodes(monkeypatch):
+    """A masked type2 fit reads the masked out-degrees of its response
+    tables alone, so it builds the adjacency out of each node and not the
+    one into each node."""
+    ds, _ = generate(example_config(1, n=400, p=8), seed=3)
+    mask = np.arange(ds.n) % 4 > 0
+    builds = spy_builds(monkeypatch)
+    fit(ClassifierSpec("type2", s_y=FeatureSet((1, 2)),
+                       s_a=FeatureSet((3, 4))), ds, train_mask=mask)
+    assert builds == ["out"]

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import netscreen.counts as counts
+import netscreen.dataset as dataset
 import netscreen.plr as plr
+import netscreen.simulate as simulate
 from netscreen import DegeneracyError, NodeDataset, ValidationError, validate
 from netscreen.plr import (
     TABLE_CELL_LIMIT, batch_statistics, check_table_cells, chi2_tail,
@@ -348,11 +350,64 @@ def test_permutation_pvalue_is_deterministic():
 
 
 def test_permutation_tails_frozen_values():
-    """p_perm as the per-column draws gave it before the draws of all
-    columns shared one walk."""
+    """The tail that 40 draws give when draw b of column j permutes by
+    default_rng(SeedSequence((seed, 2^32 - 1, j, b))), the permutation id
+    of dataset.STREAMS; recomputed draw by draw, one permuted dataset per
+    draw, it is 17/41 as well."""
     y, x, edges, r, k = random_instance(np.random.default_rng(26), n_max=10)
     tail = permutation_pvalue(as_dataset(y, x, edges, r, k), [1], 40, seed=5)
-    assert tail.tolist() == [12 / 41]
+    assert tail.tolist() == [17 / 41]
+
+
+def test_permutation_draws_are_the_per_draw_streams(monkeypatch):
+    """The batched draws of every width block are the streams a
+    SeedSequence per draw opens, keyed (seed, permutation id, j, b)."""
+    ds = mixed_instance(np.random.default_rng(27))
+    batched = permutation_pvalue(ds, [3, 1, 2], 12, seed=(4, 2))
+
+    def per_draw(prefix, keys):
+        for key in np.asarray(keys).tolist():
+            yield np.random.default_rng(
+                np.random.SeedSequence(prefix + tuple(key)))
+
+    monkeypatch.setattr(plr, "streams", per_draw)
+    assert permutation_pvalue(ds, [3, 1, 2], 12, seed=(4, 2)).tobytes() == \
+        batched.tobytes()
+
+
+def test_permutation_keys_meet_no_generator_key(monkeypatch):
+    """No permutation draw opens a stream that generate opens for an int
+    seed s or for (s, rep) with rep < 1000, nor the split stream of s.
+    The keys are recorded where they are drawn; on the keys of the old
+    rule, (seed, j, b), draw b of column 2 was column b's stream."""
+    opened = []
+
+    def spy_stream(seed, *key):
+        opened.append(dataset.seed_entropy(seed) + key)
+        return dataset.stream(seed, *key)
+
+    def spy_streams(seed, keys):
+        prefix = dataset.seed_entropy(seed)
+        opened.extend(prefix + tuple(np.atleast_1d(key).tolist())
+                      for key in np.asarray(keys))
+        return dataset.streams(seed, keys)
+
+    monkeypatch.setattr(simulate, "stream", spy_stream)
+    monkeypatch.setattr(simulate, "streams", spy_streams)
+    monkeypatch.setattr(plr, "streams", spy_streams)
+    config = example_config(5, n=20, p=12)  # noise: every generator stream
+    s = 0
+    ds, _ = generate(config, seed=s)
+    for rep in range(1000):
+        generate(config, seed=(s, rep))
+    generator = set(opened) | {(s, dataset.STREAMS["split"])}
+    opened.clear()
+    plr_sis(ds, perms=12, seed=s)
+    permutation = set(opened)
+    assert len(permutation) == 12 * 12
+    assert {key[:2] for key in permutation} == {
+        (s, dataset.STREAMS["permutation"])}
+    assert not permutation & generator
 
 
 def test_permutation_pvalue_independent_of_batching(monkeypatch):

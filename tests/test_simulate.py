@@ -10,7 +10,7 @@ from scipy.special import expit
 
 from netscreen import FeatureSet, ValidationError, simulate
 from netscreen.io import write_dataset
-from netscreen.dataset import discretize
+from netscreen.dataset import STREAMS, discretize, stream, streams
 from netscreen.simulate import (
     SimulationConfig, example_config, gen_network, gen_nlr, gen_nnb, generate,
     noise_rates, perturb_network,
@@ -69,20 +69,33 @@ STREAM_PREFIXES = [(0,), (2**32 - 1,), (2**32,), (2**64 + 1,),
                    (2**40, 0, 2**70 + 9, 2)]
 
 
-@pytest.mark.parametrize("prefix", STREAM_PREFIXES, ids=str)
-def test_keyed_streams_match_seed_sequence(prefix):
-    keys = [0, 1, 2, 2**32 - 1, 5]
-    streams = simulate._keyed_streams(prefix, keys)
-    for key, rng in zip(keys, streams, strict=True):
-        ref = np.random.default_rng(np.random.SeedSequence(prefix + (key,)))
+def assert_streams_match_seed_sequence(prefix, keys):
+    for key, rng in zip(keys, streams(prefix, keys), strict=True):
+        words = key if isinstance(key, tuple) else (key,)
+        ref = np.random.default_rng(np.random.SeedSequence(prefix + words))
         for got, want in zip(stream_draws(rng), stream_draws(ref)):
             assert np.array_equal(got, want), (prefix, key)
+
+
+@pytest.mark.parametrize("prefix", STREAM_PREFIXES, ids=str)
+def test_keyed_streams_match_seed_sequence(prefix):
+    assert_streams_match_seed_sequence(prefix, [0, 1, 2, 2**32 - 1, 5])
+
+
+@pytest.mark.parametrize("prefix", STREAM_PREFIXES, ids=str)
+def test_two_word_keyed_streams_match_seed_sequence(prefix):
+    """Keys of two words, as the permutation draws open them: (j, b)."""
+    assert_streams_match_seed_sequence(
+        prefix, [(1, 0), (0, 1), (2**32 - 1, 3), (3, 2**32 - 1), (12, 7)])
 
 
 def test_keyed_streams_refuse_keys_beyond_one_word():
     for key in (-1, 2**32):
         with pytest.raises(ValueError, match="stream keys"):
-            next(simulate._keyed_streams((7,), [1, key]))
+            next(streams((7,), [1, key]))
+    for key in ((2**32, 1), (1, 2**32), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="stream keys"):
+            next(streams((7,), [(1, 1), key]))
 
 
 def per_column_reference(config, entropy, y0):
@@ -90,7 +103,8 @@ def per_column_reference(config, entropy, y0):
     x = np.empty((config.n, config.p), dtype=np.int32, order="F")
     raw = {}
     for j in range(1, config.p + 1):
-        rng = simulate._stream(entropy, simulate._STREAM_COLUMN, j)
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy + (STREAMS["column"], j)))
         codes, raw_j = simulate._draw_column(config.recipes[j - 1], config,
                                              rng, y0, x)
         x[:, j - 1] = codes
@@ -132,8 +146,8 @@ DRAW_CASES["default-cond-x"] = DEFAULT_COND_X
 def test_draw_columns_match_per_column_streams(cfg, seed):
     y0 = None
     if cfg.model == "nnb":
-        y0 = simulate._stream(seed, simulate._STREAM_RESPONSE).integers(
-            0, cfg.r_levels, cfg.n)
+        y0 = np.random.default_rng(np.random.SeedSequence(
+            seed + (STREAMS["response"],))).integers(0, cfg.r_levels, cfg.n)
     x, raw = simulate._draw_columns(cfg, seed, y0)
     want_x, want_raw = per_column_reference(cfg, seed, y0)
     assert np.array_equal(x, want_x)
@@ -343,7 +357,7 @@ def pairwise_edges(y, x, cfg, seed):
     """The network drawn pair by pair: one uniform per loop-free ordered
     pair in source-row order, tested against expit of the pair's logit,
     summed term by term."""
-    rng = simulate._stream(simulate.seed_entropy(seed), simulate._STREAM_NETWORK)
+    rng = stream(seed, STREAMS["network"])
     n = len(y)
     u = rng.random(n * (n - 1))
     decay = cfg.gamma * math.log(n)
@@ -459,7 +473,7 @@ def test_perturb_network_is_seeded():
 def perturb_by_mask(edges, n, keep_prob, add_prob, seed):
     """The noise pass written with an n(n-1) presence mask and the array of
     every absent pair code: the reference for perturb_network."""
-    rng = simulate._stream(simulate.seed_entropy(seed), simulate._STREAM_NOISE)
+    rng = stream(seed, STREAMS["noise"])
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     kept = edges[rng.random(edges.shape[0]) < keep_prob]
     src0, dst0 = edges[:, 0] - 1, edges[:, 1] - 1

@@ -34,6 +34,7 @@ import numpy as np
 
 from netscreen.classify import KINDS, ClassifierSpec, fit, predict_scores
 from netscreen.cli import main as cli
+from netscreen.dataset import STREAMS, stream
 from netscreen.io import write_json
 from netscreen.screening import interaction_expand
 from netscreen.simulate import example_config, generate
@@ -112,8 +113,8 @@ def predicted() -> dict:
     on every node and on a SPLIT train mask drawn as ``classify --split``
     draws it; the split fit also scores its held-out nodes alone."""
     ds = interaction_expand(generate(EX3)[0], EX3.true_features().pairs)
-    rng = np.random.default_rng(np.random.SeedSequence((EX3.seed, 97)))
-    masks = {"all": None, f"train{SPLIT}": rng.random(ds.n) < SPLIT}
+    split = stream(EX3.seed, STREAMS["split"]).random(ds.n) < SPLIT
+    masks = {"all": None, f"train{SPLIT}": split}
     out = {}
     for kind in KINDS:
         spec = ClassifierSpec(kind, s_y=EX3.s_y, s_a=EX3.s_a)
