@@ -37,7 +37,7 @@ import numpy as np
 
 from .counts import (_indicators, block_pair_tables, tally_edges,
                      tally_marginals)
-from .dataset import FeatureSet, NodeDataset, validate
+from .dataset import FeatureSet, NodeDataset, checked_ids, validate
 from .errors import ValidationError
 from .io import record_dict
 from .plr import column_blocks
@@ -241,17 +241,10 @@ def predict_scores(clf: NetworkClassifier, dataset: NodeDataset,
 
 
 def _target_ids(targets, n: int) -> np.ndarray:
-    """0-based ids of the 1-based targets, default every node, refusing any
-    id that is not an integer in 1..n (a float or a bool would silently name
-    another node), as :func:`plr.column_ids` does for columns."""
-    if targets is None:
-        return np.arange(n)
-    ids = np.asarray(targets)
-    if ids.size and ids.dtype.kind not in "iu":
-        raise ValidationError("target ids must be integers")
-    if ids.size and (ids.min() < 1 or ids.max() > n):
-        raise ValidationError(f"target node outside 1..{n}")
-    return ids.astype(np.int64) - 1
+    """0-based ids of the 1-based targets, default every node, each an
+    integer in 1..n (:func:`dataset.checked_ids`)."""
+    return (np.arange(n) if targets is None
+            else checked_ids(targets, n, "target", "target node") - 1)
 
 
 def _link_weights(edge, gap, census):

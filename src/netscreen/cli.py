@@ -61,14 +61,13 @@ def _emit(payload: dict, out) -> None:
 def cmd_simulate(args) -> int:
     if args.config:
         config = SimulationConfig.from_dict(read_json(args.config))
-        if args.n or args.p:
+        if args.n is not None or args.p is not None:
             raise ValidationError("--config carries n and p; drop the flags")
     else:
         if args.example is None:
             raise ValidationError("pass --example or --config")
-        config = example_config(args.example, n=args.n or 300,
-                                p=args.p or 400, model=args.model,
-                                seed=args.seed)
+        config = example_config(args.example, n=args.n, p=args.p,
+                                model=args.model, seed=args.seed)
     dataset, extras = generate(config, seed=args.seed)
     paths = write_dataset(args.out, dataset, extras,
                           generator=config.to_dict())
@@ -159,8 +158,7 @@ def cmd_experiment(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.example == "null":
-        res = null_calibration(n=args.n or 500, reps=args.reps,
-                               seed=args.seed)
+        res = null_calibration(n=args.n, reps=args.reps, seed=args.seed)
         write_json(out / "null.json", res)
         lines = [
             f"null calibration  n={res['n']} reps={res['reps']} seed={res['seed']}",

@@ -143,7 +143,7 @@ class NodeDataset:
         return self.edges.shape[0]
 
     def column(self, j: int) -> np.ndarray:
-        """Levels of column j (1-based), values 1..K_j, as int64."""
+        """Levels of column j (1-based), values 1..K_j, as int32."""
         return column_codes(self, [j])[:, 0]
 
 
@@ -255,20 +255,22 @@ def validate(dataset: NodeDataset) -> NodeDataset:
 
 
 def column_codes(dataset: NodeDataset, cols, rows=slice(None)) -> np.ndarray:
-    """(n, B) int64 levels 1..K_j of the 1-based column ids cols, in column
-    order, at the nodes rows selects (all by default). The one reader of
-    codes: a stored column is gathered from x, and the composite of columns
-    a and b is built as (x_a - 1) K_b + x_b."""
+    """(n, B) int32 levels 1..K_j of the 1-based column ids cols, in column
+    order, at the nodes rows selects (all by default), in a new array. The
+    one reader of codes: a stored column is gathered from x, and the
+    composite of columns a and b is built as (x_a - 1) K_b + x_b, in int32
+    too, since :func:`pair_width` bounds it by CODE_MAX."""
     cols = np.asarray(cols, dtype=np.int64)
     x, stored = dataset.x[rows], cols <= dataset.x.shape[1]
-    out = np.empty((x.shape[0], cols.size), dtype=np.int64, order="F")
+    out = np.empty((x.shape[0], cols.size), dtype=np.int32, order="F")
     at = cols[stored] - 1
     if at.size and np.all(np.diff(at) == 1):
         at = slice(at[0], at[-1] + 1)  # a run of ids: a view, not a gather
     out[:, stored] = x[:, at]
     pairs = [dataset.composite_pairs[c] for c in cols[~stored].tolist()]
     a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    out[:, ~stored] = (x[:, a - 1] - 1) * dataset.k_levels[b - 1] + x[:, b - 1]
+    k_b = dataset.k_levels[b - 1].astype(np.int32)
+    out[:, ~stored] = (x[:, a - 1] - 1) * k_b + x[:, b - 1]
     return out
 
 
@@ -351,6 +353,18 @@ def discretize(values, k: int, scheme: str = "normal_quantile") -> np.ndarray:
     else:
         raise ValidationError(f"unknown discretization scheme {scheme!r}")
     return (np.searchsorted(edges, v, side="left") + 1).astype(np.int32)
+
+
+def checked_ids(ids, top: int, noun: str, one: str) -> np.ndarray:
+    """ids as an int64 array, refusing any that is not an integer in 1..top
+    (a float or a bool would silently name another one): "{noun} ids must
+    be integers", "{one} outside 1..{top}"."""
+    ids = np.asarray(ids)
+    if ids.size and ids.dtype.kind not in "iu":
+        raise ValidationError(f"{noun} ids must be integers")
+    if ids.size and (ids.min() < 1 or ids.max() > top):
+        raise ValidationError(f"{one} outside 1..{top}")
+    return ids.astype(np.int64)
 
 
 def whole(value, name: str, low: int | None = None) -> int:

@@ -187,8 +187,7 @@ def experiment(config, *, n: int | None = None, p: int | None = None,
     processes without changing any result.
     """
     if not isinstance(config, SimulationConfig):
-        config = example_config(config, n=n or 300, p=p or 400, model=model,
-                                seed=seed)
+        config = example_config(config, n=n, p=p, model=model, seed=seed)
     else:
         config = replace(config, n=config.n if n is None else n,
                          p=config.p if p is None else p)
@@ -222,18 +221,20 @@ def experiment(config, *, n: int | None = None, p: int | None = None,
                 "threads": threads})
 
 
-def null_calibration(n: int = 500, reps: int = 2000, seed: int = 0, *,
-                     r_levels: int = 2) -> dict:
+def null_calibration(n: int | None = None, reps: int = 2000, seed: int = 0,
+                     *, r_levels: int = 2) -> dict:
     """Monte Carlo check of the chi-square reference under independence.
 
-    Samples datasets with one feature column unrelated to both the response
-    and the network (the config's default column, level 2 w.p. 0.2, on a
-    network with no phi terms), and collects the doubled statistic totals.
-    Under the reference, their means sit at the degrees of freedom.
+    Samples datasets of n nodes (default 500) with one feature column
+    unrelated to both the response and the network (the config's default
+    column, level 2 w.p. 0.2, on a network with no phi terms), and collects
+    the doubled statistic totals. Under the reference, their means sit at
+    the degrees of freedom.
     """
     reps = whole(reps, "reps")
     if reps < 2:
         raise ValidationError("null calibration needs reps >= 2")
+    n = 500 if n is None else n
     config = SimulationConfig(name="null", model="nnb", n=n, p=1,
                               r_levels=r_levels)
     self_samples = np.empty(reps)

@@ -37,8 +37,8 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .counts import block_pair_tables, tally_edges, tally_marginals
-from .dataset import (STREAMS, NodeDataset, column_codes, seed_entropy,
-                      streams, validate, whole)
+from .dataset import (STREAMS, NodeDataset, checked_ids, column_codes,
+                      seed_entropy, streams, validate, whole)
 from .errors import DegeneracyError, ValidationError
 
 BLOCK_TARGET_CELLS = 5_000_000  # soft cap on B R^2 K^2 and B n (K-1) per block
@@ -49,8 +49,8 @@ TABLE_CELL_LIMIT = 2 ** 24  # hard cap on R^2 * K^2 for any one column
 class PlrStat:
     """Statistic value, its two parts, and reference-distribution tails.
 
-    lam == lam_self + lam_network, all normalized per node. p_self and
-    p_network are upper chi-square tails of the doubled totals.
+    lam == lam_self + lam_network exactly, all normalized per node. p_self
+    and p_network are upper chi-square tails of the doubled totals.
     """
 
     lam: float
@@ -143,14 +143,14 @@ def column_blocks(dataset: NodeDataset, cols):
     """Yield (k, positions, xb0) over blocks of equal-width columns.
 
     cols: 1-based column ids; positions index into cols. xb0 holds the
-    block's (n, B) int64 0-based codes from :func:`dataset.column_codes`,
-    the one form in which the kernels read codes. Blocks come width by
-    width, in the order of cols within a width. B columns of width K make
-    B (R K)^2 table cells and n-sized temporaries of B n (K-1) cells in the
-    edge tallies and the classifier's products; each count stays within
-    BLOCK_TARGET_CELLS, or B is 1. Since every kernel reads its codes here, a
-    column whose tables would be too large is refused here too, before the
-    first block (:func:`check_table_cells`).
+    block's (n, B) 0-based codes, the int32 of :func:`dataset.column_codes`
+    shifted in place: the one form in which the kernels read codes. Blocks
+    come width by width, in the order of cols within a width. B columns of
+    width K make B (R K)^2 table cells and n-sized temporaries of B n (K-1)
+    cells in the edge tallies and the classifier's products; each count
+    stays within BLOCK_TARGET_CELLS, or B is 1. Since every kernel reads its
+    codes here, a column whose tables would be too large is refused here
+    too, before the first block (:func:`check_table_cells`).
     """
     cols, r = np.asarray(cols, dtype=np.int64), dataset.r_levels
     check_table_cells(dataset, cols)
@@ -162,19 +162,15 @@ def column_blocks(dataset: NodeDataset, cols):
         step = min(64, max(1, BLOCK_TARGET_CELLS // cells))
         for lo in range(0, sel.size, step):
             part = sel[lo:lo + step]
-            yield k, part, column_codes(dataset, cols[part]) - 1
+            xb0 = column_codes(dataset, cols[part])
+            xb0 -= 1
+            yield k, part, xb0
 
 
 def column_ids(dataset: NodeDataset, cols) -> np.ndarray:
-    """cols as an int64 array of 1-based column ids, refusing any id that is
-    not an integer in 1..p (a float or a bool would silently name another
-    column)."""
-    ids = np.asarray(cols)
-    if ids.size and ids.dtype.kind not in "iu":
-        raise ValidationError("column ids must be integers")
-    if ids.size and (ids.min() < 1 or ids.max() > dataset.p):
-        raise ValidationError(f"column index outside 1..{dataset.p}")
-    return ids.astype(np.int64)
+    """cols as an int64 array of 1-based column ids in 1..p
+    (:func:`dataset.checked_ids`)."""
+    return checked_ids(cols, dataset.p, "column", "column index")
 
 
 def check_table_cells(dataset: NodeDataset, cols) -> None:
@@ -251,17 +247,13 @@ def plr_statistic(dataset: NodeDataset, j: int) -> PlrStat:
     """
     dataset = validate(dataset)
     s_tot, n_tot = _column_totals(dataset, [j])[0][:, 0].tolist()
+    lam_self, lam_net = s_tot / dataset.n, n_tot / dataset.n
     df_self, df_net = degrees_of_freedom(dataset.r_levels,
                                          int(dataset.k_levels[j - 1]))
-    return PlrStat(
-        lam=(s_tot + n_tot) / dataset.n,
-        lam_self=s_tot / dataset.n,
-        lam_network=n_tot / dataset.n,
-        df_self=df_self,
-        df_network=df_net,
-        p_self=chi2_tail(2.0 * s_tot, df_self),
-        p_network=chi2_tail(2.0 * n_tot, df_net),
-    )
+    return PlrStat(lam=lam_self + lam_net, lam_self=lam_self,
+                   lam_network=lam_net, df_self=df_self, df_network=df_net,
+                   p_self=chi2_tail(2.0 * s_tot, df_self),
+                   p_network=chi2_tail(2.0 * n_tot, df_net))
 
 
 def permutation_pvalue(dataset: NodeDataset, columns, n_perms: int,

@@ -219,7 +219,7 @@ def _pearson_batch(dataset: NodeDataset, cols: np.ndarray) -> dict:
         np.divide((nyj - expected) ** 2, expected, out=dev,
                   where=expected > 0)
         chi[part] = dev.sum(axis=(1, 2))
-    df = (r - 1) * (dataset.k_levels[cols - 1] - 1)
+    df = degrees_of_freedom(r, dataset.k_levels[cols - 1])[0]
     return dict(chi2=chi, df=df, lam=chi, df_self=df)
 
 

@@ -336,11 +336,11 @@ def _draw_column(recipe, config, rng, y0, x):
         return _sample_rows(rng, v["table"], y0), None
     if kind == "cond_yx":
         r, pw, width = v["table"].shape
-        parent0 = x[:, v["parent"] - 1].astype(np.int64) - 1
+        parent0 = x[:, v["parent"] - 1] - 1
         return _sample_rows(rng, v["table"].reshape(r * pw, width),
                             y0 * pw + parent0), None
     if kind == "cond_x":
-        parent0 = x[:, v["parent"] - 1].astype(np.int64) - 1
+        parent0 = x[:, v["parent"] - 1] - 1
         return _sample_rows(rng, v["table"], parent0), None
     # "normal", the one kind left
     mu = v["mu"]
@@ -499,9 +499,10 @@ def _exp_tilted(k: int) -> list[float]:
     return [v / z for v in w]
 
 
-def example_config(example, n: int = 300, p: int = 400, model: str | None = None,
-                   seed: int = 0) -> SimulationConfig:
-    """Ready-made configs 1..9 spanning the designed scenarios.
+def example_config(example, n: int | None = None, p: int | None = None,
+                   model: str | None = None, seed: int = 0) -> SimulationConfig:
+    """Ready-made configs 1..9 spanning the designed scenarios, at n nodes
+    (default 300) and p columns (default 400).
 
     1  two response-related and two network-related binary features
     2  the response-related features also drive the network
@@ -535,7 +536,8 @@ def example_config(example, n: int = 300, p: int = 400, model: str | None = None
 
     name = f"ex{ex}"
     phi_net = ((3, 0.4), (4, 0.4))
-    base = dict(name=name, model=model, n=n, p=p, seed=seed)
+    base = dict(name=name, model=model, n=300 if n is None else n,
+                p=400 if p is None else p, seed=seed)
 
     if ex in (1, 2, 5):
         if model == "nnb":

@@ -346,6 +346,26 @@ def test_predict_scores_checks_dataset_shape():
         predict_scores(clf, ds, targets=[len(y) + 1])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda ds, clf: fit(clf.spec, ds, np.ones(ds.n - 1, dtype=bool)),
+     r"train_mask must be a boolean \(n,\) array"),
+    (lambda ds, clf: fit(ClassifierSpec("type1", s_y=mains(3)), ds),
+     r"feature column 3 outside 1..2"),
+    (lambda ds, clf: predict_scores(clf, validate(NodeDataset(
+        ds.y, ds.x, ds.edges, r_levels=3, k_levels=ds.k_levels))),
+     "dataset response levels differ from the fit"),
+    (lambda ds, clf: predict_scores(clf, validate(NodeDataset(
+        ds.y, ds.x, ds.edges, r_levels=2, k_levels=[3, 2]))),
+     "column 1 widths differ from the fit"),
+], ids=["short-train-mask", "feature-past-p", "other-r", "other-width"])
+def test_fit_and_predict_refuse_what_does_not_match(call, message):
+    ds = as_dataset(np.array([1, 2, 1, 2, 1, 2]), [[1, 2], [2, 1]] * 3,
+                    [(1, 2), (2, 3), (4, 5)], 2, 2)
+    clf = fit(ClassifierSpec("type3", s_y=mains(1), s_a=mains(2)), ds)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call(ds, clf)
+
+
 def test_rank_auc_values():
     # separated: every positive above every negative
     assert _rank_auc(np.array([0.9, 0.1, 0.5]),

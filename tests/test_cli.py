@@ -83,6 +83,48 @@ def test_screen_accepts_interaction_modes(tmp_path):
     assert any("&" in k for k in res["feature_keys"])
 
 
+def test_screen_without_out_prints_its_json(tmp_path, capsys):
+    d = simulate_dir(tmp_path)
+    data = ["screen", "--nodes", str(d / "nodes.csv"),
+            "--edges", str(d / "edges.csv"),
+            "--metadata", str(d / "metadata.json")]
+    assert main(data + ["--out", str(tmp_path / "s.json")]) == 0
+    capsys.readouterr()
+    assert main(data) == 0
+    assert capsys.readouterr().out == \
+        (tmp_path / "s.json").read_text(encoding="utf-8")
+
+
+def test_screen_echoes_the_columns_it_binned(tmp_path, capsys):
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text("node_id,y,x1,x2\n1,1,0.3,1\n2,2,-1.2,2\n"
+                     "3,1,0.9,1\n4,2,-0.1,2\n", encoding="utf-8")
+    (tmp_path / "edges.csv").write_text("src,dst\n1,2\n", encoding="utf-8")
+    assert main(["screen", "--nodes", str(nodes), "--edges",
+                 str(tmp_path / "edges.csv"), "--bins", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["binned_columns"] == ["x1"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--screen", "s.json", "--s-y", "1"],
+     "pass --screen or explicit sets, not both"),
+    (["--s-y", "1", "--split", "0"],
+     "--split takes the training fraction in (0,1)"),
+    (["--s-y", "1", "--split", "1.5"],
+     "--split takes the training fraction in (0,1)"),
+    (["--s-y", "1", "--split", "1e-9"],
+     "split left the train or test side empty"),
+], ids=["screen-and-s-y", "split-zero", "split-past-one", "empty-train"])
+def test_classify_argument_errors_exit_3(tmp_path, capsys, monkeypatch, args,
+                                         message):
+    d = simulate_dir(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    write_json("s.json", {"selected": ["1"]})
+    assert main(["classify", "--nodes", str(d / "nodes.csv"),
+                 "--edges", str(d / "edges.csv"), *args]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["screen"]) == 2
@@ -204,6 +246,40 @@ def test_simulate_from_config_file(tmp_path):
                  "--out", str(tmp_path / "o2")]) == 3
 
 
+@pytest.mark.parametrize("args, message", [
+    (["simulate", "--example", "1", "--n", "0", "--p", "0"],
+     "need n >= 2 nodes and p >= 1 columns"),
+    (["simulate", "--config", "cfg.json", "--n", "0"],
+     "--config carries n and p; drop the flags"),
+    (["experiment", "--example", "1", "--n", "0", "--p", "0", "--reps", "1"],
+     "need n >= 2 nodes and p >= 1 columns"),
+    (["experiment", "--example", "null", "--n", "0", "--reps", "2"],
+     "need n >= 2 nodes and p >= 1 columns"),
+], ids=["simulate", "simulate-config", "experiment", "null"])
+def test_zero_sizes_are_refused_not_defaulted(tmp_path, capsys, monkeypatch,
+                                              args, message):
+    """A size of 0 is a size, refused as any other too small; only an
+    omitted one takes the default."""
+    monkeypatch.chdir(tmp_path)
+    write_json("cfg.json", example_config(1, n=50, p=5).to_dict())
+    assert main(args + ["--out", "out"]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not Path("out").exists() or not any(Path("out").iterdir())
+
+
+def test_omitted_sizes_take_the_defaults(tmp_path, capsys):
+    with pytest.raises(ValidationError, match="need n >= 2 nodes"):
+        experiment(1, n=0, p=0, m_reps=1)
+    assert example_config(1).to_dict() == \
+        example_config(1, n=300, p=400).to_dict()
+    assert main(["simulate", "--example", "1", "--out",
+                 str(tmp_path)]) == 0
+    capsys.readouterr()
+    generator = read_json(tmp_path / "metadata.json")["generator"]
+    assert (generator["n"], generator["p"]) == (300, 400)
+    assert null_calibration(reps=2)["n"] == 500
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda c: [c], "a simulation config must be a JSON object"),
     (lambda c: {k: v for k, v in c.items() if k != "name"},
@@ -279,6 +355,8 @@ def test_simulate_from_config_file(tmp_path):
      "r_levels must be a whole number, not 2.9"),
     (lambda c: {**{k: v for k, v in c.items() if k != "gamma"}, "gama": 0.9},
      "simulation config has no field 'gama'"),
+    (lambda c: {**c, "columns": 5},
+     "simulation config field 'columns' cannot be 5"),
 ], ids=["list", "no-name", "no-p", "word-n", "infinite-n", "bern-without-p",
         "bare-recipe", "word-p", "word-k", "word-table", "fractional-k",
         "fractional-parent", "empty-table", "flat-cond-y-table",
@@ -288,7 +366,7 @@ def test_simulate_from_config_file(tmp_path):
         "k-at-2^31", "nested-mean-rows", "zero-base-odds",
         "negative-base-odds", "nan-gamma", "nan-phi-coefficient",
         "fractional-phi-column", "bool-phi-column", "fractional-n",
-        "fractional-r-levels", "misspelled-field"])
+        "fractional-r-levels", "misspelled-field", "number-columns"])
 def test_simulate_rejects_malformed_config_files(tmp_path, capsys, edit,
                                                  message):
     cfg_path = tmp_path / "cfg.json"
@@ -383,6 +461,17 @@ def test_experiment_refuses_threads_below_one(tmp_path, capsys, threads):
     assert not (d / "report.timing.json").exists()
     with pytest.raises(ValidationError, match="threads must be at least 1"):
         experiment(1, n=40, p=5, m_reps=1, threads=0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: experiment(1, n=40, p=5, m_reps=0),
+     "need at least one replication"),
+    (lambda: experiment(1, n=40, p=5, m_reps=1, methods=("lasso",)),
+     "unknown screening method 'lasso'"),
+], ids=["no-reps", "unknown-method"])
+def test_experiment_refuses_what_it_cannot_run(call, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()
 
 
 @pytest.mark.parametrize("call, message", [
@@ -737,10 +826,11 @@ H = NODES_HEADER
      "file order"),
     (H + "1,1,a\n2.0,2,b\n", "row 3 has node_id 2.0; ids must run 1..n in "
      "file order"),
+    ("id,y,x1\n1,1,2\n2,2,1\n", "header must start with node_id,y"),
 ], ids=["short", "wide", "all-wide", "blank", "trailing-blank",
         "blank-no-final-eol", "blank-only", "comment", "header-only", "empty",
         "open-quote", "float-y", "repeated-ids", "unordered-ids", "hash-id",
-        "float-id"])
+        "float-id", "no-node-id"])
 @pytest.mark.filterwarnings("error")
 def test_read_dataset_rejects_malformed_nodes(tmp_path, text, message):
     with pytest.raises(ValidationError) as err:
@@ -842,8 +932,9 @@ def test_int_codec_matches_printf_and_round_trips(tmp_path, monkeypatch,
     ("a,b\n1,1234567890123456789\n", None),
     ("a,b\n1,\n", None),
     ("a,b\n1,-2\n", None),
+    ("a,b\n1,2,3\n4\n", None),
 ], ids=["no-final-eol", "crlf", "18-digits", "lone-cr", "19-digits",
-        "empty-cell", "signed"])
+        "empty-cell", "signed", "ragged-rows-of-whole-cells"])
 def test_int_decoder_takes_only_plain_digit_files(tmp_path, text, want):
     path = tmp_path / "t.csv"
     path.write_bytes(text.encode())

@@ -153,6 +153,23 @@ class TestValidate:
         with pytest.raises(ValidationError):
             validate(small_dataset(r_levels=1))
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(y=np.array([[1, 2]] * 5)),
+         "response vector must be 1-d and non-empty"),
+        (dict(x=np.array([1, 2, 1, 2, 1])), "feature matrix must be n x s"),
+        (dict(x=np.ones((4, 2), dtype=np.int64)),
+         "feature matrix must be n x s"),
+        (dict(k_levels=[2]), "k_levels length must equal column count"),
+        (dict(k_levels=[2, 1]), "declared level count 1 in column 2 below "
+         "observed maximum 2"),
+        (dict(feature_names=("a",)),
+         "feature_names length must equal column count"),
+    ], ids=["2-d-y", "1-d-x", "x-rows-not-n", "short-k-levels",
+            "k-below-observed", "short-names"])
+    def test_rejects_malformed_shapes(self, overrides, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            validate(small_dataset(**overrides))
+
     def test_rejects_zero_or_negative_labels(self):
         with pytest.raises(ValidationError):
             validate(small_dataset(y=np.array([0, 1, 0, 1, 0])))

@@ -127,9 +127,22 @@ def test_parts_are_nonnegative_and_sum():
         stat = plr_statistic(as_dataset(y, x, edges, r, k), 1)
         assert stat.lam_self >= 0.0
         assert stat.lam_network >= 0.0
-        n = len(y)
-        assert n * stat.lam == pytest.approx(
-            n * (stat.lam_self + stat.lam_network), rel=1e-12, abs=1e-12)
+        assert stat.lam == stat.lam_self + stat.lam_network
+
+
+def test_total_is_the_sum_of_the_parts_on_every_path():
+    """plr_statistic and batch_statistics give each column of ex1 the same
+    lam, bit for bit, and it is exactly lam_self + lam_network; adding the
+    totals before normalizing, (s + t) / n, differs in the last bit on
+    about a third of these columns."""
+    for seed in range(6):
+        ds, _ = generate(example_config(1, n=300, p=60), seed=seed)
+        lam, lam_self, lam_net = batch_statistics(ds)
+        assert np.array_equal(lam, lam_self + lam_net)
+        for j in range(1, ds.p + 1):
+            stat = plr_statistic(ds, j)
+            assert stat.lam == lam[j - 1]
+            assert stat.lam == stat.lam_self + stat.lam_network
 
 
 def test_constant_column_scores_exact_zero():
@@ -200,11 +213,10 @@ def test_batch_agrees_with_per_column():
     lam, lam_s, lam_n = batch_statistics(ds)
     for j in range(1, p + 1):
         one = plr_statistic(ds, j)
-        # parts are bitwise identical; the sums may differ in the last ulp
-        # because the two paths add before or after normalizing
+        # both paths normalize the parts, then add them: the same bits
         assert lam_s[j - 1] == one.lam_self
         assert lam_n[j - 1] == one.lam_network
-        assert lam[j - 1] == pytest.approx(one.lam, rel=1e-14)
+        assert lam[j - 1] == one.lam
 
     # an explicit column list lands in the order given
     sub, _, _ = batch_statistics(ds, columns=[5, 2])
@@ -242,7 +254,7 @@ def test_column_blocks_group_widths_in_column_order(monkeypatch):
     assert [(k, part.tolist()) for k, part, _ in blocks] == [
         (1, [6]), (2, [1, 4]), (3, [0, 2]), (3, [3, 5])]
     for k, part, xb0 in blocks:
-        assert xb0.dtype == np.int64
+        assert xb0.dtype == np.int32
         assert np.array_equal(xb0, x[:, cols[part] - 1] - 1)
     assert list(column_blocks(ds, [])) == []
 
@@ -284,9 +296,9 @@ def test_column_blocks_build_composite_codes():
     wide = interaction_expand(ds, [(1, 2), (2, 4)])
     [(k, part, xb0)] = column_blocks(wide, [5, 3, 6])
     want = np.column_stack([(x[:, 0] - 1) * 2 + x[:, 1] - 1, x[:, 2] - 1,
-                            (x[:, 1] - 1) * 2 + x[:, 3] - 1]).astype(np.int64)
+                            (x[:, 1] - 1) * 2 + x[:, 3] - 1]).astype(np.int32)
     assert k == 4 and part.tolist() == [0, 1, 2]
-    assert xb0.dtype == np.int64 and xb0.shape == want.shape
+    assert xb0.dtype == np.int32 and xb0.shape == want.shape
     assert xb0.tobytes(order="F") == want.tobytes(order="F")
 
 

@@ -20,7 +20,7 @@ from oracles import oracle_pearson, random_instance
 
 def joint_tally(ds, j):
     """(R, K_j) tally of response level by level of column j (1-based)."""
-    xb0 = ds.column(j).astype(np.int64)[:, None] - 1
+    xb0 = ds.column(j)[:, None] - 1
     return tally_marginals(ds.network.y0, xb0, ds.r_levels,
                            int(ds.k_levels[j - 1]))[0]
 
@@ -384,6 +384,15 @@ def test_hard_cutoff_n_minus_1_in_screen(screen):
     assert res.cutoff == "hard:59" and res.d_hat == 6
     with pytest.raises(ValidationError):
         screen(ds, cutoff="hard", d="n_plus_1")
+
+
+@pytest.mark.parametrize("screen", [plr_sis, pc_sis])
+def test_max_ratio_over_one_score_keeps_it(screen):
+    ds = random_wide(np.random.default_rng(36), n=60, p=6)
+    res = screen(ds, columns=[4])
+    assert res.scores[0] > 0 and not res.degenerate
+    assert (res.cutoff, res.d_hat, res.selected.keys()) == (
+        "max_ratio", 1, ("4",))
 
 
 @pytest.mark.parametrize("screen", [plr_sis, pc_sis])
